@@ -3,7 +3,6 @@
 from .corpus import (
     Area,
     BalancedDataset,
-    FoldAssignment,
     GrantRecord,
     Label,
     balanced_resample,
@@ -11,8 +10,6 @@ from .corpus import (
     label_records,
     load_corpus,
     productivity_histogram,
-    repeat_resamples,
-    stratified_kfold,
 )
 from .complexity import (
     COMPLEXITY_SCHEMA,
@@ -27,7 +24,6 @@ from .ml import (
     TfidfFeatures,
     cross_validate,
     f1_score,
-    knn_predict,
     relevance_over_resamples,
     significance_pvalue,
     train_decision_tree,

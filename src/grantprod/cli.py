@@ -122,20 +122,44 @@ class RunConfig:
 # Config file (key = value lines mirroring the long flags; flags win)
 # ---------------------------------------------------------------------------
 
-_CONFIG_CONVERTERS = {
-    "top_x": int,
-    "folds": int,
-    "resamples": int,
-    "seed": int,
-    "jobs": int,
-    "include_title": lambda v: v.lower() in ("1", "true", "yes"),
-    "global_vocab": lambda v: v.lower() in ("1", "true", "yes"),
-    "raw_frequency": lambda v: v.lower() in ("1", "true", "yes"),
-    "conventional_idf": lambda v: v.lower() in ("1", "true", "yes"),
-}
+_BOOLEAN_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _config_keys() -> dict[str, dict[str, argparse.Action]]:
+    """Per subcommand, each config key (a long flag's dest) and the flag's action."""
+    [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        command: {
+            action.dest: action
+            for action in sub._actions
+            if action.option_strings and action.dest not in ("help", "config")
+        }
+        for command, sub in subparsers.choices.items()
+    }
+
+
+def _convert_config_value(key: str, value: str, action: argparse.Action):
+    if isinstance(action, argparse._StoreTrueAction):
+        if value.lower() not in _BOOLEAN_WORDS:
+            raise CliValidationError(
+                f"config value for '{key}' is not a boolean (true/false/yes/no/1/0): {value!r}"
+            )
+        return _BOOLEAN_WORDS[value.lower()]
+    try:
+        converted = action.type(value) if action.type else value
+    except ValueError:
+        raise CliValidationError(f"config value for '{key}' is invalid: {value!r}") from None
+    if action.choices is not None and converted not in action.choices:
+        raise CliValidationError(
+            f"config value for '{key}' must be one of {', '.join(map(str, action.choices))}: {value!r}"
+        )
+    return converted
 
 
 def read_config_file(path: str | Path) -> dict:
+    """Typed key = value pairs; each key's type comes from the flag of the same name."""
+    # subcommands declare a shared flag alike, so the key's action fixes its type
+    actions = {key: action for keys in _config_keys().values() for key, action in keys.items()}
     values: dict = {}
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.strip()
@@ -145,12 +169,9 @@ def read_config_file(path: str | Path) -> dict:
             raise CliValidationError(f"config line without '=': {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        value = value.strip().strip("\"'")
-        converter = _CONFIG_CONVERTERS.get(key, str)
-        try:
-            values[key] = converter(value)
-        except ValueError:
-            raise CliValidationError(f"config value for '{key}' is invalid: {value!r}") from None
+        if key not in actions:
+            raise CliValidationError(f"unknown config key '{key}'")
+        values[key] = _convert_config_value(key, value.strip().strip("\"'"), actions[key])
     return values
 
 
@@ -219,11 +240,12 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> argparse.Na
     if not getattr(args, "config", None):
         return args
     values = read_config_file(args.config)
+    keys = _config_keys()[args.command]
     explicit = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
     for key, value in values.items():
-        if key in explicit:
-            continue  # flags win
-        if hasattr(args, key):
+        if key not in keys:
+            raise CliValidationError(f"config key '{key}' is not an option of '{args.command}'")
+        if key not in explicit:  # flags win
             setattr(args, key, value)
     return args
 
@@ -390,13 +412,13 @@ def _write_summary_csv(path: Path, rows: list[dict], echo: dict) -> None:
             ])
 
 
-def _export_feature_matrix(records, config: RunConfig, lexicons, out_dir: Path, echo: dict) -> None:
+def _export_feature_matrix(records, feature_config, lexicons, out_dir: Path, echo: dict) -> None:
     comment = json.dumps(echo, sort_keys=True)
-    if config.features == "complexity":
+    if feature_config.family == "complexity":
         vectors = [
             extract_complexity_vector(
-                document_text(record, config.lang, config.include_title),
-                language=config.lang,
+                document_text(record, feature_config.language, feature_config.include_title),
+                language=feature_config.language,
                 lexicons=lexicons,
                 doc_id=record.grant_id,
             )
@@ -411,18 +433,17 @@ def _export_feature_matrix(records, config: RunConfig, lexicons, out_dir: Path, 
     else:
         # the exported matrix uses a whole-corpus vocabulary fit; per-fold
         # vocabularies exist only inside cross-validation
-        selector = FIELD_CHOICES[config.fields]
-        vocabulary = fit_vocabulary(records, selector, config.top_x, config.lang)
+        selector, language = feature_config.selector, feature_config.language
+        mode, variant = feature_config.mode, feature_config.idf_variant
+        vocabulary = fit_vocabulary(records, selector, feature_config.top_x, language)
         save_vocabulary(vocabulary, out_dir / "vocabulary.tsv")
-        mode = VectorMode.RAW_FREQUENCY if config.raw_frequency else VectorMode.TFIDF
-        variant = IdfVariant.LOG_QUOTIENT if config.conventional_idf else IdfVariant.LOG_RATIO
         words = sorted(vocabulary.entries, key=vocabulary.entries.get)
         with open(out_dir / "features_tfidf.csv", "w", newline="", encoding="utf-8") as handle:
             handle.write(f"# {comment}\n")
             writer = csv.writer(handle)
             writer.writerow(["grant_id"] + words)
             for record in records:
-                tokens = field_tokens(record, selector, config.lang)
+                tokens = field_tokens(record, selector, language)
                 dense = vectorize(tokens, vocabulary, mode, variant).to_dense(len(vocabulary))
                 writer.writerow([record.grant_id] + [repr(v) if v else "0" for v in dense])
 
@@ -457,10 +478,10 @@ def cmd_evaluate(args) -> int:
     feature_config = _feature_config(config)
     cells = [(area, algorithm) for area in areas for algorithm in config.algos]
 
-    def run_cell(cell):
+    def run_cell(cell) -> EvalReport:
         area, algorithm = cell
         labeled = label_records([r for r in records if r.area is area])
-        report = cross_validate(
+        return cross_validate(
             labeled,
             feature_config,
             algorithm,
@@ -469,25 +490,15 @@ def cmd_evaluate(args) -> int:
             base_seed=config.seed,
             lexicons=lexicons,
         )
-        return cell, report
 
     results: dict[tuple, EvalReport] = {}
     failures: list[dict] = []
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            futures = {pool.submit(run_cell, cell): cell for cell in cells}
-            for future, cell in futures.items():
-                try:
-                    _, report = future.result()
-                    results[cell] = report
-                except Exception as exc:  # cell failure; flush the rest
-                    failures.append({"dataset": cell[0].value, "method": cell[1], "error": str(exc)})
-    else:
-        for cell in cells:
+    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+        futures = [pool.submit(run_cell, cell) for cell in cells]
+        for cell, future in zip(cells, futures):  # collected in cell order
             try:
-                _, report = run_cell(cell)
-                results[cell] = report
-            except Exception as exc:
+                results[cell] = future.result()
+            except Exception as exc:  # cell failure; flush the rest
                 failures.append({"dataset": cell[0].value, "method": cell[1], "error": str(exc)})
 
     # best cell per dataset is flagged when significant at alpha = 0.05
@@ -528,7 +539,7 @@ def cmd_evaluate(args) -> int:
         json.dumps(full, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     try:
-        _export_feature_matrix(records, config, lexicons, out_dir, echo)
+        _export_feature_matrix(records, feature_config, lexicons, out_dir, echo)
     except Exception as exc:
         failures.append({"dataset": "*", "method": "feature_export", "error": str(exc)})
 

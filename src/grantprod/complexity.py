@@ -42,83 +42,33 @@ class DiversityClass(Enum):
 
 
 @dataclass(frozen=True)
-class FeatureSchema:
-    """Ordered feature names with descriptions; column identity for the ML stage."""
-
-    fields: tuple[tuple[str, str, str], ...]  # (name, description, value kind)
-
-    def __post_init__(self):
-        names = [name for name, _, _ in self.fields]
-        if len(names) != len(set(names)):
-            raise ValueError("feature names must be unique")
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _, _ in self.fields)
-
-    def __len__(self) -> int:
-        return len(self.fields)
-
-
-@dataclass(frozen=True)
 class ComplexityVector:
-    sentence_count: int
-    word_count: int
-    vocabulary_size: int
-    adjective_count: int
-    adverb_count: int
-    verb_count: int
-    noun_count: int
-    noun_ratio: float
-    words_per_sentence: float
-    logical_operator_count: int
-    function_word_diversity: float | None
-    preposition_diversity: float | None
-    punctuation_diversity: float | None
-    noun_sd: float | None
-    brunet_index: float | None
-    mean_noun_phrase: float | None
-    concreteness_sd: float | None
-    ne_ratio: float | None
+    """One document's metrics; the field order is the column order of every matrix."""
+
+    sentence_count: int  # total number of sentences
+    word_count: int  # total number of word tokens
+    vocabulary_size: int  # number of distinct word types
+    adjective_count: int  # word tokens tagged adjective
+    adverb_count: int  # word tokens tagged adverb
+    verb_count: int  # word tokens tagged verb
+    noun_count: int  # word tokens tagged noun
+    noun_ratio: float  # nouns over word tokens
+    words_per_sentence: float  # mean word tokens per sentence
+    logical_operator_count: int  # tokens in the logical-operator lexicon
+    function_word_diversity: float | None  # function-word types over vocabulary size
+    preposition_diversity: float | None  # preposition types over vocabulary size
+    punctuation_diversity: float | None  # punctuation types over vocabulary size
+    noun_sd: float | None  # population SD of nouns per sentence
+    brunet_index: float | None  # v ** (n ** -0.165)
+    mean_noun_phrase: float | None  # noun-phrase chunks per sentence
+    concreteness_sd: float | None  # population SD of concreteness scores
+    ne_ratio: float | None  # named-entity spans over word tokens
 
     def as_row(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self))
+        return tuple(getattr(self, name) for name in COMPLEXITY_SCHEMA)
 
 
-COMPLEXITY_SCHEMA = FeatureSchema(
-    (
-        ("sentence_count", "total number of sentences", "int"),
-        ("word_count", "total number of word tokens", "int"),
-        ("vocabulary_size", "number of distinct word types", "int"),
-        ("adjective_count", "word tokens tagged adjective", "int"),
-        ("adverb_count", "word tokens tagged adverb", "int"),
-        ("verb_count", "word tokens tagged verb", "int"),
-        ("noun_count", "word tokens tagged noun", "int"),
-        ("noun_ratio", "nouns over word tokens", "float"),
-        ("words_per_sentence", "mean word tokens per sentence", "float"),
-        ("logical_operator_count", "tokens in the logical-operator lexicon", "int"),
-        ("function_word_diversity", "function-word types over vocabulary size", "float"),
-        ("preposition_diversity", "preposition types over vocabulary size", "float"),
-        ("punctuation_diversity", "punctuation types over vocabulary size", "float"),
-        ("noun_sd", "population SD of nouns per sentence", "float"),
-        ("brunet_index", "v ** (n ** -0.165)", "float"),
-        ("mean_noun_phrase", "noun-phrase chunks per sentence", "float"),
-        ("concreteness_sd", "population SD of concreteness scores", "float"),
-        ("ne_ratio", "named-entity spans over word tokens", "float"),
-    )
-)
-
-
-@dataclass(frozen=True)
-class BasicCounts:
-    sentence_count: int
-    word_count: int
-    vocabulary_size: int
-    adjective_count: int
-    adverb_count: int
-    verb_count: int
-    noun_count: int
-    noun_ratio: float
-    words_per_sentence: float
+COMPLEXITY_SCHEMA: tuple[str, ...] = tuple(f.name for f in fields(ComplexityVector))
 
 
 def _population_sd(values: Sequence[float]) -> float:
@@ -127,31 +77,27 @@ def _population_sd(values: Sequence[float]) -> float:
     return math.sqrt(sum((v - mean) ** 2 for v in values) / n)
 
 
-def _word_tokens(doc: TaggedDocument) -> list[TaggedToken]:
-    return [t for t in doc.tokens if t.token.kind is TokenKind.WORD]
-
-
-def basic_counts(doc: TaggedDocument) -> BasicCounts:
-    """Sentence/word/word-class counts; punctuation is excluded from word_count."""
-    words = _word_tokens(doc)
+def basic_counts(doc: TaggedDocument) -> dict[str, int | float]:
+    """The first nine ComplexityVector fields; punctuation is excluded from word_count."""
+    words = doc.word_tokens()
     word_count = len(words)
     noun_count = sum(1 for t in words if t.tag is PosTag.NOUN)
-    return BasicCounts(
-        sentence_count=doc.sentence_count,
-        word_count=word_count,
-        vocabulary_size=len({t.token.normalized for t in words}),
-        adjective_count=sum(1 for t in words if t.tag is PosTag.ADJECTIVE),
-        adverb_count=sum(1 for t in words if t.tag is PosTag.ADVERB),
-        verb_count=sum(1 for t in words if t.tag is PosTag.VERB),
-        noun_count=noun_count,
-        noun_ratio=noun_count / word_count if word_count else 0.0,
-        words_per_sentence=word_count / doc.sentence_count if doc.sentence_count else 0.0,
-    )
+    return {
+        "sentence_count": doc.sentence_count,
+        "word_count": word_count,
+        "vocabulary_size": len({t.token.normalized for t in words}),
+        "adjective_count": sum(1 for t in words if t.tag is PosTag.ADJECTIVE),
+        "adverb_count": sum(1 for t in words if t.tag is PosTag.ADVERB),
+        "verb_count": sum(1 for t in words if t.tag is PosTag.VERB),
+        "noun_count": noun_count,
+        "noun_ratio": noun_count / word_count if word_count else 0.0,
+        "words_per_sentence": word_count / doc.sentence_count if doc.sentence_count else 0.0,
+    }
 
 
 def logical_operator_count(doc: TaggedDocument, lexicons: LexiconSet) -> int:
     """Token count (not type count) of logical-operator lexicon hits."""
-    return sum(1 for t in _word_tokens(doc) if t.token.normalized in lexicons.logical_operators)
+    return sum(1 for t in doc.word_tokens() if t.token.normalized in lexicons.logical_operators)
 
 
 def type_diversity(doc: TaggedDocument, selector: DiversityClass) -> float | None:
@@ -161,7 +107,7 @@ def type_diversity(doc: TaggedDocument, selector: DiversityClass) -> float | Non
     are not a subset of the word vocabulary, so that ratio is clamped at 1.0
     to keep the declared [0, 1] range on degenerate inputs.
     """
-    words = _word_tokens(doc)
+    words = doc.word_tokens()
     vocabulary_size = len({t.token.normalized for t in words})
     if vocabulary_size == 0:
         return None
@@ -256,7 +202,7 @@ def concreteness_sd(doc: TaggedDocument, lexicons: LexiconSet) -> float | None:
     """
     scores = [
         lexicons.concreteness[t.token.normalized]
-        for t in _word_tokens(doc)
+        for t in doc.word_tokens()
         if t.token.normalized in lexicons.concreteness
     ]
     if len(scores) < 2:
@@ -266,7 +212,7 @@ def concreteness_sd(doc: TaggedDocument, lexicons: LexiconSet) -> float | None:
 
 def ne_ratio(doc: TaggedDocument) -> float | None:
     """Named-entity spans over word-token count."""
-    words = _word_tokens(doc)
+    words = doc.word_tokens()
     if not words:
         return None
     return doc.entity_span_count / len(words)
@@ -286,23 +232,13 @@ def extract_complexity_vector(
     doc = analyze(text, lexicons)
     counts = basic_counts(doc)
     return ComplexityVector(
-        sentence_count=counts.sentence_count,
-        word_count=counts.word_count,
-        vocabulary_size=counts.vocabulary_size,
-        adjective_count=counts.adjective_count,
-        adverb_count=counts.adverb_count,
-        verb_count=counts.verb_count,
-        noun_count=counts.noun_count,
-        noun_ratio=counts.noun_ratio,
-        words_per_sentence=counts.words_per_sentence,
+        **counts,
         logical_operator_count=logical_operator_count(doc, lexicons),
         function_word_diversity=type_diversity(doc, DiversityClass.FUNCTION_WORD),
         preposition_diversity=type_diversity(doc, DiversityClass.PREPOSITION),
         punctuation_diversity=type_diversity(doc, DiversityClass.PUNCTUATION),
         noun_sd=noun_sd(doc),
-        brunet_index=brunet_index(counts.word_count, counts.vocabulary_size)
-        if counts.word_count
-        else None,
+        brunet_index=brunet_index(counts["word_count"], counts["vocabulary_size"]),
         mean_noun_phrase=mean_noun_phrase(doc),
         concreteness_sd=concreteness_sd(doc, lexicons),
         ne_ratio=ne_ratio(doc),
@@ -322,7 +258,7 @@ def write_feature_csv(
         if header_comment:
             handle.write(f"# {header_comment}\n")
         writer = csv.writer(handle)
-        writer.writerow(("grant_id",) + COMPLEXITY_SCHEMA.names())
+        writer.writerow(("grant_id",) + COMPLEXITY_SCHEMA)
         for grant_id, vector in zip(grant_ids, vectors):
             row: list = [grant_id]
             for value in vector.as_row():

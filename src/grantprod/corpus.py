@@ -10,7 +10,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .seeds import SplitMix64, derive_seed
+from .seeds import SplitMix64
 
 GRANT_ID_PATTERN = re.compile(r"^\d+/\d+-\d$")
 
@@ -101,17 +101,6 @@ class BalancedDataset:
 
     def __len__(self) -> int:
         return len(self.instances)
-
-
-@dataclass(frozen=True)
-class FoldAssignment:
-    """Stratified partition: instance index -> fold index in [0, k)."""
-
-    k: int
-    assignment: tuple[int, ...]
-
-    def fold_indices(self, fold: int) -> list[int]:
-        return [i for i, f in enumerate(self.assignment) if f == fold]
 
 
 def derive_label(publication_count: int) -> Label:
@@ -332,15 +321,6 @@ def balanced_resample(labeled: Sequence[tuple[GrantRecord, Label]], seed: int) -
     )
 
 
-def repeat_resamples(
-    labeled: Sequence[tuple[GrantRecord, Label]],
-    n_repeats: int = 10,
-    base_seed: int = 0,
-) -> list[BalancedDataset]:
-    """n_repeats balanced datasets with seeds derived from base_seed."""
-    return [balanced_resample(labeled, derive_seed(base_seed, i)) for i in range(n_repeats)]
-
-
 def stratified_fold_indices(labels: Sequence[int], k: int, seed: int) -> list[int]:
     """Core stratified assignment over integer labels; returns fold per instance.
 
@@ -372,15 +352,3 @@ def stratified_fold_indices(labels: Sequence[int], k: int, seed: int) -> list[in
             totals[fold] += per_fold[fold]
     return assignment
 
-
-def stratified_kfold(
-    dataset: BalancedDataset | Sequence[tuple[GrantRecord, Label]],
-    k: int = 10,
-    seed: int = 0,
-) -> FoldAssignment:
-    """Deterministic stratified k-fold assignment for a labeled dataset."""
-    if isinstance(dataset, BalancedDataset):
-        labels = [label.value for _, label in dataset.instances]
-    else:
-        labels = [label.value for _, label in dataset]
-    return FoldAssignment(k=k, assignment=tuple(stratified_fold_indices(labels, k, seed)))

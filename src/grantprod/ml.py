@@ -327,7 +327,12 @@ def _best_split(X, y, features, min_leaf):
         i = int(np.argmax(gains))  # first max -> smallest threshold
         if best is None or gains[i] > best[0]:
             b = boundaries[i]
-            best = (float(gains[i]), int(j), float((xs[b] + xs[b + 1]) / 2.0))
+            threshold = (xs[b] + xs[b + 1]) / 2.0
+            if not threshold < xs[b + 1]:
+                # adjacent floats: the midpoint rounds up to the right value,
+                # so split at the left value to keep the scored partition
+                threshold = xs[b]
+            best = (float(gains[i]), int(j), float(threshold))
     return best
 
 
@@ -638,17 +643,6 @@ def train_knn(train: FeatureMatrix, k: int, metric: str = "euclidean") -> KnnMod
         hyperparameters={"k": k, "metric": metric},
         fingerprint=_fingerprint(train.X, train.y, None, "knn", (k, metric)),
     )
-
-
-def knn_predict(
-    train: FeatureMatrix,
-    query: Sequence[float],
-    k: int,
-    metric: str = "euclidean",
-) -> Label:
-    """Majority label among the k nearest training instances."""
-    model = train_knn(train, k, metric)
-    return Label(int(model.predict(np.asarray(query, dtype=float)[None, :])[0]))
 
 
 def select_knn_k(
@@ -1141,7 +1135,6 @@ def relevance_over_resamples(
     """
     records = [record for record, _ in labeled]
     raw_rows = complexity_rows(records, language, lexicons, include_title)
-    names = COMPLEXITY_SCHEMA.names()
     reports = []
     for r in range(n_resamples):
         dataset = balanced_resample(labeled, derive_seed(base_seed, _SALT_RESAMPLE, r))
@@ -1150,15 +1143,15 @@ def relevance_over_resamples(
         X = apply_imputer(rows, medians)
         y = np.array([label.value for _, label in dataset.instances])
         forest = train_random_forest(
-            FeatureMatrix(X, y, feature_names=names),
+            FeatureMatrix(X, y, feature_names=COMPLEXITY_SCHEMA),
             forest_hyper,
             seed=derive_seed(base_seed, _SALT_TRAIN, r),
         )
-        reports.append(feature_importance(forest, names, weighting))
-    ranking = average_rank(reports)
+        reports.append(feature_importance(forest, COMPLEXITY_SCHEMA, weighting))
     aggregated = aggregate_relevance(reports)
+    ranking = average_rank(aggregated)
     if n_resamples >= 2:
         aggregated.critical_difference = critical_difference(
-            [row.average_rank for row in ranking], n_resamples, alpha
+            aggregated.average_rank, n_resamples, alpha
         )
     return ranking, aggregated, reports

@@ -146,29 +146,14 @@ class RankingRow:
     average_rank: float
 
 
-def average_rank(reports: Sequence[FeatureRelevanceReport]) -> list[RankingRow]:
-    """Average per-resample fractional ranks; output sorted by average rank."""
+def aggregate_relevance(reports: Sequence[FeatureRelevanceReport]) -> FeatureRelevanceReport:
+    """Combine per-resample reports into one with rank matrices filled in."""
     if not reports:
         raise ValueError("no relevance reports to aggregate")
     names = reports[0].feature_names
     for report in reports:
         if report.feature_names != names:
             raise ValueError("relevance reports use different feature schemas")
-    ranks = np.vstack([rank_descending(report.mean_importance) for report in reports])
-    mean_ranks = ranks.mean(axis=0)
-    mean_importance = np.vstack([report.mean_importance for report in reports]).mean(axis=0)
-    rows = [
-        RankingRow(feature=names[i], mean_importance=float(mean_importance[i]),
-                   average_rank=float(mean_ranks[i]))
-        for i in range(len(names))
-    ]
-    rows.sort(key=lambda row: (row.average_rank, row.feature))
-    return rows
-
-
-def aggregate_relevance(reports: Sequence[FeatureRelevanceReport]) -> FeatureRelevanceReport:
-    """Combine per-resample reports into one with rank matrices filled in."""
-    names = reports[0].feature_names
     ranks = np.vstack([rank_descending(report.mean_importance) for report in reports])
     return FeatureRelevanceReport(
         feature_names=names,
@@ -177,6 +162,18 @@ def aggregate_relevance(reports: Sequence[FeatureRelevanceReport]) -> FeatureRel
         per_resample_ranks=ranks,
         average_rank=ranks.mean(axis=0),
     )
+
+
+def average_rank(aggregated: FeatureRelevanceReport) -> list[RankingRow]:
+    """One row per feature of an aggregated report, sorted by average rank."""
+    rows = [
+        RankingRow(feature=name, mean_importance=float(importance), average_rank=float(rank))
+        for name, importance, rank in zip(
+            aggregated.feature_names, aggregated.mean_importance, aggregated.average_rank
+        )
+    ]
+    rows.sort(key=lambda row: (row.average_rank, row.feature))
+    return rows
 
 
 # ---------------------------------------------------------------------------

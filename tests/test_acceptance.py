@@ -258,7 +258,7 @@ def test_planted_feature_ranks_first():
 
 @criterion("protocol: equal class counts, fold skew <= 1, byte-identical reruns")
 def test_protocol_invariants(tmp_path):
-    from grantprod.corpus import Label, balanced_resample, stratified_kfold
+    from grantprod.corpus import Label, balanced_resample, stratified_fold_indices
 
     corpus = planted_topic_corpus(n=120, seed=21)
     unbalanced = corpus[:40] + [(r, l) for r, l in corpus if l is Label.ZERO_PUBLICATIONS]
@@ -267,8 +267,8 @@ def test_protocol_invariants(tmp_path):
         labels = dataset.labels()
         assert labels.count(Label.PRODUCTIVE) == labels.count(Label.ZERO_PUBLICATIONS)
         for k in (2, 5, 10):
-            folds = stratified_kfold(dataset, k=k, seed=seed)
-            sizes = [sum(1 for f in folds.assignment if f == fold) for fold in range(k)]
+            folds = stratified_fold_indices([l.value for l in labels], k=k, seed=seed)
+            sizes = [sum(1 for f in folds if f == fold) for fold in range(k)]
             assert sum(sizes) == len(dataset)
             assert max(sizes) - min(sizes) <= 1
 

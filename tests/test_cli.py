@@ -6,6 +6,7 @@ from grantprod.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     TOP_X_PRESETS,
+    _config_keys,
     main,
     read_config_file,
 )
@@ -157,6 +158,23 @@ def test_evaluate_complexity_writes_feature_matrix(canonical, tmp_path):
     assert header.startswith("grant_id,sentence_count,")
 
 
+def test_evaluate_jobs_2_matches_jobs_1(canonical, tmp_path):
+    outputs = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        code = main([
+            "evaluate", "--input", str(canonical), "--features", "complexity",
+            "--algo", "bayes,knn", "--folds", "3", "--resamples", "2",
+            "--seed", "5", "--jobs", jobs, "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        outputs[jobs] = [
+            (out / name).read_bytes()
+            for name in ("eval_summary.csv", "eval_report.json", "features_complexity.csv")
+        ]
+    assert outputs["2"] == outputs["1"]
+
+
 def test_evaluate_english_exclusion(tmp_path, capsys):
     # one record lacks the English abstract and is excluded with a count
     path = tmp_path / "en.csv"
@@ -221,6 +239,49 @@ def test_read_config_file_types(tmp_path):
     path.write_text("# comment\nseed = 3\nfeatures = 'tfidf'\ninclude_title = true\n")
     values = read_config_file(path)
     assert values == {"seed": 3, "features": "tfidf", "include_title": True}
+
+
+@pytest.mark.parametrize("command, line, key", [
+    ("evaluate", "sed = 5", "sed"),  # unknown key
+    ("evaluate", "global_vocab = ture", "global_vocab"),  # malformed boolean
+    ("relevance", "top_x = 30", "top_x"),  # key of another subcommand
+])
+def test_bad_config_key_exits_2_and_names_it(canonical, tmp_path, capsys, command, line, key):
+    config = tmp_path / "bad.conf"
+    config.write_text(line + "\n")
+    code = main([command, "--input", str(canonical), "--config", str(config),
+                 "--seed", "1", "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_config_typed_option_reaches_relevance_as_int(canonical, tmp_path):
+    config = tmp_path / "rel.conf"
+    config.write_text("trees = 5\nresamples = 2\n")
+    out = tmp_path / "rel"
+    code = main(["relevance", "--input", str(canonical), "--config", str(config),
+                 "--seed", "2", "--out", str(out)])
+    assert code == EXIT_OK
+    assert '"trees": 5,' in (out / "relevance.csv").read_text().splitlines()[0]
+
+
+def test_config_false_boolean_keeps_timestamp(canonical, tmp_path):
+    config = tmp_path / "rel.conf"
+    config.write_text("trees = 5\nresamples = 2\nno_timestamp = false\n")
+    out = tmp_path / "rel"
+    code = main(["relevance", "--input", str(canonical), "--config", str(config),
+                 "--seed", "2", "--out", str(out)])
+    assert code == EXIT_OK
+    assert "<!-- generated " in (out / "rank_diagram.svg").read_text()
+
+
+def test_shared_config_keys_convert_alike():
+    # read_config_file converts a key before the subcommand is known
+    seen = {}
+    for keys in _config_keys().values():
+        for key, action in keys.items():
+            shape = (type(action), action.type, action.choices and tuple(action.choices))
+            assert seen.setdefault(key, shape) == shape, key
 
 
 def test_top_x_presets_exposed():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -32,36 +33,41 @@ def doc(text, lexicons):
     return analyze(text, lexicons)
 
 
+def test_schema_is_the_vector_fields():
+    assert COMPLEXITY_SCHEMA == tuple(f.name for f in fields(ComplexityVector))
+    assert len(COMPLEXITY_SCHEMA) == 18
+
+
 # ---------------------------------------------------------------------------
 # basic counts
 # ---------------------------------------------------------------------------
 
 def test_toy_sentence_counts(pt):
     counts = basic_counts(doc("O gato dorme.", pt))
-    assert counts.sentence_count == 1
-    assert counts.word_count == 3
-    assert counts.verb_count == 1
-    assert counts.noun_count == 1
-    assert counts.vocabulary_size == 3
-    assert counts.words_per_sentence == 3.0
+    assert counts["sentence_count"] == 1
+    assert counts["word_count"] == 3
+    assert counts["verb_count"] == 1
+    assert counts["noun_count"] == 1
+    assert counts["vocabulary_size"] == 3
+    assert counts["words_per_sentence"] == 3.0
 
 
 def test_empty_document_all_zero(pt):
     counts = basic_counts(doc("", pt))
-    assert counts.sentence_count == 0
-    assert counts.word_count == 0
-    assert counts.words_per_sentence == 0.0
-    assert counts.noun_ratio == 0.0
+    assert counts["sentence_count"] == 0
+    assert counts["word_count"] == 0
+    assert counts["words_per_sentence"] == 0.0
+    assert counts["noun_ratio"] == 0.0
 
 
 def test_doubled_text_doubles_counts_except_vocabulary(pt):
     single = basic_counts(doc("O gato dorme.", pt))
     double = basic_counts(doc("O gato dorme. O gato dorme.", pt))
-    assert double.sentence_count == 2 * single.sentence_count
-    assert double.word_count == 2 * single.word_count
-    assert double.verb_count == 2 * single.verb_count
-    assert double.noun_count == 2 * single.noun_count
-    assert double.vocabulary_size == single.vocabulary_size
+    assert double["sentence_count"] == 2 * single["sentence_count"]
+    assert double["word_count"] == 2 * single["word_count"]
+    assert double["verb_count"] == 2 * single["verb_count"]
+    assert double["noun_count"] == 2 * single["noun_count"]
+    assert double["vocabulary_size"] == single["vocabulary_size"]
 
 
 # ---------------------------------------------------------------------------
@@ -282,16 +288,16 @@ def test_composition_equals_individual_operations(pt):
     vector = extract_complexity_vector(text, "pt", pt)
     document = doc(text, pt)
     counts = basic_counts(document)
-    assert vector.sentence_count == counts.sentence_count
-    assert vector.word_count == counts.word_count
-    assert vector.vocabulary_size == counts.vocabulary_size
-    assert vector.noun_ratio == counts.noun_ratio
+    assert vector.sentence_count == counts["sentence_count"]
+    assert vector.word_count == counts["word_count"]
+    assert vector.vocabulary_size == counts["vocabulary_size"]
+    assert vector.noun_ratio == counts["noun_ratio"]
     assert vector.logical_operator_count == logical_operator_count(document, pt)
     assert vector.function_word_diversity == type_diversity(document, DiversityClass.FUNCTION_WORD)
     assert vector.preposition_diversity == type_diversity(document, DiversityClass.PREPOSITION)
     assert vector.punctuation_diversity == type_diversity(document, DiversityClass.PUNCTUATION)
     assert vector.noun_sd == noun_sd(document)
-    assert vector.brunet_index == brunet_index(counts.word_count, counts.vocabulary_size)
+    assert vector.brunet_index == brunet_index(counts["word_count"], counts["vocabulary_size"])
     assert vector.mean_noun_phrase == mean_noun_phrase(document)
     assert vector.concreteness_sd == concreteness_sd(document, pt)
     assert vector.ne_ratio == ne_ratio(document)
@@ -351,5 +357,5 @@ def test_feature_csv_missing_as_empty_cell(tmp_path, pt):
     assert lines[1].split(",")[:2] == ["grant_id", "sentence_count"]
     row = lines[2].split(",")
     # concreteness_sd is missing for this toy document -> empty cell
-    index = 1 + COMPLEXITY_SCHEMA.names().index("concreteness_sd")
+    index = 1 + COMPLEXITY_SCHEMA.index("concreteness_sd")
     assert row[index] == ""

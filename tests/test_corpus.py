@@ -19,11 +19,12 @@ from grantprod.corpus import (
     label_records,
     load_corpus,
     productivity_histogram,
-    repeat_resamples,
     scan_corpus_file,
-    stratified_kfold,
+    stratified_fold_indices,
     write_canonical,
 )
+from grantprod.ml import _SALT_RESAMPLE
+from grantprod.seeds import derive_seed
 
 HEADER = "grant_id,title_pt,abstract_pt,area,year,publication_count\n"
 
@@ -252,16 +253,17 @@ def test_balanced_resample_equal_cardinality_property(n_pos, n_neg, seed):
     assert len(set(dataset.source_indices)) == len(dataset.source_indices)
 
 
-def test_repeat_resamples():
+def test_pipeline_resamples():
+    # the resamples that cross_validate and relevance_over_resamples evaluate
     labeled = labeled_corpus(4, 16)
-    datasets = repeat_resamples(labeled, n_repeats=10, base_seed=8)
-    assert len(datasets) == 10
-    for ds in datasets:
+    seeds = [derive_seed(8, _SALT_RESAMPLE, r) for r in range(10)]
+    datasets = [balanced_resample(labeled, seed) for seed in seeds]
+    for ds, seed in zip(datasets, seeds):
         labels = ds.labels()
         assert labels.count(Label.PRODUCTIVE) == labels.count(Label.ZERO_PUBLICATIONS) == 4
-    assert repeat_resamples(labeled, 0, 8) == []
-    [single] = repeat_resamples(labeled, 1, 8)
-    assert single == datasets[0]
+        assert ds.resample_seed == seed
+    assert balanced_resample(labeled, seeds[0]) == datasets[0]
+    assert len({ds.source_indices for ds in datasets}) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -272,32 +274,40 @@ def fold_sizes(assignment, k):
     return [sum(1 for f in assignment if f == fold) for fold in range(k)]
 
 
+def fold_indices(assignment, fold):
+    return [i for i, f in enumerate(assignment) if f == fold]
+
+
+def int_labels(labeled):
+    return [label.value for _, label in labeled]
+
+
 def test_kfold_balanced_20_k10():
     dataset = balanced_resample(labeled_corpus(10, 10), seed=0)
-    folds = stratified_kfold(dataset, k=10, seed=1)
-    assert fold_sizes(folds.assignment, 10) == [2] * 10
+    folds = stratified_fold_indices(int_labels(dataset.instances), k=10, seed=1)
+    assert fold_sizes(folds, 10) == [2] * 10
     labels = dataset.labels()
     for fold in range(10):
-        members = [labels[i] for i in folds.fold_indices(fold)]
+        members = [labels[i] for i in fold_indices(folds, fold)]
         assert members.count(Label.PRODUCTIVE) == 1
 
 
 def test_kfold_leave_one_out():
     dataset = balanced_resample(labeled_corpus(10, 10), seed=0)
-    folds = stratified_kfold(dataset, k=20, seed=1)
-    assert fold_sizes(folds.assignment, 20) == [1] * 20
+    folds = stratified_fold_indices(int_labels(dataset.instances), k=20, seed=1)
+    assert fold_sizes(folds, 20) == [1] * 20
 
 
 def test_kfold_21_instances():
     labeled = labeled_corpus(11, 10)
-    folds = stratified_kfold(labeled, k=10, seed=4)
-    sizes = sorted(fold_sizes(folds.assignment, 10))
+    folds = stratified_fold_indices(int_labels(labeled), k=10, seed=4)
+    sizes = sorted(fold_sizes(folds, 10))
     assert sizes == [2] * 9 + [3]
 
 
 def test_kfold_too_small():
     with pytest.raises(ValueError):
-        stratified_kfold(labeled_corpus(2, 2), k=10, seed=0)
+        stratified_fold_indices(int_labels(labeled_corpus(2, 2)), k=10, seed=0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -307,17 +317,17 @@ def test_kfold_partition_properties(n_pos, n_neg, k, seed):
     labeled = labeled_corpus(n_pos, n_neg)
     if len(labeled) < k:
         return
-    folds = stratified_kfold(labeled, k=k, seed=seed)
-    assert len(folds.assignment) == len(labeled)           # partition: total coverage
-    sizes = fold_sizes(folds.assignment, k)
+    folds = stratified_fold_indices(int_labels(labeled), k=k, seed=seed)
+    assert len(folds) == len(labeled)                      # partition: total coverage
+    sizes = fold_sizes(folds, k)
     assert sum(sizes) == len(labeled)
     assert max(sizes) - min(sizes) <= 1                    # size skew
     labels = [label for _, label in labeled]
     for fold in range(k):
-        pos = sum(1 for i in folds.fold_indices(fold) if labels[i] is Label.PRODUCTIVE)
+        pos = sum(1 for i in fold_indices(folds, fold) if labels[i] is Label.PRODUCTIVE)
         # per-class counts differ by at most one across folds (stratification)
         other_pos = [
-            sum(1 for i in folds.fold_indices(g) if labels[i] is Label.PRODUCTIVE)
+            sum(1 for i in fold_indices(folds, g) if labels[i] is Label.PRODUCTIVE)
             for g in range(k)
         ]
         assert max(other_pos) - min(other_pos) <= 1
@@ -325,8 +335,8 @@ def test_kfold_partition_properties(n_pos, n_neg, k, seed):
 
 def test_kfold_deterministic():
     labeled = labeled_corpus(9, 9)
-    a = stratified_kfold(labeled, k=3, seed=77)
-    b = stratified_kfold(labeled, k=3, seed=77)
-    c = stratified_kfold(labeled, k=3, seed=78)
-    assert a.assignment == b.assignment
-    assert a.assignment != c.assignment
+    a = stratified_fold_indices(int_labels(labeled), k=3, seed=77)
+    b = stratified_fold_indices(int_labels(labeled), k=3, seed=77)
+    c = stratified_fold_indices(int_labels(labeled), k=3, seed=78)
+    assert a == b
+    assert a != c

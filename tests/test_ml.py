@@ -21,7 +21,6 @@ from grantprod.ml import (
     f1_score,
     fit_median_imputer,
     information_gain,
-    knn_predict,
     macro_f1,
     mlp_loss_and_grad,
     select_knn_k,
@@ -99,6 +98,18 @@ def test_max_depth_and_min_gain_stop():
     assert stump.root.is_leaf
     strict = train_decision_tree(FeatureMatrix(X, y), TreeHyper(min_gain=1e-6))
     assert strict.root.is_leaf  # zero-gain root split now rejected
+
+
+def test_split_between_adjacent_floats_keeps_both_children():
+    low = 4.9216076867444665  # a noun_sd value seen in a generated corpus
+    high = np.nextafter(low, np.inf)
+    assert (low + high) / 2.0 == high  # the midpoint rounds up to the right value
+    X = np.array([[low], [high]])
+    y = np.array([0, 1])
+    model = train_decision_tree(FeatureMatrix(X, y))
+    assert model.root.threshold == low
+    assert model.root.impurity.n_left == model.root.impurity.n_right == 1
+    assert (model.predict(X) == y).all()
 
 
 def test_chosen_splits_have_nonnegative_delta_g():
@@ -214,15 +225,15 @@ def test_multinomial_separates_counts():
 def test_knn_exact_match():
     X = np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]])
     y = np.array([0, 1, 0])
-    assert knn_predict(FeatureMatrix(X, y), [5.0, 5.0], k=1) is Label.PRODUCTIVE
+    assert train_knn(FeatureMatrix(X, y), k=1).predict([[5.0, 5.0]])[0] == Label.PRODUCTIVE.value
 
 
 def test_knn_full_vote_tie_breaks_to_nearest():
     X = np.array([[0.0], [1.0], [10.0], [11.0]])
     y = np.array([1, 1, 0, 0])
     # k = |train| on a balanced set: tie resolves to the nearest neighbor's class
-    assert knn_predict(FeatureMatrix(X, y), [0.5], k=4) is Label.PRODUCTIVE
-    assert knn_predict(FeatureMatrix(X, y), [10.5], k=4) is Label.ZERO_PUBLICATIONS
+    assert train_knn(FeatureMatrix(X, y), k=4).predict([[0.5]])[0] == Label.PRODUCTIVE.value
+    assert train_knn(FeatureMatrix(X, y), k=4).predict([[10.5]])[0] == Label.ZERO_PUBLICATIONS.value
 
 
 def test_knn_matches_exhaustive_sort():
@@ -234,7 +245,7 @@ def test_knn_matches_exhaustive_sort():
     )
     top3 = [y[i] for _, i in distances[:3]]
     expected = 1 if sum(top3) * 2 > 3 else 0
-    assert knn_predict(FeatureMatrix(X, y), query, k=3).value == expected
+    assert train_knn(FeatureMatrix(X, y), k=3).predict([query])[0] == expected
 
 
 def test_knn_cosine_metric():

@@ -18,6 +18,7 @@ from grantprod.relevance import (
     ImpurityRecord,
     RankingRow,
     UnsupportedModelError,
+    aggregate_relevance,
     average_rank,
     critical_difference,
     feature_importance,
@@ -177,13 +178,15 @@ def make_report(importances):
 
 
 def test_single_resample_rank_is_sorted_order():
-    rows = average_rank([make_report([0.2, 0.9, 0.5])])
+    rows = average_rank(aggregate_relevance([make_report([0.2, 0.9, 0.5])]))
     assert [r.feature for r in rows] == ["f1", "f2", "f0"]
     assert [r.average_rank for r in rows] == [1.0, 2.0, 3.0]
 
 
 def test_average_of_two_resamples():
-    rows = average_rank([make_report([0.9, 0.5, 0.1]), make_report([0.1, 0.5, 0.9])])
+    rows = average_rank(aggregate_relevance(
+        [make_report([0.9, 0.5, 0.1]), make_report([0.1, 0.5, 0.9])]
+    ))
     by_name = {r.feature: r.average_rank for r in rows}
     assert by_name["f0"] == pytest.approx((1 + 3) / 2)
     assert by_name["f1"] == pytest.approx(2.0)
@@ -195,7 +198,7 @@ def test_schema_mismatch_rejected():
                                mean_importance=np.array([0.1, 0.2]),
                                node_counts=np.ones(2, dtype=int))
     with pytest.raises(ValueError):
-        average_rank([a, b])
+        aggregate_relevance([a, b])
 
 
 @settings(max_examples=50, deadline=None)
@@ -249,6 +252,24 @@ def test_planted_feature_ranks_first_each_resample():
     index = aggregated.feature_names.index("ne_ratio")
     assert (aggregated.per_resample_ranks[:, index] == 1.0).all()
     assert aggregated.critical_difference is not None
+
+
+def test_each_resample_is_ranked_once(monkeypatch):
+    import grantprod.relevance
+
+    calls = []
+    original = grantprod.relevance.rank_descending
+
+    def counting(values):
+        calls.append(len(values))
+        return original(values)
+
+    monkeypatch.setattr(grantprod.relevance, "rank_descending", counting)
+    relevance_over_resamples(
+        planted_ne_corpus(n=40, seed=5), n_resamples=3, base_seed=6,
+        forest_hyper=ForestHyper(n_trees=3),
+    )
+    assert calls == [18, 18, 18]
 
 
 # ---------------------------------------------------------------------------
