@@ -43,7 +43,6 @@ from .relevance import (
 from .textproc import LexiconSet, builtin_lexicons, load_lexicons
 from .topical import (
     FieldSelector,
-    SparseVector,
     VectorMode,
     Vocabulary,
     fit_vocabulary,

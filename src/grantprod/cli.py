@@ -24,6 +24,7 @@ from .corpus import (
     EmptyClassError,
     GrantRecord,
     Label,
+    derive_label,
     label_records,
     load_corpus,
     productivity_histogram,
@@ -434,18 +435,21 @@ def _export_feature_matrix(records, feature_config, lexicons, out_dir: Path, ech
         # the exported matrix uses a whole-corpus vocabulary fit; per-fold
         # vocabularies exist only inside cross-validation
         selector, language = feature_config.selector, feature_config.language
-        mode, variant = feature_config.mode, feature_config.idf_variant
         vocabulary = fit_vocabulary(records, selector, feature_config.top_x, language)
         save_vocabulary(vocabulary, out_dir / "vocabulary.tsv")
         words = sorted(vocabulary.entries, key=vocabulary.entries.get)
+        matrix = vectorize(
+            [field_tokens(record, selector, language) for record in records],
+            vocabulary,
+            feature_config.mode,
+            feature_config.idf_variant,
+        )
         with open(out_dir / "features_tfidf.csv", "w", newline="", encoding="utf-8") as handle:
             handle.write(f"# {comment}\n")
             writer = csv.writer(handle)
             writer.writerow(["grant_id"] + words)
-            for record in records:
-                tokens = field_tokens(record, selector, language)
-                dense = vectorize(tokens, vocabulary, mode, variant).to_dense(len(vocabulary))
-                writer.writerow([record.grant_id] + [repr(v) if v else "0" for v in dense])
+            for record, row in zip(records, matrix):
+                writer.writerow([record.grant_id] + [repr(v) if v else "0" for v in row.tolist()])
 
 
 def cmd_evaluate(args) -> int:
@@ -470,11 +474,22 @@ def cmd_evaluate(args) -> int:
         print("error: no records usable for the configured language", file=sys.stderr)
         return EXIT_VALIDATION
 
+    areas = [area for area in Area if any(r.area is area for r in records)]
+    for area in areas:  # every balanced resample must fill --folds folds
+        labels = [derive_label(r.publication_count) for r in records if r.area is area]
+        pos = labels.count(Label.PRODUCTIVE)
+        neg = len(labels) - pos
+        if 2 * min(pos, neg) < config.folds:
+            raise CliValidationError(
+                f"area {area.value} has {pos} productive and {neg} zero-publication "
+                f"record(s): its balanced set of {2 * min(pos, neg)} is smaller than "
+                f"--folds {config.folds}"
+            )
+
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     echo = config.echo()
 
-    areas = [area for area in Area if any(r.area is area for r in records)]
     feature_config = _feature_config(config)
     cells = [(area, algorithm) for area in areas for algorithm in config.algos]
 
@@ -566,6 +581,8 @@ def cmd_relevance(args) -> int:
             raise CliValidationError("--seed is required (runs never default to the clock)")
         if args.resamples < 2:
             raise CliValidationError("--resamples must be >= 2 for rank aggregation")
+        if args.trees < 1:
+            raise CliValidationError("--trees must be >= 1")
         records = load_corpus(args.input, args.format)
         if not records:
             raise CliValidationError("empty corpus")

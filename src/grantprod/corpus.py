@@ -218,41 +218,45 @@ class ValidationReport:
     rejected: list[tuple[int, str, str]]  # (row number, field, reason)
 
 
-def scan_corpus_file(path: str | Path, fmt: str) -> ValidationReport:
-    """Lenient ingestion: collect well-formed records, list malformed rows.
+def _read_records(
+    path: str | Path, fmt: str, rejected: list[tuple[int, str, str]] | None
+) -> list[GrantRecord]:
+    """The record loop of both loaders.
 
-    Duplicate grant ids still reject the whole file (duplicated instances
-    would bias cross-validation).
+    A malformed row raises unless ``rejected`` collects it as (row number,
+    field, reason).  A duplicate grant id always raises: duplicated instances
+    would bias cross-validation.
     """
-    path = Path(path)
     records: list[GrantRecord] = []
-    rejected: list[tuple[int, str, str]] = []
-    seen: dict[str, int] = {}
-    for row_number, mapping in _iter_rows(path, fmt):
+    seen: set[str] = set()
+    for row_number, mapping in _iter_rows(Path(path), fmt):
         try:
             record = _record_from_mapping(mapping, row_number, fmt)
         except MalformedRowError as exc:
+            if rejected is None:
+                raise
             rejected.append((exc.row_number, exc.field, exc.reason))
             continue
         if record.grant_id in seen:
             raise DuplicateGrantIdError(record.grant_id, row_number)
-        seen[record.grant_id] = row_number
+        seen.add(record.grant_id)
         records.append(record)
+    return records
+
+
+def scan_corpus_file(path: str | Path, fmt: str) -> ValidationReport:
+    """Lenient ingestion: collect well-formed records, list malformed rows.
+
+    Duplicate grant ids still reject the whole file.
+    """
+    rejected: list[tuple[int, str, str]] = []
+    records = _read_records(path, fmt, rejected)
     return ValidationReport(records=records, rejected=rejected)
 
 
 def load_corpus(path: str | Path, fmt: str) -> list[GrantRecord]:
     """Strict ingestion: any malformed row raises, naming the row and field."""
-    path = Path(path)
-    records: list[GrantRecord] = []
-    seen: dict[str, int] = {}
-    for row_number, mapping in _iter_rows(path, fmt):
-        record = _record_from_mapping(mapping, row_number, fmt)
-        if record.grant_id in seen:
-            raise DuplicateGrantIdError(record.grant_id, row_number)
-        seen[record.grant_id] = row_number
-        records.append(record)
-    return records
+    return _read_records(path, fmt, rejected=None)
 
 
 def record_to_dict(record: GrantRecord) -> dict:

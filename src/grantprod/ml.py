@@ -9,7 +9,6 @@ relevance stage can replay them.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import warnings
 from collections import Counter
@@ -172,18 +171,14 @@ def tfidf_fold_matrices(
     vocabulary: Vocabulary | None = None,
 ) -> tuple[np.ndarray, np.ndarray, Vocabulary]:
     """Vectorize one fold; the vocabulary is fitted on the training rows only."""
+    train_tokens = [token_lists[i] for i in train_rows]
     if vocabulary is None:
-        vocabulary = fit_vocabulary_from_tokens([token_lists[i] for i in train_rows], top_x)
-    size = len(vocabulary)
-
-    def densify(rows):
-        out = np.zeros((len(rows), size))
-        for r, i in enumerate(rows):
-            for index, weight in vectorize(token_lists[i], vocabulary, mode, idf_variant).pairs:
-                out[r, index] = weight
-        return out
-
-    return densify(train_rows), densify(test_rows), vocabulary
+        vocabulary = fit_vocabulary_from_tokens(train_tokens, top_x)
+    return (
+        vectorize(train_tokens, vocabulary, mode, idf_variant),
+        vectorize([token_lists[i] for i in test_rows], vocabulary, mode, idf_variant),
+        vocabulary,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +226,6 @@ class MlpHyper:
     def __post_init__(self):
         if not self.hidden_layers or any(h < 1 for h in self.hidden_layers):
             raise ValueError("hidden layers must all have at least one unit")
-
-
-def _fingerprint(X: np.ndarray, y: np.ndarray, seed: int | None, algorithm: str, hyper) -> str:
-    digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(X).tobytes())
-    digest.update(np.ascontiguousarray(y).tobytes())
-    digest.update(str(seed).encode())
-    digest.update(algorithm.encode())
-    digest.update(repr(hyper).encode())
-    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +391,6 @@ def _iter_tree_records(root: TreeNode) -> Iterator[ImpurityRecord]:
 class DecisionTreeModel:
     root: TreeNode
     n_features: int
-    hyperparameters: dict
-    fingerprint: str
-    algorithm: str = "dtree"
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return _predict_tree(self.root, np.asarray(X, dtype=float))
@@ -428,12 +410,7 @@ def train_decision_tree(train: FeatureMatrix, hyper: TreeHyper | None = None) ->
     _check_finite(train.X)
     counter = [0]
     root = _grow_tree(train.X, train.y, hyper, depth=0, counter=counter)
-    return DecisionTreeModel(
-        root=root,
-        n_features=train.X.shape[1],
-        hyperparameters=asdict(hyper),
-        fingerprint=_fingerprint(train.X, train.y, None, "dtree", hyper),
-    )
+    return DecisionTreeModel(root=root, n_features=train.X.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +421,6 @@ def train_decision_tree(train: FeatureMatrix, hyper: TreeHyper | None = None) ->
 class RandomForestModel:
     roots: list[TreeNode]
     n_features: int
-    hyperparameters: dict
-    fingerprint: str
-    algorithm: str = "random_forest"
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -496,12 +470,7 @@ def train_random_forest(
             _grow_tree(X_t, y_t, hyper.tree, depth=0, counter=counter, rng=rng,
                        max_features=max_features)
         )
-    return RandomForestModel(
-        roots=roots,
-        n_features=d,
-        hyperparameters={**asdict(hyper), "seed": seed},
-        fingerprint=_fingerprint(train.X, train.y, seed, "random_forest", hyper),
-    )
+    return RandomForestModel(roots=roots, n_features=d)
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +484,6 @@ class NaiveBayesModel:
     means: np.ndarray | None               # gaussian: (2, d)
     variances: np.ndarray | None           # gaussian: (2, d)
     feature_log_prob: np.ndarray | None    # multinomial: (2, d)
-    hyperparameters: dict
-    fingerprint: str
-    algorithm: str = "naive_bayes"
 
     def decision_scores(self, X: np.ndarray, include_prior: bool = True) -> np.ndarray:
         """Per-class log-likelihood sums, optionally plus the log prior."""
@@ -579,8 +545,6 @@ def train_naive_bayes(train: FeatureMatrix, likelihood: str = "gaussian") -> Nai
         means=means,
         variances=variances,
         feature_log_prob=feature_log_prob,
-        hyperparameters={"likelihood": likelihood},
-        fingerprint=_fingerprint(X, y, None, "naive_bayes", likelihood),
     )
 
 
@@ -610,25 +574,15 @@ class KnnModel:
     y_train: np.ndarray
     k: int
     metric: str
-    hyperparameters: dict
-    fingerprint: str
-    algorithm: str = "knn"
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         distances = _pairwise_distances(X, self.X_train, self.metric)
-        out = np.empty(X.shape[0], dtype=int)
-        for i in range(X.shape[0]):
-            # stable sort: distance ties resolve by training-set order
-            nearest = np.argsort(distances[i], kind="stable")[: self.k]
-            votes = int(self.y_train[nearest].sum())
-            if 2 * votes > self.k:
-                out[i] = 1
-            elif 2 * votes < self.k:
-                out[i] = 0
-            else:
-                out[i] = int(self.y_train[nearest[0]])  # vote tie -> nearest neighbor
-        return out
+        # stable sort: distance ties resolve by training-set order
+        labels = self.y_train[np.argsort(distances, axis=1, kind="stable")[:, : self.k]]
+        votes = 2 * labels.sum(axis=1)
+        # strict majority wins; a vote tie goes to the nearest neighbor's label
+        return np.where(votes > self.k, 1, np.where(votes < self.k, 0, labels[:, 0]))
 
 
 def train_knn(train: FeatureMatrix, k: int, metric: str = "euclidean") -> KnnModel:
@@ -640,8 +594,6 @@ def train_knn(train: FeatureMatrix, k: int, metric: str = "euclidean") -> KnnMod
         y_train=train.y,
         k=k,
         metric=metric,
-        hyperparameters={"k": k, "metric": metric},
-        fingerprint=_fingerprint(train.X, train.y, None, "knn", (k, metric)),
     )
 
 
@@ -685,9 +637,6 @@ def select_knn_k(
 class LinearSvmModel:
     weights: np.ndarray
     bias: float
-    hyperparameters: dict
-    fingerprint: str
-    algorithm: str = "linear_svm"
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X, dtype=float) @ self.weights + self.bias
@@ -730,12 +679,7 @@ def train_linear_svm(
             norm = np.linalg.norm(w)
             if norm > radius:
                 w *= radius / norm
-    return LinearSvmModel(
-        weights=w,
-        bias=b,
-        hyperparameters={**asdict(hyper), "seed": seed},
-        fingerprint=_fingerprint(X, y, seed, "linear_svm", hyper),
-    )
+    return LinearSvmModel(weights=w, bias=b)
 
 
 # ---------------------------------------------------------------------------
@@ -795,9 +739,6 @@ def _mlp_init(sizes: Sequence[int], rng: np.random.Generator):
 class MlpModel:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    hyperparameters: dict
-    fingerprint: str
-    algorithm: str = "mlp"
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         a = np.asarray(X, dtype=float)
@@ -833,12 +774,7 @@ def train_mlp(
         for layer in range(len(weights)):
             weights[layer] -= hyper.learning_rate * grad_w[layer]
             biases[layer] -= hyper.learning_rate * grad_b[layer]
-    return MlpModel(
-        weights=weights,
-        biases=biases,
-        hyperparameters={**asdict(hyper), "seed": seed},
-        fingerprint=_fingerprint(X, train.y, seed, "mlp", hyper),
-    )
+    return MlpModel(weights=weights, biases=biases)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .corpus import GrantRecord
 from .textproc import TokenKind, tokenize
 
@@ -68,28 +70,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-@dataclass(frozen=True)
-class SparseVector:
-    """(index, weight) pairs with strictly increasing indices."""
-
-    pairs: tuple[tuple[int, float], ...]
-
-    def __post_init__(self):
-        last = -1
-        for index, weight in self.pairs:
-            if index <= last:
-                raise ValueError("indices must be strictly increasing")
-            if not math.isfinite(weight):
-                raise ValueError("weights must be finite")
-            last = index
-
-    def to_dense(self, size: int) -> list[float]:
-        dense = [0.0] * size
-        for index, weight in self.pairs:
-            dense[index] = weight
-        return dense
 
 
 def field_text(record: GrantRecord, selector: FieldSelector, language: str = "pt") -> str:
@@ -182,28 +162,38 @@ def tfidf_weight(
 
 
 def vectorize(
-    tokens: Sequence[str],
+    token_lists: Sequence[Sequence[str]],
     vocabulary: Vocabulary,
     mode: VectorMode = VectorMode.TFIDF,
     idf_variant: IdfVariant = IdfVariant.LOG_RATIO,
-) -> SparseVector:
-    """One entry per in-vocabulary word; n_d counts every word token, in or out."""
-    counts = Counter(tokens)
-    n_d = len(tokens)
-    pairs = []
-    for word, count in counts.items():
-        index = vocabulary.entries.get(word)
-        if index is None:
-            continue
-        if mode is VectorMode.RAW_FREQUENCY:
-            weight = float(count)
-        else:
-            weight = tfidf_weight(
-                count, n_d, vocabulary.corpus_size, vocabulary.doc_freq[word], idf_variant
-            )
-        pairs.append((index, weight))
-    pairs.sort()
-    return SparseVector(pairs=tuple(pairs))
+) -> np.ndarray:
+    """Document-by-word matrix: one row per token list, one column per vocabulary index.
+
+    Cell (d, w) is the count of word w in document d, or in TFIDF mode
+    ``tfidf_weight(count, n_d, N, doc_freq[w], idf_variant)``, where n_d counts
+    every word token of the document, in vocabulary or not.  The weight is
+    computed as (count / n_d) times the per-word factor ``tfidf_weight(1, 1,
+    ...)``, which performs the same floating-point operations, so the cells
+    equal the scalar formula exactly.  An empty document gives a zero row.
+    """
+    matrix = np.zeros((len(token_lists), len(vocabulary)))
+    for row, tokens in zip(matrix, token_lists):
+        for word, count in Counter(tokens).items():
+            index = vocabulary.entries.get(word)
+            if index is not None:
+                row[index] = count
+    if mode is VectorMode.RAW_FREQUENCY:
+        return matrix
+    factors = np.zeros(len(vocabulary))
+    for word, index in vocabulary.entries.items():
+        factors[index] = tfidf_weight(
+            1, 1, vocabulary.corpus_size, vocabulary.doc_freq[word], idf_variant
+        )
+    # an empty document has only zero counts, so dividing it by 1 keeps it zero
+    lengths = np.array([max(len(tokens), 1) for tokens in token_lists], dtype=float)
+    matrix /= lengths[:, None]
+    matrix *= factors
+    return matrix
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from grantprod import cli
 from grantprod.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
@@ -197,19 +198,40 @@ def test_evaluate_english_exclusion(tmp_path, capsys):
     assert "excluded 1 record(s)" in capsys.readouterr().out
 
 
-def test_evaluate_failure_manifest(tmp_path, capsys):
-    # single-class area cannot be resampled: the cell fails, the run flushes
-    path = tmp_path / "single.csv"
+@pytest.mark.parametrize("publications, folds, counts", [
+    ([1] * 8, 2, "0 zero-publication"),          # single-class area
+    ([1] * 3 + [0] * 5, 8, "3 productive and 5 zero-publication"),
+])
+def test_evaluate_area_smaller_than_folds_exits_2(tmp_path, capsys, publications, folds, counts):
+    path = tmp_path / "small.csv"
     path.write_text(
         HEADER
-        + "\n".join(f"2004/{90000 + i:05d}-{i % 10},T,Resumo bom.,MED,2004,1"
-                    for i in range(8))
+        + "\n".join(f"2004/{90000 + i:05d}-{i % 10},T,Resumo bom.,MED,2004,{p}"
+                    for i, p in enumerate(publications))
         + "\n"
     )
-    out = tmp_path / "runf"
+    out = tmp_path / "runs"
     code = main([
         "evaluate", "--input", str(path), "--format", "csv", "--features",
-        "complexity", "--algo", "bayes", "--folds", "2", "--resamples", "1",
+        "complexity", "--algo", "bayes", "--folds", str(folds), "--resamples", "1",
+        "--seed", "1", "--out", str(out),
+    ])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "area MED" in err and counts in err and f"--folds {folds}" in err
+    assert not out.exists()  # checked before any output or extraction
+
+
+def test_evaluate_failure_manifest(canonical, tmp_path, monkeypatch):
+    # a failing cell does not stop the others; the run flushes and exits 3
+    def fail(*args, **kwargs):
+        raise RuntimeError("cell failed")
+
+    monkeypatch.setattr(cli, "cross_validate", fail)
+    out = tmp_path / "runf"
+    code = main([
+        "evaluate", "--input", str(canonical), "--features", "complexity",
+        "--algo", "bayes", "--folds", "2", "--resamples", "1",
         "--seed", "1", "--out", str(out),
     ])
     assert code == 3
@@ -320,3 +342,10 @@ def test_relevance_timestamp_present_by_default(canonical, tmp_path):
 def test_relevance_requires_seed(canonical, tmp_path):
     assert main(["relevance", "--input", str(canonical),
                  "--out", str(tmp_path)]) == EXIT_VALIDATION
+
+
+def test_relevance_rejects_zero_trees(canonical, tmp_path, capsys):
+    assert main(["relevance", "--input", str(canonical), "--trees", "0",
+                 "--seed", "2", "--out", str(tmp_path / "rel0")]) == EXIT_VALIDATION
+    assert "--trees" in capsys.readouterr().err
+    assert not (tmp_path / "rel0").exists()

@@ -104,6 +104,22 @@ def test_duplicate_grant_id_rejects_file(tmp_path):
         scan_corpus_file(path, "csv")
 
 
+def test_strict_load_raises_at_first_malformed_row_before_later_duplicate(tmp_path):
+    path = tmp_path / "bad_then_dup.csv"
+    path.write_text(
+        HEADER
+        + "2001/00001-1,T1,Resumo.,MED,2001,0\n"
+        + "2001/00002-2,T2,Resumo.,MED,2001,nope\n"  # bad count
+        + "2001/00001-1,T3,Resumo.,MED,2001,1\n"     # duplicate id
+    )
+    with pytest.raises(MalformedRowError) as excinfo:
+        load_corpus(path, "csv")
+    assert (excinfo.value.row_number, excinfo.value.field) == (2, "publication_count")
+    with pytest.raises(DuplicateGrantIdError) as excinfo:
+        scan_corpus_file(path, "csv")  # lenient: row 2 is listed, row 3 still rejects the file
+    assert excinfo.value.row_number == 3
+
+
 def test_missing_required_column(tmp_path):
     path = tmp_path / "miss.csv"
     path.write_text("grant_id,title_pt,area,year,publication_count\n")

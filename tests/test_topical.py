@@ -1,7 +1,8 @@
 import math
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grantprod.corpus import Area, GrantRecord
@@ -10,7 +11,6 @@ from grantprod.topical import (
     IdfVariant,
     MissingFieldError,
     OutOfVocabularyError,
-    SparseVector,
     VectorMode,
     Vocabulary,
     field_text,
@@ -166,21 +166,20 @@ def test_monotone_non_increasing_in_doc_freq():
 
 def test_no_in_vocabulary_words():
     vocab = fit_vocabulary_from_tokens([["a", "b"]], 10)
-    assert vectorize(["z", "q"], vocab).pairs == ()
+    assert not vectorize([["z", "q"]], vocab)[0].any()
 
 
 def test_raw_frequency_mode():
     vocab = fit_vocabulary_from_tokens([["a", "b"]], 10)
-    vector = vectorize(["a", "a", "a", "q"], vocab, VectorMode.RAW_FREQUENCY)
-    assert vector.pairs == ((vocab.entries["a"], 3.0),)
+    row = vectorize([["a", "a", "a", "q"]], vocab, VectorMode.RAW_FREQUENCY)[0]
+    assert [(i, w) for i, w in enumerate(row) if w] == [(vocab.entries["a"], 3.0)]
 
 
 def test_tfidf_against_hand_evaluation():
     # two-document toy corpus evaluated by hand with the ratio-of-logs form
     docs = [["a", "b", "a"], ["b", "c"]]
     vocab = fit_vocabulary_from_tokens(docs, 10)
-    vector = vectorize(docs[0], vocab)
-    dense = vector.to_dense(len(vocab))
+    dense = vectorize(docs[:1], vocab)[0]
     # a: f=2, n_d=3, N=2, N_w=1 -> (2/3) * log(2)/log(2) = 2/3
     assert dense[vocab.entries["a"]] == pytest.approx(2 / 3)
     # b: f=1, n_d=3, N_w=N=2 -> 1/3 exactly
@@ -191,28 +190,46 @@ def test_tfidf_against_hand_evaluation():
 def test_document_length_counts_oov_tokens():
     docs = [["a"], ["a", "b"]]
     vocab = fit_vocabulary_from_tokens(docs, 1)  # only "a" retained
-    vector = vectorize(["a", "zzz", "zzz", "zzz"], vocab)
+    row = vectorize([["a", "zzz", "zzz", "zzz"]], vocab)[0]
     # n_d = 4 though three tokens are out of vocabulary
-    assert vector.pairs[0][1] == pytest.approx(tfidf_weight(1, 4, 2, 2))
+    assert row[0] == pytest.approx(tfidf_weight(1, 4, 2, 2))
 
 
 def test_fit_corpus_never_out_of_vocabulary():
     docs = [["a", "b"], ["c"], ["a", "c", "d"]]
     vocab = fit_vocabulary_from_tokens(docs, 3)
-    for tokens in docs:
-        vectorize(tokens, vocab)  # must not raise
+    vectorize(docs, vocab)  # must not raise
 
 
-def test_indices_strictly_increasing():
-    docs = [["d", "c", "b", "a"]]
-    vocab = fit_vocabulary_from_tokens(docs, 4)
-    pairs = vectorize(["a", "d", "b", "c"], vocab).pairs
-    indices = [i for i, _ in pairs]
-    assert indices == sorted(set(indices))
-    with pytest.raises(ValueError):
-        SparseVector(pairs=((2, 1.0), (1, 1.0)))
-    with pytest.raises(ValueError):
-        SparseVector(pairs=((0, math.inf),))
+_TWO_DOCS = dict(docs=[["a", "b", "b"], ["a", "c"]], unseen=[], top_x=10, mode=VectorMode.TFIDF)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    docs=st.lists(st.lists(st.sampled_from("abcdef"), max_size=10), min_size=1, max_size=6),
+    unseen=st.lists(st.lists(st.sampled_from("abxyz"), max_size=10), max_size=3),
+    top_x=st.integers(1, 6),
+    mode=st.sampled_from(VectorMode),
+    variant=st.sampled_from(IdfVariant),
+)
+# "a" is in every document (N_w == N), "b" and "c" in one (N_w == 1)
+@example(**_TWO_DOCS, variant=IdfVariant.LOG_RATIO)
+@example(**_TWO_DOCS, variant=IdfVariant.LOG_QUOTIENT)
+def test_vectorize_cells_equal_scalar_formula(docs, unseen, top_x, mode, variant):
+    vocab = fit_vocabulary_from_tokens(docs, top_x)
+    queries = [[]] + docs + unseen  # an empty document, the fit corpus, out-of-vocabulary words
+    matrix = vectorize(queries, vocab, mode, variant)
+    assert matrix.shape == (len(queries), len(vocab))
+    for row, tokens in zip(matrix, queries):
+        counts = Counter(tokens)
+        for word, index in vocab.entries.items():
+            if mode is VectorMode.RAW_FREQUENCY or not tokens:  # an empty document: zero row
+                expected = float(counts[word])
+            else:
+                expected = tfidf_weight(
+                    counts[word], len(tokens), vocab.corpus_size, vocab.doc_freq[word], variant
+                )
+            assert row[index] == expected
 
 
 # ---------------------------------------------------------------------------
