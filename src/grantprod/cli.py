@@ -21,7 +21,6 @@ from .complexity import extract_complexity_vector, write_feature_csv
 from .corpus import (
     Area,
     CorpusError,
-    EmptyClassError,
     GrantRecord,
     Label,
     derive_label,
@@ -452,6 +451,12 @@ def _export_feature_matrix(records, feature_config, lexicons, out_dir: Path, ech
                 writer.writerow([record.grant_id] + [repr(v) if v else "0" for v in row.tolist()])
 
 
+def _class_counts(records: list[GrantRecord]) -> tuple[int, int]:
+    """Productive and zero-publication record counts."""
+    pos = sum(1 for r in records if derive_label(r.publication_count) is Label.PRODUCTIVE)
+    return pos, len(records) - pos
+
+
 def cmd_evaluate(args) -> int:
     try:
         config = _build_run_config(args)
@@ -476,9 +481,7 @@ def cmd_evaluate(args) -> int:
 
     areas = [area for area in Area if any(r.area is area for r in records)]
     for area in areas:  # every balanced resample must fill --folds folds
-        labels = [derive_label(r.publication_count) for r in records if r.area is area]
-        pos = labels.count(Label.PRODUCTIVE)
-        neg = len(labels) - pos
+        pos, neg = _class_counts([r for r in records if r.area is area])
         if 2 * min(pos, neg) < config.folds:
             raise CliValidationError(
                 f"area {area.value} has {pos} productive and {neg} zero-publication "
@@ -586,6 +589,12 @@ def cmd_relevance(args) -> int:
         records = load_corpus(args.input, args.format)
         if not records:
             raise CliValidationError("empty corpus")
+        pos, neg = _class_counts(records)
+        if not pos or not neg:  # every balanced resample needs both classes
+            raise CliValidationError(
+                f"corpus has {pos} productive and {neg} zero-publication record(s): "
+                "relevance needs at least one of each"
+            )
         lexicons = (
             load_lexicons(args.lexicon_dir, args.lang)
             if args.lexicon_dir
@@ -619,9 +628,6 @@ def cmd_relevance(args) -> int:
             forest_hyper=ForestHyper(n_trees=args.trees),
             weighting=args.weighting,
         )
-    except EmptyClassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -12,14 +12,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, fields
-from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .textproc import (
     LexiconSet,
     PosTag,
-    TaggedDocument,
     TaggedToken,
     TokenKind,
     analyze,
@@ -33,12 +31,6 @@ class EmptyDocumentError(ValueError):
     def __init__(self, doc_id: str | None = None):
         name = f" '{doc_id}'" if doc_id else ""
         super().__init__(f"document{name} is empty after normalization")
-
-
-class DiversityClass(Enum):
-    FUNCTION_WORD = "function_word"
-    PREPOSITION = "preposition"
-    PUNCTUATION = "punctuation"
 
 
 @dataclass(frozen=True)
@@ -77,69 +69,6 @@ def _population_sd(values: Sequence[float]) -> float:
     return math.sqrt(sum((v - mean) ** 2 for v in values) / n)
 
 
-def basic_counts(doc: TaggedDocument) -> dict[str, int | float]:
-    """The first nine ComplexityVector fields; punctuation is excluded from word_count."""
-    words = doc.word_tokens()
-    word_count = len(words)
-    noun_count = sum(1 for t in words if t.tag is PosTag.NOUN)
-    return {
-        "sentence_count": doc.sentence_count,
-        "word_count": word_count,
-        "vocabulary_size": len({t.token.normalized for t in words}),
-        "adjective_count": sum(1 for t in words if t.tag is PosTag.ADJECTIVE),
-        "adverb_count": sum(1 for t in words if t.tag is PosTag.ADVERB),
-        "verb_count": sum(1 for t in words if t.tag is PosTag.VERB),
-        "noun_count": noun_count,
-        "noun_ratio": noun_count / word_count if word_count else 0.0,
-        "words_per_sentence": word_count / doc.sentence_count if doc.sentence_count else 0.0,
-    }
-
-
-def logical_operator_count(doc: TaggedDocument, lexicons: LexiconSet) -> int:
-    """Token count (not type count) of logical-operator lexicon hits."""
-    return sum(1 for t in doc.word_tokens() if t.token.normalized in lexicons.logical_operators)
-
-
-def type_diversity(doc: TaggedDocument, selector: DiversityClass) -> float | None:
-    """Distinct types of the selected class over the word-type vocabulary size.
-
-    The denominator is the same for all three selectors.  Punctuation types
-    are not a subset of the word vocabulary, so that ratio is clamped at 1.0
-    to keep the declared [0, 1] range on degenerate inputs.
-    """
-    words = doc.word_tokens()
-    vocabulary_size = len({t.token.normalized for t in words})
-    if vocabulary_size == 0:
-        return None
-    if selector is DiversityClass.FUNCTION_WORD:
-        numerator = len({t.token.normalized for t in words if t.is_function_word})
-    elif selector is DiversityClass.PREPOSITION:
-        numerator = len({t.token.normalized for t in words if t.tag is PosTag.PREPOSITION})
-    else:
-        numerator = len(
-            {t.token.normalized for t in doc.tokens if t.token.kind is TokenKind.PUNCTUATION}
-        )
-    return min(1.0, numerator / vocabulary_size)
-
-
-def _per_sentence_counts(doc: TaggedDocument, predicate) -> list[int]:
-    counts = [0] * doc.sentence_count
-    for t in doc.tokens:
-        if predicate(t):
-            counts[t.token.sentence_index] += 1
-    return counts
-
-
-def noun_sd(doc: TaggedDocument) -> float | None:
-    """Population SD of per-sentence noun counts."""
-    if doc.sentence_count == 0:
-        return None
-    counts = _per_sentence_counts(
-        doc, lambda t: t.token.kind is TokenKind.WORD and t.tag is PosTag.NOUN
-    )
-    return _population_sd(counts)
-
-
 def brunet_index(word_count: int, vocabulary_size: int) -> float | None:
     """Lexical diversity: v ** (n ** -0.165)."""
     if word_count == 0:
@@ -147,14 +76,6 @@ def brunet_index(word_count: int, vocabulary_size: int) -> float | None:
     if not 1 <= vocabulary_size <= word_count:
         raise ValueError("vocabulary_size must satisfy 1 <= v <= word_count")
     return vocabulary_size ** (word_count ** BRUNET_EXPONENT)
-
-
-def _sentence_word_runs(doc: TaggedDocument) -> Iterable[list[TaggedToken]]:
-    by_sentence: dict[int, list[TaggedToken]] = {}
-    for t in doc.tokens:
-        by_sentence.setdefault(t.token.sentence_index, []).append(t)
-    for index in sorted(by_sentence):
-        yield by_sentence[index]
 
 
 def _chunk_count(tokens: Sequence[TaggedToken], postnominal_adjectives: bool) -> int:
@@ -181,67 +102,92 @@ def _chunk_count(tokens: Sequence[TaggedToken], postnominal_adjectives: bool) ->
     return count
 
 
-def mean_noun_phrase(doc: TaggedDocument) -> float | None:
-    """Noun-phrase chunks per sentence.
-
-    Chunk pattern: determiner? adjective* noun+, with post-nominal adjectives
-    also absorbed for Portuguese, where modifiers typically follow the head.
-    """
-    if doc.sentence_count == 0:
-        return None
-    postnominal = doc.language == "pt"
-    total = sum(_chunk_count(sentence, postnominal) for sentence in _sentence_word_runs(doc))
-    return total / doc.sentence_count
-
-
-def concreteness_sd(doc: TaggedDocument, lexicons: LexiconSet) -> float | None:
-    """Population SD of per-token concreteness scores; None below two scored tokens.
-
-    Tokens absent from the norms are skipped, not imputed: a made-up score
-    would manufacture signal.
-    """
-    scores = [
-        lexicons.concreteness[t.token.normalized]
-        for t in doc.word_tokens()
-        if t.token.normalized in lexicons.concreteness
-    ]
-    if len(scores) < 2:
-        return None
-    return _population_sd(scores)
-
-
-def ne_ratio(doc: TaggedDocument) -> float | None:
-    """Named-entity spans over word-token count."""
-    words = doc.word_tokens()
-    if not words:
-        return None
-    return doc.entity_span_count / len(words)
-
-
 def extract_complexity_vector(
     text: str,
     language: str = "pt",
     lexicons: LexiconSet | None = None,
     doc_id: str | None = None,
 ) -> ComplexityVector:
-    """Run the text pipeline and compute all metrics in schema order."""
+    """Run the text pipeline and compute all metrics in one pass over the tokens.
+
+    Counts and ratios are over word tokens; punctuation counts only towards
+    punctuation diversity.  The three diversities share the word-type
+    vocabulary as denominator, and the punctuation ratio is clamped at 1.0
+    because punctuation types are not a subset of it.  Noun phrases are
+    chunked per sentence as determiner? adjective* noun+, with post-nominal
+    adjectives also absorbed for Portuguese, where modifiers typically follow
+    the head.  Words absent from the concreteness norms are skipped, not
+    imputed: a made-up score would manufacture signal.
+    """
     if lexicons is None:
         lexicons = builtin_lexicons(language)
     if not text or not text.strip():
         raise EmptyDocumentError(doc_id)
     doc = analyze(text, lexicons)
-    counts = basic_counts(doc)
+    sentences = doc.sentence_count
+    word_tags: list[PosTag] = []
+    vocabulary: set[str] = set()
+    function_types: set[str] = set()
+    preposition_types: set[str] = set()
+    punctuation_types: set[str] = set()
+    operators = 0
+    nouns_per_sentence = [0] * sentences
+    sentence_runs: list[list[TaggedToken]] = [[] for _ in range(sentences)]
+    scores: list[float] = []
+    for item in doc.tokens:
+        token = item.token
+        sentence_runs[token.sentence_index].append(item)
+        if token.kind is TokenKind.PUNCTUATION:
+            punctuation_types.add(token.normalized)
+        if token.kind is not TokenKind.WORD:
+            continue
+        word = token.normalized
+        tag = item.tag
+        word_tags.append(tag)
+        vocabulary.add(word)
+        if item.is_function_word:
+            function_types.add(word)
+        if tag is PosTag.PREPOSITION:
+            preposition_types.add(word)
+        elif tag is PosTag.NOUN:
+            nouns_per_sentence[token.sentence_index] += 1
+        if word in lexicons.logical_operators:
+            operators += 1
+        score = lexicons.concreteness.get(word)
+        if score is not None:
+            scores.append(score)
+
+    word_count = len(word_tags)
+    vocabulary_size = len(vocabulary)
+    noun_count = word_tags.count(PosTag.NOUN)
+    postnominal = doc.language == "pt"
+
+    def diversity(types: set[str]) -> float | None:
+        return min(1.0, len(types) / vocabulary_size) if vocabulary_size else None
+
     return ComplexityVector(
-        **counts,
-        logical_operator_count=logical_operator_count(doc, lexicons),
-        function_word_diversity=type_diversity(doc, DiversityClass.FUNCTION_WORD),
-        preposition_diversity=type_diversity(doc, DiversityClass.PREPOSITION),
-        punctuation_diversity=type_diversity(doc, DiversityClass.PUNCTUATION),
-        noun_sd=noun_sd(doc),
-        brunet_index=brunet_index(counts["word_count"], counts["vocabulary_size"]),
-        mean_noun_phrase=mean_noun_phrase(doc),
-        concreteness_sd=concreteness_sd(doc, lexicons),
-        ne_ratio=ne_ratio(doc),
+        sentence_count=sentences,
+        word_count=word_count,
+        vocabulary_size=vocabulary_size,
+        adjective_count=word_tags.count(PosTag.ADJECTIVE),
+        adverb_count=word_tags.count(PosTag.ADVERB),
+        verb_count=word_tags.count(PosTag.VERB),
+        noun_count=noun_count,
+        noun_ratio=noun_count / word_count if word_count else 0.0,
+        words_per_sentence=word_count / sentences if sentences else 0.0,
+        logical_operator_count=operators,
+        function_word_diversity=diversity(function_types),
+        preposition_diversity=diversity(preposition_types),
+        punctuation_diversity=diversity(punctuation_types),
+        noun_sd=_population_sd(nouns_per_sentence) if sentences else None,
+        brunet_index=brunet_index(word_count, vocabulary_size),
+        mean_noun_phrase=(
+            sum(_chunk_count(run, postnominal) for run in sentence_runs) / sentences
+            if sentences
+            else None
+        ),
+        concreteness_sd=_population_sd(scores) if len(scores) >= 2 else None,
+        ne_ratio=doc.entity_span_count / word_count if word_count else None,
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -86,6 +86,10 @@ class LexiconSet:
     pos_lexicon: dict[str, PosTag]
     suffix_rules: tuple[tuple[str, PosTag], ...]
     concreteness: dict[str, float]
+    # normalized word -> (tag, is_function_word), filled by word_class
+    _word_classes: dict[str, tuple[PosTag, bool]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.language not in SUPPORTED_LANGUAGES:
@@ -107,12 +111,31 @@ class LexiconSet:
             if not 100.0 <= score <= 700.0:
                 raise ValueError(f"concreteness score for '{word}' outside [100, 700]")
 
+    def word_class(self, word: str) -> tuple[PosTag, bool]:
+        """Tag and function-word flag of a normalized word token.
+
+        The tag comes from the POS lexicon, then the suffix rules in file
+        order, then the noun default.  The result depends on the word type
+        alone, so it is computed once per type and kept in this set.
+        """
+        cached = self._word_classes.get(word)
+        if cached is None:
+            tag = self.pos_lexicon.get(word)
+            if tag is None:
+                tag = _suffix_tag(word, self.suffix_rules)
+            if tag is None:
+                tag = PosTag.NOUN
+            cached = (tag, tag in CLOSED_CLASS_TAGS or word in self.function_words)
+            self._word_classes[word] = cached
+        return cached
+
 
 # ---------------------------------------------------------------------------
 # Sentence splitting
 # ---------------------------------------------------------------------------
 
 _OPENERS = "\"'«(¿¡["
+_TERMINATOR_RUN_RE = re.compile(r"[.!?]+")
 
 
 def _abbreviation_before(text: str, period_index: int) -> bool:
@@ -138,16 +161,10 @@ def split_sentences(text: str) -> list[str]:
 
     sentences: list[str] = []
     start = 0
-    i = 0
     n = len(text)
-    while i < n:
+    for run in _TERMINATOR_RUN_RE.finditer(text):
+        i, j = run.span()
         ch = text[i]
-        if ch not in ".!?":
-            i += 1
-            continue
-        j = i + 1
-        while j < n and text[j] in ".!?":
-            j += 1
         k = j
         while k < n and text[k].isspace():
             k += 1
@@ -166,7 +183,6 @@ def split_sentences(text: str) -> list[str]:
             if sentence:
                 sentences.append(sentence)
             start = k
-        i = j
 
     tail = text[start:].strip()
     if tail:
@@ -186,8 +202,7 @@ _TOKEN_RE = re.compile(r"\d+(?:[.,]\d+)*|[^\W\d_]+(?:-[^\W\d_]+)*|\S", re.UNICOD
 def tokenize(sentence: str, sentence_index: int = 0) -> list[Token]:
     """Split one sentence into word/number/punctuation tokens."""
     tokens: list[Token] = []
-    for position, match in enumerate(_TOKEN_RE.finditer(sentence)):
-        surface = match.group(0)
+    for position, surface in enumerate(_TOKEN_RE.findall(sentence)):
         first = surface[0]
         if first.isdigit():
             kind = TokenKind.NUMBER
@@ -195,15 +210,7 @@ def tokenize(sentence: str, sentence_index: int = 0) -> list[Token]:
             kind = TokenKind.WORD
         else:
             kind = TokenKind.PUNCTUATION
-        tokens.append(
-            Token(
-                surface=surface,
-                normalized=surface.lower(),
-                kind=kind,
-                sentence_index=sentence_index,
-                position_in_sentence=position,
-            )
-        )
+        tokens.append(Token(surface, surface.lower(), kind, sentence_index, position))
     return tokens
 
 
@@ -222,34 +229,19 @@ def tag_pos(tokens: Sequence[Token], lexicons: LexiconSet) -> list[TaggedToken]:
     """Assign exactly one tag per token: lexicon, then suffix rules, then noun."""
     tagged: list[TaggedToken] = []
     for token in tokens:
-        if token.kind is TokenKind.PUNCTUATION:
-            tag = PosTag.PUNCTUATION
-        elif token.kind is TokenKind.NUMBER:
-            tag = PosTag.NUMBER
+        if token.kind is TokenKind.WORD:
+            tag, is_function = lexicons.word_class(token.normalized)
+        elif token.kind is TokenKind.PUNCTUATION:
+            tag, is_function = PosTag.PUNCTUATION, False
         else:
-            tag = lexicons.pos_lexicon.get(token.normalized)
-            if tag is None:
-                tag = _suffix_tag(token.normalized, lexicons.suffix_rules)
-            if tag is None:
-                tag = PosTag.NOUN
-        is_function = token.kind is TokenKind.WORD and (
-            tag in CLOSED_CLASS_TAGS or token.normalized in lexicons.function_words
-        )
-        tagged.append(TaggedToken(token=token, tag=tag, is_function_word=is_function))
+            tag, is_function = PosTag.NUMBER, False
+        tagged.append(TaggedToken(token, tag, is_function))
     return tagged
 
 
 # ---------------------------------------------------------------------------
 # Named entities
 # ---------------------------------------------------------------------------
-
-def _is_acronym(surface: str) -> bool:
-    return len(surface) >= 2 and surface.isalpha() and surface.isupper()
-
-
-def _is_capitalized(surface: str) -> bool:
-    return surface[0].isalpha() and surface[0].isupper()
-
 
 def detect_named_entities(tagged: Sequence[TaggedToken]) -> tuple[list[TaggedToken], int]:
     """Mark NE word tokens and count contiguous marked spans.
@@ -261,28 +253,22 @@ def detect_named_entities(tagged: Sequence[TaggedToken]) -> tuple[list[TaggedTok
     the span.
     """
     first_word_position: dict[int, int] = {}
-    for item in tagged:
-        tok = item.token
-        if tok.kind is TokenKind.WORD and tok.sentence_index not in first_word_position:
-            first_word_position[tok.sentence_index] = tok.position_in_sentence
-
     marked: list[TaggedToken] = []
+    spans = 0
+    previous: Token | None = None
     for item in tagged:
         tok = item.token
         flag = False
         if tok.kind is TokenKind.WORD:
-            sentence_initial = first_word_position.get(tok.sentence_index) == tok.position_in_sentence
-            if _is_acronym(tok.surface):
-                flag = True
-            elif _is_capitalized(tok.surface) and not sentence_initial:
-                flag = True
-        marked.append(replace(item, is_named_entity=flag))
-
-    spans = 0
-    previous: Token | None = None
-    for item in marked:
-        tok = item.token
-        if item.is_named_entity:
+            surface = tok.surface
+            first = first_word_position.setdefault(tok.sentence_index, tok.position_in_sentence)
+            acronym = len(surface) >= 2 and surface.isalpha() and surface.isupper()
+            capitalized = surface[0].isalpha() and surface[0].isupper()
+            flag = acronym or (capitalized and first != tok.position_in_sentence)
+        if flag != item.is_named_entity:
+            item = TaggedToken(tok, item.tag, item.is_function_word, flag)
+        marked.append(item)
+        if flag:
             contiguous = (
                 previous is not None
                 and previous.sentence_index == tok.sentence_index

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import GrantRecord
-from .textproc import TokenKind, tokenize
+from .textproc import _TOKEN_RE
 
 
 class FieldSelector(Enum):
@@ -99,7 +99,8 @@ def field_tokens(record: GrantRecord, selector: FieldSelector, language: str = "
 
 
 def text_tokens(text: str) -> list[str]:
-    return [t.normalized for t in tokenize(text) if t.kind is TokenKind.WORD]
+    """Lowercased word tokens of ``text``, as ``textproc.tokenize`` splits them."""
+    return [w.lower() for w in _TOKEN_RE.findall(text) if w[0].isalpha()]
 
 
 def fit_vocabulary_from_tokens(token_lists: Sequence[Sequence[str]], top_x: int) -> Vocabulary:
@@ -174,7 +175,8 @@ def vectorize(
     every word token of the document, in vocabulary or not.  The weight is
     computed as (count / n_d) times the per-word factor ``tfidf_weight(1, 1,
     ...)``, which performs the same floating-point operations, so the cells
-    equal the scalar formula exactly.  An empty document gives a zero row.
+    equal the scalar formula exactly.  The factor is evaluated once per
+    distinct document frequency.  An empty document gives a zero row.
     """
     matrix = np.zeros((len(token_lists), len(vocabulary)))
     for row, tokens in zip(matrix, token_lists):
@@ -184,11 +186,14 @@ def vectorize(
                 row[index] = count
     if mode is VectorMode.RAW_FREQUENCY:
         return matrix
-    factors = np.zeros(len(vocabulary))
+    doc_freqs = [0] * len(vocabulary)
     for word, index in vocabulary.entries.items():
-        factors[index] = tfidf_weight(
-            1, 1, vocabulary.corpus_size, vocabulary.doc_freq[word], idf_variant
-        )
+        doc_freqs[index] = vocabulary.doc_freq[word]
+    weights = {
+        n_w: tfidf_weight(1, 1, vocabulary.corpus_size, n_w, idf_variant)
+        for n_w in set(doc_freqs)
+    }
+    factors = np.array([weights[n_w] for n_w in doc_freqs], dtype=float)
     # an empty document has only zero counts, so dividing it by 1 keeps it zero
     lengths = np.array([max(len(tokens), 1) for tokens in token_lists], dtype=float)
     matrix /= lengths[:, None]

@@ -1,0 +1,158 @@
+"""Reference definitions of the complexity metrics, one function per metric.
+
+The oracle for the single loop of ``extract_complexity_vector``: each
+function reads a ``TaggedDocument`` on its own, so each field of a
+``ComplexityVector`` can be checked against an independent computation.
+"""
+
+from __future__ import annotations
+
+from enum import Enum
+from typing import Iterable
+
+from grantprod.complexity import (
+    ComplexityVector,
+    _chunk_count,
+    _population_sd,
+    brunet_index,
+)
+from grantprod.textproc import (
+    LexiconSet,
+    PosTag,
+    TaggedDocument,
+    TaggedToken,
+    TokenKind,
+    analyze,
+)
+
+
+class DiversityClass(Enum):
+    FUNCTION_WORD = "function_word"
+    PREPOSITION = "preposition"
+    PUNCTUATION = "punctuation"
+
+
+def basic_counts(doc: TaggedDocument) -> dict[str, int | float]:
+    """The first nine ComplexityVector fields; punctuation is excluded from word_count."""
+    words = doc.word_tokens()
+    word_count = len(words)
+    noun_count = sum(1 for t in words if t.tag is PosTag.NOUN)
+    return {
+        "sentence_count": doc.sentence_count,
+        "word_count": word_count,
+        "vocabulary_size": len({t.token.normalized for t in words}),
+        "adjective_count": sum(1 for t in words if t.tag is PosTag.ADJECTIVE),
+        "adverb_count": sum(1 for t in words if t.tag is PosTag.ADVERB),
+        "verb_count": sum(1 for t in words if t.tag is PosTag.VERB),
+        "noun_count": noun_count,
+        "noun_ratio": noun_count / word_count if word_count else 0.0,
+        "words_per_sentence": word_count / doc.sentence_count if doc.sentence_count else 0.0,
+    }
+
+
+def logical_operator_count(doc: TaggedDocument, lexicons: LexiconSet) -> int:
+    """Token count (not type count) of logical-operator lexicon hits."""
+    return sum(1 for t in doc.word_tokens() if t.token.normalized in lexicons.logical_operators)
+
+
+def type_diversity(doc: TaggedDocument, selector: DiversityClass) -> float | None:
+    """Distinct types of the selected class over the word-type vocabulary size.
+
+    The denominator is the same for all three selectors.  Punctuation types
+    are not a subset of the word vocabulary, so that ratio is clamped at 1.0
+    to keep the declared [0, 1] range on degenerate inputs.
+    """
+    words = doc.word_tokens()
+    vocabulary_size = len({t.token.normalized for t in words})
+    if vocabulary_size == 0:
+        return None
+    if selector is DiversityClass.FUNCTION_WORD:
+        numerator = len({t.token.normalized for t in words if t.is_function_word})
+    elif selector is DiversityClass.PREPOSITION:
+        numerator = len({t.token.normalized for t in words if t.tag is PosTag.PREPOSITION})
+    else:
+        numerator = len(
+            {t.token.normalized for t in doc.tokens if t.token.kind is TokenKind.PUNCTUATION}
+        )
+    return min(1.0, numerator / vocabulary_size)
+
+
+def _per_sentence_counts(doc: TaggedDocument, predicate) -> list[int]:
+    counts = [0] * doc.sentence_count
+    for t in doc.tokens:
+        if predicate(t):
+            counts[t.token.sentence_index] += 1
+    return counts
+
+
+def noun_sd(doc: TaggedDocument) -> float | None:
+    """Population SD of per-sentence noun counts."""
+    if doc.sentence_count == 0:
+        return None
+    counts = _per_sentence_counts(
+        doc, lambda t: t.token.kind is TokenKind.WORD and t.tag is PosTag.NOUN
+    )
+    return _population_sd(counts)
+
+
+def _sentence_word_runs(doc: TaggedDocument) -> Iterable[list[TaggedToken]]:
+    by_sentence: dict[int, list[TaggedToken]] = {}
+    for t in doc.tokens:
+        by_sentence.setdefault(t.token.sentence_index, []).append(t)
+    for index in sorted(by_sentence):
+        yield by_sentence[index]
+
+
+def mean_noun_phrase(doc: TaggedDocument) -> float | None:
+    """Noun-phrase chunks per sentence.
+
+    Chunk pattern: determiner? adjective* noun+, with post-nominal adjectives
+    also absorbed for Portuguese, where modifiers typically follow the head.
+    """
+    if doc.sentence_count == 0:
+        return None
+    postnominal = doc.language == "pt"
+    total = sum(_chunk_count(sentence, postnominal) for sentence in _sentence_word_runs(doc))
+    return total / doc.sentence_count
+
+
+def concreteness_sd(doc: TaggedDocument, lexicons: LexiconSet) -> float | None:
+    """Population SD of per-token concreteness scores; None below two scored tokens.
+
+    Tokens absent from the norms are skipped, not imputed: a made-up score
+    would manufacture signal.
+    """
+    scores = [
+        lexicons.concreteness[t.token.normalized]
+        for t in doc.word_tokens()
+        if t.token.normalized in lexicons.concreteness
+    ]
+    if len(scores) < 2:
+        return None
+    return _population_sd(scores)
+
+
+def ne_ratio(doc: TaggedDocument) -> float | None:
+    """Named-entity spans over word-token count."""
+    words = doc.word_tokens()
+    if not words:
+        return None
+    return doc.entity_span_count / len(words)
+
+
+def reference_vector(text: str, lexicons: LexiconSet) -> ComplexityVector:
+    """The metrics of ``text`` composed from the per-metric functions above."""
+    doc = analyze(text, lexicons)
+    counts = basic_counts(doc)
+    return ComplexityVector(
+        **counts,
+        logical_operator_count=logical_operator_count(doc, lexicons),
+        function_word_diversity=type_diversity(doc, DiversityClass.FUNCTION_WORD),
+        preposition_diversity=type_diversity(doc, DiversityClass.PREPOSITION),
+        punctuation_diversity=type_diversity(doc, DiversityClass.PUNCTUATION),
+        noun_sd=noun_sd(doc),
+        brunet_index=brunet_index(counts["word_count"], counts["vocabulary_size"]),
+        mean_noun_phrase=mean_noun_phrase(doc),
+        concreteness_sd=concreteness_sd(doc, lexicons),
+        ne_ratio=ne_ratio(doc),
+    )

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from grantprod import cli
+from grantprod import cli, ml
 from grantprod.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
@@ -349,3 +349,28 @@ def test_relevance_rejects_zero_trees(canonical, tmp_path, capsys):
                  "--seed", "2", "--out", str(tmp_path / "rel0")]) == EXIT_VALIDATION
     assert "--trees" in capsys.readouterr().err
     assert not (tmp_path / "rel0").exists()
+
+
+@pytest.mark.parametrize("publications, counts", [
+    ([1] * 6, "6 productive and 0 zero-publication"),
+    ([0] * 5, "0 productive and 5 zero-publication"),
+])
+def test_relevance_single_class_corpus_exits_2_before_extraction(
+    tmp_path, capsys, monkeypatch, publications, counts
+):
+    path = tmp_path / "one_class.csv"
+    path.write_text(
+        HEADER
+        + "\n".join(f"2004/{90000 + i:05d}-{i % 10},T,Resumo bom.,MED,2004,{p}"
+                    for i, p in enumerate(publications))
+        + "\n"
+    )
+    extractions = []
+    monkeypatch.setattr(ml, "complexity_rows", lambda *a, **k: extractions.append(a))
+    out = tmp_path / "rel"
+    code = main(["relevance", "--input", str(path), "--format", "csv", "--seed", "1",
+                 "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert counts in capsys.readouterr().err
+    assert extractions == []
+    assert not out.exists()

@@ -8,20 +8,24 @@ from hypothesis import strategies as st
 from grantprod.complexity import (
     COMPLEXITY_SCHEMA,
     ComplexityVector,
-    DiversityClass,
     EmptyDocumentError,
-    basic_counts,
     brunet_index,
-    concreteness_sd,
     extract_complexity_vector,
+    write_feature_csv,
+)
+from grantprod.textproc import LexiconSet, PosTag, analyze, builtin_lexicons
+
+from _complexity_oracle import (
+    DiversityClass,
+    basic_counts,
+    concreteness_sd,
     logical_operator_count,
     mean_noun_phrase,
     ne_ratio,
     noun_sd,
+    reference_vector,
     type_diversity,
-    write_feature_csv,
 )
-from grantprod.textproc import LexiconSet, PosTag, analyze, builtin_lexicons
 
 
 @pytest.fixture(scope="module")
@@ -342,6 +346,58 @@ def test_metric_ranges_property(words):
         if value is not None:
             assert value >= 0.0
     assert vector.vocabulary_size <= vector.word_count
+
+
+LEXICONS = {language: builtin_lexicons(language) for language in ("pt", "en")}
+
+
+def _piece_bank(lexicons):
+    """Lexicon words, suffix-rule and unknown words, and the awkward inputs."""
+    words = sorted(
+        set(lexicons.pos_lexicon) | set(lexicons.concreteness)
+        | lexicons.function_words | lexicons.logical_operators
+    )
+    return words + ["zorb" + suffix for suffix, _ in lexicons.suffix_rules] + [
+        "zyxwvut", "anti-inflamatório", "USP", "FAPESP", "DNA", "NIH", "10", "3.5",
+        "2,7", "1999", ",", ";", ":", "(", ")", "%", "/", "Dr.", "Prof.", "et al.",
+        "e.g.", "i.e.", "etc.", "Fig.", "cf.", "São Paulo", "Instituto Butantan",
+        "Universidade Federal de Minas Gerais", "New York", ".", "!", "?", "...",
+        ". ...", "!!", "?!", ". ; .",
+    ]
+
+
+PIECES = {language: _piece_bank(lexicons) for language, lexicons in LEXICONS.items()}
+CASES = (str, str.title, str.upper)
+
+
+@st.composite
+def pt_en_texts(draw):
+    language = draw(st.sampled_from(sorted(LEXICONS)))
+    pieces = draw(st.lists(
+        st.tuples(st.sampled_from(PIECES[language]), st.sampled_from(CASES)),
+        min_size=1, max_size=60,
+    ))
+    text = " ".join(case(piece) for piece, case in pieces)
+    if draw(st.booleans()):
+        text += draw(st.text(alphabet="abcéã XYZ.,!?-0", max_size=30))
+    return language, text
+
+
+@settings(max_examples=200, deadline=None)
+@given(sample=pt_en_texts())
+def test_one_pass_vector_equals_per_metric_oracle(sample):
+    language, text = sample
+    lexicons = LEXICONS[language]
+    if not text.strip():
+        return
+    vector = extract_complexity_vector(text, language, lexicons)
+    expected = reference_vector(text, lexicons)
+    for name in COMPLEXITY_SCHEMA:
+        got, want = getattr(vector, name), getattr(expected, name)
+        if want is None:
+            assert got is None, name
+        else:
+            assert type(got) is type(want) and got == want, (name, got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
+import unicodedata
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grantprod import textproc
 from grantprod.textproc import (
+    CLOSED_CLASS_TAGS,
     LexiconSet,
     PosTag,
     TokenKind,
@@ -60,6 +64,47 @@ def test_word_content_reconstructs():
         if t.kind is TokenKind.WORD
     ]
     assert split_words == original_words
+
+
+def char_loop_split(text):
+    """split_sentences as a scan over every character (the reference)."""
+    text = unicodedata.normalize("NFC", text).strip()
+    sentences, start, i, n = [], 0, 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch not in ".!?":
+            i += 1
+            continue
+        j = i + 1
+        while j < n and text[j] in ".!?":
+            j += 1
+        k = j
+        while k < n and text[k].isspace():
+            k += 1
+        at_end = k >= n
+        split_here = False
+        if k > j or at_end:
+            if ch in "!?":
+                split_here = True
+            elif not textproc._abbreviation_before(text, j - 1):
+                split_here = at_end or text[k].isupper() or text[k].isdigit() or text[k] in "\"'«(¿¡["
+        if split_here:
+            if text[start:j].strip():
+                sentences.append(text[start:j].strip())
+            start = k
+        i = j
+    if text[start:].strip():
+        sentences.append(text[start:].strip())
+    return sentences
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(st.sampled_from([
+    "a", "Ab", "dr.", "Dr.", "et al.", "e.g.", "etc.", "3.5", "10", ".", "..", "!", "?!",
+    " ", "  ", "\n", "(", "«", "¿", "'", "É", "e\u0301", "x",
+])).map("".join))
+def test_split_sentences_equals_character_scan(text):
+    assert split_sentences(text) == char_loop_split(text)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +267,98 @@ def test_custom_lexicon_files_roundtrip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# word-class cache
+# ---------------------------------------------------------------------------
+
+def uncached_word_class(word, lexicons):
+    tag = lexicons.pos_lexicon.get(word)
+    if tag is None:
+        tag = textproc._suffix_tag(word, lexicons.suffix_rules)
+    if tag is None:
+        tag = PosTag.NOUN
+    return tag, tag in CLOSED_CLASS_TAGS or word in lexicons.function_words
+
+
+def test_word_class_of_every_lexicon_word_equals_uncached_rule(pt, en):
+    for lex in (pt, en):
+        for word in lex.pos_lexicon:
+            assert lex.word_class(word) == uncached_word_class(word, lex)
+            assert lex.word_class(word) == uncached_word_class(word, lex)  # cached
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    stem=st.text(alphabet="abcdeilmnorstuçãéíó-", min_size=0, max_size=10),
+    rule=st.integers(0, 200),
+    language=st.sampled_from(["pt", "en"]),
+)
+def test_word_class_of_generated_words_equals_uncached_rule(stem, rule, language):
+    lex = builtin_lexicons(language)
+    suffix = lex.suffix_rules[rule % len(lex.suffix_rules)][0] if rule < 100 else ""
+    word = stem + suffix
+    if not word:
+        return
+    assert lex.word_class(word) == uncached_word_class(word, lex)
+    assert lex.word_class(word) == uncached_word_class(word, lex)
+
+
+def test_suffix_rules_run_once_per_word_type(monkeypatch):
+    calls = []
+
+    def counting(word, rules):
+        calls.append(word)
+        return real(word, rules)
+
+    real = textproc._suffix_tag
+    monkeypatch.setattr(textproc, "_suffix_tag", counting)
+    lex = builtin_lexicons("pt")
+    text = "Zorbamente estuda rapidamente. Rapidamente zorbamente zorbamente corre!"
+    first = analyze(text, lex)
+    assert analyze(text, lex) == first
+    assert calls and len(calls) == len(set(calls))
+    assert sorted(calls) == sorted({
+        t.token.normalized for t in first.word_tokens() if t.token.normalized not in lex.pos_lexicon
+    })
+    other = builtin_lexicons("pt")  # a second set fills its own cache
+    analyze(text, other)
+    assert len(calls) == 2 * len(set(calls))
+
+
+def test_lexicon_sets_do_not_share_a_cache(pt, en, tmp_path):
+    (tmp_path / "function_words.txt").write_text("o\n", encoding="utf-8")
+    (tmp_path / "prepositions.txt").write_text("de\n", encoding="utf-8")
+    (tmp_path / "logical_operators.txt").write_text("e\n", encoding="utf-8")
+    (tmp_path / "pos_lexicon.tsv").write_text("rapidamente\tverb\n", encoding="utf-8")
+    (tmp_path / "suffix_rules.tsv").write_text("ly\tadjective\n", encoding="utf-8")
+    (tmp_path / "concreteness.tsv").write_text("gato\t620\n", encoding="utf-8")
+    custom = load_lexicons(tmp_path, "pt")
+    assert pt.word_class("rapidamente") == (PosTag.ADVERB, False)
+    assert custom.word_class("rapidamente") == (PosTag.VERB, False)
+    assert en.word_class("quickly") == (PosTag.ADVERB, False)
+    assert custom.word_class("quickly") == (PosTag.ADJECTIVE, False)
+    assert pt.word_class("de") == (PosTag.PREPOSITION, True)
+    assert en.word_class("de") == uncached_word_class("de", en)
+    assert custom.word_class("de") == (PosTag.NOUN, True)  # function word by its list
+    assert len({id(pt._word_classes), id(en._word_classes), id(custom._word_classes)}) == 3
+
+
+def test_lexicon_sets_from_same_files_compare_equal(tmp_path):
+    (tmp_path / "function_words.txt").write_text("o\n", encoding="utf-8")
+    (tmp_path / "prepositions.txt").write_text("de\n", encoding="utf-8")
+    (tmp_path / "logical_operators.txt").write_text("e\n", encoding="utf-8")
+    (tmp_path / "pos_lexicon.tsv").write_text("gato\tnoun\n", encoding="utf-8")
+    (tmp_path / "suffix_rules.tsv").write_text("mente\tadverb\n", encoding="utf-8")
+    (tmp_path / "concreteness.tsv").write_text("gato\t620\n", encoding="utf-8")
+    a, b = load_lexicons(tmp_path, "pt"), load_lexicons(tmp_path, "pt")
+    a.word_class("rapidamente")
+    assert a == b
+    assert repr(a) == repr(b)
+    warm = builtin_lexicons("en")
+    warm.word_class("quickly")
+    assert warm == builtin_lexicons("en")
+
+
+# ---------------------------------------------------------------------------
 # pipeline properties
 # ---------------------------------------------------------------------------
 
@@ -253,8 +390,6 @@ def test_pipeline_determinism_and_coverage(text):
 @given(text=text_strategy)
 def test_function_word_consistency(text):
     pt = builtin_lexicons("pt")
-    from grantprod.textproc import CLOSED_CLASS_TAGS
-
     for item in analyze(text, pt).tokens:
         if item.is_function_word:
             assert item.tag in CLOSED_CLASS_TAGS or item.token.normalized in pt.function_words

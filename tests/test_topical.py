@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grantprod.corpus import Area, GrantRecord
+from grantprod.textproc import TokenKind, tokenize
 from grantprod.topical import (
     FieldSelector,
     IdfVariant,
@@ -19,6 +20,7 @@ from grantprod.topical import (
     fit_vocabulary_from_tokens,
     load_vocabulary,
     save_vocabulary,
+    text_tokens,
     tfidf_weight,
     vectorize,
 )
@@ -252,3 +254,21 @@ def test_vocabulary_validation():
                    corpus_size=2, top_x=5)  # indices not dense
     with pytest.raises(ValueError):
         Vocabulary(entries={"a": 0}, doc_freq={"a": 3}, corpus_size=2, top_x=5)
+
+
+# Letters with and without case, digits of other scripts, superscripts,
+# vulgar fractions, underscores, combining marks, hyphens and separators.
+TOKEN_TEXT = st.text(
+    alphabet=st.sampled_from(list("aZçÃéßİΣσжЖ中ـ٣²½_\u0301\u0327-.,;!? \n\t09")),
+    max_size=60,
+)
+TOKEN_PIECES = st.sampled_from([
+    "anti-inflamatório", "pós-graduação", "3.5", "1,234.56", "2,7", "10", "x²", "½",
+    "snake_case", "e\u0301", "\u0301a", "-foo", "foo-", "a--b", "USP", "São Paulo",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(TOKEN_TEXT, st.lists(TOKEN_PIECES | TOKEN_TEXT).map(" ".join)))
+def test_text_tokens_equals_tokenize_words(text):
+    assert text_tokens(text) == [t.normalized for t in tokenize(text) if t.kind is TokenKind.WORD]
