@@ -1,8 +1,9 @@
 """Command-line pipeline: ingest, stats, evaluate, relevance.
 
 Exit codes: 0 success, 2 validation failure (bad input or configuration),
-3 runtime failure.  All randomness flows from --seed; outputs carry a config
-echo so a run can be reproduced from any of its files.
+3 runtime failure.  All randomness flows from --seed.  The parsed options are
+the run configuration; every CSV and JSON output of evaluate and relevance
+carries them as a config echo, which replays the run through --config.
 """
 
 from __future__ import annotations
@@ -12,17 +13,17 @@ import csv
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .complexity import extract_complexity_vector, write_feature_csv
+from .complexity import write_feature_csv
 from .corpus import (
     Area,
     CorpusError,
     GrantRecord,
     Label,
+    ValidationReport,
     derive_label,
     label_records,
     load_corpus,
@@ -35,12 +36,12 @@ from .ml import (
     EvalReport,
     ForestHyper,
     TfidfFeatures,
+    complexity_vectors,
     cross_validate,
-    document_text,
     relevance_over_resamples,
 )
 from .relevance import write_rank_diagram, write_ranking_csv
-from .textproc import SUPPORTED_LANGUAGES, builtin_lexicons, load_lexicons
+from .textproc import SUPPORTED_LANGUAGES, LexiconSet, builtin_lexicons, load_lexicons
 from .topical import (
     FieldSelector,
     IdfVariant,
@@ -78,44 +79,17 @@ class CliValidationError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    input: str
-    format: str
-    lang: str
-    fields: str
-    features: str
-    top_x: int
-    algos: tuple[str, ...]
-    folds: int
-    resamples: int
-    seed: int
-    jobs: int
-    out: str
-    include_title: bool
-    global_vocab: bool
-    raw_frequency: bool
-    conventional_idf: bool
-    lexicon_dir: str | None
+# Smallest value of each numeric option of the subcommands that run the
+# resample protocol; both also require --seed.
+RUN_MINIMUMS = {
+    "evaluate": {"top_x": 1, "folds": 2, "resamples": 1, "jobs": 1},
+    "relevance": {"resamples": 2, "trees": 1},
+}
 
-    def echo(self) -> dict:
-        return {
-            "tool": f"grantprod {__version__}",
-            "input": self.input,
-            "format": self.format,
-            "lang": self.lang,
-            "fields": self.fields,
-            "features": self.features,
-            "top_x": self.top_x,
-            "algos": list(self.algos),
-            "folds": self.folds,
-            "resamples": self.resamples,
-            "seed": self.seed,
-            "include_title": self.include_title,
-            "global_vocab": self.global_vocab,
-            "raw_frequency": self.raw_frequency,
-            "conventional_idf": self.conventional_idf,
-        }
+# Parsed options left out of the config echo: the subcommand is named by the
+# output files, and where a run writes, how many cells it runs at once and
+# which file supplied its options do not change a byte of its results.
+_UNECHOED = ("command", "out", "config", "jobs")
 
 
 # ---------------------------------------------------------------------------
@@ -125,16 +99,20 @@ class RunConfig:
 _BOOLEAN_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subparsers.choices
+
+
 def _config_keys() -> dict[str, dict[str, argparse.Action]]:
     """Per subcommand, each config key (a long flag's dest) and the flag's action."""
-    [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     return {
         command: {
             action.dest: action
             for action in sub._actions
             if action.option_strings and action.dest not in ("help", "config")
         }
-        for command, sub in subparsers.choices.items()
+        for command, sub in _subcommands(build_parser()).items()
     }
 
 
@@ -186,6 +164,16 @@ def _add_common_io(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value file mirroring the flags; flags win")
 
 
+def _add_common_run(parser: argparse.ArgumentParser) -> None:
+    """Options of the subcommands that extract complexity features over balanced resamples."""
+    parser.add_argument("--lang", choices=SUPPORTED_LANGUAGES, default="pt")
+    parser.add_argument("--resamples", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=None, help="base seed (required; no clock default)")
+    parser.add_argument("--include-title", action="store_true",
+                        help="concatenate title with abstract for complexity features")
+    parser.add_argument("--lexicon-dir", help="directory with custom lexicon files")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="grantprod", description=__doc__)
     parser.add_argument("--version", action="version", version=f"grantprod {__version__}")
@@ -199,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="run the resample x k-fold evaluation grid")
     _add_common_io(p_eval)
-    p_eval.add_argument("--lang", choices=SUPPORTED_LANGUAGES, default="pt")
+    _add_common_run(p_eval)
     p_eval.add_argument("--fields", choices=sorted(FIELD_CHOICES), default="abstract")
     p_eval.add_argument("--features", choices=("complexity", "tfidf"), default="complexity")
     p_eval.add_argument("--top-x", dest="top_x", type=int, default=1100,
@@ -207,63 +195,99 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--algo", default="dtrees",
                         help="comma-separated subset of dtrees,svm,knn,bayes,mlp or 'all'")
     p_eval.add_argument("--folds", type=int, default=10)
-    p_eval.add_argument("--resamples", type=int, default=10)
-    p_eval.add_argument("--seed", type=int, default=None, help="base seed (required; no clock default)")
     p_eval.add_argument("--jobs", type=int, default=1, help="concurrent evaluation cells")
-    p_eval.add_argument("--include-title", action="store_true",
-                        help="concatenate title with abstract for complexity features")
     p_eval.add_argument("--global-vocab", action="store_true",
                         help="fit the tf-idf vocabulary once on the whole corpus instead of per fold")
     p_eval.add_argument("--raw-frequency", action="store_true",
                         help="raw word counts instead of tf-idf weights")
     p_eval.add_argument("--conventional-idf", action="store_true",
                         help="log(N/N_w) inverse document frequency instead of the ratio form")
-    p_eval.add_argument("--lexicon-dir", help="directory with custom lexicon files")
 
     p_rel = sub.add_parser("relevance", help="Gini feature relevance over balanced resamples")
     _add_common_io(p_rel)
-    p_rel.add_argument("--lang", choices=SUPPORTED_LANGUAGES, default="pt")
-    p_rel.add_argument("--resamples", type=int, default=10)
+    _add_common_run(p_rel)
     p_rel.add_argument("--trees", type=int, default=100)
-    p_rel.add_argument("--seed", type=int, default=None)
-    p_rel.add_argument("--include-title", action="store_true")
     p_rel.add_argument("--weighting", choices=("node_mean", "instance_weighted"),
                        default="node_mean")
     p_rel.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp header from the SVG diagram")
-    p_rel.add_argument("--lexicon-dir", help="directory with custom lexicon files")
 
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
-    if not getattr(args, "config", None):
-        return args
-    values = read_config_file(args.config)
-    keys = _config_keys()[args.command]
-    explicit = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
-    for key, value in values.items():
-        if key not in keys:
-            raise CliValidationError(f"config key '{key}' is not an option of '{args.command}'")
-        if key not in explicit:  # flags win
-            setattr(args, key, value)
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The run configuration: flags over the --config file over the flag defaults.
+
+    The config values become the subcommand's defaults and argv is parsed
+    again, so a flag wins in every spelling argparse accepts (``--seed 9``,
+    ``--seed=9``, the abbreviation ``--see 9``).
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        try:
+            values = read_config_file(args.config)
+        except OSError as exc:
+            raise CliValidationError(f"cannot read config file: {exc}") from None
+        subparser = _subcommands(parser)[args.command]
+        keys = _config_keys()[args.command]
+        for key in values:
+            if key not in keys:
+                raise CliValidationError(f"config key '{key}' is not an option of '{args.command}'")
+        subparser.set_defaults(**values)
+        args = parser.parse_args(argv)
     return args
+
+
+def _echo(args: argparse.Namespace) -> dict:
+    """The tool and every option of the run, keyed by config key.
+
+    Without ``tool`` and null values, its pairs are a --config file that
+    replays the run.
+    """
+    options = {key: value for key, value in vars(args).items() if key not in _UNECHOED}
+    return {"tool": f"grantprod {__version__}", **options}
+
+
+def _preflight(args: argparse.Namespace) -> tuple[ValidationReport, LexiconSet | None]:
+    """Every check that needs no extraction or output; raises CliValidationError.
+
+    ``ingest`` reads the corpus leniently and reports the rejected rows
+    itself; the other subcommands read it strictly and need a record.
+    """
+    if not args.input:
+        raise CliValidationError("--input is required")
+    minimums = RUN_MINIMUMS.get(args.command)
+    if minimums is not None:
+        if args.seed is None:
+            raise CliValidationError("--seed is required (runs never default to the clock)")
+        for key, minimum in minimums.items():
+            if getattr(args, key) < minimum:
+                raise CliValidationError(f"--{key.replace('_', '-')} must be >= {minimum}")
+    lexicons = None
+    try:
+        if args.command == "ingest":
+            corpus = scan_corpus_file(args.input, args.format)
+        else:
+            corpus = ValidationReport(load_corpus(args.input, args.format), rejected=[])
+            if not corpus.records:
+                raise CliValidationError("empty corpus")
+        if minimums is not None:
+            lexicons = (
+                load_lexicons(args.lexicon_dir, args.lang)
+                if args.lexicon_dir
+                else builtin_lexicons(args.lang)
+            )
+    except (OSError, CorpusError, ValueError) as exc:
+        raise CliValidationError(str(exc)) from None
+    return corpus, lexicons
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_ingest(args) -> int:
-    if not args.input:
-        print("error: --input is required", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        report = scan_corpus_file(args.input, args.format)
-    except (OSError, CorpusError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
+def cmd_ingest(args, report: ValidationReport, lexicons: None) -> int:
     # records with an empty Portuguese abstract never reach feature extraction
     empty_abstract = sum(1 for _, field, _ in report.rejected if field == "abstract_pt")
 
@@ -285,19 +309,8 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def cmd_stats(args) -> int:
-    if not args.input:
-        print("error: --input is required", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        records = load_corpus(args.input, args.format)
-    except (OSError, CorpusError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    if not records:
-        print("error: empty corpus", file=sys.stderr)
-        return EXIT_VALIDATION
-
+def cmd_stats(args, corpus: ValidationReport, lexicons: None) -> int:
+    records = corpus.records
     areas = [area for area in Area if any(r.area is area for r in records)]
     print("positive-class percentage (at least one publication):")
     for area in areas:
@@ -330,47 +343,13 @@ def _parse_algos(value: str) -> tuple[str, ...]:
     return tuple(dict.fromkeys(algorithms))
 
 
-def _build_run_config(args) -> RunConfig:
-    if not args.input:
-        raise CliValidationError("--input is required")
-    if args.seed is None:
-        raise CliValidationError("--seed is required (runs never default to the clock)")
-    if args.top_x < 1:
-        raise CliValidationError("--top-x must be >= 1")
-    if args.folds < 2:
-        raise CliValidationError("--folds must be >= 2")
-    if args.resamples < 1:
-        raise CliValidationError("--resamples must be >= 1")
-    if args.jobs < 1:
-        raise CliValidationError("--jobs must be >= 1")
-    return RunConfig(
-        input=args.input,
-        format=args.format,
-        lang=args.lang,
-        fields=args.fields,
-        features=args.features,
-        top_x=args.top_x,
-        algos=_parse_algos(args.algo),
-        folds=args.folds,
-        resamples=args.resamples,
-        seed=args.seed,
-        jobs=args.jobs,
-        out=args.out,
-        include_title=args.include_title,
-        global_vocab=args.global_vocab,
-        raw_frequency=args.raw_frequency,
-        conventional_idf=args.conventional_idf,
-        lexicon_dir=args.lexicon_dir,
-    )
-
-
-def _language_subset(records: list[GrantRecord], config: RunConfig) -> tuple[list[GrantRecord], int]:
+def _language_subset(records: list[GrantRecord], args) -> tuple[list[GrantRecord], int]:
     """English runs exclude records without the needed English field."""
-    if config.lang == "pt":
+    if args.lang == "pt":
         return records, 0
-    selector = FIELD_CHOICES[config.fields]
+    selector = FIELD_CHOICES[args.fields]
     def usable(record: GrantRecord) -> bool:
-        if config.features == "complexity" or selector is FieldSelector.ABSTRACT:
+        if args.features == "complexity" or selector is FieldSelector.ABSTRACT:
             return record.abstract_en is not None
         if selector is FieldSelector.SUBJECT:
             return True
@@ -379,16 +358,16 @@ def _language_subset(records: list[GrantRecord], config: RunConfig) -> tuple[lis
     return kept, len(records) - len(kept)
 
 
-def _feature_config(config: RunConfig):
-    if config.features == "complexity":
-        return ComplexityFeatures(language=config.lang, include_title=config.include_title)
+def _feature_config(args):
+    if args.features == "complexity":
+        return ComplexityFeatures(language=args.lang, include_title=args.include_title)
     return TfidfFeatures(
-        language=config.lang,
-        selector=FIELD_CHOICES[config.fields],
-        top_x=config.top_x,
-        mode=VectorMode.RAW_FREQUENCY if config.raw_frequency else VectorMode.TFIDF,
-        idf_variant=IdfVariant.LOG_QUOTIENT if config.conventional_idf else IdfVariant.LOG_RATIO,
-        per_fold_vocabulary=not config.global_vocab,
+        language=args.lang,
+        selector=FIELD_CHOICES[args.fields],
+        top_x=args.top_x,
+        mode=VectorMode.RAW_FREQUENCY if args.raw_frequency else VectorMode.TFIDF,
+        idf_variant=IdfVariant.LOG_QUOTIENT if args.conventional_idf else IdfVariant.LOG_RATIO,
+        per_fold_vocabulary=not args.global_vocab,
     )
 
 
@@ -415,19 +394,12 @@ def _write_summary_csv(path: Path, rows: list[dict], echo: dict) -> None:
 def _export_feature_matrix(records, feature_config, lexicons, out_dir: Path, echo: dict) -> None:
     comment = json.dumps(echo, sort_keys=True)
     if feature_config.family == "complexity":
-        vectors = [
-            extract_complexity_vector(
-                document_text(record, feature_config.language, feature_config.include_title),
-                language=feature_config.language,
-                lexicons=lexicons,
-                doc_id=record.grant_id,
-            )
-            for record in records
-        ]
         write_feature_csv(
             out_dir / "features_complexity.csv",
             [r.grant_id for r in records],
-            vectors,
+            complexity_vectors(
+                records, feature_config.language, lexicons, feature_config.include_title
+            ),
             header_comment=comment,
         )
     else:
@@ -457,44 +429,30 @@ def _class_counts(records: list[GrantRecord]) -> tuple[int, int]:
     return pos, len(records) - pos
 
 
-def cmd_evaluate(args) -> int:
-    try:
-        config = _build_run_config(args)
-        records = load_corpus(config.input, config.format)
-        if not records:
-            raise CliValidationError("empty corpus")
-        lexicons = (
-            load_lexicons(config.lexicon_dir, config.lang)
-            if config.lexicon_dir
-            else builtin_lexicons(config.lang)
-        )
-    except (OSError, CorpusError, CliValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    records, excluded = _language_subset(records, config)
+def cmd_evaluate(args, corpus: ValidationReport, lexicons: LexiconSet) -> int:
+    algorithms = _parse_algos(args.algo)
+    records, excluded = _language_subset(corpus.records, args)
     if excluded:
-        print(f"excluded {excluded} record(s) lacking {config.lang} text fields")
+        print(f"excluded {excluded} record(s) lacking {args.lang} text fields")
     if not records:
-        print("error: no records usable for the configured language", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise CliValidationError("no records usable for the configured language")
 
     areas = [area for area in Area if any(r.area is area for r in records)]
     for area in areas:  # every balanced resample must fill --folds folds
         pos, neg = _class_counts([r for r in records if r.area is area])
-        if 2 * min(pos, neg) < config.folds:
+        if 2 * min(pos, neg) < args.folds:
             raise CliValidationError(
                 f"area {area.value} has {pos} productive and {neg} zero-publication "
                 f"record(s): its balanced set of {2 * min(pos, neg)} is smaller than "
-                f"--folds {config.folds}"
+                f"--folds {args.folds}"
             )
 
-    out_dir = Path(config.out)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    echo = config.echo()
+    echo = _echo(args)
 
-    feature_config = _feature_config(config)
-    cells = [(area, algorithm) for area in areas for algorithm in config.algos]
+    feature_config = _feature_config(args)
+    cells = [(area, algorithm) for area in areas for algorithm in algorithms]
 
     def run_cell(cell) -> EvalReport:
         area, algorithm = cell
@@ -503,15 +461,15 @@ def cmd_evaluate(args) -> int:
             labeled,
             feature_config,
             algorithm,
-            k=config.folds,
-            n_resamples=config.resamples,
-            base_seed=config.seed,
+            k=args.folds,
+            n_resamples=args.resamples,
+            base_seed=args.seed,
             lexicons=lexicons,
         )
 
     results: dict[tuple, EvalReport] = {}
     failures: list[dict] = []
-    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         futures = [pool.submit(run_cell, cell) for cell in cells]
         for cell, future in zip(cells, futures):  # collected in cell order
             try:
@@ -576,65 +534,30 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def cmd_relevance(args) -> int:
-    try:
-        if not args.input:
-            raise CliValidationError("--input is required")
-        if args.seed is None:
-            raise CliValidationError("--seed is required (runs never default to the clock)")
-        if args.resamples < 2:
-            raise CliValidationError("--resamples must be >= 2 for rank aggregation")
-        if args.trees < 1:
-            raise CliValidationError("--trees must be >= 1")
-        records = load_corpus(args.input, args.format)
-        if not records:
-            raise CliValidationError("empty corpus")
-        pos, neg = _class_counts(records)
-        if not pos or not neg:  # every balanced resample needs both classes
-            raise CliValidationError(
-                f"corpus has {pos} productive and {neg} zero-publication record(s): "
-                "relevance needs at least one of each"
-            )
-        lexicons = (
-            load_lexicons(args.lexicon_dir, args.lang)
-            if args.lexicon_dir
-            else builtin_lexicons(args.lang)
+def cmd_relevance(args, corpus: ValidationReport, lexicons: LexiconSet) -> int:
+    pos, neg = _class_counts(corpus.records)
+    if not pos or not neg:  # every balanced resample needs both classes
+        raise CliValidationError(
+            f"corpus has {pos} productive and {neg} zero-publication record(s): "
+            "relevance needs at least one of each"
         )
-    except (OSError, CorpusError, CliValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    echo = {
-        "tool": f"grantprod {__version__}",
-        "input": args.input,
-        "lang": args.lang,
-        "resamples": args.resamples,
-        "trees": args.trees,
-        "seed": args.seed,
-        "include_title": args.include_title,
-        "weighting": args.weighting,
-    }
-    try:
-        labeled = label_records(records)
-        ranking, aggregated, _ = relevance_over_resamples(
-            labeled,
-            language=args.lang,
-            lexicons=lexicons,
-            include_title=args.include_title,
-            n_resamples=args.resamples,
-            base_seed=args.seed,
-            forest_hyper=ForestHyper(n_trees=args.trees),
-            weighting=args.weighting,
-        )
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    ranking, aggregated, _ = relevance_over_resamples(
+        label_records(corpus.records),
+        language=args.lang,
+        lexicons=lexicons,
+        include_title=args.include_title,
+        n_resamples=args.resamples,
+        base_seed=args.seed,
+        forest_hyper=ForestHyper(n_trees=args.trees),
+        weighting=args.weighting,
+    )
 
     cd = aggregated.critical_difference
     write_ranking_csv(out_dir / "relevance.csv", ranking, cd,
-                      header_comment=json.dumps(echo, sort_keys=True))
+                      header_comment=json.dumps(_echo(args), sort_keys=True))
     timestamp = None if args.no_timestamp else datetime.now(timezone.utc).isoformat()
     write_rank_diagram(out_dir / "rank_diagram.svg", ranking, cd, timestamp=timestamp)
 
@@ -646,14 +569,6 @@ def cmd_relevance(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        args = _apply_config_file(args, argv)
-    except (OSError, CliValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     handlers = {
         "ingest": cmd_ingest,
         "stats": cmd_stats,
@@ -661,7 +576,9 @@ def main(argv: list[str] | None = None) -> int:
         "relevance": cmd_relevance,
     }
     try:
-        return handlers[args.command](args)
+        args = _parse_args(list(sys.argv[1:] if argv is None else argv))
+        corpus, lexicons = _preflight(args)
+        return handlers[args.command](args, corpus, lexicons)
     except CliValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

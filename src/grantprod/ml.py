@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .complexity import COMPLEXITY_SCHEMA, extract_complexity_vector
+from .complexity import COMPLEXITY_SCHEMA, ComplexityVector, extract_complexity_vector
 from .corpus import (
     GrantRecord,
     Label,
@@ -74,8 +74,6 @@ class FeatureMatrix:
 
     X: np.ndarray
     y: np.ndarray
-    feature_names: tuple[str, ...] = ()
-    grant_ids: tuple[str, ...] = ()
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -84,10 +82,6 @@ class FeatureMatrix:
             raise ValueError("X must be two-dimensional")
         if self.X.shape[0] != self.y.shape[0]:
             raise ValueError("X and y row counts differ")
-        if not self.feature_names:
-            self.feature_names = tuple(f"f{i}" for i in range(self.X.shape[1]))
-        if len(self.feature_names) != self.X.shape[1]:
-            raise ValueError("feature_names length must match X columns")
 
 
 def _check_finite(X: np.ndarray) -> None:
@@ -140,6 +134,26 @@ def document_text(record: GrantRecord, language: str, include_title: bool) -> st
     return title + separator + abstract
 
 
+def complexity_vectors(
+    records: Sequence[GrantRecord],
+    language: str = "pt",
+    lexicons: LexiconSet | None = None,
+    include_title: bool = False,
+) -> list[ComplexityVector]:
+    """One complexity vector per record, extracted from its document text."""
+    if lexicons is None:
+        lexicons = builtin_lexicons(language)
+    return [
+        extract_complexity_vector(
+            document_text(record, language, include_title),
+            language=language,
+            lexicons=lexicons,
+            doc_id=record.grant_id,
+        )
+        for record in records
+    ]
+
+
 def complexity_rows(
     records: Sequence[GrantRecord],
     language: str = "pt",
@@ -147,17 +161,10 @@ def complexity_rows(
     include_title: bool = False,
 ) -> np.ndarray:
     """Raw complexity matrix with NaN where a metric is missing."""
-    if lexicons is None:
-        lexicons = builtin_lexicons(language)
-    rows = []
-    for record in records:
-        vector = extract_complexity_vector(
-            document_text(record, language, include_title),
-            language=language,
-            lexicons=lexicons,
-            doc_id=record.grant_id,
-        )
-        rows.append([np.nan if v is None else float(v) for v in vector.as_row()])
+    rows = [
+        [np.nan if v is None else float(v) for v in vector.as_row()]
+        for vector in complexity_vectors(records, language, lexicons, include_title)
+    ]
     return np.array(rows, dtype=float).reshape(len(rows), len(COMPLEXITY_SCHEMA))
 
 
@@ -1079,7 +1086,7 @@ def relevance_over_resamples(
         X = apply_imputer(rows, medians)
         y = np.array([label.value for _, label in dataset.instances])
         forest = train_random_forest(
-            FeatureMatrix(X, y, feature_names=COMPLEXITY_SCHEMA),
+            FeatureMatrix(X, y),
             forest_hyper,
             seed=derive_seed(base_seed, _SALT_TRAIN, r),
         )

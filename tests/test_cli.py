@@ -6,6 +6,7 @@ from grantprod import cli, ml
 from grantprod.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
+    RUN_MINIMUMS,
     TOP_X_PRESETS,
     _config_keys,
     main,
@@ -256,6 +257,55 @@ def test_config_file_with_flag_override(canonical, tmp_path):
     assert '"top_x": 30' in first    # config fills the rest
 
 
+@pytest.mark.parametrize("flag", [["--seed", "9"], ["--seed=9"], ["--see", "9"]])
+def test_flag_in_any_spelling_beats_config_file(canonical, tmp_path, flag):
+    config = tmp_path / "rel.conf"
+    config.write_text("seed = 5\ntrees = 2\nresamples = 2\n")
+    out = tmp_path / "rel"
+    code = main(["relevance", "--input", str(canonical), "--config", str(config), *flag,
+                 "--no-timestamp", "--out", str(out)])
+    assert code == EXIT_OK
+    echo = json.loads((out / "relevance.csv").read_text().splitlines()[0][2:])
+    assert echo["seed"] == 9
+    assert echo["trees"] == 2        # config fills the rest
+
+
+# Smallest accepted value of each numeric option, with the flag that sets it.
+MINIMUMS = [
+    ("evaluate", "top_x", "--top-x", 1),
+    ("evaluate", "folds", "--folds", 2),
+    ("evaluate", "resamples", "--resamples", 1),
+    ("evaluate", "jobs", "--jobs", 1),
+    ("relevance", "resamples", "--resamples", 2),
+    ("relevance", "trees", "--trees", 1),
+]
+
+
+def test_minimums_cover_the_checked_options():
+    checked = {(command, key): minimum
+               for command, table in RUN_MINIMUMS.items() for key, minimum in table.items()}
+    assert checked == {(command, key): minimum for command, key, _, minimum in MINIMUMS}
+
+
+@pytest.mark.parametrize("given_as", ["flag", "config"])
+@pytest.mark.parametrize("command, key, flag, minimum", MINIMUMS)
+def test_value_below_minimum_exits_2_and_names_the_flag(
+    canonical, tmp_path, capsys, command, key, flag, minimum, given_as
+):
+    value = str(minimum - 1)
+    if given_as == "flag":
+        option = [flag, value]
+    else:
+        config = tmp_path / "low.conf"
+        config.write_text(f"{key} = {value}\n")
+        option = ["--config", str(config)]
+    out = tmp_path / "out"
+    code = main([command, "--input", str(canonical), "--seed", "1", *option, "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert f"{flag} must be >= {minimum}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_read_config_file_types(tmp_path):
     path = tmp_path / "c.conf"
     path.write_text("# comment\nseed = 3\nfeatures = 'tfidf'\ninclude_title = true\n")
@@ -267,6 +317,7 @@ def test_read_config_file_types(tmp_path):
     ("evaluate", "sed = 5", "sed"),  # unknown key
     ("evaluate", "global_vocab = ture", "global_vocab"),  # malformed boolean
     ("relevance", "top_x = 30", "top_x"),  # key of another subcommand
+    ("evaluate", "trees = 5", "trees"),
 ])
 def test_bad_config_key_exits_2_and_names_it(canonical, tmp_path, capsys, command, line, key):
     config = tmp_path / "bad.conf"

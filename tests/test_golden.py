@@ -9,12 +9,15 @@ regenerate the affected files and say why; regenerate with
 
 from __future__ import annotations
 
+import json
+import re
 import shutil
 import sys
 from pathlib import Path
 
 import pytest
 
+import grantprod
 from grantprod.cli import EXIT_OK, main
 
 from _synth import mixed_area_corpus, write_corpus_csv
@@ -74,6 +77,66 @@ def test_output_matches_golden(outputs, relative):
     produced = (outputs / relative).read_bytes()
     expected = (GOLDEN_DIR / relative).read_bytes()
     assert produced == expected, f"{relative} differs from tests/golden/{relative}"
+
+
+def echo_as_config(output: Path) -> str:
+    """The config echo on an output's first line, as ``key = value`` lines."""
+    echo = json.loads(output.read_text(encoding="utf-8").splitlines()[0].removeprefix("# "))
+    return "".join(
+        f"{key} = {json.dumps(value)}\n"
+        for key, value in echo.items()
+        if key != "tool" and value is not None
+    )
+
+
+def replay(work_dir: Path, command: str, output: Path, out: str) -> None:
+    """Run ``command`` again from the echo in ``output``, writing to ``out``."""
+    config = work_dir / f"{out}.conf"
+    config.write_text(echo_as_config(output), encoding="utf-8")
+    assert main([command, "--config", str(config), "--out", out]) == EXIT_OK
+
+
+ECHO_FILES = {
+    "complexity": "eval_summary.csv",
+    "tfidf": "eval_summary.csv",
+    "relevance": "relevance.csv",
+}
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_echo_replays_the_run(tmp_path, monkeypatch, name):
+    write_corpus_csv(mixed_area_corpus(n=72, seed=7), tmp_path / "corpus.csv")
+    monkeypatch.chdir(tmp_path)
+    replay(tmp_path, RUNS[name][0], GOLDEN_DIR / name / ECHO_FILES[name], "replay")
+    for relative in GOLDEN_FILES:
+        run, _, filename = relative.partition("/")
+        if run == name:
+            produced = (tmp_path / "replay" / filename).read_bytes()
+            assert produced == (GOLDEN_DIR / relative).read_bytes(), relative
+
+
+def test_echo_with_lexicon_dir_replays_the_run(tmp_path, monkeypatch):
+    write_corpus_csv(mixed_area_corpus(n=72, seed=7), tmp_path / "corpus.csv")
+    lexicons = tmp_path / "lexicons"
+    shutil.copytree(Path(grantprod.__file__).parent / "data" / "pt", lexicons)
+    scores = lexicons / "concreteness.tsv"
+    text, changed = re.subn(r"^estudo\t340$", "estudo\t660", scores.read_text(encoding="utf-8"),
+                            flags=re.MULTILINE)
+    assert changed == 1
+    scores.write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    argv = ["evaluate", "--input", "corpus.csv", "--format", "csv", "--features", "complexity",
+            "--algo", "bayes", "--folds", "2", "--resamples", "1", "--seed", "3"]
+    assert main(argv + ["--lexicon-dir", "lexicons", "--out", "custom"]) == EXIT_OK
+    assert main(argv + ["--out", "builtin"]) == EXIT_OK
+    replay(tmp_path, "evaluate", tmp_path / "custom" / "eval_summary.csv", "replay")
+
+    outputs = ("eval_summary.csv", "eval_report.json", "features_complexity.csv")
+    for name in outputs:
+        assert (tmp_path / "replay" / name).read_bytes() == (tmp_path / "custom" / name).read_bytes()
+    def matrix(run: str) -> list[str]:  # without the echo, which names the lexicon dir
+        return (tmp_path / run / "features_complexity.csv").read_text().splitlines()[1:]
+    assert matrix("custom") != matrix("builtin")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from grantprod.ml import (
     TrainingDivergedError,
     TreeHyper,
     apply_imputer,
+    complexity_rows,
+    complexity_vectors,
     cross_validate,
     f1_score,
     fit_median_imputer,
@@ -36,7 +39,7 @@ from grantprod.ml import (
 from grantprod.ml import _mlp_init
 from grantprod.seeds import derive_seed
 
-from _synth import planted_topic_corpus, shuffled_labels
+from _synth import planted_ne_corpus, planted_topic_corpus, shuffled_labels
 
 
 def entropy_bits(labels):
@@ -536,3 +539,12 @@ def test_label_shuffled_corpus_near_chance():
     report = cross_validate(null, TfidfFeatures(top_x=30), "dtree",
                             k=4, n_resamples=2, base_seed=3)
     assert 0.3 <= report.mean_f1 <= 0.7  # loose per-run band; tight band is aggregate
+
+
+def test_complexity_rows_are_the_vectors_with_nan_for_missing():
+    records = [record for record, _ in planted_ne_corpus(n=4)]
+    records.append(replace(records[0], abstract_pt="Um."))  # one-word text: some metrics missing
+    vectors = complexity_vectors(records, "pt", include_title=True)
+    expected = [[np.nan if v is None else float(v) for v in vector.as_row()] for vector in vectors]
+    assert np.isnan(expected[-1]).any()
+    np.testing.assert_array_equal(complexity_rows(records, "pt", include_title=True), expected)
