@@ -343,18 +343,15 @@ def _parse_algos(value: str) -> tuple[str, ...]:
     return tuple(dict.fromkeys(algorithms))
 
 
-def _language_subset(records: list[GrantRecord], args) -> tuple[list[GrantRecord], int]:
-    """English runs exclude records without the needed English field."""
-    if args.lang == "pt":
-        return records, 0
-    selector = FIELD_CHOICES[args.fields]
-    def usable(record: GrantRecord) -> bool:
-        if args.features == "complexity" or selector is FieldSelector.ABSTRACT:
-            return record.abstract_en is not None
-        if selector is FieldSelector.SUBJECT:
-            return True
-        return record.title_en is not None
-    kept = [r for r in records if usable(r)]
+def _language_subset(records: list[GrantRecord], feature_config) -> tuple[list[GrantRecord], int]:
+    """The records whose selected text exists; English title and abstract are optional."""
+    def readable(record: GrantRecord) -> bool:
+        try:
+            feature_config.text(record)
+        except ValueError:  # MissingFieldError
+            return False
+        return True
+    kept = [r for r in records if readable(r)]
     return kept, len(records) - len(kept)
 
 
@@ -431,7 +428,8 @@ def _class_counts(records: list[GrantRecord]) -> tuple[int, int]:
 
 def cmd_evaluate(args, corpus: ValidationReport, lexicons: LexiconSet) -> int:
     algorithms = _parse_algos(args.algo)
-    records, excluded = _language_subset(corpus.records, args)
+    feature_config = _feature_config(args)
+    records, excluded = _language_subset(corpus.records, feature_config)
     if excluded:
         print(f"excluded {excluded} record(s) lacking {args.lang} text fields")
     if not records:
@@ -450,8 +448,6 @@ def cmd_evaluate(args, corpus: ValidationReport, lexicons: LexiconSet) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     echo = _echo(args)
-
-    feature_config = _feature_config(args)
     cells = [(area, algorithm) for area in areas for algorithm in algorithms]
 
     def run_cell(cell) -> EvalReport:

@@ -103,7 +103,7 @@ def _chunk_count(tokens: Sequence[TaggedToken], postnominal_adjectives: bool) ->
 
 
 def extract_complexity_vector(
-    text: str,
+    text: str | Sequence[str],
     language: str = "pt",
     lexicons: LexiconSet | None = None,
     doc_id: str | None = None,
@@ -117,13 +117,14 @@ def extract_complexity_vector(
     chunked per sentence as determiner? adjective* noun+, with post-nominal
     adjectives also absorbed for Portuguese, where modifiers typically follow
     the head.  Words absent from the concreteness norms are skipped, not
-    imputed: a made-up score would manufacture signal.
+    imputed: a made-up score would manufacture signal.  ``text`` may be a
+    sequence of parts, which ``analyze`` splits into sentences separately.
     """
     if lexicons is None:
         lexicons = builtin_lexicons(language)
-    if not text or not text.strip():
-        raise EmptyDocumentError(doc_id)
     doc = analyze(text, lexicons)
+    if not doc.tokens:
+        raise EmptyDocumentError(doc_id)
     sentences = doc.sentence_count
     word_tags: list[PosTag] = []
     vocabulary: set[str] = set()

@@ -92,9 +92,6 @@ class BalancedDataset:
 
     instances: tuple[tuple[GrantRecord, Label], ...]
     source_indices: tuple[int, ...]
-    resample_seed: int
-    source_count_pos: int
-    source_count_neg: int
 
     def labels(self) -> list[Label]:
         return [label for _, label in self.instances]
@@ -319,9 +316,6 @@ def balanced_resample(labeled: Sequence[tuple[GrantRecord, Label]], seed: int) -
     return BalancedDataset(
         instances=tuple(labeled[i] for i in kept),
         source_indices=tuple(kept),
-        resample_seed=seed,
-        source_count_pos=len(pos),
-        source_count_neg=len(neg),
     )
 
 

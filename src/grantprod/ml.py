@@ -3,8 +3,8 @@
 All trainers are deterministic under their seed; anything data-dependent
 (imputation medians, standardization statistics, tf-idf vocabularies, nested
 kNN grid search) is fitted on training folds only.  Trees split on entropy
-information gain (bits) and retain per-node Gini impurity records so the
-relevance stage can replay them.
+information gain (bits) and keep each node's sample and positive counts, from
+which the relevance stage derives Gini impurity decreases.
 """
 
 from __future__ import annotations
@@ -26,14 +26,11 @@ from .corpus import (
 )
 from .relevance import (
     FeatureRelevanceReport,
-    ImpurityRecord,
     RankingRow,
     aggregate_relevance,
     average_rank,
     critical_difference,
     feature_importance,
-    gini_from_counts,
-    impurity_decrease,
 )
 from .seeds import derive_seed
 from .textproc import LexiconSet, builtin_lexicons
@@ -42,6 +39,8 @@ from .topical import (
     IdfVariant,
     VectorMode,
     Vocabulary,
+    document_text,
+    field_text,
     field_tokens,
     fit_vocabulary_from_tokens,
     vectorize,
@@ -119,19 +118,6 @@ def fit_standardizer(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def apply_standardizer(X: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
     return (X - mean) / std
-
-
-def document_text(record: GrantRecord, language: str, include_title: bool) -> str:
-    if language == "pt":
-        title, abstract = record.title_pt, record.abstract_pt
-    else:
-        title, abstract = record.title_en, record.abstract_en
-    if abstract is None:
-        raise ValueError(f"record {record.grant_id} has no {language} abstract")
-    if not include_title or not title:
-        return abstract
-    separator = " " if title.rstrip().endswith((".", "!", "?")) else ". "
-    return title + separator + abstract
 
 
 def complexity_vectors(
@@ -241,18 +227,22 @@ class MlpHyper:
 
 @dataclass
 class TreeNode:
-    node_id: int
+    """What a tree learned at one node: its training counts and, if internal, the split."""
+
     n_samples: int
-    prediction: int
+    n_positive: int
     feature: int | None = None
     threshold: float | None = None
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
-    impurity: ImpurityRecord | None = None
 
     @property
     def is_leaf(self) -> bool:
         return self.feature is None
+
+    @property
+    def prediction(self) -> int:
+        return 1 if 2 * self.n_positive > self.n_samples else 0
 
 
 def _entropy_bits(pos: int, total: int) -> float:
@@ -328,12 +318,10 @@ def _best_split(X, y, features, min_leaf):
     return best
 
 
-def _grow_tree(X, y, hyper: TreeHyper, depth, counter, rng=None, max_features=None):
+def _grow_tree(X, y, hyper: TreeHyper, depth, rng=None, max_features=None):
     n = y.size
-    pos = int(y.sum())
-    node = TreeNode(node_id=counter[0], n_samples=n, prediction=1 if 2 * pos > n else 0)
-    counter[0] += 1
-    if pos == 0 or pos == n:
+    node = TreeNode(n_samples=n, n_positive=int(y.sum()))
+    if node.n_positive in (0, n):
         return node
     if hyper.max_depth is not None and depth >= hyper.max_depth:
         return node
@@ -349,27 +337,10 @@ def _grow_tree(X, y, hyper: TreeHyper, depth, counter, rng=None, max_features=No
     if best is None or best[0] < hyper.min_gain:
         return node
 
-    gain, feature, threshold = best
-    left_mask = X[:, feature] <= threshold
-    n_left = int(left_mask.sum())
-    n_right = n - n_left
-    gini_before = gini_from_counts(pos, n)
-    gini_left = gini_from_counts(int(y[left_mask].sum()), n_left)
-    gini_right = gini_from_counts(int(y[~left_mask].sum()), n_right)
-    node.feature = feature
-    node.threshold = threshold
-    node.impurity = ImpurityRecord(
-        node_id=node.node_id,
-        feature_index=feature,
-        gini_before=gini_before,
-        gini_left=gini_left,
-        gini_right=gini_right,
-        n_left=n_left,
-        n_right=n_right,
-        delta_g=impurity_decrease(gini_before, gini_left, gini_right, n_left, n_right),
-    )
-    node.left = _grow_tree(X[left_mask], y[left_mask], hyper, depth + 1, counter, rng, max_features)
-    node.right = _grow_tree(X[~left_mask], y[~left_mask], hyper, depth + 1, counter, rng, max_features)
+    _, node.feature, node.threshold = best
+    left_mask = X[:, node.feature] <= node.threshold
+    node.left = _grow_tree(X[left_mask], y[left_mask], hyper, depth + 1, rng, max_features)
+    node.right = _grow_tree(X[~left_mask], y[~left_mask], hyper, depth + 1, rng, max_features)
     return node
 
 
@@ -383,49 +354,10 @@ def _predict_tree(root: TreeNode, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _iter_tree_records(root: TreeNode) -> Iterator[ImpurityRecord]:
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.impurity is not None:
-            yield node.impurity
-        if not node.is_leaf:
-            stack.append(node.right)
-            stack.append(node.left)
-
-
 @dataclass
-class DecisionTreeModel:
-    root: TreeNode
-    n_features: int
+class TreeModel:
+    """One decision tree, or a forest of them."""
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return _predict_tree(self.root, np.asarray(X, dtype=float))
-
-    def iter_impurity_records(self) -> Iterator[ImpurityRecord]:
-        return _iter_tree_records(self.root)
-
-
-def train_decision_tree(train: FeatureMatrix, hyper: TreeHyper | None = None) -> DecisionTreeModel:
-    """Greedy binary tree maximizing information gain at each node.
-
-    A single-class training set yields a one-leaf majority model rather than
-    an error.
-    """
-    hyper = hyper or TreeHyper()
-    _require_nonempty(train.y)
-    _check_finite(train.X)
-    counter = [0]
-    root = _grow_tree(train.X, train.y, hyper, depth=0, counter=counter)
-    return DecisionTreeModel(root=root, n_features=train.X.shape[1])
-
-
-# ---------------------------------------------------------------------------
-# Random forest
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RandomForestModel:
     roots: list[TreeNode]
     n_features: int
 
@@ -437,10 +369,34 @@ class RandomForestModel:
         # strict majority of trees; exact ties fall to the zero class
         return (2 * votes > len(self.roots)).astype(int)
 
-    def iter_impurity_records(self) -> Iterator[ImpurityRecord]:
+    def split_nodes(self) -> Iterator[TreeNode]:
+        """Internal nodes tree by tree, each tree in preorder with the left subtree first."""
         for root in self.roots:
-            yield from _iter_tree_records(root)
+            stack = [root]
+            while stack:
+                node = stack.pop()
+                if not node.is_leaf:
+                    yield node
+                    stack.append(node.right)
+                    stack.append(node.left)
 
+
+def train_decision_tree(train: FeatureMatrix, hyper: TreeHyper | None = None) -> TreeModel:
+    """Greedy binary tree maximizing information gain at each node.
+
+    A single-class training set yields a one-leaf majority model rather than
+    an error.
+    """
+    hyper = hyper or TreeHyper()
+    _require_nonempty(train.y)
+    _check_finite(train.X)
+    root = _grow_tree(train.X, train.y, hyper, depth=0)
+    return TreeModel(roots=[root], n_features=train.X.shape[1])
+
+
+# ---------------------------------------------------------------------------
+# Random forest
+# ---------------------------------------------------------------------------
 
 def _resolve_max_features(spec_value, d: int) -> int | None:
     if spec_value is None:
@@ -457,7 +413,7 @@ def train_random_forest(
     train: FeatureMatrix,
     hyper: ForestHyper | None = None,
     seed: int = 0,
-) -> RandomForestModel:
+) -> TreeModel:
     """Bootstrap trees with per-node feature subsampling, majority vote."""
     hyper = hyper or ForestHyper()
     _require_nonempty(train.y)
@@ -472,12 +428,8 @@ def train_random_forest(
             X_t, y_t = train.X[sample], train.y[sample]
         else:
             X_t, y_t = train.X, train.y
-        counter = [0]
-        roots.append(
-            _grow_tree(X_t, y_t, hyper.tree, depth=0, counter=counter, rng=rng,
-                       max_features=max_features)
-        )
-    return RandomForestModel(roots=roots, n_features=d)
+        roots.append(_grow_tree(X_t, y_t, hyper.tree, depth=0, rng=rng, max_features=max_features))
+    return TreeModel(roots=roots, n_features=d)
 
 
 # ---------------------------------------------------------------------------
@@ -849,6 +801,10 @@ class ComplexityFeatures:
     include_title: bool = False
     family: str = "complexity"
 
+    def text(self, record: GrantRecord) -> tuple[str, ...]:
+        """The text these features are extracted from; raises MissingFieldError."""
+        return document_text(record, self.language, self.include_title)
+
 
 @dataclass(frozen=True)
 class TfidfFeatures:
@@ -859,6 +815,10 @@ class TfidfFeatures:
     idf_variant: IdfVariant = IdfVariant.LOG_RATIO
     per_fold_vocabulary: bool = True
     family: str = "tfidf"
+
+    def text(self, record: GrantRecord) -> str:
+        """The text these features are extracted from; raises MissingFieldError."""
+        return field_text(record, self.selector, self.language)
 
 
 def _config_echo(feature_config, algorithm, k, n_resamples, base_seed, hyper) -> dict:
@@ -891,20 +851,7 @@ class EvalReport:
     config: dict
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "per_run_f1": list(self.per_run_f1),
-            "mean_f1": self.mean_f1,
-            "sd_f1": self.sd_f1,
-            "per_run_macro_f1": list(self.per_run_macro_f1),
-            "mean_macro_f1": self.mean_macro_f1,
-            "pooled_f1": self.pooled_f1,
-            "n_correct_total": self.n_correct_total,
-            "n_total": self.n_total,
-            "p_dominant": self.p_dominant,
-            "p_value": self.p_value,
-            "config": self.config,
-        }
+        return asdict(self)
 
 
 def _default_hyper(algorithm: str):

@@ -21,20 +21,6 @@ class UnsupportedModelError(TypeError):
     pass
 
 
-@dataclass(frozen=True)
-class ImpurityRecord:
-    """One internal tree node: impurities before/after its split."""
-
-    node_id: int
-    feature_index: int
-    gini_before: float
-    gini_left: float
-    gini_right: float
-    n_left: int
-    n_right: int
-    delta_g: float
-
-
 def gini_impurity(probabilities: Sequence[float]) -> float:
     """Chance of misclassifying a random instance labeled by the class mix."""
     total = math.fsum(probabilities)
@@ -71,12 +57,24 @@ def impurity_decrease(
     return gini_before - beta_left * gini_left - beta_right * gini_right
 
 
+def _split_decrease(node) -> float:
+    """Gini decrease of a tree node's split, from the counts of the node and its children."""
+    left, right = node.left, node.right
+    return impurity_decrease(
+        gini_from_counts(node.n_positive, node.n_samples),
+        gini_from_counts(left.n_positive, left.n_samples),
+        gini_from_counts(right.n_positive, right.n_samples),
+        left.n_samples,
+        right.n_samples,
+    )
+
+
 @dataclass
 class FeatureRelevanceReport:
     """Per-feature importance for one model, plus rank aggregates when present."""
 
     feature_names: tuple[str, ...]
-    mean_importance: np.ndarray          # mean delta_g per feature; unused -> 0
+    mean_importance: np.ndarray          # mean Gini decrease per feature; unused -> 0
     node_counts: np.ndarray              # nodes splitting on each feature
     per_resample_ranks: np.ndarray | None = None   # (n_resamples, n_features)
     average_rank: np.ndarray | None = None
@@ -88,15 +86,15 @@ def feature_importance(
     feature_names: Sequence[str] | None = None,
     weighting: str = "node_mean",
 ) -> FeatureRelevanceReport:
-    """Mean impurity decrease per feature over all nodes of a tree or forest.
+    """Mean impurity decrease per feature over all split nodes of a tree or forest.
 
-    ``weighting='node_mean'`` averages delta_g uniformly over nodes;
-    ``'instance_weighted'`` weights each node by the instances it splits.
+    Each decrease is computed here from the node's and its children's sample
+    and positive counts.  ``weighting='node_mean'`` averages it uniformly
+    over nodes; ``'instance_weighted'`` weights each node by the instances it
+    splits.
     """
-    if not hasattr(model, "iter_impurity_records"):
-        raise UnsupportedModelError(
-            f"model of type {type(model).__name__} retains no impurity records"
-        )
+    if not hasattr(model, "split_nodes"):
+        raise UnsupportedModelError(f"model of type {type(model).__name__} has no tree nodes")
     if weighting not in ("node_mean", "instance_weighted"):
         raise ValueError(f"unknown weighting '{weighting}'")
 
@@ -109,11 +107,11 @@ def feature_importance(
     sums = np.zeros(d)
     weights = np.zeros(d)
     counts = np.zeros(d, dtype=int)
-    for record in model.iter_impurity_records():
-        w = float(record.n_left + record.n_right) if weighting == "instance_weighted" else 1.0
-        sums[record.feature_index] += w * record.delta_g
-        weights[record.feature_index] += w
-        counts[record.feature_index] += 1
+    for node in model.split_nodes():
+        w = float(node.n_samples) if weighting == "instance_weighted" else 1.0
+        sums[node.feature] += w * _split_decrease(node)
+        weights[node.feature] += w
+        counts[node.feature] += 1
     importance = np.divide(sums, weights, out=np.zeros(d), where=weights > 0)
     return FeatureRelevanceReport(
         feature_names=tuple(feature_names),

@@ -299,9 +299,14 @@ class TaggedDocument:
         return [t for t in self.tokens if t.token.kind is TokenKind.WORD]
 
 
-def analyze(text: str, lexicons: LexiconSet) -> TaggedDocument:
-    """Run split -> tokenize -> tag -> NE detection over one document."""
-    sentences = split_sentences(text)
+def analyze(text: str | Sequence[str], lexicons: LexiconSet) -> TaggedDocument:
+    """Run split -> tokenize -> tag -> NE detection over one document.
+
+    A document given as a sequence of parts (a title and an abstract) is
+    split into sentences part by part, so no sentence spans two parts.
+    """
+    parts = [text] if isinstance(text, str) else text
+    sentences = [sentence for part in parts for sentence in split_sentences(part)]
     tokens: list[Token] = []
     for index, sentence in enumerate(sentences):
         tokens.extend(tokenize(sentence, index))

@@ -72,25 +72,37 @@ class Vocabulary:
         return len(self.entries)
 
 
+def _title_and_abstract(record: GrantRecord, language: str) -> tuple[str | None, str | None]:
+    if language == "pt":
+        return record.title_pt, record.abstract_pt
+    return record.title_en, record.abstract_en
+
+
 def field_text(record: GrantRecord, selector: FieldSelector, language: str = "pt") -> str:
     """Raw text of the selected field; subject keywords are space-joined."""
     if selector is FieldSelector.SUBJECT:
         return " ".join(record.subject)
-    if language == "pt":
-        title, abstract = record.title_pt, record.abstract_pt
-    else:
-        title, abstract = record.title_en, record.abstract_en
-    if selector is FieldSelector.TITLE:
-        if title is None:
-            raise MissingFieldError(f"record {record.grant_id} has no {language} title")
-        return title
+    title, abstract = _title_and_abstract(record, language)
+    if selector is FieldSelector.ABSTRACT:
+        if abstract is None:
+            raise MissingFieldError(f"record {record.grant_id} has no {language} abstract")
+        return abstract
+    if title is None:
+        raise MissingFieldError(f"record {record.grant_id} has no {language} title")
     if selector is FieldSelector.TITLE_PLUS_SUBJECT:
-        if title is None:
-            raise MissingFieldError(f"record {record.grant_id} has no {language} title")
         return " ".join([title] + list(record.subject))
-    if abstract is None:
-        raise MissingFieldError(f"record {record.grant_id} has no {language} abstract")
-    return abstract
+    return title
+
+
+def document_text(record: GrantRecord, language: str, include_title: bool) -> tuple[str, ...]:
+    """Complexity-feature text: the abstract, after the title when asked for and present.
+
+    ``textproc.analyze`` splits the parts into sentences separately, so no
+    sentence spans the title and the abstract.
+    """
+    abstract = field_text(record, FieldSelector.ABSTRACT, language)
+    title, _ = _title_and_abstract(record, language)
+    return (title, abstract) if include_title and title else (abstract,)
 
 
 def field_tokens(record: GrantRecord, selector: FieldSelector, language: str = "pt") -> list[str]:

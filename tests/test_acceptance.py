@@ -166,7 +166,7 @@ def test_information_gain_oracle():
         datasets += 1
         best_gain = max(gains.values())
         model = train_decision_tree(FeatureMatrix(X, y))
-        root = model.root
+        root = model.roots[0]
         assert not root.is_leaf
         chosen = gains[root.feature]
         assert abs(chosen - best_gain) <= 1e-12  # exact arg max agreement

@@ -1,4 +1,6 @@
+import itertools
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +14,8 @@ from grantprod.cli import (
     main,
     read_config_file,
 )
+
+from grantprod.topical import field_tokens
 
 from _synth import mixed_area_corpus, write_corpus_csv
 
@@ -197,6 +201,37 @@ def test_evaluate_english_exclusion(tmp_path, capsys):
     ])
     assert code == EXIT_OK
     assert "excluded 1 record(s)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("include_title", [False, True])
+@pytest.mark.parametrize("fields", sorted(cli.FIELD_CHOICES))
+@pytest.mark.parametrize("features", ["complexity", "tfidf"])
+def test_english_subset_is_the_records_whose_extraction_succeeds(features, fields, include_title):
+    base = mixed_area_corpus(n=1)[0]
+    records = [
+        replace(base, grant_id=f"2013/{50000 + i:05d}-{i}", title_en=title, abstract_en=abstract)
+        for i, (title, abstract) in enumerate(
+            itertools.product([None, "Case study"], [None, "A fine abstract."])
+        )
+    ]
+    argv = ["evaluate", "--lang", "en", "--features", features, "--fields", fields, "--seed", "1"]
+    args = cli._parse_args(argv + ["--include-title"] * include_title)
+
+    def extracts(record) -> bool:
+        try:
+            if features == "complexity":
+                ml.complexity_vectors([record], "en", include_title=include_title)
+            else:
+                field_tokens(record, cli.FIELD_CHOICES[fields], "en")
+        except ValueError:
+            return False
+        return True
+
+    kept, excluded = cli._language_subset(records, cli._feature_config(args))
+    expected = [record for record in records if extracts(record)]
+    assert 0 < len(expected) < len(records) or fields == "subject"
+    assert kept == expected
+    assert excluded == len(records) - len(expected)
 
 
 @pytest.mark.parametrize("publications, folds, counts", [

@@ -219,7 +219,6 @@ def test_balanced_resample_counts():
     assert len(dataset) == 10
     assert labels.count(Label.PRODUCTIVE) == 5
     assert labels.count(Label.ZERO_PUBLICATIONS) == 5
-    assert dataset.source_count_pos == 5 and dataset.source_count_neg == 20
 
 
 def test_balanced_resample_no_sampling_needed():
@@ -274,10 +273,9 @@ def test_pipeline_resamples():
     labeled = labeled_corpus(4, 16)
     seeds = [derive_seed(8, _SALT_RESAMPLE, r) for r in range(10)]
     datasets = [balanced_resample(labeled, seed) for seed in seeds]
-    for ds, seed in zip(datasets, seeds):
+    for ds in datasets:
         labels = ds.labels()
         assert labels.count(Label.PRODUCTIVE) == labels.count(Label.ZERO_PUBLICATIONS) == 4
-        assert ds.resample_seed == seed
     assert balanced_resample(labeled, seeds[0]) == datasets[0]
     assert len({ds.source_indices for ds in datasets}) > 1
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grantprod import ml
 from grantprod.corpus import Label
 from grantprod.ml import (
     ComplexityFeatures,
@@ -37,6 +38,7 @@ from grantprod.ml import (
     train_random_forest,
 )
 from grantprod.ml import _mlp_init
+from grantprod.relevance import gini_from_counts, impurity_decrease
 from grantprod.seeds import derive_seed
 
 from _synth import planted_ne_corpus, planted_topic_corpus, shuffled_labels
@@ -59,10 +61,10 @@ def test_perfect_split_one_bit_gain():
     X = np.array([[0.0]] * 8 + [[1.0]] * 8)
     y = np.array([0] * 8 + [1] * 8)
     model = train_decision_tree(FeatureMatrix(X, y))
-    assert model.root.feature == 0
-    assert model.root.threshold == 0.5
+    assert model.roots[0].feature == 0
+    assert model.roots[0].threshold == 0.5
     assert information_gain(y, X[:, 0] <= 0.5) == pytest.approx(1.0)
-    assert model.root.left.is_leaf and model.root.right.is_leaf
+    assert model.roots[0].left.is_leaf and model.roots[0].right.is_leaf
     assert (model.predict(X) == y).all()
 
 
@@ -70,7 +72,7 @@ def test_constant_features_single_leaf():
     X = np.zeros((6, 3))
     y = np.array([0, 0, 0, 0, 1, 1])
     model = train_decision_tree(FeatureMatrix(X, y))
-    assert model.root.is_leaf
+    assert model.roots[0].is_leaf
     assert (model.predict(X) == 0).all()  # majority class
 
 
@@ -78,7 +80,7 @@ def test_single_class_training_set_is_single_leaf():
     X = np.arange(8.0).reshape(4, 2)
     y = np.ones(4, dtype=int)
     model = train_decision_tree(FeatureMatrix(X, y))
-    assert model.root.is_leaf
+    assert model.roots[0].is_leaf
     assert (model.predict(X) == 1).all()
 
 
@@ -89,8 +91,8 @@ def test_xor_resolved_at_depth_two():
     for j in range(2):
         assert information_gain(y, X[:, j] <= 0.5) == pytest.approx(0.0, abs=1e-12)
     model = train_decision_tree(FeatureMatrix(X, y))
-    assert not model.root.is_leaf
-    assert not (model.root.left.is_leaf and model.root.right.is_leaf)
+    assert not model.roots[0].is_leaf
+    assert not (model.roots[0].left.is_leaf and model.roots[0].right.is_leaf)
     assert (model.predict(X) == y).all()
 
 
@@ -98,9 +100,9 @@ def test_max_depth_and_min_gain_stop():
     X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     y = np.array([0, 1, 1, 0])
     stump = train_decision_tree(FeatureMatrix(X, y), TreeHyper(max_depth=0))
-    assert stump.root.is_leaf
+    assert stump.roots[0].is_leaf
     strict = train_decision_tree(FeatureMatrix(X, y), TreeHyper(min_gain=1e-6))
-    assert strict.root.is_leaf  # zero-gain root split now rejected
+    assert strict.roots[0].is_leaf  # zero-gain root split now rejected
 
 
 def test_split_between_adjacent_floats_keeps_both_children():
@@ -110,8 +112,8 @@ def test_split_between_adjacent_floats_keeps_both_children():
     X = np.array([[low], [high]])
     y = np.array([0, 1])
     model = train_decision_tree(FeatureMatrix(X, y))
-    assert model.root.threshold == low
-    assert model.root.impurity.n_left == model.root.impurity.n_right == 1
+    assert model.roots[0].threshold == low
+    assert model.roots[0].left.n_samples == model.roots[0].right.n_samples == 1
     assert (model.predict(X) == y).all()
 
 
@@ -120,9 +122,19 @@ def test_chosen_splits_have_nonnegative_delta_g():
     X = rng.normal(size=(60, 4))
     y = (X[:, 1] + 0.3 * rng.normal(size=60) > 0).astype(int)
     model = train_decision_tree(FeatureMatrix(X, y))
-    records = list(model.iter_impurity_records())
-    assert records
-    assert all(r.delta_g >= 0.0 for r in records)
+    nodes = list(model.split_nodes())
+    assert nodes
+    decreases = [
+        impurity_decrease(
+            gini_from_counts(node.n_positive, node.n_samples),
+            gini_from_counts(node.left.n_positive, node.left.n_samples),
+            gini_from_counts(node.right.n_positive, node.right.n_samples),
+            node.left.n_samples,
+            node.right.n_samples,
+        )
+        for node in nodes
+    ]
+    assert all(delta_g >= 0.0 for delta_g in decreases)
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +169,9 @@ def test_forest_determinism_under_seed():
     b = train_random_forest(FeatureMatrix(X, y), ForestHyper(n_trees=21), seed=9)
     c = train_random_forest(FeatureMatrix(X, y), ForestHyper(n_trees=21), seed=10)
     assert (a.predict(X) == b.predict(X)).all()
-    records_a = [(r.node_id, r.feature_index, r.delta_g) for r in a.iter_impurity_records()]
-    records_b = [(r.node_id, r.feature_index, r.delta_g) for r in b.iter_impurity_records()]
-    records_c = [(r.node_id, r.feature_index, r.delta_g) for r in c.iter_impurity_records()]
-    assert records_a == records_b != records_c
+    def splits(model):
+        return [(n.feature, n.threshold, n.n_samples, n.n_positive) for n in model.split_nodes()]
+    assert splits(a) == splits(b) != splits(c)
 
 
 # ---------------------------------------------------------------------------
@@ -548,3 +559,17 @@ def test_complexity_rows_are_the_vectors_with_nan_for_missing():
     expected = [[np.nan if v is None else float(v) for v in vector.as_row()] for vector in vectors]
     assert np.isnan(expected[-1]).any()
     np.testing.assert_array_equal(complexity_rows(records, "pt", include_title=True), expected)
+
+
+def test_included_title_is_a_sentence_of_its_own(monkeypatch):
+    record, _ = planted_ne_corpus(n=1)[0]
+    assert record.title_pt == "projeto" and record.abstract_pt.startswith("o estudo")
+    calls = []
+    extract = ml.extract_complexity_vector
+    monkeypatch.setattr(ml, "extract_complexity_vector", lambda *a, **k: calls.append(1) or extract(*a, **k))
+    [with_title] = complexity_vectors([record], "pt", include_title=True)
+    [abstract_only] = complexity_vectors([record], "pt")
+    assert len(calls) == 2  # one extraction per record and run
+    assert abstract_only.sentence_count == 1
+    assert with_title.sentence_count == 2
+    assert with_title.word_count == abstract_only.word_count + 1

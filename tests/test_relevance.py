@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from grantprod.ml import (
     FeatureMatrix,
     ForestHyper,
+    TreeHyper,
+    TreeModel,
+    TreeNode,
     relevance_over_resamples,
     train_decision_tree,
     train_knn,
@@ -15,7 +18,6 @@ from grantprod.ml import (
 )
 from grantprod.relevance import (
     FeatureRelevanceReport,
-    ImpurityRecord,
     RankingRow,
     UnsupportedModelError,
     aggregate_relevance,
@@ -90,47 +92,50 @@ def test_child_count_validation():
 # feature importance
 # ---------------------------------------------------------------------------
 
-class FakeModel:
-    def __init__(self, records, n_features):
-        self._records = records
-        self.n_features = n_features
-
-    def iter_impurity_records(self):
-        return iter(self._records)
+def leaf(n_samples, n_positive):
+    return TreeNode(n_samples=n_samples, n_positive=n_positive)
 
 
-def fake_record(feature, delta_g, n_left=10, n_right=10, node_id=0):
-    return ImpurityRecord(node_id=node_id, feature_index=feature, gini_before=0.5,
-                          gini_left=0.0, gini_right=0.0, n_left=n_left, n_right=n_right,
-                          delta_g=delta_g)
+def split(feature, left, right):
+    return TreeNode(
+        n_samples=left.n_samples + right.n_samples,
+        n_positive=left.n_positive + right.n_positive,
+        feature=feature,
+        threshold=0.5,
+        left=left,
+        right=right,
+    )
 
 
 def test_single_node_tree_importance():
-    X = np.array([[0.0], [0.0], [1.0], [1.0]])
-    y = np.array([0, 0, 1, 1])
-    model = train_decision_tree(FeatureMatrix(X, y))
+    # (4, 2) -> (2, 0) + (2, 2): Gini 0.5 falls to two pure children
+    model = TreeModel(roots=[split(0, leaf(2, 0), leaf(2, 2))], n_features=1)
     report = feature_importance(model)
-    [record] = list(model.iter_impurity_records())
-    assert report.mean_importance[0] == record.delta_g
+    assert report.mean_importance[0] == 0.5
     assert report.node_counts[0] == 1
 
 
 def test_mean_over_nodes():
-    model = FakeModel([fake_record(2, 0.4), fake_record(2, 0.2), fake_record(0, 0.1)], 3)
-    report = feature_importance(model)
-    assert report.mean_importance[2] == pytest.approx(0.3)
-    assert report.mean_importance[0] == pytest.approx(0.1)
+    # root (8, 4) -> (4, 1) + (4, 3): 0.5 - 0.375 = 0.125
+    # (4, 1) -> (1, 1) + (3, 0): 0.375 - 0 = 0.375
+    # (4, 3) -> (2, 2) + (2, 1): 0.375 - 0.5 * 0.5 = 0.125
+    root = split(2, split(2, leaf(1, 1), leaf(3, 0)), split(0, leaf(2, 2), leaf(2, 1)))
+    report = feature_importance(TreeModel(roots=[root], n_features=3))
+    assert report.mean_importance[2] == pytest.approx((0.125 + 0.375) / 2)
+    assert report.mean_importance[0] == pytest.approx(0.125)
     assert report.mean_importance[1] == 0.0  # unused feature
+    assert list(report.node_counts) == [1, 0, 2]
 
 
 def test_instance_weighted_alternative():
-    model = FakeModel(
-        [fake_record(0, 0.4, n_left=30, n_right=30), fake_record(0, 0.1, n_left=5, n_right=5)], 1
-    )
+    # (60, 30) -> (30, 0) + (30, 30): 0.5;  (10, 5) -> (5, 2) + (5, 3): 0.5 - 0.48 = 0.02
+    big = split(0, leaf(30, 0), leaf(30, 30))
+    small = split(0, leaf(5, 2), leaf(5, 3))
+    model = TreeModel(roots=[big, small], n_features=1)
     node_mean = feature_importance(model, weighting="node_mean")
     weighted = feature_importance(model, weighting="instance_weighted")
-    assert node_mean.mean_importance[0] == pytest.approx(0.25)
-    assert weighted.mean_importance[0] == pytest.approx((60 * 0.4 + 10 * 0.1) / 70)
+    assert node_mean.mean_importance[0] == pytest.approx((0.5 + 0.02) / 2)
+    assert weighted.mean_importance[0] == pytest.approx((60 * 0.5 + 10 * 0.02) / 70)
 
 
 def test_unsupported_model():
@@ -141,20 +146,62 @@ def test_unsupported_model():
         feature_importance(knn)
 
 
-def test_replaying_stored_records_reproduces_delta_g():
+def textbook_gini(n_positive, n):
+    p = n_positive / n
+    return 1.0 - p ** 2 - (1.0 - p) ** 2
+
+
+def test_node_counts_and_importance_match_an_independent_recount():
     rng = np.random.default_rng(12)
-    X = rng.normal(size=(80, 5))
-    y = ((X[:, 0] + 0.5 * X[:, 3]) > 0).astype(int)
-    forest = train_random_forest(FeatureMatrix(X, y), ForestHyper(n_trees=10), seed=2)
-    records = list(forest.iter_impurity_records())
-    assert records
-    for record in records:
-        replayed = impurity_decrease(
-            record.gini_before, record.gini_left, record.gini_right,
-            record.n_left, record.n_right,
-        )
-        assert replayed == pytest.approx(record.delta_g, abs=1e-12)
-        assert record.delta_g >= 0.0
+    for trial in range(6):
+        n, d = 40 + 10 * trial, 4
+        X = rng.integers(0, 4, size=(n, d)).astype(float)  # few values: many ties
+        y = ((X[:, 0] + X[:, 2] + rng.integers(0, 3, size=n)) > 4).astype(int)
+        train = FeatureMatrix(X, y)
+        models = [
+            train_decision_tree(train, TreeHyper(max_depth=4)),
+            train_random_forest(train, ForestHyper(n_trees=5, bootstrap=False), seed=trial),
+        ]
+        for model in models:
+            nodes = list(model.split_nodes())
+            assert nodes
+            # route every training row down each tree and recount every node
+            counts = {}
+            for root in model.roots:
+                for row, label in zip(X, y):
+                    node = root
+                    while True:
+                        n_seen, pos_seen = counts.get(id(node), (0, 0))
+                        counts[id(node)] = (n_seen + 1, pos_seen + int(label))
+                        if node.is_leaf:
+                            break
+                        node = node.left if row[node.feature] <= node.threshold else node.right
+            for root in model.roots:
+                pending = [root]
+                while pending:
+                    node = pending.pop()
+                    assert counts[id(node)] == (node.n_samples, node.n_positive)
+                    if not node.is_leaf:
+                        pending += [node.left, node.right]
+
+            for weighting in ("node_mean", "instance_weighted"):
+                sums, weights = np.zeros(d), np.zeros(d)
+                for node in nodes:
+                    n_node, pos_node = counts[id(node)]
+                    n_left, pos_left = counts[id(node.left)]
+                    n_right, pos_right = counts[id(node.right)]
+                    decrease = (
+                        textbook_gini(pos_node, n_node)
+                        - n_left / n_node * textbook_gini(pos_left, n_left)
+                        - n_right / n_node * textbook_gini(pos_right, n_right)
+                    )
+                    assert decrease >= -1e-12
+                    w = n_node if weighting == "instance_weighted" else 1
+                    sums[node.feature] += w * decrease
+                    weights[node.feature] += w
+                expected = np.divide(sums, weights, out=np.zeros(d), where=weights > 0)
+                report = feature_importance(model, weighting=weighting)
+                np.testing.assert_allclose(report.mean_importance, expected, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
