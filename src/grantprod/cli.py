@@ -355,6 +355,16 @@ def _language_subset(records: list[GrantRecord], feature_config) -> tuple[list[G
     return kept, len(records) - len(kept)
 
 
+def _usable_records(records: list[GrantRecord], feature_config) -> list[GrantRecord]:
+    """The language subset, with the exclusions reported; none usable is an input error."""
+    kept, excluded = _language_subset(records, feature_config)
+    if excluded:
+        print(f"excluded {excluded} record(s) lacking {feature_config.language} text fields")
+    if not kept:
+        raise CliValidationError("no records usable for the configured language")
+    return kept
+
+
 def _feature_config(args):
     if args.features == "complexity":
         return ComplexityFeatures(language=args.lang, include_title=args.include_title)
@@ -429,11 +439,7 @@ def _class_counts(records: list[GrantRecord]) -> tuple[int, int]:
 def cmd_evaluate(args, corpus: ValidationReport, lexicons: LexiconSet) -> int:
     algorithms = _parse_algos(args.algo)
     feature_config = _feature_config(args)
-    records, excluded = _language_subset(corpus.records, feature_config)
-    if excluded:
-        print(f"excluded {excluded} record(s) lacking {args.lang} text fields")
-    if not records:
-        raise CliValidationError("no records usable for the configured language")
+    records = _usable_records(corpus.records, feature_config)
 
     areas = [area for area in Area if any(r.area is area for r in records)]
     for area in areas:  # every balanced resample must fill --folds folds
@@ -531,7 +537,10 @@ def cmd_evaluate(args, corpus: ValidationReport, lexicons: LexiconSet) -> int:
 
 
 def cmd_relevance(args, corpus: ValidationReport, lexicons: LexiconSet) -> int:
-    pos, neg = _class_counts(corpus.records)
+    records = _usable_records(
+        corpus.records, ComplexityFeatures(language=args.lang, include_title=args.include_title)
+    )
+    pos, neg = _class_counts(records)
     if not pos or not neg:  # every balanced resample needs both classes
         raise CliValidationError(
             f"corpus has {pos} productive and {neg} zero-publication record(s): "
@@ -541,7 +550,7 @@ def cmd_relevance(args, corpus: ValidationReport, lexicons: LexiconSet) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ranking, aggregated, _ = relevance_over_resamples(
-        label_records(corpus.records),
+        label_records(records),
         language=args.lang,
         lexicons=lexicons,
         include_title=args.include_title,

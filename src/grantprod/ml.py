@@ -527,6 +527,21 @@ def _pairwise_distances(queries: np.ndarray, references: np.ndarray, metric: str
     raise ValueError(f"unknown metric '{metric}'")
 
 
+def _knn_vote(neighbour_labels: np.ndarray) -> np.ndarray:
+    """Label of each row's k nearest neighbours, given nearest first."""
+    k = neighbour_labels.shape[1]
+    votes = 2 * neighbour_labels.sum(axis=1)
+    # strict majority wins; a vote tie goes to the nearest neighbor's label
+    return np.where(votes > k, 1, np.where(votes < k, 0, neighbour_labels[:, 0]))
+
+
+def _neighbour_labels(X: np.ndarray, X_train: np.ndarray, y_train: np.ndarray, metric: str):
+    """Training labels of each query row, nearest first."""
+    distances = _pairwise_distances(X, X_train, metric)
+    # stable sort: distance ties resolve by training-set order
+    return y_train[np.argsort(distances, axis=1, kind="stable")]
+
+
 @dataclass
 class KnnModel:
     X_train: np.ndarray
@@ -536,12 +551,8 @@ class KnnModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        distances = _pairwise_distances(X, self.X_train, self.metric)
-        # stable sort: distance ties resolve by training-set order
-        labels = self.y_train[np.argsort(distances, axis=1, kind="stable")[:, : self.k]]
-        votes = 2 * labels.sum(axis=1)
-        # strict majority wins; a vote tie goes to the nearest neighbor's label
-        return np.where(votes > self.k, 1, np.where(votes < self.k, 0, labels[:, 0]))
+        labels = _neighbour_labels(X, self.X_train, self.y_train, self.metric)
+        return _knn_vote(labels[:, : self.k])
 
 
 def train_knn(train: FeatureMatrix, k: int, metric: str = "euclidean") -> KnnModel:
@@ -556,6 +567,15 @@ def train_knn(train: FeatureMatrix, k: int, metric: str = "euclidean") -> KnnMod
     )
 
 
+def _knn_fold_scores(X_tr, y_tr, X_te, y_te, ks: Sequence[int], metric: str) -> list[float]:
+    """F1 of each k on one inner fold, all read from one neighbour order.
+
+    A k larger than the training split scores 0.
+    """
+    labels = _neighbour_labels(X_te, X_tr, y_tr, metric)
+    return [f1_score(_knn_vote(labels[:, :k]), y_te) if k <= y_tr.size else 0.0 for k in ks]
+
+
 def select_knn_k(
     X: np.ndarray,
     y: np.ndarray,
@@ -564,7 +584,12 @@ def select_knn_k(
     metric: str = "euclidean",
     inner_folds: int = 3,
 ) -> int:
-    """Nested grid selection of k on the training split only."""
+    """Nested grid selection of k on the training split only.
+
+    Each inner fold sorts its neighbours once and scores every k from it.
+    """
+    X = np.asarray(X, dtype=float)
+    _check_finite(X)
     candidates = [k for k in hyper.grid if k <= max(1, y.size - max(2, y.size // inner_folds))]
     if not candidates:
         candidates = [1]
@@ -572,18 +597,17 @@ def select_knn_k(
     folds_n = min(inner_folds, max(2, class_min))
     if y.size < folds_n or class_min == 0:
         return candidates[0]
+    if min(candidates) < 1:  # train_knn's check, which each k used to pass through
+        raise ValueError("k must be in [1, len(train)]")
     assignment = np.array(stratified_fold_indices(list(y), folds_n, seed))
     scores = {k: [] for k in candidates}
     for fold in range(folds_n):
         test_mask = assignment == fold
-        X_tr, y_tr = X[~test_mask], y[~test_mask]
-        X_te, y_te = X[test_mask], y[test_mask]
-        for k in candidates:
-            if k > y_tr.size:
-                scores[k].append(0.0)
-                continue
-            model = train_knn(FeatureMatrix(X_tr, y_tr), k, metric)
-            scores[k].append(f1_score(model.predict(X_te), y_te))
+        fold_scores = _knn_fold_scores(
+            X[~test_mask], y[~test_mask], X[test_mask], y[test_mask], candidates, metric
+        )
+        for k, score in zip(candidates, fold_scores):
+            scores[k].append(score)
     # best mean score; ties prefer the smaller k
     return max(candidates, key=lambda k: (sum(scores[k]) / len(scores[k]), -k))
 
@@ -619,23 +643,31 @@ def train_linear_svm(
     _check_finite(train.X)
     X, y = train.X, train.y
     n, d = X.shape
-    targets = 2.0 * y - 1.0
+    # A step costs mostly call overhead, so rows and signs are read once.
+    # Each float operation is the textbook step's, on the same operands in the
+    # same order; np.linalg.norm of a vector is sqrt(w.dot(w)).
+    rows = list(X)
+    signs = (2.0 * y - 1.0).tolist()
     lam = 1.0 / (hyper.C * n)
     radius = 1.0 / math.sqrt(lam)
     w = np.zeros(d)
+    step = np.empty(d)
     b = 0.0
     t = 0
     rng = np.random.default_rng(derive_seed(seed))
     for _ in range(hyper.epochs):
-        for i in rng.permutation(n):
+        for i in rng.permutation(n).tolist():
             t += 1
             eta = 1.0 / (lam * t)
-            margin = targets[i] * (X[i] @ w + b)
+            x, sign = rows[i], signs[i]
+            margin = sign * (x.dot(w) + b)
             w *= 1.0 - eta * lam
             if margin < 1.0:
-                w += eta * targets[i] * X[i]
-                b += eta * targets[i]
-            norm = np.linalg.norm(w)
+                coef = eta * sign
+                np.multiply(x, coef, out=step)
+                w += step
+                b += coef
+            norm = math.sqrt(w.dot(w))
             if norm > radius:
                 w *= radius / norm
     return LinearSvmModel(weights=w, bias=b)
@@ -646,12 +678,9 @@ def train_linear_svm(
 # ---------------------------------------------------------------------------
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    expz = np.exp(z[~positive])
-    out[~positive] = expz / (1.0 + expz)
-    return out
+    # e^-|z| never overflows; each branch is the stable form for its sign
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def mlp_loss_and_grad(
@@ -672,7 +701,7 @@ def mlp_loss_and_grad(
             activations.append(np.tanh(activations[-1] @ W + b))
         logits = (activations[-1] @ weights[-1] + biases[-1])[:, 0]
         # log(1 + e^z) - y z, stable for large |z|
-        loss = float(np.mean(np.logaddexp(0.0, logits) - y * logits))
+        loss = float(np.add.reduce(np.logaddexp(0.0, logits) - y * logits) / n)
 
     delta = ((_sigmoid(logits) - y) / n)[:, None]
     grad_w: list[np.ndarray] = [np.empty(0)] * len(weights)
@@ -681,7 +710,8 @@ def mlp_loss_and_grad(
         grad_w[layer] = activations[layer].T @ delta
         grad_b[layer] = delta.sum(axis=0)
         if layer > 0:
-            delta = (delta @ weights[layer].T) * (1.0 - activations[layer] ** 2)
+            a = activations[layer]
+            delta = (delta @ weights[layer].T) * (1.0 - a * a)
     return loss, grad_w, grad_b
 
 

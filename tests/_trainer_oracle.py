@@ -1,0 +1,136 @@
+"""Reference trainer loops: the textbook code the lean kernels in ``ml`` replace.
+
+``train_linear_svm``, ``_sigmoid`` and ``mlp_loss_and_grad`` are the array-call
+versions of the Pegasos step and the MLP epoch; ``select_knn_k`` scores every
+k with its own ``train_knn(...).predict``.  The rewritten kernels must give the
+same floats bit for bit, which the properties in ``test_trainer_oracle.py``
+check with exact equality.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from grantprod.corpus import stratified_fold_indices
+from grantprod.ml import (
+    FeatureMatrix,
+    KnnHyper,
+    LinearSvmModel,
+    SvmHyper,
+    _check_finite,
+    _require_nonempty,
+    f1_score,
+    train_knn,
+)
+from grantprod.seeds import derive_seed
+
+
+def train_linear_svm(
+    train: FeatureMatrix,
+    hyper: SvmHyper | None = None,
+    seed: int = 0,
+) -> LinearSvmModel:
+    """Pegasos-style stochastic subgradient descent, lambda = 1 / (C n).
+
+    The bias term is updated without regularization; the weight vector is
+    projected onto the ball of radius 1/sqrt(lambda) for stability.
+    """
+    hyper = hyper or SvmHyper()
+    _require_nonempty(train.y)
+    _check_finite(train.X)
+    X, y = train.X, train.y
+    n, d = X.shape
+    targets = 2.0 * y - 1.0
+    lam = 1.0 / (hyper.C * n)
+    radius = 1.0 / math.sqrt(lam)
+    w = np.zeros(d)
+    b = 0.0
+    t = 0
+    rng = np.random.default_rng(derive_seed(seed))
+    for _ in range(hyper.epochs):
+        for i in rng.permutation(n):
+            t += 1
+            eta = 1.0 / (lam * t)
+            margin = targets[i] * (X[i] @ w + b)
+            w *= 1.0 - eta * lam
+            if margin < 1.0:
+                w += eta * targets[i] * X[i]
+                b += eta * targets[i]
+            norm = np.linalg.norm(w)
+            if norm > radius:
+                w *= radius / norm
+    return LinearSvmModel(weights=w, bias=b)
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    positive = z >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+    expz = np.exp(z[~positive])
+    out[~positive] = expz / (1.0 + expz)
+    return out
+
+
+def mlp_loss_and_grad(
+    weights: list[np.ndarray],
+    biases: list[np.ndarray],
+    X: np.ndarray,
+    y: np.ndarray,
+) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+    """Mean cross-entropy (computed from logits) and its exact gradients.
+
+    tanh hidden layers, logistic output.  Exposed at module level so the
+    analytic gradients can be checked against finite differences.
+    """
+    n = X.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught via the loss
+        activations = [np.asarray(X, dtype=float)]
+        for W, b in zip(weights[:-1], biases[:-1]):
+            activations.append(np.tanh(activations[-1] @ W + b))
+        logits = (activations[-1] @ weights[-1] + biases[-1])[:, 0]
+        # log(1 + e^z) - y z, stable for large |z|
+        loss = float(np.mean(np.logaddexp(0.0, logits) - y * logits))
+
+    delta = ((_sigmoid(logits) - y) / n)[:, None]
+    grad_w: list[np.ndarray] = [np.empty(0)] * len(weights)
+    grad_b: list[np.ndarray] = [np.empty(0)] * len(weights)
+    for layer in range(len(weights) - 1, -1, -1):
+        grad_w[layer] = activations[layer].T @ delta
+        grad_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ weights[layer].T) * (1.0 - activations[layer] ** 2)
+    return loss, grad_w, grad_b
+
+
+def select_knn_k(
+    X: np.ndarray,
+    y: np.ndarray,
+    hyper: KnnHyper,
+    seed: int,
+    metric: str = "euclidean",
+    inner_folds: int = 3,
+) -> int:
+    """Nested grid selection of k on the training split only."""
+    candidates = [k for k in hyper.grid if k <= max(1, y.size - max(2, y.size // inner_folds))]
+    if not candidates:
+        candidates = [1]
+    class_min = min(int((y == 0).sum()), int((y == 1).sum()))
+    folds_n = min(inner_folds, max(2, class_min))
+    if y.size < folds_n or class_min == 0:
+        return candidates[0]
+    assignment = np.array(stratified_fold_indices(list(y), folds_n, seed))
+    scores = {k: [] for k in candidates}
+    for fold in range(folds_n):
+        test_mask = assignment == fold
+        X_tr, y_tr = X[~test_mask], y[~test_mask]
+        X_te, y_te = X[test_mask], y[test_mask]
+        for k in candidates:
+            if k > y_tr.size:
+                scores[k].append(0.0)
+                continue
+            model = train_knn(FeatureMatrix(X_tr, y_tr), k, metric)
+            scores[k].append(f1_score(model.predict(X_te), y_te))
+    # best mean score; ties prefer the smaller k
+    return max(candidates, key=lambda k: (sum(scores[k]) / len(scores[k]), -k))

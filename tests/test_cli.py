@@ -460,3 +460,42 @@ def test_relevance_single_class_corpus_exits_2_before_extraction(
     assert counts in capsys.readouterr().err
     assert extractions == []
     assert not out.exists()
+
+
+def test_relevance_english_exclusion(tmp_path, capsys):
+    # one record lacks the English abstract: excluded with a count, as in evaluate
+    path = tmp_path / "en.csv"
+    path.write_text(
+        "grant_id,title_pt,abstract_pt,title_en,abstract_en,area,year,publication_count\n"
+        + "\n".join(
+            f"2003/{80000 + i:05d}-{i % 10},T,Resumo bom.,"
+            f"T,{'A fine abstract.' if i else ''},MED,2003,{i % 2}"
+            for i in range(13)
+        )
+        + "\n"
+    )
+    out = tmp_path / "rel"
+    code = main([
+        "relevance", "--input", str(path), "--format", "csv", "--lang", "en",
+        "--resamples", "2", "--trees", "3", "--seed", "1", "--no-timestamp",
+        "--out", str(out),
+    ])
+    assert code == EXIT_OK
+    assert "excluded 1 record(s) lacking en text fields" in capsys.readouterr().out
+    assert (out / "relevance.csv").exists()
+
+
+def test_relevance_without_usable_records_exits_2_before_output(tmp_path, capsys):
+    path = tmp_path / "en.csv"
+    path.write_text(
+        "grant_id,title_pt,abstract_pt,title_en,abstract_en,area,year,publication_count\n"
+        + "\n".join(f"2003/{80000 + i:05d}-{i % 10},T,Resumo bom.,T,,MED,2003,{i % 2}"
+                    for i in range(4))
+        + "\n"
+    )
+    out = tmp_path / "rel"
+    code = main(["relevance", "--input", str(path), "--format", "csv", "--lang", "en",
+                 "--seed", "1", "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert "no records usable" in capsys.readouterr().err
+    assert not out.exists()

@@ -327,6 +327,18 @@ def test_svm_determinism():
     assert a.bias == b.bias
 
 
+@pytest.mark.parametrize("density", [1.0, 0.05])
+def test_numpy_identities_of_the_lean_svm_step(density):
+    # train_linear_svm computes the margin with x.dot(w) and the norm with
+    # math.sqrt(w.dot(w)); the textbook step used x @ w and np.linalg.norm
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(200, 1100)) * (rng.random((200, 1100)) < density)
+    W = rng.normal(size=(200, 1100)) * (rng.random((200, 1100)) < density)
+    for x, w in zip(X, W):
+        assert np.linalg.norm(w) == math.sqrt(w.dot(w))
+        assert (x @ w) == x.dot(w)
+
+
 # ---------------------------------------------------------------------------
 # MLP
 # ---------------------------------------------------------------------------
