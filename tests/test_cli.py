@@ -15,7 +15,8 @@ from grantprod.cli import (
     read_config_file,
 )
 
-from grantprod.topical import field_tokens
+from grantprod.corpus import load_corpus
+from grantprod.topical import FieldSelector, VectorMode, field_tokens, fit_vocabulary, vectorize
 
 from _synth import mixed_area_corpus, write_corpus_csv
 
@@ -162,6 +163,29 @@ def test_evaluate_complexity_writes_feature_matrix(canonical, tmp_path):
     assert code == EXIT_OK
     header = (out / "features_complexity.csv").read_text().splitlines()[1]
     assert header.startswith("grant_id,sentence_count,")
+
+
+def test_evaluate_raw_frequency_exports_counts_on_the_corpus_vocabulary(canonical, tmp_path):
+    out = tmp_path / "raw"
+    code = main([
+        "evaluate", "--input", str(canonical), "--features", "tfidf", "--raw-frequency",
+        "--top-x", "30", "--algo", "bayes", "--folds", "3", "--resamples", "1",
+        "--seed", "5", "--out", str(out),
+    ])
+    assert code == EXIT_OK
+    records = load_corpus(canonical, "jsonl")
+    vocabulary = fit_vocabulary(records, FieldSelector.ABSTRACT, 30, "pt")
+    expected = vectorize(
+        [field_tokens(record, FieldSelector.ABSTRACT, "pt") for record in records],
+        vocabulary,
+        VectorMode.RAW_FREQUENCY,
+    )
+    header, *rows = (out / "features_tfidf.csv").read_text().splitlines()[1:]
+    assert header.split(",") == ["grant_id"] + sorted(vocabulary.entries, key=vocabulary.entries.get)
+    assert [row.split(",")[0] for row in rows] == [record.grant_id for record in records]
+    exported = [[float(cell) for cell in row.split(",")[1:]] for row in rows]
+    assert exported == expected.tolist()
+    assert expected.max() > 1  # counts, not weights
 
 
 def test_evaluate_jobs_2_matches_jobs_1(canonical, tmp_path):

@@ -1,4 +1,4 @@
-"""Golden-output lock: three CLI runs must reproduce the checked-in files byte for byte.
+"""Golden-output lock: four CLI runs must reproduce the checked-in files byte for byte.
 
 The fixtures under ``tests/golden/`` pin the determinism contract (one seed,
 byte-identical CSV/JSON/SVG).  A change that moves floats on purpose must
@@ -36,6 +36,14 @@ RUNS = {
         "--features", "tfidf", "--top-x", "30", "--algo", "bayes,dtrees,svm",
         "--folds", "3", "--resamples", "2", "--seed", "42", "--out", "tfidf",
     ],
+    # One whole-corpus vocabulary for every fold and log(N/N_w) idf.  At
+    # --top-x 8 the per-run F1 values move if either flag is dropped.
+    "tfidf_global": [
+        "evaluate", "--input", "corpus.csv", "--format", "csv",
+        "--features", "tfidf", "--fields", "abstract", "--global-vocab",
+        "--conventional-idf", "--algo", "bayes,knn", "--top-x", "8",
+        "--folds", "3", "--resamples", "2", "--seed", "42", "--out", "tfidf_global",
+    ],
     "relevance": [
         "relevance", "--input", "corpus.csv", "--format", "csv",
         "--resamples", "3", "--trees", "10", "--seed", "42",
@@ -51,6 +59,10 @@ GOLDEN_FILES = (
     "tfidf/eval_report.json",
     "tfidf/features_tfidf.csv",
     "tfidf/vocabulary.tsv",
+    "tfidf_global/eval_summary.csv",
+    "tfidf_global/eval_report.json",
+    "tfidf_global/features_tfidf.csv",
+    "tfidf_global/vocabulary.tsv",
     "relevance/relevance.csv",
     "relevance/rank_diagram.svg",
 )
@@ -99,6 +111,7 @@ def replay(work_dir: Path, command: str, output: Path, out: str) -> None:
 ECHO_FILES = {
     "complexity": "eval_summary.csv",
     "tfidf": "eval_summary.csv",
+    "tfidf_global": "eval_summary.csv",
     "relevance": "relevance.csv",
 }
 
