@@ -17,7 +17,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .complexity import write_feature_csv
 from .corpus import (
     Area,
     CorpusError,
@@ -36,21 +35,12 @@ from .ml import (
     EvalReport,
     ForestHyper,
     TfidfFeatures,
-    complexity_vectors,
     cross_validate,
     relevance_over_resamples,
 )
 from .relevance import write_rank_diagram, write_ranking_csv
 from .textproc import SUPPORTED_LANGUAGES, LexiconSet, builtin_lexicons, load_lexicons
-from .topical import (
-    FieldSelector,
-    IdfVariant,
-    VectorMode,
-    field_tokens,
-    fit_vocabulary,
-    save_vocabulary,
-    vectorize,
-)
+from .topical import FieldSelector, IdfVariant, VectorMode
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -84,6 +74,12 @@ class CliValidationError(Exception):
 RUN_MINIMUMS = {
     "evaluate": {"top_x": 1, "folds": 2, "resamples": 1, "jobs": 1},
     "relevance": {"resamples": 2, "trees": 1},
+}
+
+# Per --features value, the store-true options of evaluate that it does not read.
+_UNREAD_FLAGS = {
+    "complexity": ("global_vocab", "raw_frequency", "conventional_idf"),
+    "tfidf": ("include_title",),
 }
 
 # Parsed options left out of the config echo: the subcommand is named by the
@@ -340,6 +336,8 @@ def _parse_algos(value: str) -> tuple[str, ...]:
                 f"unknown algorithm '{name}' (expected {', '.join(ALGO_CHOICES)} or all)"
             )
         algorithms.extend(ALGO_CHOICES[name])
+    if not algorithms:
+        raise CliValidationError("--algo selects no algorithm")
     return tuple(dict.fromkeys(algorithms))
 
 
@@ -398,38 +396,6 @@ def _write_summary_csv(path: Path, rows: list[dict], echo: dict) -> None:
             ])
 
 
-def _export_feature_matrix(records, feature_config, lexicons, out_dir: Path, echo: dict) -> None:
-    comment = json.dumps(echo, sort_keys=True)
-    if feature_config.family == "complexity":
-        write_feature_csv(
-            out_dir / "features_complexity.csv",
-            [r.grant_id for r in records],
-            complexity_vectors(
-                records, feature_config.language, lexicons, feature_config.include_title
-            ),
-            header_comment=comment,
-        )
-    else:
-        # the exported matrix uses a whole-corpus vocabulary fit; per-fold
-        # vocabularies exist only inside cross-validation
-        selector, language = feature_config.selector, feature_config.language
-        vocabulary = fit_vocabulary(records, selector, feature_config.top_x, language)
-        save_vocabulary(vocabulary, out_dir / "vocabulary.tsv")
-        words = sorted(vocabulary.entries, key=vocabulary.entries.get)
-        matrix = vectorize(
-            [field_tokens(record, selector, language) for record in records],
-            vocabulary,
-            feature_config.mode,
-            feature_config.idf_variant,
-        )
-        with open(out_dir / "features_tfidf.csv", "w", newline="", encoding="utf-8") as handle:
-            handle.write(f"# {comment}\n")
-            writer = csv.writer(handle)
-            writer.writerow(["grant_id"] + words)
-            for record, row in zip(records, matrix):
-                writer.writerow([record.grant_id] + [repr(v) if v else "0" for v in row.tolist()])
-
-
 def _class_counts(records: list[GrantRecord]) -> tuple[int, int]:
     """Productive and zero-publication record counts."""
     pos = sum(1 for r in records if derive_label(r.publication_count) is Label.PRODUCTIVE)
@@ -438,6 +404,11 @@ def _class_counts(records: list[GrantRecord]) -> tuple[int, int]:
 
 def cmd_evaluate(args, corpus: ValidationReport, lexicons: LexiconSet) -> int:
     algorithms = _parse_algos(args.algo)
+    for key in _UNREAD_FLAGS[args.features]:
+        if getattr(args, key):
+            raise CliValidationError(
+                f"--{key.replace('_', '-')} does not apply to --features {args.features}"
+            )
     feature_config = _feature_config(args)
     records = _usable_records(corpus.records, feature_config)
 
@@ -517,7 +488,7 @@ def cmd_evaluate(args, corpus: ValidationReport, lexicons: LexiconSet) -> int:
         json.dumps(full, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     try:
-        _export_feature_matrix(records, feature_config, lexicons, out_dir, echo)
+        feature_config.export(records, lexicons, out_dir, json.dumps(echo, sort_keys=True))
     except Exception as exc:
         failures.append({"dataset": "*", "method": "feature_export", "error": str(exc)})
 
@@ -537,9 +508,8 @@ def cmd_evaluate(args, corpus: ValidationReport, lexicons: LexiconSet) -> int:
 
 
 def cmd_relevance(args, corpus: ValidationReport, lexicons: LexiconSet) -> int:
-    records = _usable_records(
-        corpus.records, ComplexityFeatures(language=args.lang, include_title=args.include_title)
-    )
+    features = ComplexityFeatures(language=args.lang, include_title=args.include_title)
+    records = _usable_records(corpus.records, features)
     pos, neg = _class_counts(records)
     if not pos or not neg:  # every balanced resample needs both classes
         raise CliValidationError(
@@ -551,9 +521,8 @@ def cmd_relevance(args, corpus: ValidationReport, lexicons: LexiconSet) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     ranking, aggregated, _ = relevance_over_resamples(
         label_records(records),
-        language=args.lang,
+        features,
         lexicons=lexicons,
-        include_title=args.include_title,
         n_resamples=args.resamples,
         base_seed=args.seed,
         forest_hyper=ForestHyper(n_trees=args.trees),

@@ -9,15 +9,22 @@ which the relevance stage derives Gini impurity decreases.
 
 from __future__ import annotations
 
+import csv
 import math
 import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Iterator, Sequence
+from pathlib import Path
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
-from .complexity import COMPLEXITY_SCHEMA, ComplexityVector, extract_complexity_vector
+from .complexity import (
+    COMPLEXITY_SCHEMA,
+    ComplexityVector,
+    extract_complexity_vector,
+    write_feature_csv,
+)
 from .corpus import (
     GrantRecord,
     Label,
@@ -42,16 +49,11 @@ from .topical import (
     document_text,
     field_text,
     field_tokens,
+    fit_vocabulary,
     fit_vocabulary_from_tokens,
+    save_vocabulary,
     vectorize,
 )
-
-ALGORITHMS = ("dtree", "random_forest", "knn", "naive_bayes", "linear_svm", "mlp")
-
-# Dense complexity features are standardized for the geometry/gradient-based
-# learners; trees are scale-invariant and the Gaussian likelihood handles
-# scale itself.  Sparse tf-idf features are used as-is for every learner.
-STANDARDIZED_ALGORITHMS = frozenset({"knn", "linear_svm", "mlp"})
 
 _SALT_RESAMPLE = 101
 _SALT_FOLD = 202
@@ -219,6 +221,18 @@ class MlpHyper:
     def __post_init__(self):
         if not self.hidden_layers or any(h < 1 for h in self.hidden_layers):
             raise ValueError("hidden layers must all have at least one unit")
+
+
+# The algorithms cross_validate runs, each with the hyperparameters it trains
+# with (Naive Bayes has none).
+DEFAULT_HYPER = {
+    "dtree": TreeHyper(),
+    "random_forest": ForestHyper(),
+    "knn": KnnHyper(),
+    "naive_bayes": None,
+    "linear_svm": SvmHyper(),
+    "mlp": MlpHyper(),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -825,15 +839,44 @@ def significance_pvalue(n_correct: int, n_total: int, p_dominant: float) -> floa
 # Cross-validation protocol
 # ---------------------------------------------------------------------------
 
+# A feature family prepares the records once per cross_validate call, builds each
+# fold's matrices from that and exports the matrix; asdict (the config echo)
+# skips the class constants the learners read.
+
 @dataclass(frozen=True)
 class ComplexityFeatures:
     language: str = "pt"
     include_title: bool = False
     family: str = "complexity"
 
+    # Dense features are standardized for the geometry/gradient-based
+    # learners; trees are scale-invariant and the Gaussian likelihood handles
+    # scale itself.
+    standardized: ClassVar[frozenset[str]] = frozenset({"knn", "linear_svm", "mlp"})
+    likelihood: ClassVar[str] = "gaussian"
+    metric: ClassVar[str] = "euclidean"
+
     def text(self, record: GrantRecord) -> tuple[str, ...]:
         """The text these features are extracted from; raises MissingFieldError."""
         return document_text(record, self.language, self.include_title)
+
+    def prepare(self, records, lexicons=None) -> np.ndarray:
+        """Raw complexity matrix with NaN where a metric is missing."""
+        return complexity_rows(records, self.language, lexicons, self.include_title)
+
+    def fold_matrices(self, prepared, train_rows, test_rows) -> tuple[np.ndarray, np.ndarray]:
+        """Training and test rows, missing values imputed with the training medians."""
+        train, test = prepared[train_rows], prepared[test_rows]
+        medians = fit_median_imputer(train)
+        return apply_imputer(train, medians), apply_imputer(test, medians)
+
+    def export(self, records, lexicons: LexiconSet, out_dir: Path, comment: str) -> None:
+        write_feature_csv(
+            out_dir / "features_complexity.csv",
+            [r.grant_id for r in records],
+            complexity_vectors(records, self.language, lexicons, self.include_title),
+            header_comment=comment,
+        )
 
 
 @dataclass(frozen=True)
@@ -846,9 +889,46 @@ class TfidfFeatures:
     per_fold_vocabulary: bool = True
     family: str = "tfidf"
 
+    # Sparse tf-idf features are used as-is for every learner.
+    standardized: ClassVar[frozenset[str]] = frozenset()
+    likelihood: ClassVar[str] = "multinomial"
+    metric: ClassVar[str] = "cosine"
+
     def text(self, record: GrantRecord) -> str:
         """The text these features are extracted from; raises MissingFieldError."""
         return field_text(record, self.selector, self.language)
+
+    def prepare(self, records, lexicons=None) -> tuple[list[list[str]], Vocabulary | None]:
+        """Each record's tokens, and the whole-corpus vocabulary unless it is fitted per fold."""
+        token_lists = [field_tokens(record, self.selector, self.language) for record in records]
+        if self.per_fold_vocabulary:
+            return token_lists, None
+        return token_lists, fit_vocabulary_from_tokens(token_lists, self.top_x)
+
+    def fold_matrices(self, prepared, train_rows, test_rows) -> tuple[np.ndarray, np.ndarray]:
+        token_lists, vocabulary = prepared
+        return tfidf_fold_matrices(
+            token_lists, train_rows, test_rows, self.top_x, self.mode, self.idf_variant, vocabulary
+        )[:2]
+
+    def export(self, records, lexicons: LexiconSet, out_dir: Path, comment: str) -> None:
+        # the exported matrix uses a whole-corpus vocabulary fit; per-fold
+        # vocabularies exist only inside cross-validation
+        vocabulary = fit_vocabulary(records, self.selector, self.top_x, self.language)
+        save_vocabulary(vocabulary, out_dir / "vocabulary.tsv")
+        words = sorted(vocabulary.entries, key=vocabulary.entries.get)
+        matrix = vectorize(
+            [field_tokens(record, self.selector, self.language) for record in records],
+            vocabulary,
+            self.mode,
+            self.idf_variant,
+        )
+        with open(out_dir / "features_tfidf.csv", "w", newline="", encoding="utf-8") as handle:
+            handle.write(f"# {comment}\n")
+            writer = csv.writer(handle)
+            writer.writerow(["grant_id"] + words)
+            for record, row in zip(records, matrix):
+                writer.writerow([record.grant_id] + [repr(v) if v else "0" for v in row.tolist()])
 
 
 def _config_echo(feature_config, algorithm, k, n_resamples, base_seed, hyper) -> dict:
@@ -884,28 +964,16 @@ class EvalReport:
         return asdict(self)
 
 
-def _default_hyper(algorithm: str):
-    return {
-        "dtree": TreeHyper(),
-        "random_forest": ForestHyper(),
-        "knn": KnnHyper(),
-        "naive_bayes": None,
-        "linear_svm": SvmHyper(),
-        "mlp": MlpHyper(),
-    }[algorithm]
-
-
-def _train_for_cell(algorithm, X, y, hyper, seed, feature_family, knn_seed):
+def _train_for_cell(algorithm, X, y, hyper, seed, feature_config, knn_seed):
     matrix = FeatureMatrix(X, y)
     if algorithm == "dtree":
         return train_decision_tree(matrix, hyper)
     if algorithm == "random_forest":
         return train_random_forest(matrix, hyper, seed)
     if algorithm == "naive_bayes":
-        likelihood = "gaussian" if feature_family == "complexity" else "multinomial"
-        return train_naive_bayes(matrix, likelihood)
+        return train_naive_bayes(matrix, feature_config.likelihood)
     if algorithm == "knn":
-        metric = hyper.metric or ("cosine" if feature_family == "tfidf" else "euclidean")
+        metric = hyper.metric or feature_config.metric
         if hyper.k is not None:
             k_value = hyper.k
         else:
@@ -925,7 +993,6 @@ def cross_validate(
     k: int = 10,
     n_resamples: int = 10,
     base_seed: int = 0,
-    hyper=None,
     lexicons: LexiconSet | None = None,
 ) -> EvalReport:
     """Balanced-resample x stratified k-fold evaluation of one algorithm.
@@ -933,27 +1000,10 @@ def cross_validate(
     Per-run F1 values are collected resample-major, fold order within, so the
     report is bit-reproducible for a given base seed.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm '{algorithm}' (expected one of {ALGORITHMS})")
-    if hyper is None:
-        hyper = _default_hyper(algorithm)
-
-    records = [record for record, _ in labeled]
-    if feature_config.family == "complexity":
-        raw_rows = complexity_rows(
-            records, feature_config.language, lexicons, feature_config.include_title
-        )
-        token_lists = None
-        global_vocab = None
-    else:
-        token_lists = [
-            field_tokens(record, feature_config.selector, feature_config.language)
-            for record in records
-        ]
-        raw_rows = None
-        global_vocab = None
-        if not feature_config.per_fold_vocabulary:
-            global_vocab = fit_vocabulary_from_tokens(token_lists, feature_config.top_x)
+    if algorithm not in DEFAULT_HYPER:
+        raise ValueError(f"unknown algorithm '{algorithm}' (expected one of {tuple(DEFAULT_HYPER)})")
+    hyper = DEFAULT_HYPER[algorithm]
+    prepared = feature_config.prepare([record for record, _ in labeled], lexicons)
 
     per_run_f1: list[float] = []
     per_run_macro: list[float] = []
@@ -977,24 +1027,11 @@ def cross_validate(
             y_train = y_ds[~test_mask]
             y_test = y_ds[test_mask]
 
-            if feature_config.family == "complexity":
-                medians = fit_median_imputer(raw_rows[train_rows])
-                X_train = apply_imputer(raw_rows[train_rows], medians)
-                X_test = apply_imputer(raw_rows[test_rows], medians)
-                if algorithm in STANDARDIZED_ALGORITHMS:
-                    mean, std = fit_standardizer(X_train)
-                    X_train = apply_standardizer(X_train, mean, std)
-                    X_test = apply_standardizer(X_test, mean, std)
-            else:
-                X_train, X_test, _ = tfidf_fold_matrices(
-                    token_lists,
-                    train_rows,
-                    test_rows,
-                    feature_config.top_x,
-                    feature_config.mode,
-                    feature_config.idf_variant,
-                    vocabulary=global_vocab,
-                )
+            X_train, X_test = feature_config.fold_matrices(prepared, train_rows, test_rows)
+            if algorithm in feature_config.standardized:
+                mean, std = fit_standardizer(X_train)
+                X_train = apply_standardizer(X_train, mean, std)
+                X_test = apply_standardizer(X_test, mean, std)
 
             model = _train_for_cell(
                 algorithm,
@@ -1002,7 +1039,7 @@ def cross_validate(
                 y_train,
                 hyper,
                 derive_seed(base_seed, _SALT_TRAIN, r, fold),
-                feature_config.family,
+                feature_config,
                 derive_seed(base_seed, _SALT_KNN, r, fold),
             )
             predictions = model.predict(X_test)
@@ -1039,28 +1076,23 @@ def cross_validate(
 
 def relevance_over_resamples(
     labeled: Sequence[tuple[GrantRecord, Label]],
-    language: str = "pt",
+    features: ComplexityFeatures = ComplexityFeatures(),
     lexicons: LexiconSet | None = None,
-    include_title: bool = False,
     n_resamples: int = 10,
     base_seed: int = 0,
     forest_hyper: ForestHyper | None = None,
     weighting: str = "node_mean",
-    alpha: float = 0.05,
 ) -> tuple[list[RankingRow], FeatureRelevanceReport, list[FeatureRelevanceReport]]:
     """Train one forest per balanced resample on complexity features and rank.
 
     Resample seeds match those used by :func:`cross_validate` for the same
     base seed, so relevance runs line up with evaluation runs.
     """
-    records = [record for record, _ in labeled]
-    raw_rows = complexity_rows(records, language, lexicons, include_title)
+    prepared = features.prepare([record for record, _ in labeled], lexicons)
     reports = []
     for r in range(n_resamples):
         dataset = balanced_resample(labeled, derive_seed(base_seed, _SALT_RESAMPLE, r))
-        rows = raw_rows[list(dataset.source_indices)]
-        medians = fit_median_imputer(rows)
-        X = apply_imputer(rows, medians)
+        X, _ = features.fold_matrices(prepared, list(dataset.source_indices), [])
         y = np.array([label.value for _, label in dataset.instances])
         forest = train_random_forest(
             FeatureMatrix(X, y),
@@ -1071,7 +1103,5 @@ def relevance_over_resamples(
     aggregated = aggregate_relevance(reports)
     ranking = average_rank(aggregated)
     if n_resamples >= 2:
-        aggregated.critical_difference = critical_difference(
-            aggregated.average_rank, n_resamples, alpha
-        )
+        aggregated.critical_difference = critical_difference(aggregated.average_rank, n_resamples)
     return ranking, aggregated, reports

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 from dataclasses import replace
@@ -282,6 +283,37 @@ def test_evaluate_area_smaller_than_folds_exits_2(tmp_path, capsys, publications
     assert not out.exists()  # checked before any output or extraction
 
 
+@pytest.mark.parametrize("algo", [",", " , ,"])
+def test_evaluate_without_algorithm_exits_2_before_output(canonical, tmp_path, capsys, algo):
+    out = tmp_path / "none"
+    code = main(["evaluate", "--input", str(canonical), "--algo", algo, "--folds", "2",
+                 "--resamples", "1", "--seed", "1", "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert "--algo selects no algorithm" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("features, flag", [
+    ("tfidf", "--include-title"),
+    ("complexity", "--global-vocab"),
+    ("complexity", "--raw-frequency"),
+    ("complexity", "--conventional-idf"),
+])
+def test_flag_of_the_other_family_exits_2_and_names_it(
+    canonical, tmp_path, capsys, monkeypatch, features, flag
+):
+    cells = []
+    monkeypatch.setattr(cli, "cross_validate", lambda *a, **k: cells.append(a))
+    out = tmp_path / "other"
+    code = main(["evaluate", "--input", str(canonical), "--features", features, flag,
+                 "--algo", "bayes", "--folds", "2", "--resamples", "1", "--seed", "1",
+                 "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert f"{flag} does not apply to --features {features}" in capsys.readouterr().err
+    assert cells == []
+    assert not out.exists()
+
+
 def test_evaluate_failure_manifest(canonical, tmp_path, monkeypatch):
     # a failing cell does not stop the others; the run flushes and exits 3
     def fail(*args, **kwargs):
@@ -507,6 +539,31 @@ def test_relevance_english_exclusion(tmp_path, capsys):
     assert code == EXIT_OK
     assert "excluded 1 record(s) lacking en text fields" in capsys.readouterr().out
     assert (out / "relevance.csv").exists()
+
+
+def test_relevance_extracts_with_its_language_and_title_setting(tmp_path, monkeypatch):
+    path = tmp_path / "en.csv"
+    path.write_text(
+        "grant_id,title_pt,abstract_pt,title_en,abstract_en,area,year,publication_count\n"
+        + "\n".join(f"2003/{80000 + i:05d}-{i % 10},T,Resumo bom.,Case study,"
+                    f"A fine abstract.,MED,2003,{i % 2}" for i in range(12))
+        + "\n"
+    )
+    extract = ml.complexity_rows
+    settings = []
+
+    def recording(*args, **kwargs):
+        bound = inspect.signature(extract).bind(*args, **kwargs)
+        bound.apply_defaults()
+        settings.append((bound.arguments["language"], bound.arguments["include_title"]))
+        return extract(*args, **kwargs)
+
+    monkeypatch.setattr(ml, "complexity_rows", recording)
+    code = main(["relevance", "--input", str(path), "--format", "csv", "--lang", "en",
+                 "--include-title", "--resamples", "2", "--trees", "3", "--seed", "1",
+                 "--no-timestamp", "--out", str(tmp_path / "rel")])
+    assert code == EXIT_OK
+    assert settings == [("en", True)]
 
 
 def test_relevance_without_usable_records_exits_2_before_output(tmp_path, capsys):
