@@ -76,10 +76,14 @@ RUN_MINIMUMS = {
     "relevance": {"resamples": 2, "trees": 1},
 }
 
-# Per --features value, the store-true options of evaluate that it does not read.
-_UNREAD_FLAGS = {
-    "complexity": ("global_vocab", "raw_frequency", "conventional_idf"),
-    "tfidf": ("include_title",),
+# The evaluate options that only one feature family reads, each with the value
+# it reads when the option is unset (None); both families read every other
+# option.  A run rejects each option of the other family that is neither None
+# nor False.
+FAMILY_OPTIONS = {
+    "complexity": {"include_title": False, "lexicon_dir": None},
+    "tfidf": {"fields": "abstract", "top_x": 1100, "global_vocab": False,
+              "raw_frequency": False, "conventional_idf": False},
 }
 
 # Parsed options left out of the config echo: the subcommand is named by the
@@ -156,7 +160,6 @@ def read_config_file(path: str | Path) -> dict:
 def _add_common_io(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", help="corpus file")
     parser.add_argument("--format", choices=("csv", "jsonl"), default="jsonl")
-    parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--config", help="key = value file mirroring the flags; flags win")
 
 
@@ -184,10 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="run the resample x k-fold evaluation grid")
     _add_common_io(p_eval)
     _add_common_run(p_eval)
-    p_eval.add_argument("--fields", choices=sorted(FIELD_CHOICES), default="abstract")
+    p_eval.add_argument("--fields", choices=sorted(FIELD_CHOICES),
+                        help="tf-idf text field (default abstract)")
     p_eval.add_argument("--features", choices=("complexity", "tfidf"), default="complexity")
-    p_eval.add_argument("--top-x", dest="top_x", type=int, default=1100,
-                        help=f"vocabulary truncation; presets {TOP_X_PRESETS} or any positive N")
+    p_eval.add_argument("--top-x", dest="top_x", type=int, help=f"tf-idf vocabulary "
+                        f"truncation (default 1100); presets {TOP_X_PRESETS} or any positive N")
     p_eval.add_argument("--algo", default="dtrees",
                         help="comma-separated subset of dtrees,svm,knn,bayes,mlp or 'all'")
     p_eval.add_argument("--folds", type=int, default=10)
@@ -208,6 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rel.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp header from the SVG diagram")
 
+    for writer in (p_ingest, p_eval, p_rel):  # stats only prints
+        writer.add_argument("--out", default="out", help="output directory")
     return parser
 
 
@@ -245,6 +251,13 @@ def _echo(args: argparse.Namespace) -> dict:
     return {"tool": f"grantprod {__version__}", **options}
 
 
+def _family_options(args: argparse.Namespace) -> dict:
+    """The options the selected feature family reads, an unset one at its default."""
+    given = vars(args)
+    return {key: default if given[key] is None else given[key]
+            for key, default in FAMILY_OPTIONS[args.features].items()}
+
+
 def _preflight(args: argparse.Namespace) -> tuple[ValidationReport, LexiconSet | None]:
     """Every check that needs no extraction or output; raises CliValidationError.
 
@@ -258,8 +271,17 @@ def _preflight(args: argparse.Namespace) -> tuple[ValidationReport, LexiconSet |
         if args.seed is None:
             raise CliValidationError("--seed is required (runs never default to the clock)")
         for key, minimum in minimums.items():
-            if getattr(args, key) < minimum:
+            if getattr(args, key) is not None and getattr(args, key) < minimum:
                 raise CliValidationError(f"--{key.replace('_', '-')} must be >= {minimum}")
+    if args.command == "evaluate":  # an option the run does not read is an error
+        unread = [key for family, keys in FAMILY_OPTIONS.items() if family != args.features
+                  for key in keys if getattr(args, key) not in (None, False)]
+        if unread:
+            raise CliValidationError(
+                f"--{unread[0].replace('_', '-')} does not apply to --features {args.features}")
+        if args.raw_frequency and args.conventional_idf:
+            raise CliValidationError("--conventional-idf does not apply to --raw-frequency")
+        vars(args).update(_family_options(args))  # the echo shows what the family read
     lexicons = None
     try:
         if args.command == "ingest":
@@ -364,15 +386,16 @@ def _usable_records(records: list[GrantRecord], feature_config) -> list[GrantRec
 
 
 def _feature_config(args):
+    options = _family_options(args)
     if args.features == "complexity":
-        return ComplexityFeatures(language=args.lang, include_title=args.include_title)
+        return ComplexityFeatures(language=args.lang, include_title=options["include_title"])
     return TfidfFeatures(
         language=args.lang,
-        selector=FIELD_CHOICES[args.fields],
-        top_x=args.top_x,
-        mode=VectorMode.RAW_FREQUENCY if args.raw_frequency else VectorMode.TFIDF,
-        idf_variant=IdfVariant.LOG_QUOTIENT if args.conventional_idf else IdfVariant.LOG_RATIO,
-        per_fold_vocabulary=not args.global_vocab,
+        selector=FIELD_CHOICES[options["fields"]],
+        top_x=options["top_x"],
+        mode=VectorMode.RAW_FREQUENCY if options["raw_frequency"] else VectorMode.TFIDF,
+        idf_variant=IdfVariant.LOG_QUOTIENT if options["conventional_idf"] else IdfVariant.LOG_RATIO,
+        per_fold_vocabulary=not options["global_vocab"],
     )
 
 
@@ -404,11 +427,6 @@ def _class_counts(records: list[GrantRecord]) -> tuple[int, int]:
 
 def cmd_evaluate(args, corpus: ValidationReport, lexicons: LexiconSet) -> int:
     algorithms = _parse_algos(args.algo)
-    for key in _UNREAD_FLAGS[args.features]:
-        if getattr(args, key):
-            raise CliValidationError(
-                f"--{key.replace('_', '-')} does not apply to --features {args.features}"
-            )
     feature_config = _feature_config(args)
     records = _usable_records(corpus.records, feature_config)
 

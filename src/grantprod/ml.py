@@ -201,9 +201,7 @@ class ForestHyper:
 
 @dataclass(frozen=True)
 class KnnHyper:
-    k: int | None = None       # None -> nested grid selection on training folds
-    metric: str | None = None  # None -> euclidean for dense, cosine for tf-idf
-    grid: tuple[int, ...] = (1, 3, 5, 7, 11, 15)
+    grid: tuple[int, ...] = (1, 3, 5, 7, 11, 15)  # k candidates for nested selection
 
 
 @dataclass(frozen=True)
@@ -277,19 +275,6 @@ def _entropy_bits_vec(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
         mask = p > 0
         out[mask] -= p[mask] * np.log2(p[mask])
     return out
-
-
-def information_gain(y: np.ndarray, left_mask: np.ndarray) -> float:
-    """Entropy of the labels minus the split-conditional entropy, in bits."""
-    y = np.asarray(y)
-    left_mask = np.asarray(left_mask, dtype=bool)
-    n = y.size
-    n_left = int(left_mask.sum())
-    n_right = n - n_left
-    parent = _entropy_bits(int(y.sum()), n)
-    left = _entropy_bits(int(y[left_mask].sum()), n_left)
-    right = _entropy_bits(int(y[~left_mask].sum()), n_right)
-    return parent - (n_left / n) * left - (n_right / n) * right
 
 
 def _best_split(X, y, features, min_leaf):
@@ -458,8 +443,8 @@ class NaiveBayesModel:
     variances: np.ndarray | None           # gaussian: (2, d)
     feature_log_prob: np.ndarray | None    # multinomial: (2, d)
 
-    def decision_scores(self, X: np.ndarray, include_prior: bool = True) -> np.ndarray:
-        """Per-class log-likelihood sums, optionally plus the log prior."""
+    def decision_scores(self, X: np.ndarray) -> np.ndarray:
+        """Per-class log-likelihood sums plus the log prior."""
         X = np.asarray(X, dtype=float)
         if self.likelihood == "gaussian":
             scores = np.empty((X.shape[0], 2))
@@ -470,9 +455,7 @@ class NaiveBayesModel:
                 ).sum(axis=1)
         else:
             scores = X @ self.feature_log_prob.T
-        if include_prior:
-            scores = scores + self.log_prior
-        return scores
+        return scores + self.log_prior
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.decision_scores(X), axis=1)
@@ -840,14 +823,15 @@ def significance_pvalue(n_correct: int, n_total: int, p_dominant: float) -> floa
 # ---------------------------------------------------------------------------
 
 # A feature family prepares the records once per cross_validate call, builds each
-# fold's matrices from that and exports the matrix; asdict (the config echo)
-# skips the class constants the learners read.
+# fold's matrices from that and exports the matrix.  Its settings are the
+# fields; the family name and the constants the learners read are class
+# constants, which asdict (the config echo) skips.
 
 @dataclass(frozen=True)
 class ComplexityFeatures:
     language: str = "pt"
     include_title: bool = False
-    family: str = "complexity"
+    family: ClassVar[str] = "complexity"
 
     # Dense features are standardized for the geometry/gradient-based
     # learners; trees are scale-invariant and the Gaussian likelihood handles
@@ -887,7 +871,7 @@ class TfidfFeatures:
     mode: VectorMode = VectorMode.TFIDF
     idf_variant: IdfVariant = IdfVariant.LOG_RATIO
     per_fold_vocabulary: bool = True
-    family: str = "tfidf"
+    family: ClassVar[str] = "tfidf"
 
     # Sparse tf-idf features are used as-is for every learner.
     standardized: ClassVar[frozenset[str]] = frozenset()
@@ -935,6 +919,7 @@ def _config_echo(feature_config, algorithm, k, n_resamples, base_seed, hyper) ->
     features = {}
     for key, value in asdict(feature_config).items():
         features[key] = value.value if hasattr(value, "value") else value
+    features["family"] = feature_config.family
     return {
         "algorithm": algorithm,
         "features": features,
@@ -973,12 +958,8 @@ def _train_for_cell(algorithm, X, y, hyper, seed, feature_config, knn_seed):
     if algorithm == "naive_bayes":
         return train_naive_bayes(matrix, feature_config.likelihood)
     if algorithm == "knn":
-        metric = hyper.metric or feature_config.metric
-        if hyper.k is not None:
-            k_value = hyper.k
-        else:
-            k_value = select_knn_k(X, y, hyper, knn_seed, metric)
-        return train_knn(matrix, min(k_value, y.size), metric)
+        metric = feature_config.metric
+        return train_knn(matrix, select_knn_k(X, y, hyper, knn_seed, metric), metric)
     if algorithm == "linear_svm":
         return train_linear_svm(matrix, hyper, seed)
     if algorithm == "mlp":

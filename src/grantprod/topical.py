@@ -222,25 +222,3 @@ def save_vocabulary(vocabulary: Vocabulary, path: str | Path) -> None:
         handle.write(f"N={vocabulary.corpus_size}\ttop_x={vocabulary.top_x}\n")
         for word, index in sorted(vocabulary.entries.items(), key=lambda item: item[1]):
             handle.write(f"{word}\t{index}\t{vocabulary.doc_freq[word]}\n")
-
-
-def load_vocabulary(path: str | Path) -> Vocabulary:
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty vocabulary file")
-    header = dict(part.split("=", 1) for part in lines[0].split("\t"))
-    entries: dict[str, int] = {}
-    doc_freq: dict[str, int] = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        word, index, n_w = line.split("\t")
-        entries[word] = int(index)
-        doc_freq[word] = int(n_w)
-    return Vocabulary(
-        entries=entries,
-        doc_freq=doc_freq,
-        corpus_size=int(header["N"]),
-        top_x=int(header["top_x"]),
-    )

@@ -4,7 +4,8 @@
 versions of the Pegasos step and the MLP epoch; ``select_knn_k`` scores every
 k with its own ``train_knn(...).predict``.  The rewritten kernels must give the
 same floats bit for bit, which the properties in ``test_trainer_oracle.py``
-check with exact equality.
+check with exact equality.  ``information_gain`` scores one split from its
+mask, the quantity the tree's split search maximizes.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from grantprod.ml import (
     LinearSvmModel,
     SvmHyper,
     _check_finite,
+    _entropy_bits,
     _require_nonempty,
     f1_score,
     train_knn,
@@ -134,3 +136,16 @@ def select_knn_k(
             scores[k].append(f1_score(model.predict(X_te), y_te))
     # best mean score; ties prefer the smaller k
     return max(candidates, key=lambda k: (sum(scores[k]) / len(scores[k]), -k))
+
+
+def information_gain(y: np.ndarray, left_mask: np.ndarray) -> float:
+    """Entropy of the labels minus the split-conditional entropy, in bits."""
+    y = np.asarray(y)
+    left_mask = np.asarray(left_mask, dtype=bool)
+    n = y.size
+    n_left = int(left_mask.sum())
+    n_right = n - n_left
+    parent = _entropy_bits(int(y.sum()), n)
+    left = _entropy_bits(int(y[left_mask].sum()), n_left)
+    right = _entropy_bits(int(y[~left_mask].sum()), n_right)
+    return parent - (n_left / n) * left - (n_right / n) * right

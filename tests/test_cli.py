@@ -2,6 +2,7 @@ import inspect
 import itertools
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +118,14 @@ def test_stats_empty_corpus(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text(HEADER)
     assert main(["stats", "--input", str(path), "--format", "csv"]) == EXIT_VALIDATION
+
+
+def test_stats_rejects_an_out_config_key(canonical, tmp_path, capsys):
+    # stats only prints, so it has no output directory to set
+    config = tmp_path / "stats.conf"
+    config.write_text("out = x\n")
+    assert main(["stats", "--input", str(canonical), "--config", str(config)]) == EXIT_VALIDATION
+    assert "config key 'out' is not an option of 'stats'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -293,25 +302,79 @@ def test_evaluate_without_algorithm_exits_2_before_output(canonical, tmp_path, c
     assert not out.exists()
 
 
-@pytest.mark.parametrize("features, flag", [
-    ("tfidf", "--include-title"),
-    ("complexity", "--global-vocab"),
-    ("complexity", "--raw-frequency"),
-    ("complexity", "--conventional-idf"),
+LEXICON_DIR = str(Path(cli.__file__).parent / "data" / "pt")  # an existing lexicon directory
+
+# Options a run does not read: --features, the option as flags and as config
+# lines, and the error naming it.
+UNREAD_OPTIONS = [
+    ("tfidf", ["--include-title"], "include_title = true",
+     "--include-title does not apply to --features tfidf"),
+    ("tfidf", ["--lexicon-dir", LEXICON_DIR], f"lexicon_dir = {LEXICON_DIR}",
+     "--lexicon-dir does not apply to --features tfidf"),
+    ("complexity", ["--fields", "title"], "fields = title",
+     "--fields does not apply to --features complexity"),
+    ("complexity", ["--top-x", "7"], "top_x = 7",
+     "--top-x does not apply to --features complexity"),
+    ("complexity", ["--global-vocab"], "global_vocab = true",
+     "--global-vocab does not apply to --features complexity"),
+    ("complexity", ["--raw-frequency"], "raw_frequency = yes",
+     "--raw-frequency does not apply to --features complexity"),
+    ("complexity", ["--conventional-idf"], "conventional_idf = 1",
+     "--conventional-idf does not apply to --features complexity"),
+    ("tfidf", ["--raw-frequency", "--conventional-idf"],
+     "raw_frequency = true\nconventional_idf = true",
+     "--conventional-idf does not apply to --raw-frequency"),
+]
+
+
+@pytest.mark.parametrize("features, argv, config, message", [
+    pytest.param(features, argv if given_as == "flag" else None, config, message,
+                 id=f"{features}-{message.split()[0]}" + ("" if given_as == "flag" else "-config"))
+    for given_as in ("flag", "config")
+    for features, argv, config, message in UNREAD_OPTIONS
 ])
 def test_flag_of_the_other_family_exits_2_and_names_it(
-    canonical, tmp_path, capsys, monkeypatch, features, flag
+    canonical, tmp_path, capsys, monkeypatch, features, argv, config, message
 ):
     cells = []
     monkeypatch.setattr(cli, "cross_validate", lambda *a, **k: cells.append(a))
+    if argv is None:
+        (tmp_path / "unread.conf").write_text(config + "\n")
+        argv = ["--config", str(tmp_path / "unread.conf")]
     out = tmp_path / "other"
-    code = main(["evaluate", "--input", str(canonical), "--features", features, flag,
+    code = main(["evaluate", "--input", str(canonical), "--features", features, *argv,
                  "--algo", "bayes", "--folds", "2", "--resamples", "1", "--seed", "1",
                  "--out", str(out)])
     assert code == EXIT_VALIDATION
-    assert f"{flag} does not apply to --features {features}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert cells == []
     assert not out.exists()
+
+
+# The evaluate options both feature families read; FAMILY_OPTIONS declares the rest.
+SHARED_OPTIONS = {"input", "format", "out", "lang", "resamples", "seed", "features", "algo",
+                  "folds", "jobs"}
+
+
+def test_every_evaluate_option_is_shared_or_declared_under_one_family():
+    declared = [key for options in cli.FAMILY_OPTIONS.values() for key in options]
+    assert len(declared) == len(set(declared))
+    assert not set(declared) & SHARED_OPTIONS
+    actions = _config_keys()["evaluate"]
+    assert set(declared) | SHARED_OPTIONS == set(actions)
+    for options in cli.FAMILY_OPTIONS.values():  # an unset option reads as its declared value
+        for key, value in options.items():
+            assert actions[key].default in (None, value), key
+
+
+def test_tfidf_echo_names_the_default_field_and_vocabulary_size(canonical, tmp_path):
+    out = tmp_path / "defaults"
+    code = main(["evaluate", "--input", str(canonical), "--features", "tfidf", "--algo", "bayes",
+                 "--folds", "2", "--resamples", "1", "--seed", "1", "--out", str(out)])
+    assert code == EXIT_OK
+    echo = json.loads((out / "eval_summary.csv").read_text().splitlines()[0][2:])
+    assert (echo["fields"], echo["top_x"]) == ("abstract", 1100)
+    assert '"fields": "abstract"' in (out / "features_tfidf.csv").read_text().splitlines()[0]
 
 
 def test_evaluate_failure_manifest(canonical, tmp_path, monkeypatch):

