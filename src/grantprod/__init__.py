@@ -37,7 +37,6 @@ from .relevance import (
     average_rank,
     critical_difference,
     feature_importance,
-    gini_impurity,
     impurity_decrease,
 )
 from .textproc import LexiconSet, builtin_lexicons, load_lexicons

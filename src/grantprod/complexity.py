@@ -18,7 +18,6 @@ from typing import Sequence
 from .textproc import (
     LexiconSet,
     PosTag,
-    TaggedToken,
     TokenKind,
     analyze,
     builtin_lexicons,
@@ -44,7 +43,7 @@ class ComplexityVector:
     adverb_count: int  # word tokens tagged adverb
     verb_count: int  # word tokens tagged verb
     noun_count: int  # word tokens tagged noun
-    noun_ratio: float  # nouns over word tokens
+    noun_ratio: float | None  # nouns over word tokens
     words_per_sentence: float  # mean word tokens per sentence
     logical_operator_count: int  # tokens in the logical-operator lexicon
     function_word_diversity: float | None  # function-word types over vocabulary size
@@ -78,22 +77,22 @@ def brunet_index(word_count: int, vocabulary_size: int) -> float | None:
     return vocabulary_size ** (word_count ** BRUNET_EXPONENT)
 
 
-def _chunk_count(tokens: Sequence[TaggedToken], postnominal_adjectives: bool) -> int:
+def _chunk_count(tags: Sequence[PosTag], postnominal_adjectives: bool) -> int:
     count = 0
     i = 0
-    n = len(tokens)
+    n = len(tags)
     while i < n:
         j = i
-        if tokens[j].tag is PosTag.DETERMINER:
+        if tags[j] is PosTag.DETERMINER:
             j += 1
-        while j < n and tokens[j].tag is PosTag.ADJECTIVE:
+        while j < n and tags[j] is PosTag.ADJECTIVE:
             j += 1
         k = j
-        while k < n and tokens[k].tag is PosTag.NOUN:
+        while k < n and tags[k] is PosTag.NOUN:
             k += 1
         if k > j:
             if postnominal_adjectives:
-                while k < n and tokens[k].tag is PosTag.ADJECTIVE:
+                while k < n and tags[k] is PosTag.ADJECTIVE:
                     k += 1
             count += 1
             i = k
@@ -133,20 +132,19 @@ def extract_complexity_vector(
     punctuation_types: set[str] = set()
     operators = 0
     nouns_per_sentence = [0] * sentences
-    sentence_runs: list[list[TaggedToken]] = [[] for _ in range(sentences)]
+    sentence_runs: list[list[PosTag]] = [[] for _ in range(sentences)]
     scores: list[float] = []
-    for item in doc.tokens:
-        token = item.token
-        sentence_runs[token.sentence_index].append(item)
+    for token in doc.tokens:
+        tag = token.tag
+        sentence_runs[token.sentence_index].append(tag)
         if token.kind is TokenKind.PUNCTUATION:
             punctuation_types.add(token.normalized)
         if token.kind is not TokenKind.WORD:
             continue
         word = token.normalized
-        tag = item.tag
         word_tags.append(tag)
         vocabulary.add(word)
-        if item.is_function_word:
+        if token.is_function_word:
             function_types.add(word)
         if tag is PosTag.PREPOSITION:
             preposition_types.add(word)
@@ -174,7 +172,7 @@ def extract_complexity_vector(
         adverb_count=word_tags.count(PosTag.ADVERB),
         verb_count=word_tags.count(PosTag.VERB),
         noun_count=noun_count,
-        noun_ratio=noun_count / word_count if word_count else 0.0,
+        noun_ratio=noun_count / word_count if word_count else None,
         words_per_sentence=word_count / sentences if sentences else 0.0,
         logical_operator_count=operators,
         function_word_diversity=diversity(function_types),

@@ -21,16 +21,6 @@ class UnsupportedModelError(TypeError):
     pass
 
 
-def gini_impurity(probabilities: Sequence[float]) -> float:
-    """Chance of misclassifying a random instance labeled by the class mix."""
-    total = math.fsum(probabilities)
-    if any(p < 0 for p in probabilities):
-        raise ValueError("probabilities must be non-negative")
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probabilities must sum to 1 (got {total!r})")
-    return math.fsum(p * (1.0 - p) for p in probabilities)
-
-
 def gini_from_counts(n_pos: int, n_total: int) -> float:
     """Two-class Gini impurity straight from counts."""
     if n_total <= 0:

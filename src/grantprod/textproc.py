@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class TokenKind(Enum):
@@ -53,21 +53,16 @@ ABBREVIATIONS = (
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One match of the token pattern, tagged and marked in its sentence."""
+
     surface: str
     normalized: str
     kind: TokenKind
     sentence_index: int
-    position_in_sentence: int
-
-
-@dataclass(frozen=True)
-class TaggedToken:
-    token: Token
     tag: PosTag
     is_function_word: bool
-    is_named_entity: bool = False
+    is_named_entity: bool
 
 
 @dataclass(frozen=True)
@@ -128,6 +123,13 @@ class LexiconSet:
             cached = (tag, tag in CLOSED_CLASS_TAGS or word in self.function_words)
             self._word_classes[word] = cached
         return cached
+
+
+def _suffix_tag(word: str, rules: Sequence[tuple[str, PosTag]]) -> PosTag | None:
+    for suffix, tag in rules:
+        if len(word) > len(suffix) and word.endswith(suffix):
+            return tag
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +193,7 @@ def split_sentences(text: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Tokenization
+# Document pipeline
 # ---------------------------------------------------------------------------
 
 # Numbers first (so "3.5" stays whole), then words with internal hyphens,
@@ -199,123 +201,62 @@ def split_sentences(text: str) -> list[str]:
 _TOKEN_RE = re.compile(r"\d+(?:[.,]\d+)*|[^\W\d_]+(?:-[^\W\d_]+)*|\S", re.UNICODE)
 
 
-def tokenize(sentence: str, sentence_index: int = 0) -> list[Token]:
-    """Split one sentence into word/number/punctuation tokens."""
-    tokens: list[Token] = []
-    for position, surface in enumerate(_TOKEN_RE.findall(sentence)):
-        first = surface[0]
-        if first.isdigit():
-            kind = TokenKind.NUMBER
-        elif first.isalpha():
-            kind = TokenKind.WORD
-        else:
-            kind = TokenKind.PUNCTUATION
-        tokens.append(Token(surface, surface.lower(), kind, sentence_index, position))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
-# POS tagging
-# ---------------------------------------------------------------------------
-
-def _suffix_tag(word: str, rules: Sequence[tuple[str, PosTag]]) -> PosTag | None:
-    for suffix, tag in rules:
-        if len(word) > len(suffix) and word.endswith(suffix):
-            return tag
-    return None
-
-
-def tag_pos(tokens: Sequence[Token], lexicons: LexiconSet) -> list[TaggedToken]:
-    """Assign exactly one tag per token: lexicon, then suffix rules, then noun."""
-    tagged: list[TaggedToken] = []
-    for token in tokens:
-        if token.kind is TokenKind.WORD:
-            tag, is_function = lexicons.word_class(token.normalized)
-        elif token.kind is TokenKind.PUNCTUATION:
-            tag, is_function = PosTag.PUNCTUATION, False
-        else:
-            tag, is_function = PosTag.NUMBER, False
-        tagged.append(TaggedToken(token, tag, is_function))
-    return tagged
-
-
-# ---------------------------------------------------------------------------
-# Named entities
-# ---------------------------------------------------------------------------
-
-def detect_named_entities(tagged: Sequence[TaggedToken]) -> tuple[list[TaggedToken], int]:
-    """Mark NE word tokens and count contiguous marked spans.
-
-    A word token is marked iff it is an all-caps acronym (length >= 2), or it
-    is capitalized and not the first word token of its sentence.  Contiguous
-    marked tokens (adjacent positions in one sentence) form a single span;
-    any unmarked token in between, including lowercase connectives, splits
-    the span.
-    """
-    first_word_position: dict[int, int] = {}
-    marked: list[TaggedToken] = []
-    spans = 0
-    previous: Token | None = None
-    for item in tagged:
-        tok = item.token
-        flag = False
-        if tok.kind is TokenKind.WORD:
-            surface = tok.surface
-            first = first_word_position.setdefault(tok.sentence_index, tok.position_in_sentence)
-            acronym = len(surface) >= 2 and surface.isalpha() and surface.isupper()
-            capitalized = surface[0].isalpha() and surface[0].isupper()
-            flag = acronym or (capitalized and first != tok.position_in_sentence)
-        if flag != item.is_named_entity:
-            item = TaggedToken(tok, item.tag, item.is_function_word, flag)
-        marked.append(item)
-        if flag:
-            contiguous = (
-                previous is not None
-                and previous.sentence_index == tok.sentence_index
-                and previous.position_in_sentence == tok.position_in_sentence - 1
-            )
-            if not contiguous:
-                spans += 1
-            previous = tok
-        else:
-            previous = None
-    return marked, spans
-
-
-# ---------------------------------------------------------------------------
-# Document pipeline
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class TaggedDocument:
     """Output of the full pipeline over one text."""
 
     language: str
     sentence_count: int
-    tokens: tuple[TaggedToken, ...]
+    tokens: tuple[Token, ...]
     entity_span_count: int
 
-    def word_tokens(self) -> list[TaggedToken]:
-        return [t for t in self.tokens if t.token.kind is TokenKind.WORD]
+    def word_tokens(self) -> list[Token]:
+        return [t for t in self.tokens if t.kind is TokenKind.WORD]
 
 
 def analyze(text: str | Sequence[str], lexicons: LexiconSet) -> TaggedDocument:
-    """Run split -> tokenize -> tag -> NE detection over one document.
+    """Split one document into sentences and build every token in one pass.
 
     A document given as a sequence of parts (a title and an abstract) is
     split into sentences part by part, so no sentence spans two parts.
+    Each match of the token pattern is a number, a word or a punctuation
+    mark by its first character.  A word takes its tag and function-word
+    flag from ``LexiconSet.word_class``; numbers and punctuation carry their
+    own tag.  A word is a named entity iff it is an all-caps acronym (length
+    >= 2), or it is capitalized and not the first word of its sentence.
+    Adjacent marked tokens of one sentence form a single span; any unmarked
+    token in between, including a lowercase connective, splits the span.
     """
     parts = [text] if isinstance(text, str) else text
     sentences = [sentence for part in parts for sentence in split_sentences(part)]
+    word_class = lexicons.word_class
     tokens: list[Token] = []
+    spans = 0
     for index, sentence in enumerate(sentences):
-        tokens.extend(tokenize(sentence, index))
-    tagged = tag_pos(tokens, lexicons)
-    tagged, spans = detect_named_entities(tagged)
+        after_first_word = False
+        previous_marked = False
+        for surface in _TOKEN_RE.findall(sentence):
+            first = surface[0]
+            normalized = surface.lower()
+            marked = False
+            if first.isdigit():
+                kind, tag, is_function = TokenKind.NUMBER, PosTag.NUMBER, False
+            elif first.isalpha():
+                kind = TokenKind.WORD
+                tag, is_function = word_class(normalized)
+                acronym = len(surface) >= 2 and surface.isalpha() and surface.isupper()
+                marked = acronym or (after_first_word and first.isupper())
+                after_first_word = True
+            else:
+                kind, tag, is_function = TokenKind.PUNCTUATION, PosTag.PUNCTUATION, False
+            if marked and not previous_marked:
+                spans += 1
+            previous_marked = marked
+            tokens.append(Token(surface, normalized, kind, index, tag, is_function, marked))
     return TaggedDocument(
         language=lexicons.language,
         sentence_count=len(sentences),
-        tokens=tuple(tagged),
+        tokens=tuple(tokens),
         entity_span_count=spans,
     )
 

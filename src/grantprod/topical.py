@@ -12,6 +12,7 @@ conventional log(N / N_w) inverse-document-frequency is available behind the
 from __future__ import annotations
 
 import math
+import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -111,7 +112,12 @@ def field_tokens(record: GrantRecord, selector: FieldSelector, language: str = "
 
 
 def text_tokens(text: str) -> list[str]:
-    """Lowercased word tokens of ``text``, as ``textproc.tokenize`` splits them."""
+    """Lowercased word tokens of ``text``: the ``normalized`` words of ``textproc.analyze``.
+
+    The text is NFC-normalized first, as ``analyze`` does, so a decomposed
+    accent does not split a word in two.
+    """
+    text = unicodedata.normalize("NFC", text)
     return [w.lower() for w in _TOKEN_RE.findall(text) if w[0].isalpha()]
 
 

@@ -20,7 +20,7 @@ from grantprod.textproc import (
     LexiconSet,
     PosTag,
     TaggedDocument,
-    TaggedToken,
+    Token,
     TokenKind,
     analyze,
 )
@@ -32,7 +32,7 @@ class DiversityClass(Enum):
     PUNCTUATION = "punctuation"
 
 
-def basic_counts(doc: TaggedDocument) -> dict[str, int | float]:
+def basic_counts(doc: TaggedDocument) -> dict[str, int | float | None]:
     """The first nine ComplexityVector fields; punctuation is excluded from word_count."""
     words = doc.word_tokens()
     word_count = len(words)
@@ -40,19 +40,19 @@ def basic_counts(doc: TaggedDocument) -> dict[str, int | float]:
     return {
         "sentence_count": doc.sentence_count,
         "word_count": word_count,
-        "vocabulary_size": len({t.token.normalized for t in words}),
+        "vocabulary_size": len({t.normalized for t in words}),
         "adjective_count": sum(1 for t in words if t.tag is PosTag.ADJECTIVE),
         "adverb_count": sum(1 for t in words if t.tag is PosTag.ADVERB),
         "verb_count": sum(1 for t in words if t.tag is PosTag.VERB),
         "noun_count": noun_count,
-        "noun_ratio": noun_count / word_count if word_count else 0.0,
+        "noun_ratio": noun_count / word_count if word_count else None,
         "words_per_sentence": word_count / doc.sentence_count if doc.sentence_count else 0.0,
     }
 
 
 def logical_operator_count(doc: TaggedDocument, lexicons: LexiconSet) -> int:
     """Token count (not type count) of logical-operator lexicon hits."""
-    return sum(1 for t in doc.word_tokens() if t.token.normalized in lexicons.logical_operators)
+    return sum(1 for t in doc.word_tokens() if t.normalized in lexicons.logical_operators)
 
 
 def type_diversity(doc: TaggedDocument, selector: DiversityClass) -> float | None:
@@ -63,16 +63,16 @@ def type_diversity(doc: TaggedDocument, selector: DiversityClass) -> float | Non
     to keep the declared [0, 1] range on degenerate inputs.
     """
     words = doc.word_tokens()
-    vocabulary_size = len({t.token.normalized for t in words})
+    vocabulary_size = len({t.normalized for t in words})
     if vocabulary_size == 0:
         return None
     if selector is DiversityClass.FUNCTION_WORD:
-        numerator = len({t.token.normalized for t in words if t.is_function_word})
+        numerator = len({t.normalized for t in words if t.is_function_word})
     elif selector is DiversityClass.PREPOSITION:
-        numerator = len({t.token.normalized for t in words if t.tag is PosTag.PREPOSITION})
+        numerator = len({t.normalized for t in words if t.tag is PosTag.PREPOSITION})
     else:
         numerator = len(
-            {t.token.normalized for t in doc.tokens if t.token.kind is TokenKind.PUNCTUATION}
+            {t.normalized for t in doc.tokens if t.kind is TokenKind.PUNCTUATION}
         )
     return min(1.0, numerator / vocabulary_size)
 
@@ -81,7 +81,7 @@ def _per_sentence_counts(doc: TaggedDocument, predicate) -> list[int]:
     counts = [0] * doc.sentence_count
     for t in doc.tokens:
         if predicate(t):
-            counts[t.token.sentence_index] += 1
+            counts[t.sentence_index] += 1
     return counts
 
 
@@ -90,15 +90,15 @@ def noun_sd(doc: TaggedDocument) -> float | None:
     if doc.sentence_count == 0:
         return None
     counts = _per_sentence_counts(
-        doc, lambda t: t.token.kind is TokenKind.WORD and t.tag is PosTag.NOUN
+        doc, lambda t: t.kind is TokenKind.WORD and t.tag is PosTag.NOUN
     )
     return _population_sd(counts)
 
 
-def _sentence_word_runs(doc: TaggedDocument) -> Iterable[list[TaggedToken]]:
-    by_sentence: dict[int, list[TaggedToken]] = {}
+def _sentence_word_runs(doc: TaggedDocument) -> Iterable[list[Token]]:
+    by_sentence: dict[int, list[Token]] = {}
     for t in doc.tokens:
-        by_sentence.setdefault(t.token.sentence_index, []).append(t)
+        by_sentence.setdefault(t.sentence_index, []).append(t)
     for index in sorted(by_sentence):
         yield by_sentence[index]
 
@@ -112,7 +112,10 @@ def mean_noun_phrase(doc: TaggedDocument) -> float | None:
     if doc.sentence_count == 0:
         return None
     postnominal = doc.language == "pt"
-    total = sum(_chunk_count(sentence, postnominal) for sentence in _sentence_word_runs(doc))
+    total = sum(
+        _chunk_count([t.tag for t in sentence], postnominal)
+        for sentence in _sentence_word_runs(doc)
+    )
     return total / doc.sentence_count
 
 
@@ -123,9 +126,9 @@ def concreteness_sd(doc: TaggedDocument, lexicons: LexiconSet) -> float | None:
     would manufacture signal.
     """
     scores = [
-        lexicons.concreteness[t.token.normalized]
+        lexicons.concreteness[t.normalized]
         for t in doc.word_tokens()
-        if t.token.normalized in lexicons.concreteness
+        if t.normalized in lexicons.concreteness
     ]
     if len(scores) < 2:
         return None

@@ -26,7 +26,7 @@ from grantprod.ml import (
     train_decision_tree,
 )
 from grantprod.ml import _mlp_init
-from grantprod.relevance import gini_impurity, impurity_decrease
+from grantprod.relevance import gini_from_counts, impurity_decrease
 from grantprod.seeds import SplitMix64, derive_seed
 from grantprod.topical import tfidf_weight
 
@@ -59,8 +59,8 @@ def criterion(name):
 
 @criterion("gini constants: 0.5000 / 0.1107 / delta 0.4412")
 def test_gini_constants():
-    assert gini_impurity([0.5, 0.5]) == pytest.approx(0.5000, abs=5e-5)
-    g_right = gini_impurity([1 / 17, 16 / 17])
+    assert gini_from_counts(1, 2) == pytest.approx(0.5000, abs=5e-5)
+    g_right = gini_from_counts(1, 17)
     assert g_right == pytest.approx(0.1107, abs=5e-5)
     # 32 instances split 15 (pure) / 17 (one stray)
     delta = impurity_decrease(0.5, 0.0, g_right, 15, 17)

@@ -61,7 +61,7 @@ def test_empty_document_all_zero(pt):
     assert counts["sentence_count"] == 0
     assert counts["word_count"] == 0
     assert counts["words_per_sentence"] == 0.0
-    assert counts["noun_ratio"] == 0.0
+    assert counts["noun_ratio"] is None
 
 
 def test_doubled_text_doubles_counts_except_vocabulary(pt):
@@ -320,6 +320,14 @@ def test_empty_text_raises_naming_the_record(pt):
     with pytest.raises(EmptyDocumentError) as excinfo:
         extract_complexity_vector("   ", "pt", pt, doc_id="2001/00001-1")
     assert "2001/00001-1" in str(excinfo.value)
+
+
+def test_document_without_words_has_no_noun_ratio(pt):
+    vector = extract_complexity_vector("2020 , 45 .", "pt", pt)
+    assert vector.word_count == 0
+    assert vector.noun_ratio is None
+    assert vector.ne_ratio is None and vector.brunet_index is None
+    assert reference_vector("2020 , 45 .", pt) == vector
 
 
 def test_sentence_permutation_invariance(pt):

@@ -24,7 +24,7 @@ from grantprod.relevance import (
     average_rank,
     critical_difference,
     feature_importance,
-    gini_impurity,
+    gini_from_counts,
     impurity_decrease,
     nemenyi_q,
     rank_descending,
@@ -40,28 +40,24 @@ from _synth import planted_ne_corpus
 # ---------------------------------------------------------------------------
 
 def test_even_split_is_half():
-    assert gini_impurity([0.5, 0.5]) == pytest.approx(0.5, abs=5e-5)
+    assert gini_from_counts(1, 2) == pytest.approx(0.5, abs=5e-5)
 
 
 def test_pure_node_is_zero():
-    assert gini_impurity([1.0, 0.0]) == 0.0
+    assert gini_from_counts(5, 5) == 0.0
+    assert gini_from_counts(0, 5) == 0.0
 
 
 def test_one_in_seventeen():
-    assert gini_impurity([1 / 17, 16 / 17]) == pytest.approx(0.1107, abs=5e-5)
-
-
-def test_probability_validation():
-    with pytest.raises(ValueError):
-        gini_impurity([0.6, 0.6])
-    with pytest.raises(ValueError):
-        gini_impurity([-0.1, 1.1])
+    assert gini_from_counts(1, 17) == pytest.approx(0.1107, abs=5e-5)
 
 
 def test_symmetric_and_maximized_at_uniform():
-    for p in (0.1, 0.25, 0.4):
-        assert gini_impurity([p, 1 - p]) == pytest.approx(gini_impurity([1 - p, p]))
-        assert gini_impurity([p, 1 - p]) < gini_impurity([0.5, 0.5])
+    for n_pos, n_total in ((1, 10), (1, 4), (2, 5)):
+        assert gini_from_counts(n_pos, n_total) == pytest.approx(
+            gini_from_counts(n_total - n_pos, n_total)
+        )
+        assert gini_from_counts(n_pos, n_total) < gini_from_counts(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -69,13 +65,13 @@ def test_symmetric_and_maximized_at_uniform():
 # ---------------------------------------------------------------------------
 
 def test_worked_split_example():
-    g_right = gini_impurity([1 / 17, 16 / 17])
+    g_right = gini_from_counts(1, 17)
     delta = impurity_decrease(0.5, 0.0, g_right, 15, 17)
     assert delta == pytest.approx(0.4412, abs=5e-5)
 
 
 def test_copying_parent_distribution_gains_nothing():
-    g = gini_impurity([0.25, 0.75])
+    g = gini_from_counts(1, 4)
     assert impurity_decrease(g, g, g, 10, 30) == pytest.approx(0.0, abs=1e-15)
 
 

@@ -7,17 +7,19 @@ from hypothesis import strategies as st
 from grantprod import textproc
 from grantprod.textproc import (
     CLOSED_CLASS_TAGS,
+    SUPPORTED_LANGUAGES,
     LexiconSet,
     PosTag,
+    Token,
     TokenKind,
     analyze,
     builtin_lexicons,
-    detect_named_entities,
     load_lexicons,
     split_sentences,
-    tag_pos,
-    tokenize,
 )
+from grantprod.topical import text_tokens
+
+import _textproc_oracle as oracle
 
 
 @pytest.fixture(scope="module")
@@ -53,17 +55,11 @@ def test_exclamation_and_question_always_split():
     assert split_sentences("Sim! funciona? talvez.") == ["Sim!", "funciona?", "talvez."]
 
 
-def test_word_content_reconstructs():
+def test_word_content_reconstructs(pt):
     text = "O gato dorme. O cão corre! E agora?"
-    sentences = split_sentences(text)
-    original_words = [t.normalized for t in tokenize(text) if t.kind is TokenKind.WORD]
-    split_words = [
-        t.normalized
-        for i, s in enumerate(sentences)
-        for t in tokenize(s, i)
-        if t.kind is TokenKind.WORD
-    ]
-    assert split_words == original_words
+    doc = analyze(text, pt)
+    assert doc.sentence_count == len(split_sentences(text)) == 3
+    assert [t.normalized for t in doc.word_tokens()] == text_tokens(text)
 
 
 def char_loop_split(text):
@@ -111,34 +107,34 @@ def test_split_sentences_equals_character_scan(text):
 # tokens
 # ---------------------------------------------------------------------------
 
-def test_tokenize_words_and_punctuation():
-    tokens = tokenize("gato, cão.")
+def test_tokenize_words_and_punctuation(pt):
+    tokens = analyze("gato, cão.", pt).tokens
     assert [(t.surface, t.kind) for t in tokens] == [
         ("gato", TokenKind.WORD),
         (",", TokenKind.PUNCTUATION),
         ("cão", TokenKind.WORD),
         (".", TokenKind.PUNCTUATION),
     ]
-    assert [t.position_in_sentence for t in tokens] == [0, 1, 2, 3]
+    assert [t.sentence_index for t in tokens] == [0, 0, 0, 0]
 
 
-def test_hyphenated_compound_is_one_token():
-    tokens = tokenize("anti-inflamatório")
+def test_hyphenated_compound_is_one_token(pt):
+    tokens = analyze("anti-inflamatório", pt).tokens
     assert len(tokens) == 1
     assert tokens[0].kind is TokenKind.WORD
     assert tokens[0].normalized == "anti-inflamatório"
 
 
-def test_digit_runs_are_number_tokens():
-    tokens = tokenize("10 ratos")
+def test_digit_runs_are_number_tokens(pt):
+    tokens = analyze("10 ratos", pt).tokens
     assert [(t.surface, t.kind) for t in tokens] == [
         ("10", TokenKind.NUMBER),
         ("ratos", TokenKind.WORD),
     ]
 
 
-def test_normalized_is_lowercase():
-    for token in tokenize("Gato CÃO Rua"):
+def test_normalized_is_lowercase(pt):
+    for token in analyze("Gato CÃO Rua", pt).tokens:
         assert token.normalized == token.surface.lower()
 
 
@@ -147,37 +143,39 @@ def test_normalized_is_lowercase():
 # ---------------------------------------------------------------------------
 
 def test_closed_class_lexicon_hit(pt):
-    [tagged] = tag_pos(tokenize("de"), pt)
+    [tagged] = analyze("de", pt).tokens
     assert tagged.tag is PosTag.PREPOSITION
     assert tagged.is_function_word
 
 
 def test_punctuation_tag(pt):
-    [tagged] = tag_pos(tokenize(","), pt)
+    [tagged] = analyze(",", pt).tokens
     assert tagged.tag is PosTag.PUNCTUATION
     assert not tagged.is_function_word
 
 
 def test_mente_suffix_rule(pt):
     assert "rapidamente" not in pt.pos_lexicon  # forces the suffix path
-    [tagged] = tag_pos(tokenize("rapidamente"), pt)
+    [tagged] = analyze("rapidamente", pt).tokens
     assert tagged.tag is PosTag.ADVERB
 
 
 def test_unknown_word_defaults_to_noun(pt):
-    [tagged] = tag_pos(tokenize("zyxwvut"), pt)
+    [tagged] = analyze("zyxwvut", pt).tokens
     assert tagged.tag is PosTag.NOUN
 
 
 def test_english_suffixes(en):
-    tags = {t.token.normalized: t.tag for t in tag_pos(tokenize("quickly recombination"), en)}
+    tags = {t.normalized: t.tag for t in analyze("quickly recombination", en).tokens}
     assert tags["quickly"] is PosTag.ADVERB
     assert tags["recombination"] is PosTag.NOUN
 
 
 def test_tag_coverage_property(pt):
-    tokens = tokenize("O gato, 10 ratos e o cão anti-inflamatório correm!")
-    assert len(tag_pos(tokens, pt)) == len(tokens)
+    text = "O gato, 10 ratos e o cão anti-inflamatório correm!"
+    tokens = analyze(text, pt).tokens
+    assert len(tokens) == len(textproc._TOKEN_RE.findall(text))
+    assert all(isinstance(t.tag, PosTag) for t in tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +184,7 @@ def test_tag_coverage_property(pt):
 
 def test_acronym_marked(pt):
     doc = analyze("Nós estudamos a USP.", pt)
-    marked = [t.token.surface for t in doc.tokens if t.is_named_entity]
+    marked = [t.surface for t in doc.tokens if t.is_named_entity]
     assert marked == ["USP"]
     assert doc.entity_span_count == 1
 
@@ -198,18 +196,17 @@ def test_sentence_initial_capital_not_marked(pt):
 
 def test_contiguity_spans(pt):
     doc = analyze("Trabalhamos na Universidade de São Paulo.", pt)
-    marked = [t.token.surface for t in doc.tokens if t.is_named_entity]
+    marked = [t.surface for t in doc.tokens if t.is_named_entity]
     assert marked == ["Universidade", "São", "Paulo"]
     # lowercase "de" splits the run into {Universidade} and {São Paulo}
     assert doc.entity_span_count == 2
 
 
 def test_punctuation_never_entity(pt):
-    tagged = tag_pos(tokenize("USP, UNICAMP."), pt)
-    marked, spans = detect_named_entities(tagged)
-    assert spans == 2
-    for item in marked:
-        if item.token.kind is TokenKind.PUNCTUATION:
+    doc = analyze("USP, UNICAMP.", pt)
+    assert doc.entity_span_count == 2
+    for item in doc.tokens:
+        if item.kind is TokenKind.PUNCTUATION:
             assert not item.is_named_entity
 
 
@@ -317,7 +314,7 @@ def test_suffix_rules_run_once_per_word_type(monkeypatch):
     assert analyze(text, lex) == first
     assert calls and len(calls) == len(set(calls))
     assert sorted(calls) == sorted({
-        t.token.normalized for t in first.word_tokens() if t.token.normalized not in lex.pos_lexicon
+        t.normalized for t in first.word_tokens() if t.normalized not in lex.pos_lexicon
     })
     other = builtin_lexicons("pt")  # a second set fills its own cache
     analyze(text, other)
@@ -376,13 +373,8 @@ def test_pipeline_determinism_and_coverage(text):
     first = analyze(text, pt)
     second = analyze(text, pt)
     assert first == second
-    words_before = [
-        t.normalized
-        for i, s in enumerate(split_sentences(text))
-        for t in tokenize(s, i)
-        if t.kind is TokenKind.WORD
-    ]
-    words_after = [t.token.normalized for t in first.word_tokens()]
+    words_before = [w for s in split_sentences(text) for w in text_tokens(s)]
+    words_after = [t.normalized for t in first.word_tokens()]
     assert words_before == words_after  # word count invariant through the pipeline
 
 
@@ -392,4 +384,49 @@ def test_function_word_consistency(text):
     pt = builtin_lexicons("pt")
     for item in analyze(text, pt).tokens:
         if item.is_function_word:
-            assert item.tag in CLOSED_CLASS_TAGS or item.token.normalized in pt.function_words
+            assert item.tag in CLOSED_CLASS_TAGS or item.normalized in pt.function_words
+
+
+# ---------------------------------------------------------------------------
+# one-pass analyze against the four-stage pipeline
+# ---------------------------------------------------------------------------
+
+LEXICONS = {language: builtin_lexicons(language) for language in SUPPORTED_LANGUAGES}
+
+# Letters with and without case, other scripts, superscripts, fractions,
+# underscores, combining marks, hyphens, terminators and separators.
+wide_text_strategy = st.text(
+    alphabet=st.sampled_from(list("aZçÃéßİΣσжЖ中٣²½_\u0301-.,;!?( \n09")),
+    max_size=60,
+)
+PIECES = [
+    "o", "gato", "de", "e", "estuda", "rapidamente", "the", "and", "of", "quickly",
+    "zyxwvut", "USP", "FAPESP", "DNA", "NIH", "A", "São Paulo", "Instituto Butantan",
+    "Universidade de São Paulo", "New York", "anti-inflamatório", "pós-graduação",
+    "-foo", "a--b", "10", "3.5", "2,7", "1999", "x²", "²", "½", "Dr.", "Prof.",
+    "et al.", "e.g.", "etc.", "Fig.", "e\u0301", "İ", "ß", ",", ";", "(", "«", ".",
+    "!", "?", "...", "?!",
+]
+CASES = (str, str.title, str.upper, str.lower)
+piece_text = st.lists(
+    st.tuples(st.sampled_from(PIECES), st.sampled_from(CASES)), max_size=25
+).map(lambda pieces: " ".join(case(piece) for piece, case in pieces))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(
+    text_strategy,
+    wide_text_strategy,
+    piece_text,
+    st.tuples(piece_text, piece_text),
+))
+@pytest.mark.parametrize("language", SUPPORTED_LANGUAGES)
+def test_one_pass_tokens_equal_four_stage_pipeline(language, text):
+    lexicons = LEXICONS[language]
+    doc = analyze(text, lexicons)
+    expected = oracle.analyze(text, lexicons)
+    assert all(type(t) is Token for t in doc.tokens)
+    assert list(doc.tokens) == oracle.flat_tokens(expected)
+    assert doc.sentence_count == expected.sentence_count
+    assert doc.entity_span_count == expected.entity_span_count
+    assert doc.language == expected.language

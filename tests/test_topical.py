@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grantprod.corpus import Area, GrantRecord
-from grantprod.textproc import TokenKind, tokenize
+from grantprod.textproc import analyze, builtin_lexicons
 from grantprod.topical import (
     FieldSelector,
     IdfVariant,
@@ -268,6 +268,8 @@ def test_vocabulary_validation():
         Vocabulary(entries={"a": 0}, doc_freq={"a": 3}, corpus_size=2, top_x=5)
 
 
+PT_LEXICONS = builtin_lexicons("pt")
+
 # Letters with and without case, digits of other scripts, superscripts,
 # vulgar fractions, underscores, combining marks, hyphens and separators.
 TOKEN_TEXT = st.text(
@@ -283,4 +285,9 @@ TOKEN_PIECES = st.sampled_from([
 @settings(max_examples=300, deadline=None)
 @given(text=st.one_of(TOKEN_TEXT, st.lists(TOKEN_PIECES | TOKEN_TEXT).map(" ".join)))
 def test_text_tokens_equals_tokenize_words(text):
-    assert text_tokens(text) == [t.normalized for t in tokenize(text) if t.kind is TokenKind.WORD]
+    words = analyze(text, PT_LEXICONS).word_tokens()
+    assert text_tokens(text) == [t.normalized for t in words]
+
+
+def test_decomposed_accent_is_the_same_word():
+    assert text_tokens("cafe\u0301 café") == ["café", "café"]
