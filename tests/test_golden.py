@@ -1,4 +1,4 @@
-"""Golden-output lock: four CLI runs must reproduce the checked-in files byte for byte.
+"""Golden-output lock: five CLI runs must reproduce the checked-in files byte for byte.
 
 The fixtures under ``tests/golden/`` pin the determinism contract (one seed,
 byte-identical CSV/JSON/SVG).  A change that moves floats on purpose must
@@ -20,7 +20,7 @@ import pytest
 import grantprod
 from grantprod.cli import EXIT_OK, main
 
-from _synth import mixed_area_corpus, write_corpus_csv
+from _synth import mixed_area_corpus, planted_topic_corpus, write_corpus_csv
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -44,6 +44,14 @@ RUNS = {
         "--conventional-idf", "--algo", "bayes,knn", "--top-x", "8",
         "--folds", "3", "--resamples", "2", "--seed", "42", "--out", "tfidf_global",
     ],
+    # Weak topic signal on a narrow corpus: every SVM and MLP fit has fewer
+    # rows than columns (24 x 27-30), and F1 sits well below 1.0, so
+    # predictions lie near the decision threshold where a drift would show.
+    "tfidf_lowsignal": [
+        "evaluate", "--input", "lowsignal.csv", "--format", "csv",
+        "--features", "tfidf", "--top-x", "30", "--algo", "svm,mlp",
+        "--folds", "3", "--resamples", "2", "--seed", "42", "--out", "tfidf_lowsignal",
+    ],
     "relevance": [
         "relevance", "--input", "corpus.csv", "--format", "csv",
         "--resamples", "3", "--trees", "10", "--seed", "42",
@@ -63,14 +71,25 @@ GOLDEN_FILES = (
     "tfidf_global/eval_report.json",
     "tfidf_global/features_tfidf.csv",
     "tfidf_global/vocabulary.tsv",
+    "tfidf_lowsignal/eval_summary.csv",
+    "tfidf_lowsignal/eval_report.json",
+    "tfidf_lowsignal/features_tfidf.csv",
+    "tfidf_lowsignal/vocabulary.tsv",
     "relevance/relevance.csv",
     "relevance/rank_diagram.svg",
 )
 
 
-def run_golden_commands(work_dir: Path) -> None:
-    """Write the corpus into ``work_dir`` and run every command from there."""
+def write_corpora(work_dir: Path) -> None:
+    """The two input files the runs read, written into ``work_dir``."""
     write_corpus_csv(mixed_area_corpus(n=72, seed=7), work_dir / "corpus.csv")
+    lowsignal = planted_topic_corpus(n=36, seed=11, signal_pct=5)
+    write_corpus_csv([record for record, _ in lowsignal], work_dir / "lowsignal.csv")
+
+
+def run_golden_commands(work_dir: Path) -> None:
+    """Write the corpora into ``work_dir`` and run every command from there."""
+    write_corpora(work_dir)
     with pytest.MonkeyPatch.context() as patch:
         patch.chdir(work_dir)
         for name, argv in RUNS.items():
@@ -112,13 +131,14 @@ ECHO_FILES = {
     "complexity": "eval_summary.csv",
     "tfidf": "eval_summary.csv",
     "tfidf_global": "eval_summary.csv",
+    "tfidf_lowsignal": "eval_summary.csv",
     "relevance": "relevance.csv",
 }
 
 
 @pytest.mark.parametrize("name", RUNS)
 def test_echo_replays_the_run(tmp_path, monkeypatch, name):
-    write_corpus_csv(mixed_area_corpus(n=72, seed=7), tmp_path / "corpus.csv")
+    write_corpora(tmp_path)
     monkeypatch.chdir(tmp_path)
     replay(tmp_path, RUNS[name][0], GOLDEN_DIR / name / ECHO_FILES[name], "replay")
     for relative in GOLDEN_FILES:
