@@ -610,8 +610,17 @@ def select_knn_k(
 
 
 # ---------------------------------------------------------------------------
-# Linear SVM (primal subgradient descent on hinge loss + L2)
+# Linear SVM (Pegasos: stochastic subgradient descent on hinge loss + L2)
 # ---------------------------------------------------------------------------
+
+def _gram_form(X: np.ndarray) -> bool:
+    """Train through G = X X^T when the training set has fewer rows than columns.
+
+    The SVM weights and the MLP's first-layer updates lie in the span of the
+    rows (X^T a), so a step reads the n x n Gram matrix, not d-wide rows.
+    """
+    return X.shape[0] < X.shape[1]
+
 
 @dataclass
 class LinearSvmModel:
@@ -633,26 +642,37 @@ def train_linear_svm(
     """Pegasos-style stochastic subgradient descent, lambda = 1 / (C n).
 
     The bias term is updated without regularization; the weight vector is
-    projected onto the ball of radius 1/sqrt(lambda) for stability.
+    projected onto the ball of radius 1/sqrt(lambda) for stability.  With at
+    least as many rows as columns the loop holds w itself and computes the
+    textbook steps bit for bit.  With fewer rows than columns it holds
+    w = s X^T alpha and takes the same steps in O(n) each (kernelized
+    Pegasos); the weights then agree with the textbook loop to rounding.
     """
     hyper = hyper or SvmHyper()
     _require_nonempty(train.y)
     _check_finite(train.X)
     X, y = train.X, train.y
-    n, d = X.shape
-    # A step costs mostly call overhead, so rows and signs are read once.
-    # Each float operation is the textbook step's, on the same operands in the
-    # same order; np.linalg.norm of a vector is sqrt(w.dot(w)).
-    rows = list(X)
+    n = X.shape[0]
     signs = (2.0 * y - 1.0).tolist()
     lam = 1.0 / (hyper.C * n)
     radius = 1.0 / math.sqrt(lam)
+    rng = np.random.default_rng(derive_seed(seed))
+    pegasos = _pegasos_gram if _gram_form(X) else _pegasos_primal
+    w, b = pegasos(X, signs, lam, radius, hyper.epochs, rng)
+    return LinearSvmModel(weights=w, bias=b)
+
+
+def _pegasos_primal(X, signs, lam, radius, epochs, rng) -> tuple[np.ndarray, float]:
+    # A step costs mostly call overhead, so rows are read once.  Each float
+    # operation is the textbook step's, on the same operands in the same
+    # order; np.linalg.norm of a vector is sqrt(w.dot(w)).
+    n, d = X.shape
+    rows = list(X)
     w = np.zeros(d)
     step = np.empty(d)
     b = 0.0
     t = 0
-    rng = np.random.default_rng(derive_seed(seed))
-    for _ in range(hyper.epochs):
+    for _ in range(epochs):
         for i in rng.permutation(n).tolist():
             t += 1
             eta = 1.0 / (lam * t)
@@ -667,7 +687,54 @@ def train_linear_svm(
             norm = math.sqrt(w.dot(w))
             if norm > radius:
                 w *= radius / norm
-    return LinearSvmModel(weights=w, bias=b)
+    return w, b
+
+
+# Below this the scale of a Gram-form Pegasos vector is folded into its
+# coefficients, so that repeated projections cannot underflow it to zero.
+_MIN_SCALE = 1e-100
+
+
+def _pegasos_gram(X, signs, lam, radius, epochs, rng) -> tuple[np.ndarray, float]:
+    # The same rng calls and the same shrink, hinge-step and projection
+    # sequence as _pegasos_primal, with w = s * X^T alpha: x_i . w is
+    # s * G[i] . alpha, and ||w||^2 is carried as a scalar through each step.
+    n = X.shape[0]
+    gram = X @ X.T
+    rows = list(gram)
+    diagonal = gram.diagonal().tolist()
+    alpha = np.zeros(n)
+    scale = 1.0
+    sq_norm = 0.0
+    radius_sq = radius * radius
+    b = 0.0
+    t = 0
+    for _ in range(epochs):
+        for i in rng.permutation(n).tolist():
+            t += 1
+            eta = 1.0 / (lam * t)
+            sign = signs[i]
+            xw = scale * float(rows[i].dot(alpha))
+            margin = sign * (xw + b)
+            # At t = 1 the shrink is 0 up to rounding and w is still zero,
+            # so the scale stays 1 rather than collapse to (nearly) 0.
+            if t > 1:
+                shrink = 1.0 - eta * lam
+                scale *= shrink
+                xw *= shrink
+                sq_norm *= shrink * shrink
+            if margin < 1.0:
+                coef = eta * sign
+                alpha[i] += coef / scale
+                sq_norm += coef * (2.0 * xw + coef * diagonal[i])
+                b += coef
+            if sq_norm > radius_sq:
+                scale *= radius / math.sqrt(sq_norm)
+                sq_norm = radius_sq
+                if scale < _MIN_SCALE:
+                    alpha *= scale
+                    scale = 1.0
+    return scale * (X.T @ alpha), b
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +745,42 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     # e^-|z| never overflows; each branch is the stable form for its sign
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _mlp_backprop(
+    first: _PrimalFirstLayer | _GramFirstLayer,
+    weights: list[np.ndarray],
+    biases: list[np.ndarray],
+    y: np.ndarray,
+) -> tuple[float, np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """One epoch's loss and gradients; ``first`` forms the first layer's X W1.
+
+    Returns the loss, the gradient with respect to the first pre-activation
+    X W1 + b1 (whose product with X^T is the first layer's weight gradient,
+    left to the caller), the weight gradients of the later layers and every
+    bias gradient.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught via the loss
+        z = first.product() + biases[0]
+        n = z.shape[0]
+        hidden = []
+        for W, b in zip(weights[1:], biases[1:]):
+            hidden.append(np.tanh(z))
+            z = hidden[-1] @ W + b
+        logits = z[:, 0]
+        # log(1 + e^z) - y z, stable for large |z|
+        loss = float(np.add.reduce(np.logaddexp(0.0, logits) - y * logits) / n)
+
+    delta = ((_sigmoid(logits) - y) / n)[:, None]
+    grad_w: list[np.ndarray] = [np.empty(0)] * len(weights)
+    grad_b: list[np.ndarray] = [np.empty(0)] * len(weights)
+    for layer in range(len(weights) - 1, 0, -1):
+        a = hidden[layer - 1]
+        grad_w[layer] = a.T @ delta
+        grad_b[layer] = delta.sum(axis=0)
+        delta = (delta @ weights[layer].T) * (1.0 - a * a)
+    grad_b[0] = delta.sum(axis=0)
+    return loss, delta, grad_w, grad_b
 
 
 def mlp_loss_and_grad(
@@ -691,24 +794,9 @@ def mlp_loss_and_grad(
     tanh hidden layers, logistic output.  Exposed at module level so the
     analytic gradients can be checked against finite differences.
     """
-    n = X.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught via the loss
-        activations = [np.asarray(X, dtype=float)]
-        for W, b in zip(weights[:-1], biases[:-1]):
-            activations.append(np.tanh(activations[-1] @ W + b))
-        logits = (activations[-1] @ weights[-1] + biases[-1])[:, 0]
-        # log(1 + e^z) - y z, stable for large |z|
-        loss = float(np.add.reduce(np.logaddexp(0.0, logits) - y * logits) / n)
-
-    delta = ((_sigmoid(logits) - y) / n)[:, None]
-    grad_w: list[np.ndarray] = [np.empty(0)] * len(weights)
-    grad_b: list[np.ndarray] = [np.empty(0)] * len(weights)
-    for layer in range(len(weights) - 1, -1, -1):
-        grad_w[layer] = activations[layer].T @ delta
-        grad_b[layer] = delta.sum(axis=0)
-        if layer > 0:
-            a = activations[layer]
-            delta = (delta @ weights[layer].T) * (1.0 - a * a)
+    X = np.asarray(X, dtype=float)
+    loss, delta, grad_w, grad_b = _mlp_backprop(_PrimalFirstLayer(X, weights[0]), weights, biases, y)
+    grad_w[0] = X.T @ delta
     return loss, grad_w, grad_b
 
 
@@ -719,6 +807,47 @@ def _mlp_init(sizes: Sequence[int], rng: np.random.Generator):
         weights.append(rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
     return weights, biases
+
+
+class _PrimalFirstLayer:
+    """The first layer's weights W1, held and updated as they are."""
+
+    def __init__(self, X: np.ndarray, W: np.ndarray):
+        self.X = X
+        self.W = W
+
+    def product(self) -> np.ndarray:
+        return self.X @ self.W
+
+    def descend(self, learning_rate: float, delta: np.ndarray) -> None:
+        self.W -= learning_rate * (self.X.T @ delta)
+
+    def weights(self) -> np.ndarray:
+        return self.W
+
+
+class _GramFirstLayer:
+    """W1 held as W1_0 - X^T A: an epoch adds lr * delta to the n x h matrix A.
+
+    X W1 is then X W1_0 - G A with G = X X^T, so an epoch costs O(n^2 h)
+    instead of O(n d h) (the representer form of the first layer).
+    """
+
+    def __init__(self, X: np.ndarray, W: np.ndarray):
+        self.X = X
+        self.W0 = W
+        self.gram = X @ X.T
+        self.initial_product = X @ W
+        self.A = np.zeros((X.shape[0], W.shape[1]))
+
+    def product(self) -> np.ndarray:
+        return self.initial_product - self.gram @ self.A
+
+    def descend(self, learning_rate: float, delta: np.ndarray) -> None:
+        self.A += learning_rate * delta
+
+    def weights(self) -> np.ndarray:
+        return self.W0 - self.X.T @ self.A
 
 
 @dataclass
@@ -741,7 +870,13 @@ def train_mlp(
     hyper: MlpHyper | None = None,
     seed: int = 0,
 ) -> MlpModel:
-    """Full-batch gradient descent on cross-entropy; expects standardized inputs."""
+    """Full-batch gradient descent on cross-entropy; expects standardized inputs.
+
+    With at least as many rows as columns the first layer's weights are
+    updated as they are, bit for bit the textbook epoch.  With fewer rows
+    than columns they are held as W1_0 - X^T A and formed once at the end;
+    they then agree with the textbook loop to rounding.
+    """
     hyper = hyper or MlpHyper()
     _require_nonempty(train.y)
     _check_finite(train.X)
@@ -750,16 +885,21 @@ def train_mlp(
     sizes = [X.shape[1], *hyper.hidden_layers, 1]
     rng = np.random.default_rng(derive_seed(seed))
     weights, biases = _mlp_init(sizes, rng)
+    first = (_GramFirstLayer if _gram_form(X) else _PrimalFirstLayer)(X, weights[0])
+    lr = hyper.learning_rate
     for epoch in range(hyper.epochs):
-        loss, grad_w, grad_b = mlp_loss_and_grad(weights, biases, X, y)
+        loss, delta, grad_w, grad_b = _mlp_backprop(first, weights, biases, y)
         if not math.isfinite(loss):
             raise TrainingDivergedError(
                 f"non-finite loss {loss!r} at epoch {epoch} "
-                f"(lr={hyper.learning_rate}, layers={hyper.hidden_layers})"
+                f"(lr={lr}, layers={hyper.hidden_layers})"
             )
-        for layer in range(len(weights)):
-            weights[layer] -= hyper.learning_rate * grad_w[layer]
-            biases[layer] -= hyper.learning_rate * grad_b[layer]
+        first.descend(lr, delta)
+        for layer in range(1, len(weights)):
+            weights[layer] -= lr * grad_w[layer]
+        for layer in range(len(biases)):
+            biases[layer] -= lr * grad_b[layer]
+    weights[0] = first.weights()
     return MlpModel(weights=weights, biases=biases)
 
 

@@ -1,11 +1,15 @@
 """Reference trainer loops: the textbook code the lean kernels in ``ml`` replace.
 
-``train_linear_svm``, ``_sigmoid`` and ``mlp_loss_and_grad`` are the array-call
-versions of the Pegasos step and the MLP epoch; ``select_knn_k`` scores every
-k with its own ``train_knn(...).predict``.  The rewritten kernels must give the
-same floats bit for bit, which the properties in ``test_trainer_oracle.py``
-check with exact equality.  ``information_gain`` scores one split from its
-mask, the quantity the tree's split search maximizes.
+``train_linear_svm``, ``_sigmoid``, ``mlp_loss_and_grad`` and ``train_mlp``
+are the array-call versions of the Pegasos step and the MLP epoch, both held
+in the primal (``w`` and ``W1`` stored as they are); ``mlp_predict_proba`` is
+the forward pass with this module's sigmoid.  ``select_knn_k`` scores every
+k with its own ``train_knn(...).predict``.  On a training set with at least as
+many rows as columns the rewritten kernels must give the same floats bit for
+bit; with fewer rows than columns they train in Gram space and must stay
+within a fixed tolerance.  The properties in ``test_trainer_oracle.py`` check
+both.  ``information_gain`` scores one split from its mask, the quantity the
+tree's split search maximizes.
 """
 
 from __future__ import annotations
@@ -19,9 +23,13 @@ from grantprod.ml import (
     FeatureMatrix,
     KnnHyper,
     LinearSvmModel,
+    MlpHyper,
+    MlpModel,
     SvmHyper,
+    TrainingDivergedError,
     _check_finite,
     _entropy_bits,
+    _mlp_init,
     _require_nonempty,
     f1_score,
     train_knn,
@@ -104,6 +112,40 @@ def mlp_loss_and_grad(
         if layer > 0:
             delta = (delta @ weights[layer].T) * (1.0 - activations[layer] ** 2)
     return loss, grad_w, grad_b
+
+
+def train_mlp(
+    train: FeatureMatrix,
+    hyper: MlpHyper | None = None,
+    seed: int = 0,
+) -> MlpModel:
+    """Full-batch gradient descent on cross-entropy; expects standardized inputs."""
+    hyper = hyper or MlpHyper()
+    _require_nonempty(train.y)
+    _check_finite(train.X)
+    X = train.X
+    y = train.y.astype(float)
+    sizes = [X.shape[1], *hyper.hidden_layers, 1]
+    rng = np.random.default_rng(derive_seed(seed))
+    weights, biases = _mlp_init(sizes, rng)
+    for epoch in range(hyper.epochs):
+        loss, grad_w, grad_b = mlp_loss_and_grad(weights, biases, X, y)
+        if not math.isfinite(loss):
+            raise TrainingDivergedError(
+                f"non-finite loss {loss!r} at epoch {epoch} "
+                f"(lr={hyper.learning_rate}, layers={hyper.hidden_layers})"
+            )
+        for layer in range(len(weights)):
+            weights[layer] -= hyper.learning_rate * grad_w[layer]
+            biases[layer] -= hyper.learning_rate * grad_b[layer]
+    return MlpModel(weights=weights, biases=biases)
+
+
+def mlp_predict_proba(model: MlpModel, X: np.ndarray) -> np.ndarray:
+    a = np.asarray(X, dtype=float)
+    for W, b in zip(model.weights[:-1], model.biases[:-1]):
+        a = np.tanh(a @ W + b)
+    return _sigmoid((a @ model.weights[-1] + model.biases[-1])[:, 0])
 
 
 def select_knn_k(

@@ -390,6 +390,29 @@ def test_mlp_divergence_raises():
     assert "epoch" in str(excinfo.value)
 
 
+def test_gram_mlp_divergence_names_the_epoch():
+    # fewer rows than columns: the first layer trains in Gram space
+    X = np.array([[1e3, -1e3, 5e2], [-1e3, 1e3, -5e2]])
+    y = np.array([1, 0])
+    with pytest.raises(TrainingDivergedError, match=r"non-finite loss .* at epoch \d+ "):
+        train_mlp(FeatureMatrix(X, y), MlpHyper(learning_rate=1e308, epochs=5), seed=0)
+
+
+@pytest.mark.parametrize("trainer", [train_linear_svm, train_mlp])
+def test_gram_form_keeps_the_input_guards(trainer):
+    def message(X, y):
+        with pytest.raises(ValueError) as excinfo:
+            trainer(FeatureMatrix(X, y), seed=0)
+        return str(excinfo.value)
+
+    wide, tall = np.ones((2, 4)), np.ones((4, 2))
+    wide[1, 2] = tall[1, 1] = np.nan
+    assert message(wide, [0, 1]) == message(tall, [0, 1, 0, 1]) == (
+        "feature matrix contains NaN or infinite values; impute first"
+    )
+    assert message(np.empty((0, 4)), []) == "empty training set"
+
+
 def test_mlp_determinism():
     rng = np.random.default_rng(11)
     X = rng.normal(size=(20, 2))
