@@ -42,17 +42,21 @@ from .relevance import (
 from .seeds import derive_seed
 from .textproc import LexiconSet, builtin_lexicons
 from .topical import (
+    ColumnSelection,
+    DocumentCounts,
     FieldSelector,
     IdfVariant,
     VectorMode,
     Vocabulary,
+    count_documents,
     document_text,
     field_text,
     field_tokens,
     fit_vocabulary,
-    fit_vocabulary_from_tokens,
     save_vocabulary,
+    select_columns,
     vectorize,
+    vectorize_counts,
 )
 
 _SALT_RESAMPLE = 101
@@ -157,22 +161,28 @@ def complexity_rows(
 
 
 def tfidf_fold_matrices(
-    token_lists: Sequence[Sequence[str]],
+    counts: DocumentCounts,
     train_rows: Sequence[int],
     test_rows: Sequence[int],
     top_x: int,
     mode: VectorMode = VectorMode.TFIDF,
     idf_variant: IdfVariant = IdfVariant.LOG_RATIO,
-    vocabulary: Vocabulary | None = None,
+    selection: ColumnSelection | None = None,
 ) -> tuple[np.ndarray, np.ndarray, Vocabulary]:
-    """Vectorize one fold; the vocabulary is fitted on the training rows only."""
-    train_tokens = [token_lists[i] for i in train_rows]
-    if vocabulary is None:
-        vocabulary = fit_vocabulary_from_tokens(train_tokens, top_x)
+    """Vectorize one fold; the vocabulary is fitted on the training rows only.
+
+    ``counts`` holds every document's word counts, made once per area.  The
+    fold's vocabulary is selected from column sums over the training rows
+    (or is ``selection``, fitted beforehand) and its matrices are built by
+    column selection; they equal ``fit_vocabulary_from_tokens`` and
+    ``vectorize`` on the rows' token lists.
+    """
+    if selection is None:
+        selection = select_columns(counts, train_rows, top_x)
     return (
-        vectorize(train_tokens, vocabulary, mode, idf_variant),
-        vectorize([token_lists[i] for i in test_rows], vocabulary, mode, idf_variant),
-        vocabulary,
+        vectorize_counts(counts, train_rows, selection, mode, idf_variant),
+        vectorize_counts(counts, test_rows, selection, mode, idf_variant),
+        counts.vocabulary(selection),
     )
 
 
@@ -1022,22 +1032,26 @@ class TfidfFeatures:
         """The text these features are extracted from; raises MissingFieldError."""
         return field_text(record, self.selector, self.language)
 
-    def prepare(self, records, lexicons=None) -> tuple[list[list[str]], Vocabulary | None]:
-        """Each record's tokens, and the whole-corpus vocabulary unless it is fitted per fold."""
-        token_lists = [field_tokens(record, self.selector, self.language) for record in records]
+    def prepare(self, records, lexicons=None) -> tuple[DocumentCounts, ColumnSelection | None]:
+        """Each record's word counts, and the whole-corpus vocabulary unless it is fitted per fold."""
+        counts = count_documents(
+            [field_tokens(record, self.selector, self.language) for record in records]
+        )
         if self.per_fold_vocabulary:
-            return token_lists, None
-        return token_lists, fit_vocabulary_from_tokens(token_lists, self.top_x)
+            return counts, None
+        return counts, select_columns(counts, range(len(records)), self.top_x)
 
     def fold_matrices(self, prepared, train_rows, test_rows) -> tuple[np.ndarray, np.ndarray]:
-        token_lists, vocabulary = prepared
+        counts, selection = prepared
         return tfidf_fold_matrices(
-            token_lists, train_rows, test_rows, self.top_x, self.mode, self.idf_variant, vocabulary
+            counts, train_rows, test_rows, self.top_x, self.mode, self.idf_variant, selection
         )[:2]
 
     def export(self, records, lexicons: LexiconSet, out_dir: Path, comment: str) -> None:
         # the exported matrix uses a whole-corpus vocabulary fit; per-fold
-        # vocabularies exist only inside cross-validation
+        # vocabularies exist only inside cross-validation.  It is still built
+        # from token lists, not from counts: perfbench/tests pin the two
+        # tokenizations per record it makes (six per eval-tfidf record).
         vocabulary = fit_vocabulary(records, self.selector, self.top_x, self.language)
         save_vocabulary(vocabulary, out_dir / "vocabulary.tsv")
         words = sorted(vocabulary.entries, key=vocabulary.entries.get)

@@ -7,6 +7,14 @@ word occurring in a single document would divide by log(1) = 0, so the inner
 logarithm is smoothed to log(N_w + 1) in that one case only.  The
 conventional log(N / N_w) inverse-document-frequency is available behind the
 ``idf_variant`` switch for comparison.
+
+Cross-validation counts each document's words once (``count_documents``, a
+sparse document-by-word-type structure) and builds every fold from those
+counts: the fold vocabulary from integer column sums over the training rows
+(``select_columns``), its matrices by scattering the selected columns
+(``vectorize_counts``).  Both give exactly what
+``fit_vocabulary_from_tokens`` and ``vectorize`` give on the same rows'
+token lists; the exported whole-corpus matrix is still built by those two.
 """
 
 from __future__ import annotations
@@ -207,15 +215,142 @@ def vectorize(
     doc_freqs = [0] * len(vocabulary)
     for word, index in vocabulary.entries.items():
         doc_freqs[index] = vocabulary.doc_freq[word]
-    weights = {
-        n_w: tfidf_weight(1, 1, vocabulary.corpus_size, n_w, idf_variant)
-        for n_w in set(doc_freqs)
-    }
-    factors = np.array([weights[n_w] for n_w in doc_freqs], dtype=float)
+    matrix /= _document_lengths(token_lists)[:, None]
+    matrix *= _idf_factors(doc_freqs, vocabulary.corpus_size, idf_variant)
+    return matrix
+
+
+def _document_lengths(token_lists: Sequence[Sequence[str]]) -> np.ndarray:
     # an empty document has only zero counts, so dividing it by 1 keeps it zero
-    lengths = np.array([max(len(tokens), 1) for tokens in token_lists], dtype=float)
-    matrix /= lengths[:, None]
-    matrix *= factors
+    return np.array([max(len(tokens), 1) for tokens in token_lists], dtype=float)
+
+
+def _idf_factors(doc_freqs: list[int], corpus_size: int, idf_variant: IdfVariant) -> np.ndarray:
+    """``tfidf_weight(1, 1, N, N_w)`` for each N_w, evaluated once per distinct N_w."""
+    weights = {n_w: tfidf_weight(1, 1, corpus_size, n_w, idf_variant) for n_w in set(doc_freqs)}
+    return np.array([weights[n_w] for n_w in doc_freqs], dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# Count once, select columns per fold
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class DocumentCounts:
+    """Each document's word counts, in compressed sparse rows over the word types.
+
+    Document d's distinct words are the columns ``indices[indptr[d]:indptr[d + 1]]``
+    of ``words`` with the counts ``counts[...]``; ``lengths[d]`` is its token
+    count, at least 1.  Only the words a document contains are stored, never
+    a dense documents-by-types array.
+    """
+
+    words: tuple[str, ...]       # the word types, sorted
+    indptr: np.ndarray
+    indices: np.ndarray
+    counts: np.ndarray
+    lengths: np.ndarray
+
+    def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(position in ``rows``, column, count) of every stored count of the given rows."""
+        starts = self.indptr[rows]
+        sizes = self.indptr[rows + 1] - starts
+        owner = np.repeat(np.arange(rows.size), sizes)
+        # entry j of the gathered run of row i sits at starts[i] + (j - first[i])
+        first = np.cumsum(sizes) - sizes
+        flat = np.arange(owner.size) + np.repeat(starts - first, sizes)
+        return owner, self.indices[flat], self.counts[flat]
+
+    def vocabulary(self, selection: ColumnSelection) -> Vocabulary:
+        """The selected columns as a ``Vocabulary`` over their words."""
+        retained = [self.words[column] for column in selection.columns.tolist()]
+        return Vocabulary(
+            entries={word: index for index, word in enumerate(retained)},
+            doc_freq=dict(zip(retained, selection.doc_freq.tolist())),
+            corpus_size=selection.corpus_size,
+            top_x=selection.top_x,
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class ColumnSelection:
+    """A top-X vocabulary fitted on some rows of a ``DocumentCounts``, as count columns."""
+
+    columns: np.ndarray          # count column of each vocabulary index
+    doc_freq: np.ndarray         # N_w of each vocabulary index
+    corpus_size: int             # N, the number of rows fitted on
+    top_x: int
+
+
+def count_documents(token_lists: Sequence[Sequence[str]]) -> DocumentCounts:
+    """Count every document's words once; folds are then built by column selection."""
+    words = tuple(sorted({word for tokens in token_lists for word in tokens}))
+    columns = {word: column for column, word in enumerate(words)}
+    indptr, indices, counts = [0], [], []
+    for tokens in token_lists:
+        counter = Counter(tokens)
+        indices.extend(map(columns.__getitem__, counter))
+        counts.extend(counter.values())
+        indptr.append(len(indices))
+    return DocumentCounts(
+        words=words,
+        indptr=np.array(indptr, dtype=np.intp),
+        indices=np.array(indices, dtype=np.intp),
+        counts=np.array(counts, dtype=np.int64),
+        lengths=_document_lengths(token_lists),
+    )
+
+
+def select_columns(counts: DocumentCounts, rows: Sequence[int], top_x: int) -> ColumnSelection:
+    """``fit_vocabulary_from_tokens`` over the given rows, from column sums of their counts.
+
+    The sums are integers below 2^53, so float64 holds them exactly.  The
+    columns are in lexicographic order, so a stable sort on the negated sums
+    breaks ties by word, as the token-list fit does.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.size == 0:
+        raise ValueError("cannot fit a vocabulary on an empty corpus")
+    if top_x < 1:
+        raise ValueError("top_x must be >= 1")
+    _, columns, values = counts.entries(rows)
+    totals = np.bincount(columns, weights=values, minlength=len(counts.words))
+    present = np.flatnonzero(totals)
+    kept = present[np.argsort(-totals[present], kind="stable")[:top_x]]
+    return ColumnSelection(
+        columns=kept,
+        doc_freq=np.bincount(columns, minlength=len(counts.words))[kept],
+        corpus_size=rows.size,
+        top_x=top_x,
+    )
+
+
+def vectorize_counts(
+    counts: DocumentCounts,
+    rows: Sequence[int],
+    selection: ColumnSelection,
+    mode: VectorMode = VectorMode.TFIDF,
+    idf_variant: IdfVariant = IdfVariant.LOG_RATIO,
+) -> np.ndarray:
+    """``vectorize`` of the given rows' token lists under the selection's vocabulary.
+
+    The selected columns' counts are scattered into a dense rows-by-vocabulary
+    array (words outside the vocabulary are dropped), then divided by n_d and
+    multiplied by the per-word factors: the same floating-point operations
+    as ``vectorize``, so the cells are equal.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    index_of = np.full(len(counts.words), -1, dtype=np.intp)
+    index_of[selection.columns] = np.arange(selection.columns.size)
+    owner, columns, values = counts.entries(rows)
+    indices = index_of[columns]
+    kept = indices >= 0
+    matrix = np.zeros((rows.size, selection.columns.size))
+    matrix[owner[kept], indices[kept]] = values[kept]
+    if mode is VectorMode.RAW_FREQUENCY:
+        return matrix
+    matrix /= counts.lengths[rows][:, None]
+    matrix *= _idf_factors(selection.doc_freq.tolist(), selection.corpus_size, idf_variant)
     return matrix
 
 

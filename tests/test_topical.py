@@ -1,11 +1,13 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grantprod.corpus import Area, GrantRecord
+from grantprod.ml import tfidf_fold_matrices
 from grantprod.textproc import analyze, builtin_lexicons
 from grantprod.topical import (
     FieldSelector,
@@ -14,14 +16,17 @@ from grantprod.topical import (
     OutOfVocabularyError,
     VectorMode,
     Vocabulary,
+    count_documents,
     field_text,
     field_tokens,
     fit_vocabulary,
     fit_vocabulary_from_tokens,
     save_vocabulary,
+    select_columns,
     text_tokens,
     tfidf_weight,
     vectorize,
+    vectorize_counts,
 )
 
 
@@ -231,6 +236,128 @@ def test_vectorize_cells_equal_scalar_formula(docs, unseen, top_x, mode, variant
                     counts[word], len(tokens), vocab.corpus_size, vocab.doc_freq[word], variant
                 )
             assert row[index] == expected
+
+
+# ---------------------------------------------------------------------------
+# counted folds: column selection against the token-list fit and vectorize
+# ---------------------------------------------------------------------------
+
+def assert_same_vocabulary(got: Vocabulary, want: Vocabulary) -> None:
+    assert list(got.entries.items()) == list(want.entries.items())
+    assert got.doc_freq == want.doc_freq
+    assert got.corpus_size == want.corpus_size
+    assert got.top_x == want.top_x
+
+
+def token_list_fold(docs, train, test, top_x, mode, variant, per_fold):
+    """The fold as fitted and vectorized from token lists."""
+    fit_rows = train if per_fold else range(len(docs))
+    vocab = fit_vocabulary_from_tokens([docs[i] for i in fit_rows], top_x)
+    return (
+        vectorize([docs[i] for i in train], vocab, mode, variant),
+        vectorize([docs[i] for i in test], vocab, mode, variant),
+        vocab,
+    )
+
+
+@st.composite
+def folds(draw):
+    """Documents over a four-letter alphabet (so frequencies tie), some empty, and a split."""
+    docs = draw(st.lists(st.lists(st.sampled_from("abcd"), max_size=8), min_size=1, max_size=8))
+    order = draw(st.permutations(range(len(docs))))
+    cut = draw(st.integers(1, len(docs)))
+    return docs, list(order[:cut]), list(order[cut:])
+
+
+_ALL_EMPTY = ([[], []], [1], [0])
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    fold=folds(),
+    top_x=st.integers(1, 6),
+    mode=st.sampled_from(VectorMode),
+    variant=st.sampled_from(IdfVariant),
+    per_fold=st.booleans(),
+)
+@example(fold=_ALL_EMPTY, top_x=1, mode=VectorMode.TFIDF, variant=IdfVariant.LOG_RATIO, per_fold=True)
+def test_counted_fold_equals_token_list_fold(fold, top_x, mode, variant, per_fold):
+    docs, train, test = fold
+    counts = count_documents(docs)
+    selection = None if per_fold else select_columns(counts, range(len(docs)), top_x)
+    got = tfidf_fold_matrices(counts, train, test, top_x, mode, variant, selection)
+    want = token_list_fold(docs, train, test, top_x, mode, variant, per_fold)
+    assert got[0].shape == want[0].shape and np.array_equal(got[0], want[0])
+    assert got[1].shape == want[1].shape and np.array_equal(got[1], want[1])
+    assert_same_vocabulary(got[2], want[2])
+
+
+@pytest.mark.parametrize("rows, top_x, message", [
+    ([], 5, "empty corpus"),
+    ([0], 0, "top_x must be >= 1"),
+    ([0], -1, "top_x must be >= 1"),
+])
+def test_column_selection_keeps_the_fit_guards(rows, top_x, message):
+    docs = [["a", "b"], ["b"]]
+    with pytest.raises(ValueError, match=message):
+        fit_vocabulary_from_tokens([docs[i] for i in rows], top_x)
+    with pytest.raises(ValueError, match=message):
+        select_columns(count_documents(docs), rows, top_x)
+    with pytest.raises(ValueError, match=message):
+        tfidf_fold_matrices(count_documents(docs), rows, [1], top_x)
+
+
+def test_all_empty_training_documents_give_zero_width_matrices():
+    docs = [[], [], ["a", "b"]]
+    train, test, vocab = tfidf_fold_matrices(count_documents(docs), [0, 1], [2], top_x=5)
+    assert train.shape == (2, 0) and test.shape == (1, 0)
+    assert len(vocab) == 0 and vocab.corpus_size == 2
+    assert_same_vocabulary(vocab, fit_vocabulary_from_tokens(docs[:2], 5))
+
+
+def test_test_only_words_are_dropped_but_counted_in_n_d():
+    docs = [["a", "b", "a"], ["b"], ["a", "zzz", "zzz", "b"]]
+    counts = count_documents(docs)
+    _, test, vocab = tfidf_fold_matrices(counts, [0, 1], [2], top_x=5)
+    assert "zzz" not in vocab.entries and test.shape == (1, 2)
+    assert np.array_equal(test, vectorize(docs[2:], vocab))
+    assert test[0, vocab.entries["b"]] == tfidf_weight(1, 4, 2, 2)
+
+
+def test_document_counts_store_only_the_words_each_document_has():
+    # 60 documents of 30 tokens and 20 distinct words each, over a few hundred word types
+    docs = [[f"w{(i * 37 + (j % 20) ** 2) % 700}" for j in range(30)] for i in range(60)]
+    docs += [[], field_tokens(record(), FieldSelector.ABSTRACT)]
+    counts = count_documents(docs)
+    distinct = sum(len(set(tokens)) for tokens in docs)
+    assert counts.indices.size == counts.counts.size == distinct
+    assert distinct * 10 < len(docs) * len(counts.words)  # a dense array would be 10x larger
+    assert counts.words == tuple(sorted({word for tokens in docs for word in tokens}))
+    assert counts.indptr.tolist()[-1] == distinct and counts.indptr.size == len(docs) + 1
+    assert counts.counts.sum() == sum(len(tokens) for tokens in docs)
+    assert np.array_equal(counts.lengths, [max(len(tokens), 1) for tokens in docs])
+
+
+def test_wide_ties_break_by_word():
+    # hundreds of tied columns: a sort that is stable only on short arrays fails here
+    docs = [[f"t{(i * 7 + j) % 300:03d}" for j in range(20)] for i in range(45)]
+    docs[0] += ["t299"] * 3
+    counts = count_documents(docs)
+    for top_x in (1, 150, 299, 400):
+        vocab = fit_vocabulary_from_tokens(docs[:40], top_x)
+        assert_same_vocabulary(counts.vocabulary(select_columns(counts, range(40), top_x)), vocab)
+
+
+def test_rows_may_repeat_and_come_in_any_order():
+    docs = [["a", "b"], ["b", "c", "c"], [], ["a"]]
+    counts = count_documents(docs)
+    rows = [3, 1, 1, 0, 2]
+    selection = select_columns(counts, rows, 3)
+    vocab = fit_vocabulary_from_tokens([docs[i] for i in rows], 3)
+    assert_same_vocabulary(counts.vocabulary(selection), vocab)
+    assert np.array_equal(
+        vectorize_counts(counts, rows, selection), vectorize([docs[i] for i in rows], vocab)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,15 @@ such a run the textbook loop itself moves by more than ``GRAM_RTOL`` when X
 moves by one ulp, so no reordering of its sums could stay within the
 tolerance; the MLP property checks only the runs that the textbook loop
 resolves to ``GRAM_RTOL / 1000``.
+
+Each strategy returns a problem recipe: a frozen dataclass of its scalar draws
+(the numpy generator's seed among them) whose ``build()`` makes the arrays.
+A falsifying report prints the recipe, not the arrays (whose 8-digit repr
+loses the digits a chaotic run depends on), so pasting the printed recipe
+into ``@example(...)`` on the test replays the failure exactly.
 """
 
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -30,8 +37,8 @@ GRAM_RTOL = 1e-9
 DECISION_MARGIN = 1e-9
 
 
-def _seeded_rng(draw) -> np.random.Generator:
-    return np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+RNG_SEEDS = st.integers(0, 2**32 - 1)
+LABEL_KINDS = st.sampled_from(["mixed", "zeros", "ones"])
 
 
 def _shape(draw, gram: bool, max_cols: int) -> tuple[int, int]:
@@ -42,8 +49,12 @@ def _shape(draw, gram: bool, max_cols: int) -> tuple[int, int]:
     return n, draw(st.integers(1, min(n, max_cols)))
 
 
-def _labels(draw, rng, n: int) -> np.ndarray:
-    kind = draw(st.sampled_from(["mixed", "zeros", "ones"]))
+def _zero_row(draw, n: int) -> int | None:
+    """An all-zero row half the time."""
+    return draw(st.integers(0, n - 1)) if draw(st.booleans()) else None
+
+
+def _labels(rng, kind: str, n: int) -> np.ndarray:
     if kind == "mixed":
         return rng.integers(0, 2, n)
     return np.full(n, 1 if kind == "ones" else 0)
@@ -64,26 +75,53 @@ def assert_same_decisions(got, want, threshold: float) -> None:
     assert np.array_equal(got[clear] > threshold, want[clear] > threshold)
 
 
-@st.composite
-def svm_problems(draw, gram: bool = False):
+@dataclass(frozen=True)
+class SvmProblem:
     """Mostly-zero rows (as tf-idf gives), sometimes an all-zero row or one class."""
+
+    n: int
+    d: int
+    rng_seed: int
+    density: float
+    scale: float
+    zero_row: int | None
+    labels: str
+    C: float
+    epochs: int
+    seed: int
+
+    def build(self) -> tuple[FeatureMatrix, SvmHyper, int, np.ndarray]:
+        rng = np.random.default_rng(self.rng_seed)
+        shape = (self.n, self.d)
+        X = self.scale * rng.normal(size=shape) * (rng.random(shape) < self.density)
+        if self.zero_row is not None:
+            X[self.zero_row] = 0.0
+        y = _labels(rng, self.labels, self.n)
+        probes = np.vstack([X, self.scale * rng.normal(size=(4, self.d))])
+        return FeatureMatrix(X, y), SvmHyper(C=self.C, epochs=self.epochs), self.seed, probes
+
+
+@st.composite
+def svm_problems(draw, gram: bool = False) -> SvmProblem:
     n, d = _shape(draw, gram, max_cols=12)
-    rng = _seeded_rng(draw)
-    density = draw(st.sampled_from([0.1, 0.3, 1.0]))
-    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
-    X = scale * rng.normal(size=(n, d)) * (rng.random((n, d)) < density)
-    if draw(st.booleans()):
-        X[draw(st.integers(0, n - 1))] = 0.0
-    y = _labels(draw, rng, n)
-    hyper = SvmHyper(C=draw(st.sampled_from([0.01, 1.0, 100.0])), epochs=draw(st.integers(1, 8)))
-    probes = np.vstack([X, scale * rng.normal(size=(4, d))])
-    return FeatureMatrix(X, y), hyper, draw(st.integers(0, 1000)), probes
+    return SvmProblem(
+        n=n,
+        d=d,
+        rng_seed=draw(RNG_SEEDS),
+        density=draw(st.sampled_from([0.1, 0.3, 1.0])),
+        scale=draw(st.sampled_from([1e-3, 1.0, 1e3])),
+        zero_row=_zero_row(draw, n),
+        labels=draw(LABEL_KINDS),
+        C=draw(st.sampled_from([0.01, 1.0, 100.0])),
+        epochs=draw(st.integers(1, 8)),
+        seed=draw(st.integers(0, 1000)),
+    )
 
 
 @settings(max_examples=150, deadline=None)
 @given(svm_problems())
 def test_svm_equals_textbook_pegasos(problem):
-    train, hyper, seed, _ = problem
+    train, hyper, seed, _ = problem.build()
     lean = ml.train_linear_svm(train, hyper, seed)
     textbook = oracle.train_linear_svm(train, hyper, seed)
     assert np.array_equal(lean.weights, textbook.weights)
@@ -101,7 +139,7 @@ def assert_svm_near_textbook(train, hyper, seed, probes) -> None:
 @settings(max_examples=300, deadline=None)
 @given(svm_problems(gram=True))
 def test_gram_svm_within_tolerance_of_textbook_pegasos(problem):
-    assert_svm_near_textbook(*problem)
+    assert_svm_near_textbook(*problem.build())
 
 
 @pytest.mark.parametrize("C, n", [(1.0, 3), (0.01, 9)])
@@ -130,23 +168,43 @@ def test_gram_svm_scale_survives_repeated_projections(row_scale):
     assert_svm_near_textbook(train, hyper, 0, X)
 
 
+HIDDEN_LAYERS = st.lists(st.integers(1, 6), min_size=1, max_size=2).map(tuple)
+
+
+@dataclass(frozen=True)
+class MlpProblem:
+    """Dense rows, labels, and weights and biases at random (non-zero) values."""
+
+    n: int
+    d: int
+    rng_seed: int
+    scale: float
+    hidden: tuple[int, ...]
+
+    def build(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], list[np.ndarray]]:
+        rng = np.random.default_rng(self.rng_seed)
+        X = self.scale * rng.normal(size=(self.n, self.d))
+        y = rng.integers(0, 2, self.n).astype(float)
+        weights, biases = ml._mlp_init([self.d, *self.hidden, 1], rng)
+        biases = [rng.normal(size=b.shape) for b in biases]
+        return X, y, weights, biases
+
+
 @st.composite
-def mlp_problems(draw):
-    n = draw(st.integers(1, 10))
-    d = draw(st.integers(1, 5))
-    rng = _seeded_rng(draw)
-    X = draw(st.sampled_from([0.1, 1.0, 30.0])) * rng.normal(size=(n, d))
-    y = rng.integers(0, 2, n).astype(float)
-    hidden = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=2)))
-    weights, biases = ml._mlp_init([d, *hidden, 1], rng)
-    biases = [rng.normal(size=b.shape) for b in biases]
-    return X, y, weights, biases
+def mlp_problems(draw) -> MlpProblem:
+    return MlpProblem(
+        n=draw(st.integers(1, 10)),
+        d=draw(st.integers(1, 5)),
+        rng_seed=draw(RNG_SEEDS),
+        scale=draw(st.sampled_from([0.1, 1.0, 30.0])),
+        hidden=draw(HIDDEN_LAYERS),
+    )
 
 
 @settings(max_examples=100, deadline=None)
 @given(mlp_problems())
 def test_mlp_loss_and_gradients_equal_textbook(problem):
-    X, y, weights, biases = problem
+    X, y, weights, biases = problem.build()
     loss, grad_w, grad_b = ml.mlp_loss_and_grad(weights, biases, X, y)
     ref_loss, ref_w, ref_b = oracle.mlp_loss_and_grad(weights, biases, X, y)
     assert loss == ref_loss
@@ -154,29 +212,55 @@ def test_mlp_loss_and_gradients_equal_textbook(problem):
         assert np.array_equal(got, want)
 
 
-@st.composite
-def mlp_training_problems(draw, gram: bool = False):
+@dataclass(frozen=True)
+class MlpTrainingProblem:
     """Dense rows at scales from 1e-3 to 1e3, sometimes an all-zero row or one class."""
+
+    n: int
+    d: int
+    rng_seed: int
+    scale: float
+    zero_row: int | None
+    labels: str
+    hidden: tuple[int, ...]
+    learning_rate: float
+    epochs: int
+    seed: int
+
+    def build(self) -> tuple[FeatureMatrix, MlpHyper, int, np.ndarray]:
+        rng = np.random.default_rng(self.rng_seed)
+        X = self.scale * rng.normal(size=(self.n, self.d))
+        if self.zero_row is not None:
+            X[self.zero_row] = 0.0
+        y = _labels(rng, self.labels, self.n)
+        hyper = MlpHyper(
+            hidden_layers=self.hidden, learning_rate=self.learning_rate, epochs=self.epochs
+        )
+        probes = np.vstack([X, self.scale * rng.normal(size=(4, self.d))])
+        return FeatureMatrix(X, y), hyper, self.seed, probes
+
+
+@st.composite
+def mlp_training_problems(draw, gram: bool = False) -> MlpTrainingProblem:
     n, d = _shape(draw, gram, max_cols=5)
-    rng = _seeded_rng(draw)
-    scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 30.0, 1e3]))
-    X = scale * rng.normal(size=(n, d))
-    if draw(st.booleans()):
-        X[draw(st.integers(0, n - 1))] = 0.0
-    y = _labels(draw, rng, n)
-    hyper = MlpHyper(
-        hidden_layers=tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=2))),
+    return MlpTrainingProblem(
+        n=n,
+        d=d,
+        rng_seed=draw(RNG_SEEDS),
+        scale=draw(st.sampled_from([1e-3, 0.1, 1.0, 30.0, 1e3])),
+        zero_row=_zero_row(draw, n),
+        labels=draw(LABEL_KINDS),
+        hidden=draw(HIDDEN_LAYERS),
         learning_rate=draw(st.sampled_from([0.1, 1.0])),
         epochs=draw(st.integers(1, 30)),
+        seed=draw(st.integers(0, 1000)),
     )
-    probes = np.vstack([X, scale * rng.normal(size=(4, d))])
-    return FeatureMatrix(X, y), hyper, draw(st.integers(0, 1000)), probes
 
 
 @settings(max_examples=60, deadline=None)
 @given(mlp_training_problems())
 def test_trained_mlp_equals_textbook(problem):
-    train, hyper, seed, probes = problem
+    train, hyper, seed, probes = problem.build()
     lean = ml.train_mlp(train, hyper, seed)
     textbook = oracle.train_mlp(train, hyper, seed)
     for got, want in zip(lean.weights + lean.biases, textbook.weights + textbook.biases):
@@ -207,9 +291,9 @@ def _textbook_resolves(train, hyper, seed) -> bool:
 @settings(max_examples=200, deadline=None)
 @given(mlp_training_problems(gram=True))
 def test_gram_mlp_within_tolerance_of_textbook(problem):
-    train, hyper, seed, _ = problem
+    train, hyper, seed, probes = problem.build()
     assume(_textbook_resolves(train, hyper, seed))
-    assert_mlp_near_textbook(*problem)
+    assert_mlp_near_textbook(train, hyper, seed, probes)
 
 
 @pytest.mark.parametrize("d", [6, 7])
@@ -251,22 +335,39 @@ def test_sigmoid_equals_masked_scatter(values):
     assert np.array_equal(ml._sigmoid(z), oracle._sigmoid(z), equal_nan=True)
 
 
-@st.composite
-def knn_problems(draw):
+@dataclass(frozen=True)
+class KnnProblem:
     """Small integer-valued rows with duplicates, so neighbour distances tie."""
-    n = draw(st.integers(2, 24))
-    rng = _seeded_rng(draw)
-    d = draw(st.integers(1, 4))
-    X = rng.integers(0, 3, size=(n, d)).astype(float)
-    X[rng.integers(0, n, n // 3)] = X[0]
-    y = rng.integers(0, 2, n)
-    return X, y, draw(st.sampled_from(["euclidean", "cosine"])), draw(st.integers(0, 1000))
+
+    n: int
+    d: int
+    rng_seed: int
+    metric: str
+    seed: int
+
+    def build(self) -> tuple[np.ndarray, np.ndarray, str, int]:
+        rng = np.random.default_rng(self.rng_seed)
+        X = rng.integers(0, 3, size=(self.n, self.d)).astype(float)
+        X[rng.integers(0, self.n, self.n // 3)] = X[0]
+        y = rng.integers(0, 2, self.n)
+        return X, y, self.metric, self.seed
+
+
+@st.composite
+def knn_problems(draw) -> KnnProblem:
+    return KnnProblem(
+        n=draw(st.integers(2, 24)),
+        d=draw(st.integers(1, 4)),
+        rng_seed=draw(RNG_SEEDS),
+        metric=draw(st.sampled_from(["euclidean", "cosine"])),
+        seed=draw(st.integers(0, 1000)),
+    )
 
 
 @settings(max_examples=100, deadline=None)
 @given(knn_problems())
 def test_knn_selection_equals_per_k_models(problem):
-    X, y, metric, seed = problem
+    X, y, metric, seed = problem.build()
     hyper = KnnHyper()
     assert ml.select_knn_k(X, y, hyper, seed, metric) == oracle.select_knn_k(
         X, y, hyper, seed, metric
