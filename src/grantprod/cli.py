@@ -40,7 +40,7 @@ from .ml import (
 )
 from .relevance import write_rank_diagram, write_ranking_csv
 from .textproc import SUPPORTED_LANGUAGES, LexiconSet, builtin_lexicons, load_lexicons
-from .topical import FieldSelector, IdfVariant, VectorMode
+from .topical import FieldSelector, IdfVariant, MissingFieldError, VectorMode
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -363,25 +363,26 @@ def _parse_algos(value: str) -> tuple[str, ...]:
     return tuple(dict.fromkeys(algorithms))
 
 
-def _language_subset(records: list[GrantRecord], feature_config) -> tuple[list[GrantRecord], int]:
-    """The records whose selected text exists; English title and abstract are optional."""
-    def readable(record: GrantRecord) -> bool:
+def _readable_subset(records: list[GrantRecord], feature_config) -> tuple[list, dict[str, int]]:
+    """The records whose selected text exists, and how many others lack each optional field."""
+    kept, lacking = [], {}
+    for record in records:
         try:
             feature_config.text(record)
-        except ValueError:  # MissingFieldError
-            return False
-        return True
-    kept = [r for r in records if readable(r)]
-    return kept, len(records) - len(kept)
+        except MissingFieldError as error:
+            lacking[error.field] = lacking.get(error.field, 0) + 1
+        else:
+            kept.append(record)
+    return kept, lacking
 
 
 def _usable_records(records: list[GrantRecord], feature_config) -> list[GrantRecord]:
-    """The language subset, with the exclusions reported; none usable is an input error."""
-    kept, excluded = _language_subset(records, feature_config)
-    if excluded:
-        print(f"excluded {excluded} record(s) lacking {feature_config.language} text fields")
+    """The readable subset, with the exclusions reported; none usable is an input error."""
+    kept, lacking = _readable_subset(records, feature_config)
+    for field, excluded in lacking.items():
+        print(f"excluded {excluded} record(s) lacking {field}")
     if not kept:
-        raise CliValidationError("no records usable for the configured language")
+        raise CliValidationError(f"no records usable: every record lacks {' or '.join(lacking)}")
     return kept
 
 

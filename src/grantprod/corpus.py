@@ -116,14 +116,15 @@ def label_records(records: Iterable[GrantRecord]) -> list[tuple[GrantRecord, Lab
 # ---------------------------------------------------------------------------
 
 def _parse_subject(value, fmt: str) -> tuple[str, ...]:
+    """The keywords, stripped; blank ones are dropped, so a record may have none."""
     if value is None:
         return ()
     if fmt == "csv":
-        parts = [p.strip() for p in str(value).split(";")]
-        return tuple(p for p in parts if p)
-    if not isinstance(value, list):
+        value = str(value).split(";")
+    elif not isinstance(value, list):
         raise ValueError("subject must be an array")
-    return tuple(str(p) for p in value)
+    keywords = (str(p).strip() for p in value)
+    return tuple(k for k in keywords if k)
 
 
 def _record_from_mapping(mapping: dict, row_number: int, fmt: str) -> GrantRecord:

@@ -47,7 +47,6 @@ from .topical import (
     FieldSelector,
     IdfVariant,
     VectorMode,
-    Vocabulary,
     count_documents,
     document_text,
     field_text,
@@ -168,21 +167,20 @@ def tfidf_fold_matrices(
     mode: VectorMode = VectorMode.TFIDF,
     idf_variant: IdfVariant = IdfVariant.LOG_RATIO,
     selection: ColumnSelection | None = None,
-) -> tuple[np.ndarray, np.ndarray, Vocabulary]:
-    """Vectorize one fold; the vocabulary is fitted on the training rows only.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Training and test matrices of one fold; the vocabulary is fitted on the training rows only.
 
     ``counts`` holds every document's word counts, made once per area.  The
     fold's vocabulary is selected from column sums over the training rows
     (or is ``selection``, fitted beforehand) and its matrices are built by
-    column selection; they equal ``fit_vocabulary_from_tokens`` and
-    ``vectorize`` on the rows' token lists.
+    column selection.  The fold's ``Vocabulary``, where one is wanted, is
+    ``counts.vocabulary(select_columns(counts, train_rows, top_x))``.
     """
     if selection is None:
         selection = select_columns(counts, train_rows, top_x)
     return (
         vectorize_counts(counts, train_rows, selection, mode, idf_variant),
         vectorize_counts(counts, test_rows, selection, mode, idf_variant),
-        counts.vocabulary(selection),
     )
 
 
@@ -1045,13 +1043,14 @@ class TfidfFeatures:
         counts, selection = prepared
         return tfidf_fold_matrices(
             counts, train_rows, test_rows, self.top_x, self.mode, self.idf_variant, selection
-        )[:2]
+        )
 
     def export(self, records, lexicons: LexiconSet, out_dir: Path, comment: str) -> None:
         # the exported matrix uses a whole-corpus vocabulary fit; per-fold
-        # vocabularies exist only inside cross-validation.  It is still built
-        # from token lists, not from counts: perfbench/tests pin the two
-        # tokenizations per record it makes (six per eval-tfidf record).
+        # vocabularies exist only inside cross-validation.  fit_vocabulary and
+        # vectorize run the fold kernel on their own token lists, so the
+        # records are tokenized twice here: perfbench/tests pin that count
+        # (six tokenizations per eval-tfidf record).
         vocabulary = fit_vocabulary(records, self.selector, self.top_x, self.language)
         save_vocabulary(vocabulary, out_dir / "vocabulary.tsv")
         words = sorted(vocabulary.entries, key=vocabulary.entries.get)

@@ -8,13 +8,12 @@ logarithm is smoothed to log(N_w + 1) in that one case only.  The
 conventional log(N / N_w) inverse-document-frequency is available behind the
 ``idf_variant`` switch for comparison.
 
-Cross-validation counts each document's words once (``count_documents``, a
-sparse document-by-word-type structure) and builds every fold from those
-counts: the fold vocabulary from integer column sums over the training rows
-(``select_columns``), its matrices by scattering the selected columns
-(``vectorize_counts``).  Both give exactly what
-``fit_vocabulary_from_tokens`` and ``vectorize`` give on the same rows'
-token lists; the exported whole-corpus matrix is still built by those two.
+One kernel builds every vector: ``count_documents`` counts each document's
+words once (sparse rows over the word types), ``select_columns`` fits a top-X
+vocabulary from integer column sums over some rows and ``vectorize_counts``
+scatters the selected columns.  Every fold is built from one area's counts;
+the token-list entry points ``fit_vocabulary_from_tokens`` and ``vectorize``
+count their own token lists and run the same steps over all rows.
 """
 
 from __future__ import annotations
@@ -55,7 +54,11 @@ class OutOfVocabularyError(KeyError):
 
 
 class MissingFieldError(ValueError):
-    pass
+    """A record lacks the text field a feature family reads; ``field`` names it."""
+
+    def __init__(self, grant_id: str, field: str):
+        super().__init__(f"record {grant_id} has no {field}")
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -88,16 +91,18 @@ def _title_and_abstract(record: GrantRecord, language: str) -> tuple[str | None,
 
 
 def field_text(record: GrantRecord, selector: FieldSelector, language: str = "pt") -> str:
-    """Raw text of the selected field; subject keywords are space-joined."""
+    """Raw text of the selected field (subject keywords space-joined); MissingFieldError if none."""
     if selector is FieldSelector.SUBJECT:
+        if not record.subject:
+            raise MissingFieldError(record.grant_id, "subject keywords")
         return " ".join(record.subject)
     title, abstract = _title_and_abstract(record, language)
     if selector is FieldSelector.ABSTRACT:
         if abstract is None:
-            raise MissingFieldError(f"record {record.grant_id} has no {language} abstract")
+            raise MissingFieldError(record.grant_id, f"{language} abstract")
         return abstract
     if title is None:
-        raise MissingFieldError(f"record {record.grant_id} has no {language} title")
+        raise MissingFieldError(record.grant_id, f"{language} title")
     if selector is FieldSelector.TITLE_PLUS_SUBJECT:
         return " ".join([title] + list(record.subject))
     return title
@@ -131,23 +136,8 @@ def text_tokens(text: str) -> list[str]:
 
 def fit_vocabulary_from_tokens(token_lists: Sequence[Sequence[str]], top_x: int) -> Vocabulary:
     """Retain the top_x words by total corpus frequency; ties break lexicographically."""
-    if not token_lists:
-        raise ValueError("cannot fit a vocabulary on an empty corpus")
-    if top_x < 1:
-        raise ValueError("top_x must be >= 1")
-    totals: Counter[str] = Counter()
-    documents: Counter[str] = Counter()
-    for tokens in token_lists:
-        totals.update(tokens)
-        documents.update(set(tokens))
-    retained = sorted(totals.items(), key=lambda item: (-item[1], item[0]))[:top_x]
-    entries = {word: index for index, (word, _) in enumerate(retained)}
-    return Vocabulary(
-        entries=entries,
-        doc_freq={word: documents[word] for word in entries},
-        corpus_size=len(token_lists),
-        top_x=top_x,
-    )
+    counts = count_documents(token_lists)
+    return counts.vocabulary(select_columns(counts, range(len(token_lists)), top_x))
 
 
 def fit_vocabulary(
@@ -156,8 +146,6 @@ def fit_vocabulary(
     top_x: int,
     language: str = "pt",
 ) -> Vocabulary:
-    if not corpus:
-        raise ValueError("cannot fit a vocabulary on an empty corpus")
     return fit_vocabulary_from_tokens(
         [field_tokens(record, selector, language) for record in corpus], top_x
     )
@@ -202,27 +190,13 @@ def vectorize(
     computed as (count / n_d) times the per-word factor ``tfidf_weight(1, 1,
     ...)``, which performs the same floating-point operations, so the cells
     equal the scalar formula exactly.  The factor is evaluated once per
-    distinct document frequency.  An empty document gives a zero row.
+    distinct document frequency.  An empty document gives a zero row.  The
+    token lists are counted and vectorized by ``vectorize_counts``, as folds are.
     """
-    matrix = np.zeros((len(token_lists), len(vocabulary)))
-    for row, tokens in zip(matrix, token_lists):
-        for word, count in Counter(tokens).items():
-            index = vocabulary.entries.get(word)
-            if index is not None:
-                row[index] = count
-    if mode is VectorMode.RAW_FREQUENCY:
-        return matrix
-    doc_freqs = [0] * len(vocabulary)
-    for word, index in vocabulary.entries.items():
-        doc_freqs[index] = vocabulary.doc_freq[word]
-    matrix /= _document_lengths(token_lists)[:, None]
-    matrix *= _idf_factors(doc_freqs, vocabulary.corpus_size, idf_variant)
-    return matrix
-
-
-def _document_lengths(token_lists: Sequence[Sequence[str]]) -> np.ndarray:
-    # an empty document has only zero counts, so dividing it by 1 keeps it zero
-    return np.array([max(len(tokens), 1) for tokens in token_lists], dtype=float)
+    counts = count_documents(token_lists)
+    return vectorize_counts(
+        counts, range(len(token_lists)), counts.selection(vocabulary), mode, idf_variant
+    )
 
 
 def _idf_factors(doc_freqs: list[int], corpus_size: int, idf_variant: IdfVariant) -> np.ndarray:
@@ -258,7 +232,8 @@ class DocumentCounts:
         owner = np.repeat(np.arange(rows.size), sizes)
         # entry j of the gathered run of row i sits at starts[i] + (j - first[i])
         first = np.cumsum(sizes) - sizes
-        flat = np.arange(owner.size) + np.repeat(starts - first, sizes)
+        flat = np.repeat(starts - first, sizes)
+        flat += np.arange(owner.size)
         return owner, self.indices[flat], self.counts[flat]
 
     def vocabulary(self, selection: ColumnSelection) -> Vocabulary:
@@ -271,12 +246,23 @@ class DocumentCounts:
             top_x=selection.top_x,
         )
 
+    def selection(self, vocabulary: Vocabulary) -> ColumnSelection:
+        """Inverse of ``vocabulary``: each index's count column, -1 if no document has the word."""
+        column_of = {word: column for column, word in enumerate(self.words)}
+        retained = sorted(vocabulary.entries, key=vocabulary.entries.__getitem__)
+        return ColumnSelection(
+            columns=np.array([column_of.get(word, -1) for word in retained], dtype=np.intp),
+            doc_freq=np.array([vocabulary.doc_freq[word] for word in retained], dtype=np.int64),
+            corpus_size=vocabulary.corpus_size,
+            top_x=vocabulary.top_x,
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class ColumnSelection:
     """A top-X vocabulary fitted on some rows of a ``DocumentCounts``, as count columns."""
 
-    columns: np.ndarray          # count column of each vocabulary index
+    columns: np.ndarray          # count column of each vocabulary index, -1 if none
     doc_freq: np.ndarray         # N_w of each vocabulary index
     corpus_size: int             # N, the number of rows fitted on
     top_x: int
@@ -297,16 +283,17 @@ def count_documents(token_lists: Sequence[Sequence[str]]) -> DocumentCounts:
         indptr=np.array(indptr, dtype=np.intp),
         indices=np.array(indices, dtype=np.intp),
         counts=np.array(counts, dtype=np.int64),
-        lengths=_document_lengths(token_lists),
+        # an empty document has only zero counts, so dividing it by 1 keeps it zero
+        lengths=np.array([max(len(tokens), 1) for tokens in token_lists], dtype=float),
     )
 
 
 def select_columns(counts: DocumentCounts, rows: Sequence[int], top_x: int) -> ColumnSelection:
-    """``fit_vocabulary_from_tokens`` over the given rows, from column sums of their counts.
+    """The top_x words of the given rows by total frequency, from column sums of their counts.
 
     The sums are integers below 2^53, so float64 holds them exactly.  The
     columns are in lexicographic order, so a stable sort on the negated sums
-    breaks ties by word, as the token-list fit does.
+    breaks ties by word.
     """
     rows = np.asarray(rows, dtype=np.intp)
     if rows.size == 0:
@@ -332,18 +319,18 @@ def vectorize_counts(
     mode: VectorMode = VectorMode.TFIDF,
     idf_variant: IdfVariant = IdfVariant.LOG_RATIO,
 ) -> np.ndarray:
-    """``vectorize`` of the given rows' token lists under the selection's vocabulary.
+    """The given rows' document-by-word matrix under the selection's vocabulary.
 
     The selected columns' counts are scattered into a dense rows-by-vocabulary
     array (words outside the vocabulary are dropped), then divided by n_d and
-    multiplied by the per-word factors: the same floating-point operations
-    as ``vectorize``, so the cells are equal.
+    multiplied by the per-word factors (see ``vectorize``).
     """
     rows = np.asarray(rows, dtype=np.intp)
     index_of = np.full(len(counts.words), -1, dtype=np.intp)
-    index_of[selection.columns] = np.arange(selection.columns.size)
-    owner, columns, values = counts.entries(rows)
-    indices = index_of[columns]
+    present = selection.columns >= 0
+    index_of[selection.columns[present]] = np.flatnonzero(present)
+    owner, indices, values = counts.entries(rows)
+    indices = index_of[indices]  # count column -> vocabulary index; rebinding frees the columns
     kept = indices >= 0
     matrix = np.zeros((rows.size, selection.columns.size))
     matrix[owner[kept], indices[kept]] = values[kept]

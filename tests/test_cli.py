@@ -237,6 +237,27 @@ def test_evaluate_english_exclusion(tmp_path, capsys):
     assert "excluded 1 record(s)" in capsys.readouterr().out
 
 
+def test_evaluate_subject_field_excludes_records_without_keywords(tmp_path, capsys):
+    # subject is optional: a record without keywords lacks the field, so with
+    # none left --fields subject exits 2 before any output, and title+subject
+    # keeps the titles
+    path = tmp_path / "nosubject.csv"
+    write_corpus_csv([replace(r, subject=()) for r in mixed_area_corpus(n=72, seed=7)], path)
+    argv = ["evaluate", "--input", str(path), "--format", "csv", "--features", "tfidf",
+            "--folds", "3", "--resamples", "2", "--seed", "1"]
+    out = tmp_path / "subject"
+    code = main(argv + ["--fields", "subject", "--algo", "all", "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "excluded 72 record(s) lacking subject keywords" in captured.out
+    assert "every record lacks subject keywords" in captured.err
+    assert not out.exists()
+    code = main(argv + ["--fields", "title+subject", "--algo", "bayes",
+                        "--out", str(tmp_path / "title")])
+    assert code == EXIT_OK
+    assert "excluded" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("include_title", [False, True])
 @pytest.mark.parametrize("fields", sorted(cli.FIELD_CHOICES))
 @pytest.mark.parametrize("features", ["complexity", "tfidf"])
@@ -261,11 +282,11 @@ def test_english_subset_is_the_records_whose_extraction_succeeds(features, field
             return False
         return True
 
-    kept, excluded = cli._language_subset(records, cli._feature_config(args))
+    kept, lacking = cli._readable_subset(records, cli._feature_config(args))
     expected = [record for record in records if extracts(record)]
     assert 0 < len(expected) < len(records) or fields == "subject"
     assert kept == expected
-    assert excluded == len(records) - len(expected)
+    assert sum(lacking.values()) == len(records) - len(expected)
 
 
 @pytest.mark.parametrize("publications, folds, counts", [
@@ -600,7 +621,7 @@ def test_relevance_english_exclusion(tmp_path, capsys):
         "--out", str(out),
     ])
     assert code == EXIT_OK
-    assert "excluded 1 record(s) lacking en text fields" in capsys.readouterr().out
+    assert "excluded 1 record(s) lacking en abstract" in capsys.readouterr().out
     assert (out / "relevance.csv").exists()
 
 

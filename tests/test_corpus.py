@@ -163,6 +163,29 @@ def test_csv_subject_is_semicolon_joined(tmp_path):
     assert record.subject == ("alpha", "beta")
 
 
+@pytest.mark.parametrize("fmt, subject", [
+    ("csv", '" alpha ; ;beta"'),
+    ("jsonl", '[" alpha ", " ", "beta"]'),
+    ("csv", '" ; "'),
+    ("jsonl", '["", " "]'),
+])
+def test_blank_subject_keywords_are_dropped(tmp_path, fmt, subject):
+    # a record whose keywords are all blank has none, in either format
+    path = tmp_path / f"s.{fmt}"
+    if fmt == "csv":
+        path.write_text(
+            "grant_id,title_pt,abstract_pt,area,year,publication_count,subject\n"
+            f"2001/00001-1,T,Resumo.,MED,2001,0,{subject}\n"
+        )
+    else:
+        path.write_text(
+            '{"grant_id": "2001/00001-1", "title_pt": "T", "abstract_pt": "Resumo.", '
+            f'"area": "MED", "year": 2001, "publication_count": 0, "subject": {subject}}}\n'
+        )
+    [record] = load_corpus(path, fmt)
+    assert record.subject == (("alpha", "beta") if "alpha" in subject else ())
+
+
 # ---------------------------------------------------------------------------
 # labels and histogram
 # ---------------------------------------------------------------------------

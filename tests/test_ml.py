@@ -576,15 +576,17 @@ def test_complexity_pipeline_runs_all_algorithms():
 def test_vocabulary_fitted_on_training_folds_only():
     corpus = planted_topic_corpus(n=20, seed=5)
     # plant a marker word in exactly one document
-    from grantprod.topical import count_documents, field_tokens, FieldSelector
+    from grantprod.topical import count_documents, field_tokens, FieldSelector, select_columns
     token_lists = [field_tokens(r, FieldSelector.ABSTRACT) for r, _ in corpus]
     token_lists[0] = token_lists[0] + ["markerunicum"]
     counts = count_documents(token_lists)
     train_rows = list(range(1, 20))  # document 0 held out
     test_rows = [0]
-    _, _, vocabulary = tfidf_fold_matrices(counts, train_rows, test_rows, top_x=100)
+    _, test = tfidf_fold_matrices(counts, train_rows, test_rows, top_x=100)
+    vocabulary = counts.vocabulary(select_columns(counts, train_rows, 100))
     assert "markerunicum" not in vocabulary.entries
-    _, _, refit = tfidf_fold_matrices(counts, [0] + train_rows[:-1], [19], top_x=100)
+    assert test.shape == (1, len(vocabulary))
+    refit = counts.vocabulary(select_columns(counts, [0] + train_rows[:-1], 100))
     assert "markerunicum" in refit.entries
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import _topical_oracle as oracle
 from grantprod.corpus import Area, GrantRecord
 from grantprod.ml import tfidf_fold_matrices
 from grantprod.textproc import analyze, builtin_lexicons
@@ -239,7 +240,7 @@ def test_vectorize_cells_equal_scalar_formula(docs, unseen, top_x, mode, variant
 
 
 # ---------------------------------------------------------------------------
-# counted folds: column selection against the token-list fit and vectorize
+# counted folds: the count kernel against the token-list oracle
 # ---------------------------------------------------------------------------
 
 def assert_same_vocabulary(got: Vocabulary, want: Vocabulary) -> None:
@@ -250,12 +251,12 @@ def assert_same_vocabulary(got: Vocabulary, want: Vocabulary) -> None:
 
 
 def token_list_fold(docs, train, test, top_x, mode, variant, per_fold):
-    """The fold as fitted and vectorized from token lists."""
+    """The fold as fitted and vectorized from token lists by the oracle."""
     fit_rows = train if per_fold else range(len(docs))
-    vocab = fit_vocabulary_from_tokens([docs[i] for i in fit_rows], top_x)
+    vocab = oracle.fit_vocabulary_from_tokens([docs[i] for i in fit_rows], top_x)
     return (
-        vectorize([docs[i] for i in train], vocab, mode, variant),
-        vectorize([docs[i] for i in test], vocab, mode, variant),
+        oracle.vectorize([docs[i] for i in train], vocab, mode, variant),
+        oracle.vectorize([docs[i] for i in test], vocab, mode, variant),
         vocab,
     )
 
@@ -289,7 +290,9 @@ def test_counted_fold_equals_token_list_fold(fold, top_x, mode, variant, per_fol
     want = token_list_fold(docs, train, test, top_x, mode, variant, per_fold)
     assert got[0].shape == want[0].shape and np.array_equal(got[0], want[0])
     assert got[1].shape == want[1].shape and np.array_equal(got[1], want[1])
-    assert_same_vocabulary(got[2], want[2])
+    if selection is None:
+        selection = select_columns(counts, train, top_x)
+    assert_same_vocabulary(counts.vocabulary(selection), want[2])
 
 
 @pytest.mark.parametrize("rows, top_x, message", [
@@ -300,6 +303,8 @@ def test_counted_fold_equals_token_list_fold(fold, top_x, mode, variant, per_fol
 def test_column_selection_keeps_the_fit_guards(rows, top_x, message):
     docs = [["a", "b"], ["b"]]
     with pytest.raises(ValueError, match=message):
+        oracle.fit_vocabulary_from_tokens([docs[i] for i in rows], top_x)
+    with pytest.raises(ValueError, match=message):
         fit_vocabulary_from_tokens([docs[i] for i in rows], top_x)
     with pytest.raises(ValueError, match=message):
         select_columns(count_documents(docs), rows, top_x)
@@ -309,18 +314,21 @@ def test_column_selection_keeps_the_fit_guards(rows, top_x, message):
 
 def test_all_empty_training_documents_give_zero_width_matrices():
     docs = [[], [], ["a", "b"]]
-    train, test, vocab = tfidf_fold_matrices(count_documents(docs), [0, 1], [2], top_x=5)
+    counts = count_documents(docs)
+    train, test = tfidf_fold_matrices(counts, [0, 1], [2], top_x=5)
+    vocab = counts.vocabulary(select_columns(counts, [0, 1], 5))
     assert train.shape == (2, 0) and test.shape == (1, 0)
     assert len(vocab) == 0 and vocab.corpus_size == 2
-    assert_same_vocabulary(vocab, fit_vocabulary_from_tokens(docs[:2], 5))
+    assert_same_vocabulary(vocab, oracle.fit_vocabulary_from_tokens(docs[:2], 5))
 
 
 def test_test_only_words_are_dropped_but_counted_in_n_d():
     docs = [["a", "b", "a"], ["b"], ["a", "zzz", "zzz", "b"]]
     counts = count_documents(docs)
-    _, test, vocab = tfidf_fold_matrices(counts, [0, 1], [2], top_x=5)
+    _, test = tfidf_fold_matrices(counts, [0, 1], [2], top_x=5)
+    vocab = counts.vocabulary(select_columns(counts, [0, 1], 5))
     assert "zzz" not in vocab.entries and test.shape == (1, 2)
-    assert np.array_equal(test, vectorize(docs[2:], vocab))
+    assert np.array_equal(test, oracle.vectorize(docs[2:], vocab))
     assert test[0, vocab.entries["b"]] == tfidf_weight(1, 4, 2, 2)
 
 
@@ -344,7 +352,7 @@ def test_wide_ties_break_by_word():
     docs[0] += ["t299"] * 3
     counts = count_documents(docs)
     for top_x in (1, 150, 299, 400):
-        vocab = fit_vocabulary_from_tokens(docs[:40], top_x)
+        vocab = oracle.fit_vocabulary_from_tokens(docs[:40], top_x)
         assert_same_vocabulary(counts.vocabulary(select_columns(counts, range(40), top_x)), vocab)
 
 
@@ -353,11 +361,46 @@ def test_rows_may_repeat_and_come_in_any_order():
     counts = count_documents(docs)
     rows = [3, 1, 1, 0, 2]
     selection = select_columns(counts, rows, 3)
-    vocab = fit_vocabulary_from_tokens([docs[i] for i in rows], 3)
+    vocab = oracle.fit_vocabulary_from_tokens([docs[i] for i in rows], 3)
     assert_same_vocabulary(counts.vocabulary(selection), vocab)
     assert np.array_equal(
-        vectorize_counts(counts, rows, selection), vectorize([docs[i] for i in rows], vocab)
+        vectorize_counts(counts, rows, selection), oracle.vectorize([docs[i] for i in rows], vocab)
     )
+
+
+@st.composite
+def vocabularies_and_queries(draw):
+    """A fit corpus and query lists that share only some words with it, some empty."""
+    docs = draw(st.lists(st.lists(st.sampled_from("abcdef"), max_size=8), min_size=1, max_size=8))
+    queries = draw(st.lists(st.lists(st.sampled_from("adefxyz"), max_size=8), max_size=6))
+    return docs, queries
+
+
+# "b" and "c" are in the vocabulary and in no query: their columns are -1
+_DISJOINT = ([["a", "b", "c"], ["b"]], [["a", "x"], []])
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    corpus=vocabularies_and_queries(),
+    top_x=st.integers(1, 7),
+    mode=st.sampled_from(VectorMode),
+    variant=st.sampled_from(IdfVariant),
+)
+@example(corpus=_DISJOINT, top_x=3, mode=VectorMode.TFIDF, variant=IdfVariant.LOG_RATIO)
+@example(corpus=(_DISJOINT[0], []), top_x=3, mode=VectorMode.TFIDF, variant=IdfVariant.LOG_RATIO)
+def test_token_list_entry_points_equal_the_oracle(corpus, top_x, mode, variant):
+    # fit_vocabulary_from_tokens and vectorize run the count kernel on their own
+    # token lists; the queries have words outside the vocabulary, the vocabulary
+    # words that no query has, and both may hold empty documents
+    docs, queries = corpus
+    vocab = fit_vocabulary_from_tokens(docs, top_x)
+    want = oracle.fit_vocabulary_from_tokens(docs, top_x)
+    assert_same_vocabulary(vocab, want)
+    for token_lists in (docs, queries):
+        got = vectorize(token_lists, vocab, mode, variant)
+        expected = oracle.vectorize(token_lists, want, mode, variant)
+        assert got.shape == expected.shape and np.array_equal(got, expected)
 
 
 # ---------------------------------------------------------------------------
