@@ -757,38 +757,46 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def _mlp_backprop(
     first: _PrimalFirstLayer | _GramFirstLayer,
-    weights: list[np.ndarray],
+    weights: list[np.ndarray | None],
     biases: list[np.ndarray],
     y: np.ndarray,
-) -> tuple[float, np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """One epoch's loss and gradients; ``first`` forms the first layer's X W1.
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """One epoch's losses and gradients for F folds of one shape, stacked on a leading axis.
 
-    Returns the loss, the gradient with respect to the first pre-activation
-    X W1 + b1 (whose product with X^T is the first layer's weight gradient,
-    left to the caller), the weight gradients of the later layers and every
-    bias gradient.
+    ``first`` forms the first layers' X W1; ``weights[1:]`` are the later
+    layers' (F, fan_in, fan_out) weights (``weights[0]`` is not read),
+    ``biases`` the (F, fan_out) biases and ``y`` the (F, n) labels.  Every
+    operation is the one-fold epoch's on each slice: an elementwise step,
+    a per-slice matrix product (numpy calls the same BLAS routine on each
+    slice of a stack) or a sum along one slice's rows, so fold f's numbers
+    are bit for bit those of training it alone.
+
+    Returns the (F,) losses, the gradient with respect to the first
+    pre-activation X W1 + b1 (whose product with X^T is the first layer's
+    weight gradient, left to the caller), the weight gradients of the
+    later layers and every bias gradient.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught via the loss
-        z = first.product() + biases[0]
-        n = z.shape[0]
+        z = first.product() + biases[0][:, None, :]
+        n = z.shape[1]
         hidden = []
         for W, b in zip(weights[1:], biases[1:]):
             hidden.append(np.tanh(z))
-            z = hidden[-1] @ W + b
-        logits = z[:, 0]
+            z = hidden[-1] @ W + b[:, None, :]
+        logits = z[:, :, 0]
         # log(1 + e^z) - y z, stable for large |z|
-        loss = float(np.add.reduce(np.logaddexp(0.0, logits) - y * logits) / n)
+        losses = np.add.reduce(np.logaddexp(0.0, logits) - y * logits, axis=-1) / n
 
-    delta = ((_sigmoid(logits) - y) / n)[:, None]
+    delta = ((_sigmoid(logits) - y) / n)[:, :, None]
     grad_w: list[np.ndarray] = [np.empty(0)] * len(weights)
     grad_b: list[np.ndarray] = [np.empty(0)] * len(weights)
     for layer in range(len(weights) - 1, 0, -1):
         a = hidden[layer - 1]
-        grad_w[layer] = a.T @ delta
-        grad_b[layer] = delta.sum(axis=0)
-        delta = (delta @ weights[layer].T) * (1.0 - a * a)
-    grad_b[0] = delta.sum(axis=0)
-    return loss, delta, grad_w, grad_b
+        grad_w[layer] = a.transpose(0, 2, 1) @ delta
+        grad_b[layer] = delta.sum(axis=1)
+        delta = (delta @ weights[layer].transpose(0, 2, 1)) * (1.0 - a * a)
+    grad_b[0] = delta.sum(axis=1)
+    return losses, delta, grad_w, grad_b
 
 
 def mlp_loss_and_grad(
@@ -800,12 +808,21 @@ def mlp_loss_and_grad(
     """Mean cross-entropy (computed from logits) and its exact gradients.
 
     tanh hidden layers, logistic output.  Exposed at module level so the
-    analytic gradients can be checked against finite differences.
+    analytic gradients can be checked against finite differences; it is
+    the one-fold case of the training epoch.
     """
     X = np.asarray(X, dtype=float)
-    loss, delta, grad_w, grad_b = _mlp_backprop(_PrimalFirstLayer(X, weights[0]), weights, biases, y)
-    grad_w[0] = X.T @ delta
-    return loss, grad_w, grad_b
+    losses, delta, grad_w, grad_b = _mlp_backprop(
+        _PrimalFirstLayer([X], [weights[0]]),
+        [W[None] for W in weights],
+        [b[None] for b in biases],
+        np.asarray(y)[None],
+    )
+    return (
+        float(losses[0]),
+        [X.T @ delta[0]] + [g[0] for g in grad_w[1:]],
+        [g[0] for g in grad_b],
+    )
 
 
 def _mlp_init(sizes: Sequence[int], rng: np.random.Generator):
@@ -818,35 +835,41 @@ def _mlp_init(sizes: Sequence[int], rng: np.random.Generator):
 
 
 class _PrimalFirstLayer:
-    """The first layer's weights W1, held and updated as they are."""
+    """The first layers' weights W1 of F folds, stacked and updated as they are."""
 
-    def __init__(self, X: np.ndarray, W: np.ndarray):
-        self.X = X
-        self.W = W
+    def __init__(self, Xs: Sequence[np.ndarray], Ws: Sequence[np.ndarray]):
+        self.X = np.stack(Xs)
+        self.W = np.stack(Ws)
 
     def product(self) -> np.ndarray:
         return self.X @ self.W
 
     def descend(self, learning_rate: float, delta: np.ndarray) -> None:
-        self.W -= learning_rate * (self.X.T @ delta)
+        self.W -= learning_rate * (self.X.transpose(0, 2, 1) @ delta)
 
-    def weights(self) -> np.ndarray:
-        return self.W
+    def keep(self, folds: int) -> None:
+        self.X, self.W = self.X[:folds], self.W[:folds]
+
+    def weights(self) -> list[np.ndarray]:
+        return list(self.W)
 
 
 class _GramFirstLayer:
-    """W1 held as W1_0 - X^T A: an epoch adds lr * delta to the n x h matrix A.
+    """Each fold's W1 held as W1_0 - X^T A: an epoch adds lr * delta to the n x h matrix A.
 
     X W1 is then X W1_0 - G A with G = X X^T, so an epoch costs O(n^2 h)
-    instead of O(n d h) (the representer form of the first layer).
+    instead of O(n d h) (the representer form of the first layer).  Only
+    G, X W1_0 and A are stacked, each computed per fold with the one-fold
+    products, so the stack holds O(F n^2) numbers, not O(F n d); the
+    weights W1_0 - X^T A are formed fold by fold at the end.
     """
 
-    def __init__(self, X: np.ndarray, W: np.ndarray):
-        self.X = X
-        self.W0 = W
-        self.gram = X @ X.T
-        self.initial_product = X @ W
-        self.A = np.zeros((X.shape[0], W.shape[1]))
+    def __init__(self, Xs: Sequence[np.ndarray], Ws: Sequence[np.ndarray]):
+        self.X = list(Xs)
+        self.W0 = list(Ws)
+        self.gram = np.stack([X @ X.T for X in Xs])
+        self.initial_product = np.stack([X @ W for X, W in zip(Xs, Ws)])
+        self.A = np.zeros(self.initial_product.shape)
 
     def product(self) -> np.ndarray:
         return self.initial_product - self.gram @ self.A
@@ -854,8 +877,14 @@ class _GramFirstLayer:
     def descend(self, learning_rate: float, delta: np.ndarray) -> None:
         self.A += learning_rate * delta
 
-    def weights(self) -> np.ndarray:
-        return self.W0 - self.X.T @ self.A
+    def keep(self, folds: int) -> None:
+        self.X, self.W0 = self.X[:folds], self.W0[:folds]
+        self.gram = self.gram[:folds]
+        self.initial_product = self.initial_product[:folds]
+        self.A = self.A[:folds]
+
+    def weights(self) -> list[np.ndarray]:
+        return [W0 - X.T @ A for X, W0, A in zip(self.X, self.W0, self.A)]
 
 
 @dataclass
@@ -874,41 +903,109 @@ class MlpModel:
 
 
 def train_mlp(
-    train: FeatureMatrix,
-    hyper: MlpHyper | None = None,
-    seed: int = 0,
-) -> MlpModel:
-    """Full-batch gradient descent on cross-entropy; expects standardized inputs.
+    trains: Sequence[FeatureMatrix],
+    hyper: MlpHyper | None,
+    seeds: Sequence[int],
+) -> list[MlpModel]:
+    """One network per training set, each by full-batch gradient descent on cross-entropy.
+
+    Expects standardized inputs; ``seeds[f]`` seeds the initial weights of
+    ``trains[f]``, and one training set is ``train_mlp([m], hyper, [seed])[0]``.
+    The training sets are grouped by shape, in the order they first
+    appear, and each group trains in lockstep: one loop over arrays stacked
+    on a leading fold axis.  Every fold's weights are bit for bit those of
+    training it alone.
 
     With at least as many rows as columns the first layer's weights are
     updated as they are, bit for bit the textbook epoch.  With fewer rows
     than columns they are held as W1_0 - X^T A and formed once at the end;
     they then agree with the textbook loop to rounding.
+
+    Failures are those of training the sets one after another: the error
+    raised is the first in fold order, whether an input guard (empty or
+    non-finite training set) or a non-finite loss.  A fold whose loss goes
+    non-finite leaves the stack with every later fold, and the earlier
+    folds train on, so an earlier fold that diverges at a later epoch still
+    raises its own error.
     """
     hyper = hyper or MlpHyper()
-    _require_nonempty(train.y)
-    _check_finite(train.X)
-    X = train.X
-    y = train.y.astype(float)
-    sizes = [X.shape[1], *hyper.hidden_layers, 1]
-    rng = np.random.default_rng(derive_seed(seed))
-    weights, biases = _mlp_init(sizes, rng)
-    first = (_GramFirstLayer if _gram_form(X) else _PrimalFirstLayer)(X, weights[0])
+    folds = []
+    failure: Exception | None = None
+    for train, seed in zip(trains, seeds):
+        try:
+            _require_nonempty(train.y)
+            _check_finite(train.X)
+        except ValueError as error:  # raised only if no earlier fold diverges
+            failure = error
+            break
+        sizes = [train.X.shape[1], *hyper.hidden_layers, 1]
+        init = _mlp_init(sizes, np.random.default_rng(derive_seed(seed)))
+        folds.append((train.X, train.y.astype(float), *init))
+
+    # Folds from limit on are never reached: an earlier one failed.  Each
+    # failure recorded lies before the last, so the last is the first in fold order.
+    limit = len(folds)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for f, (X, *_) in enumerate(folds):
+        groups.setdefault(X.shape, []).append(f)
+    by_fold: dict[int, MlpModel] = {}
+    for members in groups.values():
+        members = [f for f in members if f < limit]
+        if not members:
+            continue
+        trained, diverged = _mlp_lockstep([folds[f] for f in members], hyper)
+        by_fold.update(zip(members, trained))
+        if diverged is not None:
+            position, failure = diverged
+            limit = members[position]
+    if failure is not None:
+        raise failure
+    return [by_fold[f] for f in range(len(folds))]
+
+
+def _mlp_lockstep(folds, hyper: MlpHyper) -> tuple[list[MlpModel], tuple[int, Exception] | None]:
+    """Train folds of one shape together; return the models of the folds before the first divergence.
+
+    Each fold is (X, y, initial weights, initial biases).  The second value
+    is the first diverging fold's position and error, or None.
+    """
+    Xs, ys, inits_w, inits_b = zip(*folds)
+    first = (_GramFirstLayer if _gram_form(Xs[0]) else _PrimalFirstLayer)(
+        Xs, [w[0] for w in inits_w]
+    )
+    weights = [None] + [np.stack(layer) for layer in list(zip(*inits_w))[1:]]
+    biases = [np.stack(layer) for layer in zip(*inits_b)]
+    y = np.stack(ys)
     lr = hyper.learning_rate
+    diverged = None
     for epoch in range(hyper.epochs):
-        loss, delta, grad_w, grad_b = _mlp_backprop(first, weights, biases, y)
-        if not math.isfinite(loss):
-            raise TrainingDivergedError(
-                f"non-finite loss {loss!r} at epoch {epoch} "
+        losses, delta, grad_w, grad_b = _mlp_backprop(first, weights, biases, y)
+        finite = np.isfinite(losses)
+        if not finite.all():
+            kept = int(np.argmin(finite))
+            diverged = kept, TrainingDivergedError(
+                f"non-finite loss {float(losses[kept])!r} at epoch {epoch} "
                 f"(lr={lr}, layers={hyper.hidden_layers})"
             )
+            if kept == 0:
+                return [], diverged
+            # first-axis prefixes: views, so the updates below still land in place
+            first.keep(kept)
+            weights = [None] + [W[:kept] for W in weights[1:]]
+            biases = [b[:kept] for b in biases]
+            y, delta = y[:kept], delta[:kept]
+            grad_w = [g[:kept] for g in grad_w]
+            grad_b = [g[:kept] for g in grad_b]
         first.descend(lr, delta)
         for layer in range(1, len(weights)):
             weights[layer] -= lr * grad_w[layer]
         for layer in range(len(biases)):
             biases[layer] -= lr * grad_b[layer]
-    weights[0] = first.weights()
-    return MlpModel(weights=weights, biases=biases)
+    models = [
+        MlpModel(weights=[W1] + [W[f] for W in weights[1:]], biases=[b[f] for b in biases])
+        for f, W1 in enumerate(first.weights())
+    ]
+    return models, diverged
 
 
 # ---------------------------------------------------------------------------
@@ -1102,21 +1199,18 @@ class EvalReport:
         return asdict(self)
 
 
-def _train_for_cell(algorithm, X, y, hyper, seed, feature_config, knn_seed):
-    matrix = FeatureMatrix(X, y)
+def _train_for_cell(algorithm, train: FeatureMatrix, hyper, seed, feature_config, knn_seed):
     if algorithm == "dtree":
-        return train_decision_tree(matrix, hyper)
+        return train_decision_tree(train, hyper)
     if algorithm == "random_forest":
-        return train_random_forest(matrix, hyper, seed)
+        return train_random_forest(train, hyper, seed)
     if algorithm == "naive_bayes":
-        return train_naive_bayes(matrix, feature_config.likelihood)
+        return train_naive_bayes(train, feature_config.likelihood)
     if algorithm == "knn":
         metric = feature_config.metric
-        return train_knn(matrix, select_knn_k(X, y, hyper, knn_seed, metric), metric)
+        return train_knn(train, select_knn_k(train.X, train.y, hyper, knn_seed, metric), metric)
     if algorithm == "linear_svm":
-        return train_linear_svm(matrix, hyper, seed)
-    if algorithm == "mlp":
-        return train_mlp(matrix, hyper, seed)
+        return train_linear_svm(train, hyper, seed)
     raise ValueError(f"unknown algorithm '{algorithm}'")
 
 
@@ -1131,8 +1225,13 @@ def cross_validate(
 ) -> EvalReport:
     """Balanced-resample x stratified k-fold evaluation of one algorithm.
 
-    Per-run F1 values are collected resample-major, fold order within, so the
-    report is bit-reproducible for a given base seed.
+    Each resample builds its k folds' matrices first, then gets one model
+    per fold: the MLP trains all k in one ``train_mlp`` call, the other
+    learners fold by fold.  Seeds derive from the (resample, fold) path, so
+    a fold's model does not depend on how it is trained, and a failure is
+    the first in fold order.  Per-run F1 values are collected
+    resample-major, fold order within, so the report is bit-reproducible
+    for a given base seed.
     """
     if algorithm not in DEFAULT_HYPER:
         raise ValueError(f"unknown algorithm '{algorithm}' (expected one of {tuple(DEFAULT_HYPER)})")
@@ -1154,28 +1253,31 @@ def cross_validate(
         assignment = np.array(
             stratified_fold_indices(list(y_ds), k, derive_seed(base_seed, _SALT_FOLD, r))
         )
+        trains, tests = [], []
         for fold in range(k):
             test_mask = assignment == fold
-            train_rows = source[~test_mask]
-            test_rows = source[test_mask]
-            y_train = y_ds[~test_mask]
-            y_test = y_ds[test_mask]
-
-            X_train, X_test = feature_config.fold_matrices(prepared, train_rows, test_rows)
+            X_train, X_test = feature_config.fold_matrices(
+                prepared, source[~test_mask], source[test_mask]
+            )
             if algorithm in feature_config.standardized:
                 mean, std = fit_standardizer(X_train)
                 X_train = apply_standardizer(X_train, mean, std)
                 X_test = apply_standardizer(X_test, mean, std)
+            trains.append(FeatureMatrix(X_train, y_ds[~test_mask]))
+            tests.append((X_test, y_ds[test_mask]))
 
-            model = _train_for_cell(
-                algorithm,
-                X_train,
-                y_train,
-                hyper,
-                derive_seed(base_seed, _SALT_TRAIN, r, fold),
-                feature_config,
-                derive_seed(base_seed, _SALT_KNN, r, fold),
+        seeds = [derive_seed(base_seed, _SALT_TRAIN, r, fold) for fold in range(k)]
+        if algorithm == "mlp":
+            models = train_mlp(trains, hyper, seeds)
+        else:  # trained as the loop below reaches each fold
+            models = (
+                _train_for_cell(
+                    algorithm, train, hyper, seed, feature_config,
+                    derive_seed(base_seed, _SALT_KNN, r, fold),
+                )
+                for fold, (train, seed) in enumerate(zip(trains, seeds))
             )
+        for model, (X_test, y_test) in zip(models, tests):
             predictions = model.predict(X_test)
             per_run_f1.append(f1_score(predictions, y_test))
             per_run_macro.append(macro_f1(predictions, y_test))

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -354,7 +355,7 @@ def test_single_neuron_identity_task():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(80, 1))
     y = (x[:, 0] > 0).astype(int)
-    model = train_mlp(FeatureMatrix(x, y), MlpHyper(hidden_layers=(1,), epochs=400), seed=2)
+    model = train_mlp([FeatureMatrix(x, y)], MlpHyper(hidden_layers=(1,), epochs=400), [2])[0]
     assert (model.predict(x) == y).mean() >= 0.95
 
 
@@ -386,7 +387,7 @@ def test_mlp_divergence_raises():
     y = np.array([1, 0, 1, 0])
     # a step large enough to overflow the output weights trips the guard
     with pytest.raises(TrainingDivergedError) as excinfo:
-        train_mlp(FeatureMatrix(X, y), MlpHyper(learning_rate=1e308, epochs=5), seed=0)
+        train_mlp([FeatureMatrix(X, y)], MlpHyper(learning_rate=1e308, epochs=5), [0])
     assert "epoch" in str(excinfo.value)
 
 
@@ -395,10 +396,13 @@ def test_gram_mlp_divergence_names_the_epoch():
     X = np.array([[1e3, -1e3, 5e2], [-1e3, 1e3, -5e2]])
     y = np.array([1, 0])
     with pytest.raises(TrainingDivergedError, match=r"non-finite loss .* at epoch \d+ "):
-        train_mlp(FeatureMatrix(X, y), MlpHyper(learning_rate=1e308, epochs=5), seed=0)
+        train_mlp([FeatureMatrix(X, y)], MlpHyper(learning_rate=1e308, epochs=5), [0])
 
 
-@pytest.mark.parametrize("trainer", [train_linear_svm, train_mlp])
+@pytest.mark.parametrize("trainer", [
+    pytest.param(train_linear_svm, id="train_linear_svm"),
+    pytest.param(lambda train, seed: train_mlp([train], None, [seed])[0], id="train_mlp"),
+])
 def test_gram_form_keeps_the_input_guards(trainer):
     def message(X, y):
         with pytest.raises(ValueError) as excinfo:
@@ -417,10 +421,80 @@ def test_mlp_determinism():
     rng = np.random.default_rng(11)
     X = rng.normal(size=(20, 2))
     y = (X[:, 0] > 0).astype(int)
-    a = train_mlp(FeatureMatrix(X, y), MlpHyper(epochs=50), seed=4)
-    b = train_mlp(FeatureMatrix(X, y), MlpHyper(epochs=50), seed=4)
+    a = train_mlp([FeatureMatrix(X, y)], MlpHyper(epochs=50), [4])[0]
+    b = train_mlp([FeatureMatrix(X, y)], MlpHyper(epochs=50), [4])[0]
     for w1, w2 in zip(a.weights, b.weights):
         np.testing.assert_array_equal(w1, w2)
+
+
+# At this step size the 6 x 3 rows below diverge at an epoch set by their
+# scale: 1.0 at epoch 5, 1.5 at epoch 2, and the first five rows times 1e3
+# (a second shape) at epoch 1; 0.7 and 2.0 train all 40 epochs.
+DIVERGING = MlpHyper(hidden_layers=(4,), learning_rate=1e308, epochs=40)
+
+
+def _scaled_fold(scale, rows=6):
+    X = np.random.default_rng(3).normal(size=(6, 3))
+    return FeatureMatrix(scale * X[:rows], (np.arange(6) % 2)[:rows])
+
+
+def _divergence(trains):
+    with pytest.raises(TrainingDivergedError) as excinfo:
+        train_mlp(trains, DIVERGING, [0] * len(trains))
+    return str(excinfo.value)
+
+
+def test_stacked_divergence_is_the_first_in_fold_order():
+    late, early, other_shape = _scaled_fold(1.0), _scaled_fold(1.5), _scaled_fold(1e3, rows=5)
+    assert "at epoch 5 " in _divergence([late])
+    assert "at epoch 2 " in _divergence([early])
+    assert "at epoch 1 " in _divergence([other_shape])
+    # a lower fold that diverges later still raises its own error
+    assert _divergence([late, early]) == _divergence([late])
+    assert _divergence([_scaled_fold(0.7), late, early, other_shape]) == _divergence([late])
+    assert _divergence([early, late]) == _divergence([early])
+
+
+def test_nan_fold_fails_where_the_per_fold_loop_would():
+    late = _scaled_fold(1.0)
+    nan = FeatureMatrix(np.full((6, 3), np.nan), np.arange(6) % 2)
+    assert _divergence([late, nan]) == _divergence([late])
+    for trains in ([nan, late], [_scaled_fold(0.7), nan, late]):
+        with pytest.raises(ValueError, match="feature matrix contains NaN"):
+            train_mlp(trains, DIVERGING, [0] * len(trains))
+
+
+def test_folds_before_a_diverged_one_train_as_alone():
+    healthy = [_scaled_fold(0.7), _scaled_fold(2.0)]
+    lockstep = ml._mlp_lockstep
+    groups = []
+
+    def record(folds, hyper):
+        groups.append(lockstep(folds, hyper))
+        return groups[-1]
+
+    with mock.patch.object(ml, "_mlp_lockstep", side_effect=record):
+        _divergence([*healthy, _scaled_fold(1.5)])
+    ((models, (position, _)),) = groups
+    assert position == 2 and len(models) == 2
+    for train, model in zip(healthy, models):
+        alone = train_mlp([train], DIVERGING, [0])[0]
+        for got, want in zip(model.weights + model.biases, alone.weights + alone.biases):
+            assert np.array_equal(got, want)
+
+
+def test_cross_validate_fits_each_resample_in_one_mlp_call():
+    # perfbench traces the MLP fit as ml.train_mlp: one call per resample,
+    # which runs one lockstep loop per training shape
+    corpus = planted_topic_corpus(n=40, seed=1)
+    with mock.patch.object(ml, "train_mlp", wraps=ml.train_mlp) as fit, \
+            mock.patch.object(ml, "_mlp_lockstep", wraps=ml._mlp_lockstep) as lockstep:
+        cross_validate(corpus, TfidfFeatures(top_x=20), "mlp", k=3, n_resamples=2, base_seed=5)
+    assert fit.call_count == 2
+    assert [len(call.args[0]) for call in fit.call_args_list] == [3, 3]
+    shapes = [{train.X.shape for train in call.args[0]} for call in fit.call_args_list]
+    assert max(len(group) for group in shapes) > 1  # unequal folds share a call
+    assert lockstep.call_count == sum(len(group) for group in shapes)
 
 
 # ---------------------------------------------------------------------------

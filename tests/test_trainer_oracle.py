@@ -261,15 +261,69 @@ def mlp_training_problems(draw, gram: bool = False) -> MlpTrainingProblem:
 @given(mlp_training_problems())
 def test_trained_mlp_equals_textbook(problem):
     train, hyper, seed, probes = problem.build()
-    lean = ml.train_mlp(train, hyper, seed)
+    lean = ml.train_mlp([train], hyper, [seed])[0]
     textbook = oracle.train_mlp(train, hyper, seed)
     for got, want in zip(lean.weights + lean.biases, textbook.weights + textbook.biases):
         assert np.array_equal(got, want)
     assert np.array_equal(lean.predict_proba(probes), oracle.mlp_predict_proba(textbook, probes))
 
 
+@dataclass(frozen=True)
+class StackedMlpProblem:
+    """Training sets of up to three shapes, each in either form, for one call."""
+
+    shapes: tuple[tuple[int, int], ...]
+    rng_seed: int
+    scale: float
+    hidden: tuple[int, ...]
+    learning_rate: float
+    epochs: int
+    seeds: tuple[int, ...]
+
+    def build(self) -> tuple[list[FeatureMatrix], MlpHyper, list[int], list[np.ndarray]]:
+        rng = np.random.default_rng(self.rng_seed)
+        trains = [
+            FeatureMatrix(self.scale * rng.normal(size=(n, d)), rng.integers(0, 2, n))
+            for n, d in self.shapes
+        ]
+        hyper = MlpHyper(
+            hidden_layers=self.hidden, learning_rate=self.learning_rate, epochs=self.epochs
+        )
+        probes = [self.scale * rng.normal(size=(4, d)) for _, d in self.shapes]
+        return trains, hyper, list(self.seeds), probes
+
+
+@st.composite
+def stacked_mlp_problems(draw) -> StackedMlpProblem:
+    pool = [_shape(draw, draw(st.booleans()), max_cols=5) for _ in range(draw(st.integers(1, 3)))]
+    shapes = tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6)))
+    return StackedMlpProblem(
+        shapes=shapes,
+        rng_seed=draw(RNG_SEEDS),
+        scale=draw(st.sampled_from([1e-3, 0.1, 1.0, 30.0])),
+        hidden=draw(HIDDEN_LAYERS),
+        learning_rate=draw(st.sampled_from([0.1, 1.0])),
+        epochs=draw(st.integers(1, 30)),
+        seeds=tuple(draw(st.integers(0, 1000)) for _ in shapes),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(stacked_mlp_problems())
+def test_stacked_mlp_equals_one_fold_calls(problem):
+    # one call over F training sets trains each exactly as a call of its own
+    trains, hyper, seeds, probes = problem.build()
+    stacked = ml.train_mlp(trains, hyper, seeds)
+    assert len(stacked) == len(trains)
+    for train, seed, model, X in zip(trains, seeds, stacked, probes):
+        alone = ml.train_mlp([train], hyper, [seed])[0]
+        for got, want in zip(model.weights + model.biases, alone.weights + alone.biases):
+            assert np.array_equal(got, want)
+        assert np.array_equal(model.predict_proba(X), alone.predict_proba(X))
+
+
 def assert_mlp_near_textbook(train, hyper, seed, probes) -> None:
-    gram = ml.train_mlp(train, hyper, seed)
+    gram = ml.train_mlp([train], hyper, [seed])[0]
     textbook = oracle.train_mlp(train, hyper, seed)
     for got, want in zip(gram.weights + gram.biases, textbook.weights + textbook.biases):
         assert_close(got, want)
@@ -306,7 +360,7 @@ def test_form_rule_at_its_boundary(d):
     with mock.patch.object(ml, "_pegasos_gram", wraps=ml._pegasos_gram) as pegasos_gram, \
             mock.patch.object(ml, "_GramFirstLayer", wraps=ml._GramFirstLayer) as mlp_gram:
         svm = ml.train_linear_svm(train, svm_hyper, seed=3)
-        mlp = ml.train_mlp(train, mlp_hyper, seed=3)
+        mlp = ml.train_mlp([train], mlp_hyper, [3])[0]
     assert pegasos_gram.call_count == mlp_gram.call_count == (n < d)
     assert svm.weights.shape == (d,)
     assert mlp.weights[0].shape == (d, 3)
