@@ -81,7 +81,7 @@ class FeatureMatrix:
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
-        self.y = np.asarray([v.value if isinstance(v, Label) else int(v) for v in self.y])
+        self.y = _as_int_labels(self.y)
         if self.X.ndim != 2:
             raise ValueError("X must be two-dimensional")
         if self.X.shape[0] != self.y.shape[0]:
@@ -847,9 +847,6 @@ class _PrimalFirstLayer:
     def descend(self, learning_rate: float, delta: np.ndarray) -> None:
         self.W -= learning_rate * (self.X.transpose(0, 2, 1) @ delta)
 
-    def keep(self, folds: int) -> None:
-        self.X, self.W = self.X[:folds], self.W[:folds]
-
     def weights(self) -> list[np.ndarray]:
         return list(self.W)
 
@@ -876,12 +873,6 @@ class _GramFirstLayer:
 
     def descend(self, learning_rate: float, delta: np.ndarray) -> None:
         self.A += learning_rate * delta
-
-    def keep(self, folds: int) -> None:
-        self.X, self.W0 = self.X[:folds], self.W0[:folds]
-        self.gram = self.gram[:folds]
-        self.initial_product = self.initial_product[:folds]
-        self.A = self.A[:folds]
 
     def weights(self) -> list[np.ndarray]:
         return [W0 - X.T @ A for X, W0, A in zip(self.X, self.W0, self.A)]
@@ -921,91 +912,80 @@ def train_mlp(
     than columns they are held as W1_0 - X^T A and formed once at the end;
     they then agree with the textbook loop to rounding.
 
-    Failures are those of training the sets one after another: the error
-    raised is the first in fold order, whether an input guard (empty or
-    non-finite training set) or a non-finite loss.  A fold whose loss goes
-    non-finite leaves the stack with every later fold, and the earlier
-    folds train on, so an earlier fold that diverges at a later epoch still
-    raises its own error.
+    Failures are those of training the sets one after another.  The input
+    guards (empty or non-finite training set) run in fold order, and the
+    sets after the first that fails them are never reached.  Every other
+    set ends as a model or as the error its one-set fit raises (a
+    non-finite loss, or non-finite weights after the last epoch), and the
+    first error in fold order is raised.
     """
     hyper = hyper or MlpHyper()
     folds = []
-    failure: Exception | None = None
+    guard: Exception | None = None
     for train, seed in zip(trains, seeds):
         try:
             _require_nonempty(train.y)
             _check_finite(train.X)
-        except ValueError as error:  # raised only if no earlier fold diverges
-            failure = error
+        except ValueError as error:  # the sets after it are never reached
+            guard = error
             break
         sizes = [train.X.shape[1], *hyper.hidden_layers, 1]
         init = _mlp_init(sizes, np.random.default_rng(derive_seed(seed)))
         folds.append((train.X, train.y.astype(float), *init))
 
-    # Folds from limit on are never reached: an earlier one failed.  Each
-    # failure recorded lies before the last, so the last is the first in fold order.
-    limit = len(folds)
     groups: dict[tuple[int, int], list[int]] = {}
     for f, (X, *_) in enumerate(folds):
         groups.setdefault(X.shape, []).append(f)
-    by_fold: dict[int, MlpModel] = {}
+    outcomes: list[MlpModel | Exception | None] = [None] * len(folds)
     for members in groups.values():
-        members = [f for f in members if f < limit]
-        if not members:
-            continue
-        trained, diverged = _mlp_lockstep([folds[f] for f in members], hyper)
-        by_fold.update(zip(members, trained))
-        if diverged is not None:
-            position, failure = diverged
-            limit = members[position]
-    if failure is not None:
-        raise failure
-    return [by_fold[f] for f in range(len(folds))]
+        for f, outcome in zip(members, _mlp_lockstep([folds[f] for f in members], hyper)):
+            outcomes[f] = outcome
+    for outcome in [*outcomes, guard]:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
 
 
-def _mlp_lockstep(folds, hyper: MlpHyper) -> tuple[list[MlpModel], tuple[int, Exception] | None]:
-    """Train folds of one shape together; return the models of the folds before the first divergence.
+def _mlp_lockstep(folds, hyper: MlpHyper) -> list[MlpModel | TrainingDivergedError]:
+    """Train folds of one shape together; return each fold's model or divergence error.
 
-    Each fold is (X, y, initial weights, initial biases).  The second value
-    is the first diverging fold's position and error, or None.
+    Each fold is (X, y, initial weights, initial biases).  Every fold runs
+    to the last epoch: a fold whose loss goes non-finite records its error
+    and runs on, unread, as inf/NaN, which no other fold's slices see.
     """
     Xs, ys, inits_w, inits_b = zip(*folds)
-    first = (_GramFirstLayer if _gram_form(Xs[0]) else _PrimalFirstLayer)(
-        Xs, [w[0] for w in inits_w]
-    )
-    weights = [None] + [np.stack(layer) for layer in list(zip(*inits_w))[1:]]
-    biases = [np.stack(layer) for layer in zip(*inits_b)]
-    y = np.stack(ys)
     lr = hyper.learning_rate
-    diverged = None
-    for epoch in range(hyper.epochs):
-        losses, delta, grad_w, grad_b = _mlp_backprop(first, weights, biases, y)
-        finite = np.isfinite(losses)
-        if not finite.all():
-            kept = int(np.argmin(finite))
-            diverged = kept, TrainingDivergedError(
-                f"non-finite loss {float(losses[kept])!r} at epoch {epoch} "
-                f"(lr={lr}, layers={hyper.hidden_layers})"
+    settings = f"(lr={lr}, layers={hyper.hidden_layers})"
+    outcomes: list[MlpModel | TrainingDivergedError | None] = [None] * len(folds)
+    with np.errstate(all="ignore"):  # a diverged fold's slices overflow; its error is kept
+        first = (_GramFirstLayer if _gram_form(Xs[0]) else _PrimalFirstLayer)(
+            Xs, [w[0] for w in inits_w]
+        )
+        weights = [None] + [np.stack(layer) for layer in list(zip(*inits_w))[1:]]
+        biases = [np.stack(layer) for layer in zip(*inits_b)]
+        y = np.stack(ys)
+        for epoch in range(hyper.epochs):
+            losses, delta, grad_w, grad_b = _mlp_backprop(first, weights, biases, y)
+            if not np.isfinite(losses).all():
+                for f in np.flatnonzero(~np.isfinite(losses)).tolist():
+                    if outcomes[f] is None:
+                        outcomes[f] = TrainingDivergedError(
+                            f"non-finite loss {float(losses[f])!r} at epoch {epoch} {settings}"
+                        )
+            first.descend(lr, delta)
+            for layer in range(1, len(weights)):
+                weights[layer] -= lr * grad_w[layer]
+            for layer in range(len(biases)):
+                biases[layer] -= lr * grad_b[layer]
+        first_weights = first.weights()
+    for f, W1 in enumerate(first_weights):
+        model = MlpModel(weights=[W1] + [W[f] for W in weights[1:]], biases=[b[f] for b in biases])
+        if outcomes[f] is None:  # the last epoch's update is checked here, not by a loss
+            finite = all(np.isfinite(a).all() for a in model.weights + model.biases)
+            outcomes[f] = model if finite else TrainingDivergedError(
+                f"non-finite weights after epoch {hyper.epochs - 1} {settings}"
             )
-            if kept == 0:
-                return [], diverged
-            # first-axis prefixes: views, so the updates below still land in place
-            first.keep(kept)
-            weights = [None] + [W[:kept] for W in weights[1:]]
-            biases = [b[:kept] for b in biases]
-            y, delta = y[:kept], delta[:kept]
-            grad_w = [g[:kept] for g in grad_w]
-            grad_b = [g[:kept] for g in grad_b]
-        first.descend(lr, delta)
-        for layer in range(1, len(weights)):
-            weights[layer] -= lr * grad_w[layer]
-        for layer in range(len(biases)):
-            biases[layer] -= lr * grad_b[layer]
-    models = [
-        MlpModel(weights=[W1] + [W[f] for W in weights[1:]], biases=[b[f] for b in biases])
-        for f, W1 in enumerate(first.weights())
-    ]
-    return models, diverged
+    return outcomes
 
 
 # ---------------------------------------------------------------------------

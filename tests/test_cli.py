@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import grantprod
 from grantprod import cli, ml
 from grantprod.cli import (
     EXIT_OK,
@@ -664,3 +665,18 @@ def test_relevance_without_usable_records_exits_2_before_output(tmp_path, capsys
     assert code == EXIT_VALIDATION
     assert "no records usable" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_package_exports_what_the_readme_imports():
+    # the README's "Library use" import runs, and the package exports
+    # nothing else (besides __version__)
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1]
+    start = block.index("from grantprod import (")
+    statement = block[start:block.index(")", start) + 1]
+    namespace = {}
+    exec(statement, namespace)
+    imported = {name for name in namespace if name != "__builtins__"}
+    exported = {name for name, value in vars(grantprod).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == imported

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -465,22 +466,41 @@ def test_nan_fold_fails_where_the_per_fold_loop_would():
 
 
 def test_folds_before_a_diverged_one_train_as_alone():
-    healthy = [_scaled_fold(0.7), _scaled_fold(2.0)]
+    # every fold of a stack runs to the last epoch and ends as its one-fold
+    # fit would, wherever the diverging fold stands
+    healthy, diverging = [_scaled_fold(0.7), _scaled_fold(2.0)], _scaled_fold(1.5)
     lockstep = ml._mlp_lockstep
-    groups = []
+    for position in range(3):
+        trains = healthy[:position] + [diverging] + healthy[position:]
+        groups = []
 
-    def record(folds, hyper):
-        groups.append(lockstep(folds, hyper))
-        return groups[-1]
+        def record(folds, hyper):
+            groups.append(lockstep(folds, hyper))
+            return groups[-1]
 
-    with mock.patch.object(ml, "_mlp_lockstep", side_effect=record):
-        _divergence([*healthy, _scaled_fold(1.5)])
-    ((models, (position, _)),) = groups
-    assert position == 2 and len(models) == 2
-    for train, model in zip(healthy, models):
-        alone = train_mlp([train], DIVERGING, [0])[0]
-        for got, want in zip(model.weights + model.biases, alone.weights + alone.biases):
-            assert np.array_equal(got, want)
+        with mock.patch.object(ml, "_mlp_lockstep", side_effect=record):
+            raised = _divergence(trains)
+        (outcomes,) = groups
+        assert len(outcomes) == 3
+        assert isinstance(outcomes[position], TrainingDivergedError)
+        assert str(outcomes[position]) == raised == _divergence([diverging])
+        for train, model in zip(healthy, outcomes[:position] + outcomes[position + 1:]):
+            alone = train_mlp([train], DIVERGING, [0])[0]
+            for got, want in zip(model.weights + model.biases, alone.weights + alone.biases):
+                assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (4, 6)], ids=["primal", "gram"])
+def test_nonfinite_weights_after_the_last_epoch_raise(shape):
+    # the last update overflows, and no later loss is computed to catch it
+    X = np.random.default_rng(2).normal(size=shape) * 100.0
+    hyper = MlpHyper(hidden_layers=(4,), learning_rate=1e308, epochs=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDivergedError, match=(
+            r"^non-finite weights after epoch 0 \(lr=1e\+308, layers=\(4,\)\)$"
+        )):
+            train_mlp([FeatureMatrix(X, [0, 1, 0, 1])], hyper, [0])
 
 
 def test_cross_validate_fits_each_resample_in_one_mlp_call():
