@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -77,28 +78,13 @@ def brunet_index(word_count: int, vocabulary_size: int) -> float | None:
     return vocabulary_size ** (word_count ** BRUNET_EXPONENT)
 
 
-def _chunk_count(tags: Sequence[PosTag], postnominal_adjectives: bool) -> int:
-    count = 0
-    i = 0
-    n = len(tags)
-    while i < n:
-        j = i
-        if tags[j] is PosTag.DETERMINER:
-            j += 1
-        while j < n and tags[j] is PosTag.ADJECTIVE:
-            j += 1
-        k = j
-        while k < n and tags[k] is PosTag.NOUN:
-            k += 1
-        if k > j:
-            if postnominal_adjectives:
-                while k < n and tags[k] is PosTag.ADJECTIVE:
-                    k += 1
-            count += 1
-            i = k
-        else:
-            i += 1
-    return count
+# Noun-phrase chunks over a document's tag codes: "d" determiner, "a"
+# adjective, "n" noun, "." any other token and "|" between sentences.  The
+# pattern is determiner? adjective* noun+, and for Portuguese also the
+# post-nominal adjectives.  "." and "|" match nothing, so no chunk spans two
+# sentences, and a greedy leftmost scan never backtracks out of a chunk, so
+# the matches are the chunks of a left-to-right scan.
+_NOUN_PHRASE = {False: re.compile("d?a*n+"), True: re.compile("d?a*n+a*")}
 
 
 def extract_complexity_vector(
@@ -132,27 +118,41 @@ def extract_complexity_vector(
     punctuation_types: set[str] = set()
     operators = 0
     nouns_per_sentence = [0] * sentences
-    sentence_runs: list[list[PosTag]] = [[] for _ in range(sentences)]
+    codes: list[str] = []
     scores: list[float] = []
-    for token in doc.tokens:
-        tag = token.tag
-        sentence_runs[token.sentence_index].append(tag)
-        if token.kind is TokenKind.PUNCTUATION:
-            punctuation_types.add(token.normalized)
-        if token.kind is not TokenKind.WORD:
+    word, punctuation = TokenKind.WORD, TokenKind.PUNCTUATION
+    noun, adjective = PosTag.NOUN, PosTag.ADJECTIVE
+    determiner, preposition = PosTag.DETERMINER, PosTag.PREPOSITION
+    logical_operators = lexicons.logical_operators
+    concreteness = lexicons.concreteness.get
+    current = 0
+    for _, normalized, kind, sentence, tag, is_function, _ in doc.tokens:
+        if sentence != current:
+            codes.append("|")
+            current = sentence
+        if kind is not word:
+            codes.append(".")
+            if kind is punctuation:
+                punctuation_types.add(normalized)
             continue
-        word = token.normalized
         word_tags.append(tag)
-        vocabulary.add(word)
-        if token.is_function_word:
-            function_types.add(word)
-        if tag is PosTag.PREPOSITION:
-            preposition_types.add(word)
-        elif tag is PosTag.NOUN:
-            nouns_per_sentence[token.sentence_index] += 1
-        if word in lexicons.logical_operators:
+        vocabulary.add(normalized)
+        if is_function:
+            function_types.add(normalized)
+        if tag is noun:
+            codes.append("n")
+            nouns_per_sentence[sentence] += 1
+        elif tag is adjective:
+            codes.append("a")
+        elif tag is determiner:
+            codes.append("d")
+        else:
+            codes.append(".")
+            if tag is preposition:
+                preposition_types.add(normalized)
+        if normalized in logical_operators:
             operators += 1
-        score = lexicons.concreteness.get(word)
+        score = concreteness(normalized)
         if score is not None:
             scores.append(score)
 
@@ -181,7 +181,7 @@ def extract_complexity_vector(
         noun_sd=_population_sd(nouns_per_sentence) if sentences else None,
         brunet_index=brunet_index(word_count, vocabulary_size),
         mean_noun_phrase=(
-            sum(_chunk_count(run, postnominal) for run in sentence_runs) / sentences
+            len(_NOUN_PHRASE[postnominal].findall("".join(codes))) / sentences
             if sentences
             else None
         ),

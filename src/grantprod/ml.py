@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -99,12 +98,20 @@ def _require_nonempty(y: np.ndarray) -> None:
 
 
 def fit_median_imputer(X: np.ndarray) -> np.ndarray:
-    """Per-column medians ignoring NaN; all-NaN columns fall back to 0."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns
-        medians = np.nanmedian(X, axis=0)
-    medians = np.where(np.isnan(medians), 0.0, medians)
-    return medians
+    """Per-column medians ignoring NaN; all-NaN columns fall back to 0.
+
+    Sorting puts each column's NaNs last, so its median is the mean of the
+    middle one or two of its leading values.  On a matrix with at least one
+    row whose values are NaN or finite and at most half the largest float
+    in magnitude, as ``complexity_rows`` gives, the medians equal
+    ``np.nanmedian``'s, which loads ``numpy.ma`` on its first call.
+    """
+    ordered = np.sort(X, axis=0)
+    counts = np.count_nonzero(~np.isnan(ordered), axis=0)
+    columns = np.arange(ordered.shape[1])
+    low = ordered[(counts - 1) // 2, columns]
+    high = ordered[counts // 2, columns]
+    return np.where(counts == 0, 0.0, (low + high) / 2)
 
 
 def apply_imputer(X: np.ndarray, medians: np.ndarray) -> np.ndarray:
@@ -774,18 +781,18 @@ def _mlp_backprop(
     Returns the (F,) losses, the gradient with respect to the first
     pre-activation X W1 + b1 (whose product with X^T is the first layer's
     weight gradient, left to the caller), the weight gradients of the
-    later layers and every bias gradient.
+    later layers and every bias gradient.  A diverging fold overflows; the
+    caller sets the floating-point error handling and checks the losses.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught via the loss
-        z = first.product() + biases[0][:, None, :]
-        n = z.shape[1]
-        hidden = []
-        for W, b in zip(weights[1:], biases[1:]):
-            hidden.append(np.tanh(z))
-            z = hidden[-1] @ W + b[:, None, :]
-        logits = z[:, :, 0]
-        # log(1 + e^z) - y z, stable for large |z|
-        losses = np.add.reduce(np.logaddexp(0.0, logits) - y * logits, axis=-1) / n
+    z = first.product() + biases[0][:, None, :]
+    n = z.shape[1]
+    hidden = []
+    for W, b in zip(weights[1:], biases[1:]):
+        hidden.append(np.tanh(z))
+        z = hidden[-1] @ W + b[:, None, :]
+    logits = z[:, :, 0]
+    # log(1 + e^z) - y z, stable for large |z|
+    losses = np.add.reduce(np.logaddexp(0.0, logits) - y * logits, axis=-1) / n
 
     delta = ((_sigmoid(logits) - y) / n)[:, :, None]
     grad_w: list[np.ndarray] = [np.empty(0)] * len(weights)
@@ -797,32 +804,6 @@ def _mlp_backprop(
         delta = (delta @ weights[layer].transpose(0, 2, 1)) * (1.0 - a * a)
     grad_b[0] = delta.sum(axis=1)
     return losses, delta, grad_w, grad_b
-
-
-def mlp_loss_and_grad(
-    weights: list[np.ndarray],
-    biases: list[np.ndarray],
-    X: np.ndarray,
-    y: np.ndarray,
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Mean cross-entropy (computed from logits) and its exact gradients.
-
-    tanh hidden layers, logistic output.  Exposed at module level so the
-    analytic gradients can be checked against finite differences; it is
-    the one-fold case of the training epoch.
-    """
-    X = np.asarray(X, dtype=float)
-    losses, delta, grad_w, grad_b = _mlp_backprop(
-        _PrimalFirstLayer([X], [weights[0]]),
-        [W[None] for W in weights],
-        [b[None] for b in biases],
-        np.asarray(y)[None],
-    )
-    return (
-        float(losses[0]),
-        [X.T @ delta[0]] + [g[0] for g in grad_w[1:]],
-        [g[0] for g in grad_b],
-    )
 
 
 def _mlp_init(sizes: Sequence[int], rng: np.random.Generator):

@@ -53,6 +53,17 @@ ABBREVIATIONS = (
 )
 
 
+class SurfaceClass(NamedTuple):
+    """The fields of a token that its surface decides, whatever its sentence."""
+
+    normalized: str
+    kind: TokenKind
+    tag: PosTag
+    is_function_word: bool
+    is_acronym: bool  # all-caps word of length >= 2
+    is_capitalized: bool  # word whose first letter is uppercase
+
+
 class Token(NamedTuple):
     """One match of the token pattern, tagged and marked in its sentence."""
 
@@ -81,8 +92,8 @@ class LexiconSet:
     pos_lexicon: dict[str, PosTag]
     suffix_rules: tuple[tuple[str, PosTag], ...]
     concreteness: dict[str, float]
-    # normalized word -> (tag, is_function_word), filled by word_class
-    _word_classes: dict[str, tuple[PosTag, bool]] = field(
+    # token surface -> its SurfaceClass, filled by classify
+    _surfaces: dict[str, SurfaceClass] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -110,18 +121,43 @@ class LexiconSet:
         """Tag and function-word flag of a normalized word token.
 
         The tag comes from the POS lexicon, then the suffix rules in file
-        order, then the noun default.  The result depends on the word type
-        alone, so it is computed once per type and kept in this set.
+        order, then the noun default.
         """
-        cached = self._word_classes.get(word)
-        if cached is None:
-            tag = self.pos_lexicon.get(word)
-            if tag is None:
-                tag = _suffix_tag(word, self.suffix_rules)
-            if tag is None:
-                tag = PosTag.NOUN
-            cached = (tag, tag in CLOSED_CLASS_TAGS or word in self.function_words)
-            self._word_classes[word] = cached
+        tag = self.pos_lexicon.get(word)
+        if tag is None:
+            tag = _suffix_tag(word, self.suffix_rules)
+        if tag is None:
+            tag = PosTag.NOUN
+        return tag, tag in CLOSED_CLASS_TAGS or word in self.function_words
+
+    def classify(self, surface: str) -> SurfaceClass:
+        """What a token's surface alone decides, computed once per surface.
+
+        A token is a number, a word or a punctuation mark by its first
+        character.  A word's tag and flag are ``word_class`` of its
+        lowercase form, and a cased word shares the entry of that form, so
+        the rule runs once per normalized word.  Numbers and punctuation
+        carry their own tag and are never acronyms or capitalized.
+        """
+        cached = self._surfaces.get(surface)
+        if cached is not None:
+            return cached
+        first = surface[0]
+        normalized = surface.lower()
+        if first.isdigit():
+            kind, tag, is_function = TokenKind.NUMBER, PosTag.NUMBER, False
+        elif first.isalpha():
+            kind = TokenKind.WORD
+            if normalized == surface:
+                tag, is_function = self.word_class(normalized)
+            else:  # lowercasing is idempotent and keeps a leading letter a letter
+                tag, is_function = self.classify(normalized)[2:4]
+        else:
+            kind, tag, is_function = TokenKind.PUNCTUATION, PosTag.PUNCTUATION, False
+        word = kind is TokenKind.WORD
+        acronym = word and len(surface) >= 2 and surface.isalpha() and surface.isupper()
+        cached = SurfaceClass(normalized, kind, tag, is_function, acronym, word and first.isupper())
+        self._surfaces[surface] = cached
         return cached
 
 
@@ -140,12 +176,20 @@ _OPENERS = "\"'«(¿¡["
 _TERMINATOR_RUN_RE = re.compile(r"[.!?]+")
 
 
+# Lowercasing never shortens a string, so the lowercased tail of this many
+# characters holds the longest abbreviation and the character before it.
+_ABBREVIATION_WINDOW = max(map(len, ABBREVIATIONS)) + 1
+
+
 def _abbreviation_before(text: str, period_index: int) -> bool:
-    prefix = text[: period_index + 1].lower()
+    end = period_index + 1
+    tail = text[max(0, end - _ABBREVIATION_WINDOW) : end].lower()
+    if not tail.endswith(ABBREVIATIONS):
+        return False
     for abbrev in ABBREVIATIONS:
-        if prefix.endswith(abbrev):
-            start = len(prefix) - len(abbrev)
-            if start == 0 or prefix[start - 1].isspace() or prefix[start - 1] in _OPENERS:
+        if tail.endswith(abbrev):
+            start = len(tail) - len(abbrev)
+            if start == 0 or tail[start - 1].isspace() or tail[start - 1] in _OPENERS:
                 return True
     return False
 
@@ -219,40 +263,36 @@ def analyze(text: str | Sequence[str], lexicons: LexiconSet) -> TaggedDocument:
 
     A document given as a sequence of parts (a title and an abstract) is
     split into sentences part by part, so no sentence spans two parts.
-    Each match of the token pattern is a number, a word or a punctuation
-    mark by its first character.  A word takes its tag and function-word
-    flag from ``LexiconSet.word_class``; numbers and punctuation carry their
-    own tag.  A word is a named entity iff it is an all-caps acronym (length
-    >= 2), or it is capitalized and not the first word of its sentence.
+    Each match of the token pattern takes its normalized form, kind, tag
+    and function-word flag from ``LexiconSet.classify``, which computes
+    them once per surface.  A word is a named entity iff it is an all-caps
+    acronym (length >= 2), or it is capitalized and not the first word of
+    its sentence.
     Adjacent marked tokens of one sentence form a single span; any unmarked
     token in between, including a lowercase connective, splits the span.
     """
     parts = [text] if isinstance(text, str) else text
     sentences = [sentence for part in parts for sentence in split_sentences(part)]
-    word_class = lexicons.word_class
+    surfaces = lexicons._surfaces
+    classify = lexicons.classify
+    word = TokenKind.WORD
     tokens: list[Token] = []
+    append = tokens.append
     spans = 0
     for index, sentence in enumerate(sentences):
         after_first_word = False
         previous_marked = False
         for surface in _TOKEN_RE.findall(sentence):
-            first = surface[0]
-            normalized = surface.lower()
-            marked = False
-            if first.isdigit():
-                kind, tag, is_function = TokenKind.NUMBER, PosTag.NUMBER, False
-            elif first.isalpha():
-                kind = TokenKind.WORD
-                tag, is_function = word_class(normalized)
-                acronym = len(surface) >= 2 and surface.isalpha() and surface.isupper()
-                marked = acronym or (after_first_word and first.isupper())
+            normalized, kind, tag, is_function, acronym, capitalized = (
+                surfaces.get(surface) or classify(surface)
+            )
+            marked = acronym or (after_first_word and capitalized)
+            if kind is word:
                 after_first_word = True
-            else:
-                kind, tag, is_function = TokenKind.PUNCTUATION, PosTag.PUNCTUATION, False
             if marked and not previous_marked:
                 spans += 1
             previous_marked = marked
-            tokens.append(Token(surface, normalized, kind, index, tag, is_function, marked))
+            append(tuple.__new__(Token, (surface, normalized, kind, index, tag, is_function, marked)))
     return TaggedDocument(
         language=lexicons.language,
         sentence_count=len(sentences),

@@ -8,11 +8,10 @@ function reads a ``TaggedDocument`` on its own, so each field of a
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from grantprod.complexity import (
     ComplexityVector,
-    _chunk_count,
     _population_sd,
     brunet_index,
 )
@@ -101,6 +100,31 @@ def _sentence_word_runs(doc: TaggedDocument) -> Iterable[list[Token]]:
         by_sentence.setdefault(t.sentence_index, []).append(t)
     for index in sorted(by_sentence):
         yield by_sentence[index]
+
+
+def _chunk_count(tags: Sequence[PosTag], postnominal_adjectives: bool) -> int:
+    """Noun-phrase chunks of one sentence's tags, by a left-to-right scan."""
+    count = 0
+    i = 0
+    n = len(tags)
+    while i < n:
+        j = i
+        if tags[j] is PosTag.DETERMINER:
+            j += 1
+        while j < n and tags[j] is PosTag.ADJECTIVE:
+            j += 1
+        k = j
+        while k < n and tags[k] is PosTag.NOUN:
+            k += 1
+        if k > j:
+            if postnominal_adjectives:
+                while k < n and tags[k] is PosTag.ADJECTIVE:
+                    k += 1
+            count += 1
+            i = k
+        else:
+            i += 1
+    return count
 
 
 def mean_noun_phrase(doc: TaggedDocument) -> float | None:

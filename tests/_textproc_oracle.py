@@ -4,6 +4,8 @@ The oracle for the one-pass ``analyze``: sentences are tokenized, the tokens
 tagged, and the tagged tokens marked for named entities, each stage building
 its own objects.  ``flat_tokens`` turns its output into the 7-tuples that
 ``textproc.Token`` holds, so the two token streams compare with ``==``.
+``abbreviation_before`` is the sentence splitter's abbreviation check over
+the whole text before the period.
 """
 
 from __future__ import annotations
@@ -12,12 +14,29 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from grantprod.textproc import (
+    _OPENERS,
     _TOKEN_RE,
+    ABBREVIATIONS,
     LexiconSet,
     PosTag,
     TokenKind,
     split_sentences,
 )
+
+
+def abbreviation_before(text: str, period_index: int) -> bool:
+    """Whether the period at ``period_index`` closes a known abbreviation.
+
+    The whole text up to the period is lowercased, the reference for the
+    bounded window of ``textproc._abbreviation_before``.
+    """
+    prefix = text[: period_index + 1].lower()
+    for abbrev in ABBREVIATIONS:
+        if prefix.endswith(abbrev):
+            start = len(prefix) - len(abbrev)
+            if start == 0 or prefix[start - 1].isspace() or prefix[start - 1] in _OPENERS:
+                return True
+    return False
 
 
 @dataclass(frozen=True)

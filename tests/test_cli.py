@@ -1,6 +1,9 @@
 import inspect
 import itertools
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -665,6 +668,27 @@ def test_relevance_without_usable_records_exits_2_before_output(tmp_path, capsys
     assert code == EXIT_VALIDATION
     assert "no records usable" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_complexity_evaluate_does_not_load_numpy_ma(canonical, tmp_path):
+    # np.nanmedian imports numpy.ma on its first call, which costs a
+    # complexity command about 18 ms and 2 MB; no step of the run needs it
+    argv = ["evaluate", "--input", str(canonical), "--features", "complexity",
+            "--algo", "bayes,knn,mlp", "--folds", "3", "--resamples", "1",
+            "--seed", "5", "--out", str(tmp_path / "out")]
+    script = (
+        "import sys\n"
+        "from grantprod.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    source = str(Path(grantprod.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [source, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1].split() == [str(EXIT_OK), "False"]
 
 
 def test_package_exports_what_the_readme_imports():

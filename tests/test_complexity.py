@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grantprod.complexity import (
+    _NOUN_PHRASE,
     COMPLEXITY_SCHEMA,
     ComplexityVector,
     EmptyDocumentError,
@@ -17,6 +18,7 @@ from grantprod.textproc import LexiconSet, PosTag, analyze, builtin_lexicons
 
 from _complexity_oracle import (
     DiversityClass,
+    _chunk_count,
     basic_counts,
     concreteness_sd,
     logical_operator_count,
@@ -198,6 +200,26 @@ def test_mean_over_two_sentences(pt):
 def test_postnominal_adjective_absorbed_for_pt(pt):
     one = doc("O gato preto dorme.", pt)
     assert mean_noun_phrase(one) == 1.0
+
+
+CHUNK_TAGS = [PosTag.DETERMINER, PosTag.ADJECTIVE, PosTag.NOUN, PosTag.VERB,
+              PosTag.PREPOSITION, PosTag.PUNCTUATION, PosTag.NUMBER]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    sentences=st.lists(st.lists(st.sampled_from(CHUNK_TAGS), max_size=12), max_size=6),
+    postnominal=st.booleans(),
+)
+def test_noun_phrase_regex_equals_chunk_scan(sentences, postnominal):
+    # the tag codes extract_complexity_vector builds, one sentence after another
+    codes = "|".join(
+        "".join({PosTag.DETERMINER: "d", PosTag.ADJECTIVE: "a", PosTag.NOUN: "n"}.get(t, ".")
+                for t in tags)
+        for tags in sentences
+    )
+    expected = sum(_chunk_count(tags, postnominal) for tags in sentences)
+    assert len(_NOUN_PHRASE[postnominal].findall(codes)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -423,3 +445,17 @@ def test_feature_csv_missing_as_empty_cell(tmp_path, pt):
     # concreteness_sd is missing for this toy document -> empty cell
     index = 1 + COMPLEXITY_SCHEMA.index("concreteness_sd")
     assert row[index] == ""
+
+
+@settings(max_examples=60, deadline=None)
+@given(sample=pt_en_texts(), others=st.lists(pt_en_texts(), max_size=6))
+def test_vector_is_the_same_with_a_fresh_or_a_warm_memo(sample, others):
+    language, text = sample
+    if not text.strip():
+        return
+    warm = builtin_lexicons(language)
+    for _, other in others:
+        analyze(other, warm)
+        analyze(other.upper(), warm)
+    fresh = extract_complexity_vector(text, language, builtin_lexicons(language))
+    assert extract_complexity_vector(text, language, warm) == fresh

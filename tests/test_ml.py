@@ -27,7 +27,6 @@ from grantprod.ml import (
     f1_score,
     fit_median_imputer,
     macro_f1,
-    mlp_loss_and_grad,
     select_knn_k,
     significance_pvalue,
     tfidf_fold_matrices,
@@ -43,7 +42,7 @@ from grantprod.relevance import gini_from_counts, impurity_decrease
 from grantprod.seeds import derive_seed
 
 from _synth import planted_ne_corpus, planted_topic_corpus, shuffled_labels
-from _trainer_oracle import information_gain
+from _trainer_oracle import information_gain, kernel_loss_and_grad
 
 
 def entropy_bits(labels):
@@ -365,7 +364,7 @@ def test_gradient_check_small_network():
     weights, biases = _mlp_init([3, 4, 1], rng)
     X = rng.normal(size=(6, 3))
     y = rng.integers(0, 2, 6).astype(float)
-    loss, grad_w, grad_b = mlp_loss_and_grad(weights, biases, X, y)
+    loss, grad_w, grad_b = kernel_loss_and_grad(weights, biases, X, y)
     h = 1e-6
     worst = 0.0
     for params, grads in ((weights, grad_w), (biases, grad_b)):
@@ -373,9 +372,9 @@ def test_gradient_check_small_network():
             for index in np.ndindex(params[layer].shape):
                 original = params[layer][index]
                 params[layer][index] = original + h
-                up, _, _ = mlp_loss_and_grad(weights, biases, X, y)
+                up, _, _ = kernel_loss_and_grad(weights, biases, X, y)
                 params[layer][index] = original - h
-                down, _, _ = mlp_loss_and_grad(weights, biases, X, y)
+                down, _, _ = kernel_loss_and_grad(weights, biases, X, y)
                 params[layer][index] = original
                 numeric = (up - down) / (2 * h)
                 denom = max(1e-8, abs(numeric) + abs(grads[layer][index]))
@@ -618,6 +617,39 @@ def test_median_imputer_train_only():
 def test_imputer_all_nan_column_falls_back_to_zero():
     medians = fit_median_imputer(np.array([[np.nan], [np.nan]]))
     assert medians[0] == 0.0
+
+
+@st.composite
+def imputer_matrices(draw):
+    """NaN or finite entries of magnitude at most half the largest float."""
+    rows, columns = draw(st.integers(1, 9)), draw(st.integers(1, 6))
+    half = np.finfo(float).max / 2
+    pool = draw(st.lists(  # a small pool, so columns repeat values (ties)
+        st.one_of(
+            st.floats(-half, half, allow_nan=False),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 1e300, half, -half]),
+            st.integers(-3, 3).map(float),
+        ),
+        min_size=1, max_size=6,
+    ))
+    values = st.one_of(st.sampled_from(pool), st.just(np.nan))
+    matrix = np.array(draw(st.lists(values, min_size=rows * columns, max_size=rows * columns)))
+    matrix = matrix.reshape(rows, columns)
+    for column in draw(st.lists(st.integers(0, columns - 1), max_size=2)):
+        matrix[:, column] = np.nan  # all-NaN columns
+    return matrix
+
+
+@settings(max_examples=400, deadline=None)
+@given(imputer_matrices())
+def test_median_imputer_equals_nanmedian(X):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns
+        expected = np.nanmedian(X, axis=0)
+    expected = np.where(np.isnan(expected), 0.0, expected)
+    medians = fit_median_imputer(X)
+    assert medians.shape == expected.shape
+    assert np.array_equal(medians, expected)
 
 
 # ---------------------------------------------------------------------------

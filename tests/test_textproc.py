@@ -1,3 +1,4 @@
+import sys
 import unicodedata
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from grantprod import textproc
 from grantprod.textproc import (
+    ABBREVIATIONS,
     CLOSED_CLASS_TAGS,
     SUPPORTED_LANGUAGES,
     LexiconSet,
@@ -82,7 +84,7 @@ def char_loop_split(text):
         if k > j or at_end:
             if ch in "!?":
                 split_here = True
-            elif not textproc._abbreviation_before(text, j - 1):
+            elif not oracle.abbreviation_before(text, j - 1):
                 split_here = at_end or text[k].isupper() or text[k].isdigit() or text[k] in "\"'«(¿¡["
         if split_here:
             if text[start:j].strip():
@@ -101,6 +103,37 @@ def char_loop_split(text):
 ])).map("".join))
 def test_split_sentences_equals_character_scan(text):
     assert split_sentences(text) == char_loop_split(text)
+
+
+# Characters whose lowercase is longer (İ), is ASCII (Kelvin sign) or
+# depends on what precedes it (final sigma), placed next to abbreviations.
+AWKWARD_CASING = ["İ", "\u212a", "Σ", "ΑΣ", "ς", "ß", "ﬁ", "e\u0301"]
+ABBREVIATION_PIECES = [
+    *ABBREVIATIONS, *map(str.upper, ABBREVIATIONS), *map(str.title, ABBREVIATIONS),
+    *textproc._OPENERS, *AWKWARD_CASING, " ", "\n", "\u00a0", ".", "..", "x",
+    "uma frase longa sem ponto ",
+]
+
+
+def test_abbreviation_at_the_start_and_after_each_opener():
+    for abbrev in ABBREVIATIONS:
+        for case in (str, str.upper, str.title):
+            for before in ("", *textproc._OPENERS, " ", "\n", "x", *AWKWARD_CASING):
+                for head in ("", "palavra " * 4):
+                    text = head + before + case(abbrev)
+                    end = len(text) - 1
+                    assert textproc._abbreviation_before(text, end) == (
+                        oracle.abbreviation_before(text, end)
+                    ), text
+
+
+@settings(max_examples=300, deadline=None)
+@given(pieces=st.lists(st.sampled_from(ABBREVIATION_PIECES), max_size=30))
+def test_bounded_abbreviation_check_equals_full_prefix(pieces):
+    text = "".join(pieces)
+    for i, char in enumerate(text):
+        if char == ".":
+            assert textproc._abbreviation_before(text, i) == oracle.abbreviation_before(text, i)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +297,7 @@ def test_custom_lexicon_files_roundtrip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# word-class cache
+# surface memo
 # ---------------------------------------------------------------------------
 
 def uncached_word_class(word, lexicons):
@@ -276,11 +309,24 @@ def uncached_word_class(word, lexicons):
     return tag, tag in CLOSED_CLASS_TAGS or word in lexicons.function_words
 
 
+def uncached_classification(surface, lexicons):
+    """The memo entry of ``surface``, computed from the rules alone."""
+    first, normalized = surface[0], surface.lower()
+    if first.isdigit():
+        return (normalized, TokenKind.NUMBER, PosTag.NUMBER, False, False, False)
+    if not first.isalpha():
+        return (normalized, TokenKind.PUNCTUATION, PosTag.PUNCTUATION, False, False, False)
+    tag, is_function = uncached_word_class(normalized, lexicons)
+    acronym = len(surface) >= 2 and surface.isalpha() and surface.isupper()
+    return (normalized, TokenKind.WORD, tag, is_function, acronym, first.isupper())
+
+
 def test_word_class_of_every_lexicon_word_equals_uncached_rule(pt, en):
     for lex in (pt, en):
         for word in lex.pos_lexicon:
             assert lex.word_class(word) == uncached_word_class(word, lex)
-            assert lex.word_class(word) == uncached_word_class(word, lex)  # cached
+            assert lex.classify(word)[2:4] == uncached_word_class(word, lex)
+            assert lex.classify(word)[2:4] == uncached_word_class(word, lex)  # memo
 
 
 @settings(max_examples=150, deadline=None)
@@ -296,7 +342,19 @@ def test_word_class_of_generated_words_equals_uncached_rule(stem, rule, language
     if not word:
         return
     assert lex.word_class(word) == uncached_word_class(word, lex)
-    assert lex.word_class(word) == uncached_word_class(word, lex)
+    for surface in (word.title(), word.upper(), word):  # cased forms first
+        assert lex.classify(surface) == uncached_classification(surface, lex)
+        assert lex.classify(surface) == uncached_classification(surface, lex)
+
+
+def test_lowercasing_keeps_what_the_memo_relies_on():
+    # classify takes a cased word's class from its lowercase form's entry:
+    # lowercasing must keep a leading letter a letter and be idempotent
+    for code in range(sys.maxunicode + 1):
+        char = chr(code)
+        if char.isalpha():
+            lower = char.lower()
+            assert lower[0].isalpha() and lower.lower() == lower, hex(code)
 
 
 def test_suffix_rules_run_once_per_word_type(monkeypatch):
@@ -329,14 +387,14 @@ def test_lexicon_sets_do_not_share_a_cache(pt, en, tmp_path):
     (tmp_path / "suffix_rules.tsv").write_text("ly\tadjective\n", encoding="utf-8")
     (tmp_path / "concreteness.tsv").write_text("gato\t620\n", encoding="utf-8")
     custom = load_lexicons(tmp_path, "pt")
-    assert pt.word_class("rapidamente") == (PosTag.ADVERB, False)
-    assert custom.word_class("rapidamente") == (PosTag.VERB, False)
-    assert en.word_class("quickly") == (PosTag.ADVERB, False)
-    assert custom.word_class("quickly") == (PosTag.ADJECTIVE, False)
-    assert pt.word_class("de") == (PosTag.PREPOSITION, True)
-    assert en.word_class("de") == uncached_word_class("de", en)
-    assert custom.word_class("de") == (PosTag.NOUN, True)  # function word by its list
-    assert len({id(pt._word_classes), id(en._word_classes), id(custom._word_classes)}) == 3
+    assert pt.classify("rapidamente")[2:4] == (PosTag.ADVERB, False)
+    assert custom.classify("rapidamente")[2:4] == (PosTag.VERB, False)
+    assert en.classify("quickly")[2:4] == (PosTag.ADVERB, False)
+    assert custom.classify("quickly")[2:4] == (PosTag.ADJECTIVE, False)
+    assert pt.classify("de")[2:4] == (PosTag.PREPOSITION, True)
+    assert en.classify("de")[2:4] == uncached_word_class("de", en)
+    assert custom.classify("de")[2:4] == (PosTag.NOUN, True)  # function word by its list
+    assert len({id(pt._surfaces), id(en._surfaces), id(custom._surfaces)}) == 3
 
 
 def test_lexicon_sets_from_same_files_compare_equal(tmp_path):
@@ -347,11 +405,11 @@ def test_lexicon_sets_from_same_files_compare_equal(tmp_path):
     (tmp_path / "suffix_rules.tsv").write_text("mente\tadverb\n", encoding="utf-8")
     (tmp_path / "concreteness.tsv").write_text("gato\t620\n", encoding="utf-8")
     a, b = load_lexicons(tmp_path, "pt"), load_lexicons(tmp_path, "pt")
-    a.word_class("rapidamente")
+    a.classify("Rapidamente")
     assert a == b
     assert repr(a) == repr(b)
     warm = builtin_lexicons("en")
-    warm.word_class("quickly")
+    warm.classify("quickly")
     assert warm == builtin_lexicons("en")
 
 
@@ -430,3 +488,17 @@ def test_one_pass_tokens_equal_four_stage_pipeline(language, text):
     assert doc.sentence_count == expected.sentence_count
     assert doc.entity_span_count == expected.entity_span_count
     assert doc.language == expected.language
+
+
+@settings(max_examples=40, deadline=None)
+@given(texts=st.lists(st.one_of(piece_text, wide_text_strategy), min_size=1, max_size=8))
+@pytest.mark.parametrize("language", SUPPORTED_LANGUAGES)
+def test_memo_state_changes_no_tokens(language, texts):
+    forward, backward = builtin_lexicons(language), builtin_lexicons(language)
+    in_order = [analyze(text, forward) for text in texts]
+    reversed_order = [analyze(text, backward) for text in reversed(texts)][::-1]
+    assert in_order == reversed_order
+    for lexicons, docs in ((forward, in_order), (backward, reversed_order)):
+        assert {t.surface for doc in docs for t in doc.tokens} <= set(lexicons._surfaces)
+        for surface, entry in lexicons._surfaces.items():
+            assert entry == uncached_classification(surface, lexicons), surface
