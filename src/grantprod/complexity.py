@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -52,7 +51,7 @@ class ComplexityVector:
     punctuation_diversity: float | None  # punctuation types over vocabulary size
     noun_sd: float | None  # population SD of nouns per sentence
     brunet_index: float | None  # v ** (n ** -0.165)
-    mean_noun_phrase: float | None  # noun-phrase chunks per sentence
+    mean_noun_phrase: float | None  # noun phrases (maximal noun runs) per sentence
     concreteness_sd: float | None  # population SD of concreteness scores
     ne_ratio: float | None  # named-entity spans over word tokens
 
@@ -78,15 +77,6 @@ def brunet_index(word_count: int, vocabulary_size: int) -> float | None:
     return vocabulary_size ** (word_count ** BRUNET_EXPONENT)
 
 
-# Noun-phrase chunks over a document's tag codes: "d" determiner, "a"
-# adjective, "n" noun, "." any other token and "|" between sentences.  The
-# pattern is determiner? adjective* noun+, and for Portuguese also the
-# post-nominal adjectives.  "." and "|" match nothing, so no chunk spans two
-# sentences, and a greedy leftmost scan never backtracks out of a chunk, so
-# the matches are the chunks of a left-to-right scan.
-_NOUN_PHRASE = {False: re.compile("d?a*n+"), True: re.compile("d?a*n+a*")}
-
-
 def extract_complexity_vector(
     text: str | Sequence[str],
     language: str = "pt",
@@ -98,10 +88,11 @@ def extract_complexity_vector(
     Counts and ratios are over word tokens; punctuation counts only towards
     punctuation diversity.  The three diversities share the word-type
     vocabulary as denominator, and the punctuation ratio is clamped at 1.0
-    because punctuation types are not a subset of it.  Noun phrases are
-    chunked per sentence as determiner? adjective* noun+, with post-nominal
-    adjectives also absorbed for Portuguese, where modifiers typically follow
-    the head.  Words absent from the concreteness norms are skipped, not
+    because punctuation types are not a subset of it.  A noun phrase is a
+    maximal run of nouns within a sentence: a determiner? adjective* noun+
+    chunk, with or without post-nominal adjectives, holds exactly one such
+    run, so both chunkings give the same count.  Words absent from the
+    concreteness norms are skipped, not
     imputed: a made-up score would manufacture signal.  ``text`` may be a
     sequence of parts, which ``analyze`` splits into sentences separately.
     """
@@ -118,20 +109,16 @@ def extract_complexity_vector(
     punctuation_types: set[str] = set()
     operators = 0
     nouns_per_sentence = [0] * sentences
-    codes: list[str] = []
+    noun_runs = 0
+    noun_run_sentence = -1  # the sentence of the previous token if it is a noun
     scores: list[float] = []
     word, punctuation = TokenKind.WORD, TokenKind.PUNCTUATION
-    noun, adjective = PosTag.NOUN, PosTag.ADJECTIVE
-    determiner, preposition = PosTag.DETERMINER, PosTag.PREPOSITION
+    noun, preposition = PosTag.NOUN, PosTag.PREPOSITION
     logical_operators = lexicons.logical_operators
     concreteness = lexicons.concreteness.get
-    current = 0
     for _, normalized, kind, sentence, tag, is_function, _ in doc.tokens:
-        if sentence != current:
-            codes.append("|")
-            current = sentence
         if kind is not word:
-            codes.append(".")
+            noun_run_sentence = -1
             if kind is punctuation:
                 punctuation_types.add(normalized)
             continue
@@ -140,14 +127,12 @@ def extract_complexity_vector(
         if is_function:
             function_types.add(normalized)
         if tag is noun:
-            codes.append("n")
+            if noun_run_sentence != sentence:
+                noun_runs += 1
+            noun_run_sentence = sentence
             nouns_per_sentence[sentence] += 1
-        elif tag is adjective:
-            codes.append("a")
-        elif tag is determiner:
-            codes.append("d")
         else:
-            codes.append(".")
+            noun_run_sentence = -1
             if tag is preposition:
                 preposition_types.add(normalized)
         if normalized in logical_operators:
@@ -159,7 +144,6 @@ def extract_complexity_vector(
     word_count = len(word_tags)
     vocabulary_size = len(vocabulary)
     noun_count = word_tags.count(PosTag.NOUN)
-    postnominal = doc.language == "pt"
 
     def diversity(types: set[str]) -> float | None:
         return min(1.0, len(types) / vocabulary_size) if vocabulary_size else None
@@ -180,11 +164,7 @@ def extract_complexity_vector(
         punctuation_diversity=diversity(punctuation_types),
         noun_sd=_population_sd(nouns_per_sentence) if sentences else None,
         brunet_index=brunet_index(word_count, vocabulary_size),
-        mean_noun_phrase=(
-            len(_NOUN_PHRASE[postnominal].findall("".join(codes))) / sentences
-            if sentences
-            else None
-        ),
+        mean_noun_phrase=noun_runs / sentences if sentences else None,
         concreteness_sd=_population_sd(scores) if len(scores) >= 2 else None,
         ne_ratio=doc.entity_span_count / word_count if word_count else None,
     )

@@ -249,7 +249,6 @@ _TOKEN_RE = re.compile(r"\d+(?:[.,]\d+)*|[^\W\d_]+(?:-[^\W\d_]+)*|\S", re.UNICOD
 class TaggedDocument:
     """Output of the full pipeline over one text."""
 
-    language: str
     sentence_count: int
     tokens: tuple[Token, ...]
     entity_span_count: int
@@ -294,7 +293,6 @@ def analyze(text: str | Sequence[str], lexicons: LexiconSet) -> TaggedDocument:
             previous_marked = marked
             append(tuple.__new__(Token, (surface, normalized, kind, index, tag, is_function, marked)))
     return TaggedDocument(
-        language=lexicons.language,
         sentence_count=len(sentences),
         tokens=tuple(tokens),
         entity_span_count=spans,

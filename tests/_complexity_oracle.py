@@ -127,7 +127,7 @@ def _chunk_count(tags: Sequence[PosTag], postnominal_adjectives: bool) -> int:
     return count
 
 
-def mean_noun_phrase(doc: TaggedDocument) -> float | None:
+def mean_noun_phrase(doc: TaggedDocument, lexicons: LexiconSet) -> float | None:
     """Noun-phrase chunks per sentence.
 
     Chunk pattern: determiner? adjective* noun+, with post-nominal adjectives
@@ -135,7 +135,7 @@ def mean_noun_phrase(doc: TaggedDocument) -> float | None:
     """
     if doc.sentence_count == 0:
         return None
-    postnominal = doc.language == "pt"
+    postnominal = lexicons.language == "pt"
     total = sum(
         _chunk_count([t.tag for t in sentence], postnominal)
         for sentence in _sentence_word_runs(doc)
@@ -179,7 +179,7 @@ def reference_vector(text: str, lexicons: LexiconSet) -> ComplexityVector:
         punctuation_diversity=type_diversity(doc, DiversityClass.PUNCTUATION),
         noun_sd=noun_sd(doc),
         brunet_index=brunet_index(counts["word_count"], counts["vocabulary_size"]),
-        mean_noun_phrase=mean_noun_phrase(doc),
+        mean_noun_phrase=mean_noun_phrase(doc, lexicons),
         concreteness_sd=concreteness_sd(doc, lexicons),
         ne_ratio=ne_ratio(doc),
     )

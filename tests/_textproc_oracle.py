@@ -128,7 +128,6 @@ def detect_named_entities(tagged: Sequence[TaggedToken]) -> tuple[list[TaggedTok
 class TaggedDocument:
     """Output of the full pipeline over one text."""
 
-    language: str
     sentence_count: int
     tokens: tuple[TaggedToken, ...]
     entity_span_count: int
@@ -151,7 +150,6 @@ def analyze(text: str | Sequence[str], lexicons: LexiconSet) -> TaggedDocument:
     tagged = tag_pos(tokens, lexicons)
     tagged, spans = detect_named_entities(tagged)
     return TaggedDocument(
-        language=lexicons.language,
         sentence_count=len(sentences),
         tokens=tuple(tagged),
         entity_span_count=spans,

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grantprod.complexity import (
-    _NOUN_PHRASE,
     COMPLEXITY_SCHEMA,
     ComplexityVector,
     EmptyDocumentError,
@@ -184,22 +183,37 @@ def test_brunet_monotonicity(n, v):
 # ---------------------------------------------------------------------------
 
 def test_single_np(pt):
-    assert mean_noun_phrase(doc("O gato dorme.", pt)) == 1.0
+    assert mean_noun_phrase(doc("O gato dorme.", pt), pt) == 1.0
 
 
 def test_no_nps(pt):
-    assert mean_noun_phrase(doc("Ele corre e dorme.", pt)) == 0.0
+    assert mean_noun_phrase(doc("Ele corre e dorme.", pt), pt) == 0.0
 
 
 def test_mean_over_two_sentences(pt):
     # 1 chunk, then 3 chunks: [O gato] ... [O gato] [a casa] [rua]
     document = doc("O gato dorme. O gato vê a casa na rua.", pt)
-    assert mean_noun_phrase(document) == 2.0
+    assert mean_noun_phrase(document, pt) == 2.0
 
 
-def test_postnominal_adjective_absorbed_for_pt(pt):
-    one = doc("O gato preto dorme.", pt)
-    assert mean_noun_phrase(one) == 1.0
+@pytest.mark.parametrize("language", ["pt", "en"])
+def test_postnominal_adjective_gives_the_same_count_in_pt_and_en(language):
+    # One tagging under either language: the pt chunks [O gato preto] and
+    # [O gato preto] [cão] absorb the adjective, the en chunks [O gato] and
+    # [O gato] [preto cão] do not; both count 1 and 2 phrases.
+    lexicons = LexiconSet(
+        language=language,
+        function_words=frozenset({"o", "e"}),
+        prepositions=frozenset(),
+        logical_operators=frozenset({"e"}),
+        pos_lexicon={"o": PosTag.DETERMINER, "gato": PosTag.NOUN, "cão": PosTag.NOUN,
+                     "preto": PosTag.ADJECTIVE, "dorme": PosTag.VERB},
+        suffix_rules=(),
+        concreteness={},
+    )
+    text = "O gato preto dorme. O gato preto cão dorme."
+    assert mean_noun_phrase(doc(text, lexicons), lexicons) == 1.5
+    assert extract_complexity_vector(text, language, lexicons).mean_noun_phrase == 1.5
 
 
 CHUNK_TAGS = [PosTag.DETERMINER, PosTag.ADJECTIVE, PosTag.NOUN, PosTag.VERB,
@@ -211,15 +225,16 @@ CHUNK_TAGS = [PosTag.DETERMINER, PosTag.ADJECTIVE, PosTag.NOUN, PosTag.VERB,
     sentences=st.lists(st.lists(st.sampled_from(CHUNK_TAGS), max_size=12), max_size=6),
     postnominal=st.booleans(),
 )
-def test_noun_phrase_regex_equals_chunk_scan(sentences, postnominal):
-    # the tag codes extract_complexity_vector builds, one sentence after another
-    codes = "|".join(
-        "".join({PosTag.DETERMINER: "d", PosTag.ADJECTIVE: "a", PosTag.NOUN: "n"}.get(t, ".")
-                for t in tags)
+def test_noun_phrase_chunks_are_noun_runs(sentences, postnominal):
+    # each chunk, with or without post-nominal adjectives, holds one maximal
+    # noun run, which is what extract_complexity_vector counts
+    runs = sum(
+        1
         for tags in sentences
+        for i, tag in enumerate(tags)
+        if tag is PosTag.NOUN and (i == 0 or tags[i - 1] is not PosTag.NOUN)
     )
-    expected = sum(_chunk_count(tags, postnominal) for tags in sentences)
-    assert len(_NOUN_PHRASE[postnominal].findall(codes)) == expected
+    assert sum(_chunk_count(tags, postnominal) for tags in sentences) == runs
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +339,7 @@ def test_composition_equals_individual_operations(pt):
     assert vector.punctuation_diversity == type_diversity(document, DiversityClass.PUNCTUATION)
     assert vector.noun_sd == noun_sd(document)
     assert vector.brunet_index == brunet_index(counts["word_count"], counts["vocabulary_size"])
-    assert vector.mean_noun_phrase == mean_noun_phrase(document)
+    assert vector.mean_noun_phrase == mean_noun_phrase(document, pt)
     assert vector.concreteness_sd == concreteness_sd(document, pt)
     assert vector.ne_ratio == ne_ratio(document)
 
