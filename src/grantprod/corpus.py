@@ -6,7 +6,7 @@ import csv
 import json
 import re
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -27,7 +27,7 @@ class Area(Enum):
     OTHER = "OTHER"
 
 
-class Label(Enum):
+class Label(IntEnum):
     ZERO_PUBLICATIONS = 0
     PRODUCTIVE = 1
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import ClassVar, Iterator, Sequence
@@ -80,7 +79,7 @@ class FeatureMatrix:
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
-        self.y = _as_int_labels(self.y)
+        self.y = np.asarray(self.y, dtype=int)
         if self.X.ndim != 2:
             raise ValueError("X must be two-dimensional")
         if self.X.shape[0] != self.y.shape[0]:
@@ -973,25 +972,33 @@ def _mlp_lockstep(folds, hyper: MlpHyper) -> list[MlpModel | TrainingDivergedErr
 # Scoring
 # ---------------------------------------------------------------------------
 
-def _as_int_labels(values) -> np.ndarray:
-    return np.asarray([v.value if isinstance(v, Label) else int(v) for v in values])
-
-
-def f1_score(predictions, truth, positive: int | Label = 1) -> float:
-    """Positive-class F1; defined as 0 when precision + recall is 0."""
-    preds = _as_int_labels(predictions)
-    true = _as_int_labels(truth)
+def _confusion(predictions, truth) -> tuple[int, int, int, int]:
+    """(tp, fp, fn, tn) of 0/1 predictions against 0/1 truth, class 1 positive."""
+    preds = np.asarray(predictions, dtype=int) == 1
+    true = np.asarray(truth, dtype=int) == 1
     if preds.shape != true.shape:
         raise ValueError("predictions and truth must have equal length")
-    positive = positive.value if isinstance(positive, Label) else int(positive)
-    tp = int(((preds == positive) & (true == positive)).sum())
-    fp = int(((preds == positive) & (true != positive)).sum())
-    fn = int(((preds != positive) & (true == positive)).sum())
+    tp = int((preds & true).sum())
+    fp = int((preds & ~true).sum())
+    fn = int((~preds & true).sum())
+    return tp, fp, fn, preds.size - tp - fp - fn
+
+
+def _f1(tp: int, fp: int, fn: int) -> float:
+    """F1 from the counts of one class; defined as 0 when precision + recall is 0."""
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
+
+
+def f1_score(predictions, truth, positive: int = 1) -> float:
+    """F1 of the ``positive`` class, 0 or 1."""
+    if positive not in (0, 1):
+        raise ValueError(f"positive must be 0 or 1, not {positive!r}")
+    tp, fp, fn, tn = _confusion(predictions, truth)
+    return _f1(tp, fp, fn) if positive == 1 else _f1(tn, fn, fp)
 
 
 def macro_f1(predictions, truth) -> float:
@@ -1160,6 +1167,28 @@ class EvalReport:
         return asdict(self)
 
 
+def _scores(confusions: Sequence[tuple[int, int, int, int]]) -> dict:
+    """The EvalReport numbers of per-fold (tp, fp, fn, tn) counts; pooled ones sum them."""
+    per_run_f1 = [_f1(tp, fp, fn) for tp, fp, fn, _ in confusions]
+    per_run_macro = [0.5 * (_f1(tp, fp, fn) + _f1(tn, fn, fp)) for tp, fp, fn, tn in confusions]
+    tp, fp, fn, tn = (sum(column) for column in zip(*confusions))
+    n_total = tp + fp + fn + tn
+    mean_f1 = float(np.mean(per_run_f1))
+    p_dominant = max(tp + fn, fp + tn) / n_total
+    return {
+        "per_run_f1": tuple(per_run_f1),
+        "mean_f1": mean_f1,
+        "sd_f1": float(np.sqrt(np.mean((np.array(per_run_f1) - mean_f1) ** 2))),
+        "per_run_macro_f1": tuple(per_run_macro),
+        "mean_macro_f1": float(np.mean(per_run_macro)),
+        "pooled_f1": _f1(tp, fp, fn),
+        "n_correct_total": tp + tn,
+        "n_total": n_total,
+        "p_dominant": p_dominant,
+        "p_value": significance_pvalue(tp + tn, n_total, p_dominant),
+    }
+
+
 def _train_for_cell(algorithm, train: FeatureMatrix, hyper, seed, feature_config, knn_seed):
     if algorithm == "dtree":
         return train_decision_tree(train, hyper)
@@ -1199,13 +1228,7 @@ def cross_validate(
     hyper = DEFAULT_HYPER[algorithm]
     prepared = feature_config.prepare([record for record, _ in labeled], lexicons)
 
-    per_run_f1: list[float] = []
-    per_run_macro: list[float] = []
-    pooled_preds: list[int] = []
-    pooled_truth: list[int] = []
-    n_correct = 0
-    n_total = 0
-    label_counts: Counter[int] = Counter()
+    confusions: list[tuple[int, int, int, int]] = []  # (tp, fp, fn, tn) per fold
 
     for r in range(n_resamples):
         dataset = balanced_resample(labeled, derive_seed(base_seed, _SALT_RESAMPLE, r))
@@ -1239,30 +1262,11 @@ def cross_validate(
                 for fold, (train, seed) in enumerate(zip(trains, seeds))
             )
         for model, (X_test, y_test) in zip(models, tests):
-            predictions = model.predict(X_test)
-            per_run_f1.append(f1_score(predictions, y_test))
-            per_run_macro.append(macro_f1(predictions, y_test))
-            n_correct += int((predictions == y_test).sum())
-            n_total += int(y_test.size)
-            label_counts.update(int(v) for v in y_test)
-            pooled_preds.extend(int(v) for v in predictions)
-            pooled_truth.extend(int(v) for v in y_test)
+            confusions.append(_confusion(model.predict(X_test), y_test))
 
-    mean_f1 = float(np.mean(per_run_f1))
-    sd_f1 = float(np.sqrt(np.mean((np.array(per_run_f1) - mean_f1) ** 2)))
-    p_dominant = max(label_counts.values()) / n_total
     return EvalReport(
         algorithm=algorithm,
-        per_run_f1=tuple(per_run_f1),
-        mean_f1=mean_f1,
-        sd_f1=sd_f1,
-        per_run_macro_f1=tuple(per_run_macro),
-        mean_macro_f1=float(np.mean(per_run_macro)),
-        pooled_f1=f1_score(pooled_preds, pooled_truth),
-        n_correct_total=n_correct,
-        n_total=n_total,
-        p_dominant=p_dominant,
-        p_value=significance_pvalue(n_correct, n_total, p_dominant),
+        **_scores(confusions),
         config=_config_echo(feature_config, algorithm, k, n_resamples, base_seed, hyper),
     )
 

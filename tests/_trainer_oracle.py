@@ -10,16 +10,19 @@ bit; with fewer rows than columns they train in Gram space and must stay
 within a fixed tolerance.  The properties in ``test_trainer_oracle.py`` check
 both.  ``kernel_loss_and_grad`` runs the MLP epoch kernel on one fold.
 ``information_gain`` scores one split from its mask, the quantity the tree's
-split search maximizes.
+split search maximizes.  ``f1_score`` counts one class's hits from the label
+arrays, and ``report_scores`` is the report loop that pooled every fold's
+predictions and labels; ``ml`` scores each fold from its confusion counts.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
-from grantprod.corpus import stratified_fold_indices
+from grantprod.corpus import Label, stratified_fold_indices
 from grantprod.ml import (
     FeatureMatrix,
     KnnHyper,
@@ -34,7 +37,7 @@ from grantprod.ml import (
     _mlp_init,
     _PrimalFirstLayer,
     _require_nonempty,
-    f1_score,
+    significance_pvalue,
     train_knn,
 )
 from grantprod.seeds import derive_seed
@@ -220,3 +223,63 @@ def information_gain(y: np.ndarray, left_mask: np.ndarray) -> float:
     left = _entropy_bits(int(y[left_mask].sum()), n_left)
     right = _entropy_bits(int(y[~left_mask].sum()), n_right)
     return parent - (n_left / n) * left - (n_right / n) * right
+
+
+def _as_int_labels(values) -> np.ndarray:
+    return np.asarray([v.value if isinstance(v, Label) else int(v) for v in values])
+
+
+def f1_score(predictions, truth, positive: int | Label = 1) -> float:
+    """Positive-class F1; defined as 0 when precision + recall is 0."""
+    preds = _as_int_labels(predictions)
+    true = _as_int_labels(truth)
+    if preds.shape != true.shape:
+        raise ValueError("predictions and truth must have equal length")
+    positive = positive.value if isinstance(positive, Label) else int(positive)
+    tp = int(((preds == positive) & (true == positive)).sum())
+    fp = int(((preds == positive) & (true != positive)).sum())
+    fn = int(((preds != positive) & (true == positive)).sum())
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    if precision + recall == 0.0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
+
+
+def macro_f1(predictions, truth) -> float:
+    return 0.5 * (f1_score(predictions, truth, 1) + f1_score(predictions, truth, 0))
+
+
+def report_scores(folds) -> dict:
+    """The EvalReport numbers of (predictions, truth) label arrays, one pair per fold."""
+    per_run_f1: list[float] = []
+    per_run_macro: list[float] = []
+    pooled_preds: list[int] = []
+    pooled_truth: list[int] = []
+    n_correct = 0
+    n_total = 0
+    label_counts: Counter[int] = Counter()
+    for predictions, y_test in folds:
+        per_run_f1.append(f1_score(predictions, y_test))
+        per_run_macro.append(macro_f1(predictions, y_test))
+        n_correct += int((predictions == y_test).sum())
+        n_total += int(y_test.size)
+        label_counts.update(int(v) for v in y_test)
+        pooled_preds.extend(int(v) for v in predictions)
+        pooled_truth.extend(int(v) for v in y_test)
+
+    mean_f1 = float(np.mean(per_run_f1))
+    sd_f1 = float(np.sqrt(np.mean((np.array(per_run_f1) - mean_f1) ** 2)))
+    p_dominant = max(label_counts.values()) / n_total
+    return {
+        "per_run_f1": tuple(per_run_f1),
+        "mean_f1": mean_f1,
+        "sd_f1": sd_f1,
+        "per_run_macro_f1": tuple(per_run_macro),
+        "mean_macro_f1": float(np.mean(per_run_macro)),
+        "pooled_f1": f1_score(pooled_preds, pooled_truth),
+        "n_correct_total": n_correct,
+        "n_total": n_total,
+        "p_dominant": p_dominant,
+        "p_value": significance_pvalue(n_correct, n_total, p_dominant),
+    }

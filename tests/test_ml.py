@@ -537,6 +537,11 @@ def test_f1_length_mismatch():
         f1_score([1, 0], [1])
 
 
+def test_f1_positive_class_must_be_0_or_1():
+    with pytest.raises(ValueError):
+        f1_score([1, 0], [1, 0], positive=2)
+
+
 def test_f1_accepts_labels():
     predictions = [Label.PRODUCTIVE, Label.ZERO_PUBLICATIONS]
     truth = [Label.PRODUCTIVE, Label.ZERO_PUBLICATIONS]

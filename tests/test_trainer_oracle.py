@@ -436,3 +436,36 @@ def test_knn_selection_equals_per_k_models(problem):
         for k in ks
     ]
     assert ml._knn_fold_scores(X_tr, y_tr, X_te, y_te, ks, metric) == expected
+
+
+# Each fold draws its truth and its predictions from one of these label sets,
+# so some folds hold one class and some predict no positive.
+TRUTH_CLASSES = [(0, 1), (0,), (1,)]
+PREDICTED_CLASSES = [(0, 1), (0,), (1,)]
+
+
+@st.composite
+def scored_folds(draw) -> list[tuple[np.ndarray, np.ndarray]]:
+    folds = []
+    for _ in range(draw(st.integers(1, 12))):
+        n = draw(st.integers(0, 15))
+        truth = draw(st.lists(st.sampled_from(draw(st.sampled_from(TRUTH_CLASSES))),
+                              min_size=n, max_size=n))
+        predictions = draw(st.lists(st.sampled_from(draw(st.sampled_from(PREDICTED_CLASSES))),
+                                    min_size=n, max_size=n))
+        folds.append((np.array(predictions, dtype=int), np.array(truth, dtype=int)))
+    return folds
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_folds())
+def test_scores_from_confusion_counts_equal_pooled_report_loop(folds):
+    truth = np.concatenate([y for _, y in folds])
+    assume(0 < truth.sum() < truth.size)  # the binomial test needs both classes
+    counts = [ml._confusion(predictions, y) for predictions, y in folds]
+    assert ml._scores(counts) == oracle.report_scores(folds)
+    for (predictions, y), (tp, fp, fn, tn) in zip(folds, counts):
+        assert ml.f1_score(predictions, y) == oracle.f1_score(predictions, y)
+        assert ml.f1_score(predictions, y, 0) == oracle.f1_score(predictions, y, 0)
+        assert ml.macro_f1(predictions, y) == oracle.macro_f1(predictions, y)
+        assert tp + fp + fn + tn == y.size
