@@ -86,20 +86,6 @@ class GrantRecord:
             raise ValueError("publication_count must be >= 0")
 
 
-@dataclass(frozen=True)
-class BalancedDataset:
-    """Equal-class undersample of a labeled corpus, reproducible from its seed."""
-
-    instances: tuple[tuple[GrantRecord, Label], ...]
-    source_indices: tuple[int, ...]
-
-    def labels(self) -> list[Label]:
-        return [label for _, label in self.instances]
-
-    def __len__(self) -> int:
-        return len(self.instances)
-
-
 def derive_label(publication_count: int) -> Label:
     """Zero publications vs at least one."""
     if publication_count < 0:
@@ -298,8 +284,8 @@ def productivity_histogram(records: Sequence[GrantRecord]) -> tuple[tuple[int, f
 # Balancing and folds
 # ---------------------------------------------------------------------------
 
-def balanced_resample(labeled: Sequence[tuple[GrantRecord, Label]], seed: int) -> BalancedDataset:
-    """Undersample the majority class to equal counts, keeping source order.
+def balanced_resample(labeled: Sequence[tuple[GrantRecord, Label]], seed: int) -> list[int]:
+    """Undersample the majority class to equal counts; the kept rows of ``labeled``, sorted.
 
     Every minority instance is kept; a seeded subset of the majority class of
     the same size is drawn without replacement.  Normally the minority class
@@ -313,11 +299,7 @@ def balanced_resample(labeled: Sequence[tuple[GrantRecord, Label]], seed: int) -
     minority, majority = (pos, neg) if len(pos) <= len(neg) else (neg, pos)
     rng = SplitMix64(seed)
     chosen = rng.sample_indices(len(majority), len(minority))
-    kept = sorted(minority + [majority[j] for j in chosen])
-    return BalancedDataset(
-        instances=tuple(labeled[i] for i in kept),
-        source_indices=tuple(kept),
-    )
+    return sorted(minority + [majority[j] for j in chosen])
 
 
 def stratified_fold_indices(labels: Sequence[int], k: int, seed: int) -> list[int]:

@@ -1219,21 +1219,21 @@ def cross_validate(
     per fold: the MLP trains all k in one ``train_mlp`` call, the other
     learners fold by fold.  Seeds derive from the (resample, fold) path, so
     a fold's model does not depend on how it is trained, and a failure is
-    the first in fold order.  Per-run F1 values are collected
-    resample-major, fold order within, so the report is bit-reproducible
-    for a given base seed.
+    the first in fold order.  Each fold is kept as its confusion counts,
+    resample-major, fold order within, and every report number comes from
+    them, so the report is bit-reproducible for a given base seed.
     """
     if algorithm not in DEFAULT_HYPER:
         raise ValueError(f"unknown algorithm '{algorithm}' (expected one of {tuple(DEFAULT_HYPER)})")
     hyper = DEFAULT_HYPER[algorithm]
     prepared = feature_config.prepare([record for record, _ in labeled], lexicons)
+    labels = np.array([label for _, label in labeled])
 
     confusions: list[tuple[int, int, int, int]] = []  # (tp, fp, fn, tn) per fold
 
     for r in range(n_resamples):
-        dataset = balanced_resample(labeled, derive_seed(base_seed, _SALT_RESAMPLE, r))
-        y_ds = np.array([label.value for _, label in dataset.instances])
-        source = np.array(dataset.source_indices)
+        source = np.array(balanced_resample(labeled, derive_seed(base_seed, _SALT_RESAMPLE, r)))
+        y_ds = labels[source]
         assignment = np.array(
             stratified_fold_indices(list(y_ds), k, derive_seed(base_seed, _SALT_FOLD, r))
         )
@@ -1290,13 +1290,13 @@ def relevance_over_resamples(
     base seed, so relevance runs line up with evaluation runs.
     """
     prepared = features.prepare([record for record, _ in labeled], lexicons)
+    labels = np.array([label for _, label in labeled])
     reports = []
     for r in range(n_resamples):
-        dataset = balanced_resample(labeled, derive_seed(base_seed, _SALT_RESAMPLE, r))
-        X, _ = features.fold_matrices(prepared, list(dataset.source_indices), [])
-        y = np.array([label.value for _, label in dataset.instances])
+        rows = balanced_resample(labeled, derive_seed(base_seed, _SALT_RESAMPLE, r))
+        X, _ = features.fold_matrices(prepared, rows, [])
         forest = train_random_forest(
-            FeatureMatrix(X, y),
+            FeatureMatrix(X, labels[rows]),
             forest_hyper,
             seed=derive_seed(base_seed, _SALT_TRAIN, r),
         )

@@ -263,13 +263,13 @@ def test_protocol_invariants(tmp_path):
     corpus = planted_topic_corpus(n=120, seed=21)
     unbalanced = corpus[:40] + [(r, l) for r, l in corpus if l is Label.ZERO_PUBLICATIONS]
     for seed in range(25):
-        dataset = balanced_resample(unbalanced, seed)
-        labels = dataset.labels()
+        rows = balanced_resample(unbalanced, seed)
+        labels = [unbalanced[i][1] for i in rows]
         assert labels.count(Label.PRODUCTIVE) == labels.count(Label.ZERO_PUBLICATIONS)
         for k in (2, 5, 10):
             folds = stratified_fold_indices([l.value for l in labels], k=k, seed=seed)
             sizes = [sum(1 for f in folds if f == fold) for fold in range(k)]
-            assert sum(sizes) == len(dataset)
+            assert sum(sizes) == len(rows)
             assert max(sizes) - min(sizes) <= 1
 
     # end-to-end double run under one seed: byte-identical CSV/JSON outputs

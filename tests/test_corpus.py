@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from grantprod.corpus import (
     Area,
-    BalancedDataset,
     DuplicateGrantIdError,
     EmptyClassError,
     EmptyCorpusError,
@@ -236,10 +235,15 @@ def test_histogram_monotone_property():
 # balancing
 # ---------------------------------------------------------------------------
 
+def resample_labels(labeled, rows):
+    return [labeled[i][1] for i in rows]
+
+
 def test_balanced_resample_counts():
-    dataset = balanced_resample(labeled_corpus(5, 20), seed=42)
-    labels = dataset.labels()
-    assert len(dataset) == 10
+    labeled = labeled_corpus(5, 20)
+    rows = balanced_resample(labeled, seed=42)
+    labels = resample_labels(labeled, rows)
+    assert len(rows) == 10
     assert labels.count(Label.PRODUCTIVE) == 5
     assert labels.count(Label.ZERO_PUBLICATIONS) == 5
 
@@ -247,9 +251,9 @@ def test_balanced_resample_counts():
 def test_balanced_resample_no_sampling_needed():
     labeled = labeled_corpus(5, 5)
     for seed in (0, 1, 99):
-        dataset = balanced_resample(labeled, seed)
-        assert len(dataset) == 10
-        assert dataset.source_indices == tuple(range(10))
+        rows = balanced_resample(labeled, seed)
+        assert len(rows) == 10
+        assert rows == list(range(10))
 
 
 def test_balanced_resample_determinism_and_variation():
@@ -257,22 +261,21 @@ def test_balanced_resample_determinism_and_variation():
     first = balanced_resample(labeled, seed=1)
     again = balanced_resample(labeled, seed=1)
     other = balanced_resample(labeled, seed=2)
-    assert first.source_indices == again.source_indices
-    assert first.source_indices != other.source_indices
+    assert first == again
+    assert first != other
 
 
 def test_balanced_resample_keeps_every_positive_once():
     labeled = labeled_corpus(7, 30)
-    dataset = balanced_resample(labeled, seed=5)
-    positives = [record.grant_id for record, label in dataset.instances
-                 if label is Label.PRODUCTIVE]
+    rows = balanced_resample(labeled, seed=5)
+    positives = [labeled[i][0].grant_id for i in rows if labeled[i][1] is Label.PRODUCTIVE]
     expected = [record.grant_id for record, label in labeled if label is Label.PRODUCTIVE]
     assert sorted(positives) == sorted(expected)
 
 
 def test_balanced_resample_role_swap():
-    dataset = balanced_resample(labeled_corpus(12, 4), seed=3)
-    labels = dataset.labels()
+    labeled = labeled_corpus(12, 4)
+    labels = resample_labels(labeled, balanced_resample(labeled, seed=3))
     assert labels.count(Label.PRODUCTIVE) == 4
     assert labels.count(Label.ZERO_PUBLICATIONS) == 4
 
@@ -285,22 +288,23 @@ def test_balanced_resample_empty_class():
 @settings(max_examples=40, deadline=None)
 @given(n_pos=st.integers(1, 12), n_neg=st.integers(1, 30), seed=st.integers(0, 2**40))
 def test_balanced_resample_equal_cardinality_property(n_pos, n_neg, seed):
-    dataset = balanced_resample(labeled_corpus(n_pos, n_neg), seed)
-    labels = dataset.labels()
+    labeled = labeled_corpus(n_pos, n_neg)
+    rows = balanced_resample(labeled, seed)
+    labels = resample_labels(labeled, rows)
     assert labels.count(Label.PRODUCTIVE) == labels.count(Label.ZERO_PUBLICATIONS)
-    assert len(set(dataset.source_indices)) == len(dataset.source_indices)
+    assert len(set(rows)) == len(rows)
 
 
 def test_pipeline_resamples():
     # the resamples that cross_validate and relevance_over_resamples evaluate
     labeled = labeled_corpus(4, 16)
     seeds = [derive_seed(8, _SALT_RESAMPLE, r) for r in range(10)]
-    datasets = [balanced_resample(labeled, seed) for seed in seeds]
-    for ds in datasets:
-        labels = ds.labels()
+    resamples = [balanced_resample(labeled, seed) for seed in seeds]
+    for rows in resamples:
+        labels = resample_labels(labeled, rows)
         assert labels.count(Label.PRODUCTIVE) == labels.count(Label.ZERO_PUBLICATIONS) == 4
-    assert balanced_resample(labeled, seeds[0]) == datasets[0]
-    assert len({ds.source_indices for ds in datasets}) > 1
+    assert balanced_resample(labeled, seeds[0]) == resamples[0]
+    assert len({tuple(rows) for rows in resamples}) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -320,18 +324,20 @@ def int_labels(labeled):
 
 
 def test_kfold_balanced_20_k10():
-    dataset = balanced_resample(labeled_corpus(10, 10), seed=0)
-    folds = stratified_fold_indices(int_labels(dataset.instances), k=10, seed=1)
+    labeled = labeled_corpus(10, 10)
+    resample = [labeled[i] for i in balanced_resample(labeled, seed=0)]
+    folds = stratified_fold_indices(int_labels(resample), k=10, seed=1)
     assert fold_sizes(folds, 10) == [2] * 10
-    labels = dataset.labels()
+    labels = [label for _, label in resample]
     for fold in range(10):
         members = [labels[i] for i in fold_indices(folds, fold)]
         assert members.count(Label.PRODUCTIVE) == 1
 
 
 def test_kfold_leave_one_out():
-    dataset = balanced_resample(labeled_corpus(10, 10), seed=0)
-    folds = stratified_fold_indices(int_labels(dataset.instances), k=20, seed=1)
+    labeled = labeled_corpus(10, 10)
+    resample = [labeled[i] for i in balanced_resample(labeled, seed=0)]
+    folds = stratified_fold_indices(int_labels(resample), k=20, seed=1)
     assert fold_sizes(folds, 20) == [1] * 20
 
 
