@@ -9,7 +9,6 @@ carries them as a config echo, which replays the run through --config.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -29,6 +28,7 @@ from .corpus import (
     productivity_histogram,
     scan_corpus_file,
     write_canonical,
+    write_csv,
 )
 from .ml import (
     ComplexityFeatures,
@@ -401,23 +401,14 @@ def _feature_config(args):
 
 
 def _write_summary_csv(path: Path, rows: list[dict], echo: dict) -> None:
-    columns = ("dataset", "method", "mean_f1", "sd_f1", "macro_f1", "pooled_f1",
-               "p_value", "significant_best")
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(f"# {json.dumps(echo, sort_keys=True)}\n")
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([
-                row["dataset"],
-                row["method"],
-                f"{row['mean_f1']:.4f}",
-                f"{row['sd_f1']:.4f}",
-                f"{row['macro_f1']:.4f}",
-                f"{row['pooled_f1']:.4f}",
-                f"{row['p_value']:.4f}",
-                "yes" if row["significant_best"] else "",
-            ])
+    scores = ("mean_f1", "sd_f1", "macro_f1", "pooled_f1", "p_value")
+    columns = ("dataset", "method") + scores + ("significant_best",)
+    write_csv(path, [json.dumps(echo, sort_keys=True)], columns, (
+        [row["dataset"], row["method"]]
+        + [f"{row[name]:.4f}" for name in scores]
+        + ["yes" if row["significant_best"] else ""]
+        for row in rows
+    ))
 
 
 def _class_counts(records: list[GrantRecord]) -> tuple[int, int]:

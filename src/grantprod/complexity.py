@@ -9,12 +9,12 @@ complete population of its own sentences.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
+from .corpus import write_csv
 from .textproc import (
     LexiconSet,
     PosTag,
@@ -179,13 +179,11 @@ def write_feature_csv(
     """Feature matrix CSV: grant_id column, schema columns, empty cell = missing."""
     if len(grant_ids) != len(vectors):
         raise ValueError("grant_ids and vectors must align")
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        if header_comment:
-            handle.write(f"# {header_comment}\n")
-        writer = csv.writer(handle)
-        writer.writerow(("grant_id",) + COMPLEXITY_SCHEMA)
-        for grant_id, vector in zip(grant_ids, vectors):
-            row: list = [grant_id]
-            for value in vector.as_row():
-                row.append("" if value is None else repr(value) if isinstance(value, float) else value)
-            writer.writerow(row)
+    rows = []
+    for grant_id, vector in zip(grant_ids, vectors):
+        row: list = [grant_id]
+        for value in vector.as_row():
+            row.append("" if value is None else repr(value) if isinstance(value, float) else value)
+        rows.append(row)
+    comments = [header_comment] if header_comment else []
+    write_csv(path, comments, ("grant_id",) + COMPLEXITY_SCHEMA, rows)

@@ -265,6 +265,18 @@ def write_canonical(records: Iterable[GrantRecord], path: str | Path) -> None:
             handle.write("\n")
 
 
+def write_csv(
+    path: str | Path, comments: Iterable[str], header: Sequence[str], rows: Iterable[Sequence]
+) -> None:
+    """One ``# `` line per comment, then the header and the rows; every line ends in LF."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        for comment in comments:
+            handle.write(f"# {comment}\n")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 # ---------------------------------------------------------------------------
 # Dataset statistics
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ which the relevance stage derives Gini impurity decreases.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -28,6 +27,7 @@ from .corpus import (
     Label,
     balanced_resample,
     stratified_fold_indices,
+    write_csv,
 )
 from .relevance import (
     FeatureRelevanceReport,
@@ -1125,12 +1125,9 @@ class TfidfFeatures:
             self.mode,
             self.idf_variant,
         )
-        with open(out_dir / "features_tfidf.csv", "w", newline="", encoding="utf-8") as handle:
-            handle.write(f"# {comment}\n")
-            writer = csv.writer(handle)
-            writer.writerow(["grant_id"] + words)
-            for record, row in zip(records, matrix):
-                writer.writerow([record.grant_id] + [repr(v) if v else "0" for v in row.tolist()])
+        rows = ([record.grant_id] + [repr(v) if v else "0" for v in row.tolist()]
+                for record, row in zip(records, matrix))
+        write_csv(out_dir / "features_tfidf.csv", [comment], ["grant_id"] + words, rows)
 
 
 def _config_echo(feature_config, algorithm, k, n_resamples, base_seed, hyper) -> dict:

@@ -16,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import write_csv
+
 
 class UnsupportedModelError(TypeError):
     pass
@@ -222,17 +224,15 @@ def write_ranking_csv(
 ) -> None:
     """CSV table: feature, mean importance, average rank, within-CD-of-best flag."""
     best = ranking[0].average_rank if ranking else 0.0
-    with open(path, "w", encoding="utf-8") as handle:
-        if header_comment:
-            handle.write(f"# {header_comment}\n")
-        if cd is not None:
-            handle.write(f"# critical_difference={cd:.4f}\n")
-        handle.write("feature,mean_importance,average_rank,within_cd_of_best\n")
-        for row in ranking:
-            flag = "" if cd is None else str(row.average_rank - best <= cd).lower()
-            handle.write(
-                f"{row.feature},{row.mean_importance:.6f},{row.average_rank:.4f},{flag}\n"
-            )
+    comments = [header_comment] if header_comment else []
+    if cd is not None:
+        comments.append(f"critical_difference={cd:.4f}")
+    rows = []
+    for row in ranking:
+        flag = "" if cd is None else str(row.average_rank - best <= cd).lower()
+        rows.append((row.feature, f"{row.mean_importance:.6f}", f"{row.average_rank:.4f}", flag))
+    header = ("feature", "mean_importance", "average_rank", "within_cd_of_best")
+    write_csv(path, comments, header, rows)
 
 
 def render_rank_diagram(

@@ -560,6 +560,29 @@ def test_relevance_outputs(canonical, tmp_path, capsys):
     assert len(csv_lines) == 3 + 18         # full complexity schema
 
 
+def test_csv_outputs_end_lines_in_lf(canonical, tmp_path):
+    out = tmp_path / "lf"
+    for features in ("complexity", "tfidf"):
+        assert main([
+            "evaluate", "--input", str(canonical), "--features", features,
+            "--algo", "bayes", "--folds", "3", "--resamples", "1",
+            "--seed", "5", "--out", str(out / features),
+        ]) == EXIT_OK
+    assert main([
+        "relevance", "--input", str(canonical), "--resamples", "2",
+        "--trees", "5", "--seed", "5", "--no-timestamp", "--out", str(out / "relevance"),
+    ]) == EXIT_OK
+    written = sorted(path.relative_to(out).as_posix()
+                     for suffix in ("*.csv", "*.tsv") for path in out.rglob(suffix))
+    assert written == [
+        "complexity/eval_summary.csv", "complexity/features_complexity.csv",
+        "relevance/relevance.csv", "tfidf/eval_summary.csv", "tfidf/features_tfidf.csv",
+        "tfidf/vocabulary.tsv",
+    ]
+    for name in written:
+        assert b"\r" not in (out / name).read_bytes(), name
+
+
 def test_relevance_timestamp_present_by_default(canonical, tmp_path):
     out = tmp_path / "rel2"
     assert main([
