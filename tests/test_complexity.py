@@ -196,6 +196,15 @@ def test_mean_over_two_sentences(pt):
     assert mean_noun_phrase(document, pt) == 2.0
 
 
+def test_noun_phrase_ends_at_a_sentence_break_without_punctuation(pt):
+    # a title without a final period is a sentence of its own, so its last
+    # noun and the abstract's first noun are two phrases, not one run
+    parts = ("O gato", "Gato dorme.")
+    assert mean_noun_phrase(doc(parts, pt), pt) == 1.0
+    vector = extract_complexity_vector(parts, "pt", pt)
+    assert (vector.sentence_count, vector.mean_noun_phrase) == (2, 1.0)
+
+
 @pytest.mark.parametrize("language", ["pt", "en"])
 def test_postnominal_adjective_gives_the_same_count_in_pt_and_en(language):
     # One tagging under either language: the pt chunks [O gato preto] and

@@ -193,7 +193,7 @@ def test_blank_subject_keywords_are_dropped(tmp_path, fmt, subject):
     (0, Label.ZERO_PUBLICATIONS),
     (1, Label.PRODUCTIVE),
     (7, Label.PRODUCTIVE),
-])
+], ids=lambda value: f"Label.{value.name}" if isinstance(value, Label) else None)
 def test_derive_label(count, expected):
     assert derive_label(count) is expected
 
