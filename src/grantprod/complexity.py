@@ -92,9 +92,9 @@ def extract_complexity_vector(
     maximal run of nouns within a sentence: a determiner? adjective* noun+
     chunk, with or without post-nominal adjectives, holds exactly one such
     run, so both chunkings give the same count.  Words absent from the
-    concreteness norms are skipped, not
-    imputed: a made-up score would manufacture signal.  ``text`` may be a
-    sequence of parts, which ``analyze`` splits into sentences separately.
+    concreteness norms are skipped, not imputed: a made-up score would
+    manufacture signal.  ``text`` may be a sequence of parts, which
+    ``analyze`` splits into sentences separately.
     """
     if lexicons is None:
         lexicons = builtin_lexicons(language)
