@@ -440,8 +440,7 @@ def test_knn_selection_equals_per_k_models(problem):
 
 # Each fold draws its truth and its predictions from one of these label sets,
 # so some folds hold one class and some predict no positive.
-TRUTH_CLASSES = [(0, 1), (0,), (1,)]
-PREDICTED_CLASSES = [(0, 1), (0,), (1,)]
+LABEL_SETS = [(0, 1), (0,), (1,)]
 
 
 @st.composite
@@ -449,9 +448,9 @@ def scored_folds(draw) -> list[tuple[np.ndarray, np.ndarray]]:
     folds = []
     for _ in range(draw(st.integers(1, 12))):
         n = draw(st.integers(0, 15))
-        truth = draw(st.lists(st.sampled_from(draw(st.sampled_from(TRUTH_CLASSES))),
+        truth = draw(st.lists(st.sampled_from(draw(st.sampled_from(LABEL_SETS))),
                               min_size=n, max_size=n))
-        predictions = draw(st.lists(st.sampled_from(draw(st.sampled_from(PREDICTED_CLASSES))),
+        predictions = draw(st.lists(st.sampled_from(draw(st.sampled_from(LABEL_SETS))),
                                     min_size=n, max_size=n))
         folds.append((np.array(predictions, dtype=int), np.array(truth, dtype=int)))
     return folds
