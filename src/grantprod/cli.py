@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -195,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--algo", default="dtrees",
                         help="comma-separated subset of dtrees,svm,knn,bayes,mlp or 'all'")
     p_eval.add_argument("--folds", type=int, default=10)
-    p_eval.add_argument("--jobs", type=int, default=1, help="concurrent evaluation cells")
+    p_eval.add_argument("--jobs", type=int, default=1,
+                        help="evaluation cells run at once in forked worker processes")
     p_eval.add_argument("--global-vocab", action="store_true",
                         help="fit the tf-idf vocabulary once on the whole corpus instead of per fold")
     p_eval.add_argument("--raw-frequency", action="store_true",
@@ -417,14 +417,58 @@ def _class_counts(records: list[GrantRecord]) -> tuple[int, int]:
     return pos, len(records) - pos
 
 
+def _run_cell(records, feature_config, algorithm, folds, resamples, seed,
+              lexicons) -> EvalReport | str:
+    """One (area, algorithm) cell over the area's records: its report, or why it failed.
+
+    A failure comes back as its message, which crosses a process boundary
+    whatever the arguments of the exception's constructor.
+    """
+    try:
+        return cross_validate(label_records(records), feature_config, algorithm, k=folds,
+                              n_resamples=resamples, base_seed=seed, lexicons=lexicons)
+    except Exception as exc:
+        return str(exc)
+
+
+def _run_cells_in_workers(tasks: list[tuple], jobs: int) -> list[EvalReport | str]:
+    """``_run_cell`` of each task, on up to ``jobs`` forked worker processes, in task order.
+
+    Forked workers start with the parent's imports, where a spawned one would
+    import numpy and grantprod again.  Forking is safe here: the command
+    starts no thread of its own (OpenBLAS stops its pool around a fork),
+    and the executor forks every worker at the first submit, before it
+    starts its own threads.  The pool is shut down before this returns or
+    raises, cancelling the cells not yet started, so no worker outlives the
+    command.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(_run_cell, *task) for task in tasks]
+        outcomes = []
+        for future in futures:
+            try:
+                outcomes.append(future.result())
+            except Exception as exc:  # the pool failed, not the cell (a killed worker)
+                outcomes.append(str(exc))
+        return outcomes
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def cmd_evaluate(args, corpus: ValidationReport, lexicons: LexiconSet) -> int:
     algorithms = _parse_algos(args.algo)
     feature_config = _feature_config(args)
     records = _usable_records(corpus.records, feature_config)
 
     areas = [area for area in Area if any(r.area is area for r in records)]
+    area_records = {area: [r for r in records if r.area is area] for area in areas}
     for area in areas:  # every balanced resample must fill --folds folds
-        pos, neg = _class_counts([r for r in records if r.area is area])
+        pos, neg = _class_counts(area_records[area])
         if 2 * min(pos, neg) < args.folds:
             raise CliValidationError(
                 f"area {area.value} has {pos} productive and {neg} zero-publication "
@@ -436,29 +480,23 @@ def cmd_evaluate(args, corpus: ValidationReport, lexicons: LexiconSet) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     echo = _echo(args)
     cells = [(area, algorithm) for area in areas for algorithm in algorithms]
-
-    def run_cell(cell) -> EvalReport:
-        area, algorithm = cell
-        labeled = label_records([r for r in records if r.area is area])
-        return cross_validate(
-            labeled,
-            feature_config,
-            algorithm,
-            k=args.folds,
-            n_resamples=args.resamples,
-            base_seed=args.seed,
-            lexicons=lexicons,
-        )
+    tasks = [
+        (area_records[area], feature_config, algorithm, args.folds, args.resamples, args.seed,
+         lexicons)
+        for area, algorithm in cells
+    ]
+    if args.jobs == 1:
+        outcomes = [_run_cell(*task) for task in tasks]
+    else:
+        outcomes = _run_cells_in_workers(tasks, args.jobs)
 
     results: dict[tuple, EvalReport] = {}
     failures: list[dict] = []
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        futures = [pool.submit(run_cell, cell) for cell in cells]
-        for cell, future in zip(cells, futures):  # collected in cell order
-            try:
-                results[cell] = future.result()
-            except Exception as exc:  # cell failure; flush the rest
-                failures.append({"dataset": cell[0].value, "method": cell[1], "error": str(exc)})
+    for cell, outcome in zip(cells, outcomes):  # in cell order; a failure flushes the rest
+        if isinstance(outcome, str):
+            failures.append({"dataset": cell[0].value, "method": cell[1], "error": outcome})
+        else:
+            results[cell] = outcome
 
     # best cell per dataset is flagged when significant at alpha = 0.05
     best: dict[str, tuple] = {}

@@ -96,6 +96,10 @@ class LexiconSet:
     _surfaces: dict[str, SurfaceClass] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # suffix length (ascending) -> suffix -> (file position, tag) of its earliest rule
+    _suffix_index: dict[int, dict[str, tuple[int, PosTag]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.language not in SUPPORTED_LANGUAGES:
@@ -116,6 +120,10 @@ class LexiconSet:
                 raise ValueError(f"concreteness entry '{word}' is not lowercase")
             if not 100.0 <= score <= 700.0:
                 raise ValueError(f"concreteness score for '{word}' outside [100, 700]")
+        index: dict = {}
+        for position, (suffix, tag) in enumerate(self.suffix_rules):
+            index.setdefault(len(suffix), {}).setdefault(suffix, (position, tag))
+        object.__setattr__(self, "_suffix_index", dict(sorted(index.items())))
 
     def word_class(self, word: str) -> tuple[PosTag, bool]:
         """Tag and function-word flag of a normalized word token.
@@ -125,7 +133,7 @@ class LexiconSet:
         """
         tag = self.pos_lexicon.get(word)
         if tag is None:
-            tag = _suffix_tag(word, self.suffix_rules)
+            tag = _suffix_tag(word, self._suffix_index)
         if tag is None:
             tag = PosTag.NOUN
         return tag, tag in CLOSED_CLASS_TAGS or word in self.function_words
@@ -161,11 +169,20 @@ class LexiconSet:
         return cached
 
 
-def _suffix_tag(word: str, rules: Sequence[tuple[str, PosTag]]) -> PosTag | None:
-    for suffix, tag in rules:
-        if len(word) > len(suffix) and word.endswith(suffix):
-            return tag
-    return None
+def _suffix_tag(word: str, index: dict[int, dict[str, tuple[int, PosTag]]]) -> PosTag | None:
+    """The tag of the first rule, in file order, whose suffix is a proper suffix of ``word``.
+
+    One dict probe per suffix length shorter than the word, in place of a
+    scan over every rule.
+    """
+    first = None
+    for length, rules in index.items():
+        if length >= len(word):
+            break
+        hit = rules.get(word[len(word) - length:])
+        if hit is not None and (first is None or hit[0] < first[0]):
+            first = hit
+    return None if first is None else first[1]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ tagged, and the tagged tokens marked for named entities, each stage building
 its own objects.  ``flat_tokens`` turns its output into the 7-tuples that
 ``textproc.Token`` holds, so the two token streams compare with ``==``.
 ``abbreviation_before`` is the sentence splitter's abbreviation check over
-the whole text before the period.
+the whole text before the period, and ``suffix_tag`` the scan over every
+suffix rule that ``textproc._suffix_tag``'s index replaces.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from grantprod.textproc import (
     _OPENERS,
     _TOKEN_RE,
     ABBREVIATIONS,
+    CLOSED_CLASS_TAGS,
     LexiconSet,
     PosTag,
     TokenKind,
@@ -37,6 +39,24 @@ def abbreviation_before(text: str, period_index: int) -> bool:
             if start == 0 or prefix[start - 1].isspace() or prefix[start - 1] in _OPENERS:
                 return True
     return False
+
+
+def suffix_tag(word: str, rules: Sequence[tuple[str, PosTag]]) -> PosTag | None:
+    """The tag of the first rule in file order whose suffix ends ``word`` and is shorter than it."""
+    for suffix, tag in rules:
+        if len(word) > len(suffix) and word.endswith(suffix):
+            return tag
+    return None
+
+
+def word_class(word: str, lexicons: LexiconSet) -> tuple[PosTag, bool]:
+    """Tag (lexicon, then the suffix scan, then noun) and function-word flag of a word."""
+    tag = lexicons.pos_lexicon.get(word)
+    if tag is None:
+        tag = suffix_tag(word, lexicons.suffix_rules)
+    if tag is None:
+        tag = PosTag.NOUN
+    return tag, tag in CLOSED_CLASS_TAGS or word in lexicons.function_words
 
 
 @dataclass(frozen=True)
@@ -76,7 +96,7 @@ def tag_pos(tokens: Sequence[Token], lexicons: LexiconSet) -> list[TaggedToken]:
     tagged: list[TaggedToken] = []
     for token in tokens:
         if token.kind is TokenKind.WORD:
-            tag, is_function = lexicons.word_class(token.normalized)
+            tag, is_function = word_class(token.normalized, lexicons)
         elif token.kind is TokenKind.PUNCTUATION:
             tag, is_function = PosTag.PUNCTUATION, False
         else:

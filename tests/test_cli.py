@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -21,11 +22,13 @@ from grantprod.cli import (
     read_config_file,
 )
 
-from grantprod.corpus import load_corpus
+from grantprod.complexity import EmptyDocumentError
+from grantprod.corpus import Area, load_corpus
 from grantprod.topical import FieldSelector, VectorMode, field_tokens, fit_vocabulary, vectorize
 
 from _synth import mixed_area_corpus, write_corpus_csv
 
+AREAS = (Area.MED, Area.DENT, Area.VET)  # the areas of mixed_area_corpus
 HEADER = "grant_id,title_pt,abstract_pt,area,year,publication_count\n"
 
 
@@ -202,21 +205,28 @@ def test_evaluate_raw_frequency_exports_counts_on_the_corpus_vocabulary(canonica
     assert expected.max() > 1  # counts, not weights
 
 
-def test_evaluate_jobs_2_matches_jobs_1(canonical, tmp_path):
+@pytest.mark.parametrize("features, jobs, areas", [
+    ("complexity", "2", AREAS),
+    ("tfidf", "2", AREAS),
+    ("complexity", "8", (Area.MED,)),  # 2 cells, so 2 workers
+], ids=["complexity", "tfidf", "complexity-jobs8-2cells"])
+def test_evaluate_jobs_2_matches_jobs_1(tmp_path, features, jobs, areas):
+    corpus = tmp_path / "corpus.csv"
+    write_corpus_csv([r for r in mixed_area_corpus(n=72) if r.area in areas], corpus)
+    family = ["--top-x", "30"] if features == "tfidf" else []
     outputs = {}
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}"
+    for run in ("1", jobs):
+        out = tmp_path / f"jobs{run}"
         code = main([
-            "evaluate", "--input", str(canonical), "--features", "complexity",
-            "--algo", "bayes,knn", "--folds", "3", "--resamples", "2",
-            "--seed", "5", "--jobs", jobs, "--out", str(out),
+            "evaluate", "--input", str(corpus), "--format", "csv", "--features", features,
+            *family, "--algo", "bayes,knn", "--folds", "3", "--resamples", "2",
+            "--seed", "5", "--jobs", run, "--out", str(out),
         ])
         assert code == EXIT_OK
-        outputs[jobs] = [
-            (out / name).read_bytes()
-            for name in ("eval_summary.csv", "eval_report.json", "features_complexity.csv")
-        ]
-    assert outputs["2"] == outputs["1"]
+        assert multiprocessing.active_children() == []
+        outputs[run] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert len(outputs["1"]) == (4 if features == "tfidf" else 3)
+    assert outputs[jobs] == outputs["1"]
 
 
 def test_evaluate_english_exclusion(tmp_path, capsys):
@@ -402,21 +412,56 @@ def test_tfidf_echo_names_the_default_field_and_vocabulary_size(canonical, tmp_p
     assert '"fields": "abstract"' in (out / "features_tfidf.csv").read_text().splitlines()[0]
 
 
-def test_evaluate_failure_manifest(canonical, tmp_path, monkeypatch):
-    # a failing cell does not stop the others; the run flushes and exits 3
-    def fail(*args, **kwargs):
-        raise RuntimeError("cell failed")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_evaluate_failure_manifest(canonical, tmp_path, monkeypatch, jobs):
+    # a failing cell does not stop the others; the run flushes and exits 3.
+    # The exception's constructor takes a document id, not its message, so
+    # a worker process must send back the message, not the exception.
+    real = cli.cross_validate
 
-    monkeypatch.setattr(cli, "cross_validate", fail)
+    def fail_knn(labeled, feature_config, algorithm, **kwargs):
+        if algorithm == "knn":
+            raise EmptyDocumentError(labeled[0][0].area.value)
+        return real(labeled, feature_config, algorithm, **kwargs)
+
+    monkeypatch.setattr(cli, "cross_validate", fail_knn)
     out = tmp_path / "runf"
     code = main([
         "evaluate", "--input", str(canonical), "--features", "complexity",
-        "--algo", "bayes", "--folds", "2", "--resamples", "1",
-        "--seed", "1", "--out", str(out),
+        "--algo", "bayes,knn", "--folds", "2", "--resamples", "1",
+        "--seed", "1", "--jobs", jobs, "--out", str(out),
     ])
     assert code == 3
+    assert multiprocessing.active_children() == []
+    summary = (out / "eval_summary.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in summary[2:]] == [
+        [area.value, "naive_bayes"] for area in AREAS
+    ]
+    echo = json.loads(summary[0][2:])
+    failures = [{"dataset": area.value, "method": "knn",
+                 "error": f"document '{area.value}' is empty after normalization"}
+                for area in AREAS]
+    expected = json.dumps({"config": echo, "failures": failures}, indent=2, sort_keys=True)
+    assert (out / "failure_manifest.json").read_text() == expected + "\n"
+
+
+def test_killed_worker_fails_its_cells_and_leaves_no_process(canonical, tmp_path, monkeypatch):
+    def exit_worker(*args, **kwargs):
+        os._exit(1)
+
+    monkeypatch.setattr(cli, "cross_validate", exit_worker)
+    out = tmp_path / "killed"
+    code = main([
+        "evaluate", "--input", str(canonical), "--features", "complexity",
+        "--algo", "bayes", "--folds", "2", "--resamples", "1",
+        "--seed", "1", "--jobs", "2", "--out", str(out),
+    ])
+    assert code == 3
+    assert multiprocessing.active_children() == []
     manifest = json.loads((out / "failure_manifest.json").read_text())
-    assert manifest["failures"]
+    assert [(f["dataset"], f["method"]) for f in manifest["failures"]] == [
+        (area.value, "naive_bayes") for area in AREAS
+    ]
 
 
 def test_config_file_with_flag_override(canonical, tmp_path):

@@ -1,4 +1,4 @@
-"""Golden-output lock: five CLI runs must reproduce the checked-in files byte for byte.
+"""Golden-output lock: six CLI runs must reproduce the checked-in files byte for byte.
 
 The fixtures under ``tests/golden/`` pin the determinism contract (one seed,
 byte-identical CSV/JSON/SVG).  A change that moves floats on purpose must
@@ -52,6 +52,16 @@ RUNS = {
         "--features", "tfidf", "--top-x", "30", "--algo", "svm,mlp",
         "--folds", "3", "--resamples", "2", "--seed", "42", "--out", "tfidf_lowsignal",
     ],
+    # English text with the title, on 48 records per area: every 3-fold SVM
+    # and MLP fit has more rows than columns (32 x 18) and takes the primal
+    # form.  The cells run in worker processes; the files were written by a
+    # --jobs 1 run, and the replay of the echo runs with --jobs 1.
+    "complexity_en": [
+        "evaluate", "--input", "corpus_en.csv", "--format", "csv",
+        "--features", "complexity", "--lang", "en", "--include-title",
+        "--algo", "dtrees,svm,mlp", "--folds", "3", "--resamples", "1", "--seed", "42",
+        "--jobs", "2", "--out", "complexity_en",
+    ],
     "relevance": [
         "relevance", "--input", "corpus.csv", "--format", "csv",
         "--resamples", "3", "--trees", "10", "--seed", "42",
@@ -63,6 +73,9 @@ GOLDEN_FILES = (
     "complexity/eval_summary.csv",
     "complexity/eval_report.json",
     "complexity/features_complexity.csv",
+    "complexity_en/eval_summary.csv",
+    "complexity_en/eval_report.json",
+    "complexity_en/features_complexity.csv",
     "tfidf/eval_summary.csv",
     "tfidf/eval_report.json",
     "tfidf/features_tfidf.csv",
@@ -81,8 +94,9 @@ GOLDEN_FILES = (
 
 
 def write_corpora(work_dir: Path) -> None:
-    """The two input files the runs read, written into ``work_dir``."""
+    """The three input files the runs read, written into ``work_dir``."""
     write_corpus_csv(mixed_area_corpus(n=72, seed=7), work_dir / "corpus.csv")
+    write_corpus_csv(mixed_area_corpus(n=144, seed=7), work_dir / "corpus_en.csv")
     lowsignal = planted_topic_corpus(n=36, seed=11, signal_pct=5)
     write_corpus_csv([record for record, _ in lowsignal], work_dir / "lowsignal.csv")
 
@@ -129,6 +143,7 @@ def replay(work_dir: Path, command: str, output: Path, out: str) -> None:
 
 ECHO_FILES = {
     "complexity": "eval_summary.csv",
+    "complexity_en": "eval_summary.csv",
     "tfidf": "eval_summary.csv",
     "tfidf_global": "eval_summary.csv",
     "tfidf_lowsignal": "eval_summary.csv",

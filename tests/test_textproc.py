@@ -300,15 +300,6 @@ def test_custom_lexicon_files_roundtrip(tmp_path):
 # surface memo
 # ---------------------------------------------------------------------------
 
-def uncached_word_class(word, lexicons):
-    tag = lexicons.pos_lexicon.get(word)
-    if tag is None:
-        tag = textproc._suffix_tag(word, lexicons.suffix_rules)
-    if tag is None:
-        tag = PosTag.NOUN
-    return tag, tag in CLOSED_CLASS_TAGS or word in lexicons.function_words
-
-
 def uncached_classification(surface, lexicons):
     """The memo entry of ``surface``, computed from the rules alone."""
     first, normalized = surface[0], surface.lower()
@@ -316,7 +307,7 @@ def uncached_classification(surface, lexicons):
         return (normalized, TokenKind.NUMBER, PosTag.NUMBER, False, False, False)
     if not first.isalpha():
         return (normalized, TokenKind.PUNCTUATION, PosTag.PUNCTUATION, False, False, False)
-    tag, is_function = uncached_word_class(normalized, lexicons)
+    tag, is_function = oracle.word_class(normalized, lexicons)
     acronym = len(surface) >= 2 and surface.isalpha() and surface.isupper()
     return (normalized, TokenKind.WORD, tag, is_function, acronym, first.isupper())
 
@@ -324,9 +315,9 @@ def uncached_classification(surface, lexicons):
 def test_word_class_of_every_lexicon_word_equals_uncached_rule(pt, en):
     for lex in (pt, en):
         for word in lex.pos_lexicon:
-            assert lex.word_class(word) == uncached_word_class(word, lex)
-            assert lex.classify(word)[2:4] == uncached_word_class(word, lex)
-            assert lex.classify(word)[2:4] == uncached_word_class(word, lex)  # memo
+            assert lex.word_class(word) == oracle.word_class(word, lex)
+            assert lex.classify(word)[2:4] == oracle.word_class(word, lex)
+            assert lex.classify(word)[2:4] == oracle.word_class(word, lex)  # memo
 
 
 @settings(max_examples=150, deadline=None)
@@ -341,10 +332,34 @@ def test_word_class_of_generated_words_equals_uncached_rule(stem, rule, language
     word = stem + suffix
     if not word:
         return
-    assert lex.word_class(word) == uncached_word_class(word, lex)
+    assert lex.word_class(word) == oracle.word_class(word, lex)
     for surface in (word.title(), word.upper(), word):  # cased forms first
         assert lex.classify(surface) == uncached_classification(surface, lex)
         assert lex.classify(surface) == uncached_classification(surface, lex)
+
+
+suffix_rule_lists = st.lists(
+    st.tuples(st.text(alphabet="aemnt", max_size=4), st.sampled_from(list(PosTag))), max_size=12
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    stem=st.text(alphabet="aemnt", max_size=6),
+    rule=st.integers(0, 200),
+    rules=st.one_of(st.sampled_from(SUPPORTED_LANGUAGES), suffix_rule_lists),
+)
+def test_suffix_index_equals_scan_over_the_rules(stem, rule, rules):
+    # builtin rules, or short overlapping ones from a small alphabet, with
+    # repeated suffixes and the empty suffix among them
+    if isinstance(rules, str):
+        rules = builtin_lexicons(rules).suffix_rules
+    lex = LexiconSet(language="pt", function_words=frozenset(), prepositions=frozenset(),
+                     logical_operators=frozenset({"e"}), pos_lexicon={}, suffix_rules=tuple(rules),
+                     concreteness={})
+    suffix = rules[rule % len(rules)][0] if rules and rule < 100 else ""
+    word = stem + suffix
+    assert textproc._suffix_tag(word, lex._suffix_index) == oracle.suffix_tag(word, rules)
 
 
 def test_lowercasing_keeps_what_the_memo_relies_on():
@@ -392,7 +407,7 @@ def test_lexicon_sets_do_not_share_a_cache(pt, en, tmp_path):
     assert en.classify("quickly")[2:4] == (PosTag.ADVERB, False)
     assert custom.classify("quickly")[2:4] == (PosTag.ADJECTIVE, False)
     assert pt.classify("de")[2:4] == (PosTag.PREPOSITION, True)
-    assert en.classify("de")[2:4] == uncached_word_class("de", en)
+    assert en.classify("de")[2:4] == oracle.word_class("de", en)
     assert custom.classify("de")[2:4] == (PosTag.NOUN, True)  # function word by its list
     assert len({id(pt._surfaces), id(en._surfaces), id(custom._surfaces)}) == 3
 
