@@ -251,13 +251,6 @@ def _echo(args: argparse.Namespace) -> dict:
     return {"tool": f"grantprod {__version__}", **options}
 
 
-def _family_options(args: argparse.Namespace) -> dict:
-    """The options the selected feature family reads, an unset one at its default."""
-    given = vars(args)
-    return {key: default if given[key] is None else given[key]
-            for key, default in FAMILY_OPTIONS[args.features].items()}
-
-
 def _preflight(args: argparse.Namespace) -> tuple[ValidationReport, LexiconSet | None]:
     """Every check that needs no extraction or output; raises CliValidationError.
 
@@ -281,7 +274,9 @@ def _preflight(args: argparse.Namespace) -> tuple[ValidationReport, LexiconSet |
                 f"--{unread[0].replace('_', '-')} does not apply to --features {args.features}")
         if args.raw_frequency and args.conventional_idf:
             raise CliValidationError("--conventional-idf does not apply to --raw-frequency")
-        vars(args).update(_family_options(args))  # the echo shows what the family read
+        for key, default in FAMILY_OPTIONS[args.features].items():
+            if getattr(args, key) is None:  # the echo shows the value the family reads
+                setattr(args, key, default)
     lexicons = None
     try:
         if args.command == "ingest":
@@ -340,10 +335,10 @@ def cmd_stats(args, corpus: ValidationReport, lexicons: None) -> int:
     print("fraction of grants with at least n papers:")
     header = "  #P   " + "  ".join(f"{area.value:>6s}" for area in areas)
     print(header)
-    tables = {area: productivity_histogram([r for r in records if r.area is area]) for area in areas}
-    for i, n in enumerate(range(2, 9)):
-        row = f"  {n}+   " + "  ".join(f"{100.0 * tables[area][i][1]:5.1f}%" for area in areas)
-        print(row)
+    histograms = [productivity_histogram([r for r in records if r.area is area]) for area in areas]
+    for row in zip(*histograms):  # one (n, fraction) pair per area, all of the same n
+        n = row[0][0]
+        print(f"  {n}+   " + "  ".join(f"{100.0 * fraction:5.1f}%" for _, fraction in row))
     return EXIT_OK
 
 
@@ -387,16 +382,16 @@ def _usable_records(records: list[GrantRecord], feature_config) -> list[GrantRec
 
 
 def _feature_config(args):
-    options = _family_options(args)
+    """The feature family of a run whose family options ``_preflight`` has resolved."""
     if args.features == "complexity":
-        return ComplexityFeatures(language=args.lang, include_title=options["include_title"])
+        return ComplexityFeatures(language=args.lang, include_title=args.include_title)
     return TfidfFeatures(
         language=args.lang,
-        selector=FIELD_CHOICES[options["fields"]],
-        top_x=options["top_x"],
-        mode=VectorMode.RAW_FREQUENCY if options["raw_frequency"] else VectorMode.TFIDF,
-        idf_variant=IdfVariant.LOG_QUOTIENT if options["conventional_idf"] else IdfVariant.LOG_RATIO,
-        per_fold_vocabulary=not options["global_vocab"],
+        selector=FIELD_CHOICES[args.fields],
+        top_x=args.top_x,
+        mode=VectorMode.RAW_FREQUENCY if args.raw_frequency else VectorMode.TFIDF,
+        idf_variant=IdfVariant.LOG_QUOTIENT if args.conventional_idf else IdfVariant.LOG_RATIO,
+        per_fold_vocabulary=not args.global_vocab,
     )
 
 

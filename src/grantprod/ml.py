@@ -16,12 +16,7 @@ from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
-from .complexity import (
-    COMPLEXITY_SCHEMA,
-    ComplexityVector,
-    extract_complexity_vector,
-    write_feature_csv,
-)
+from .complexity import COMPLEXITY_SCHEMA, extract_complexity_vector, write_feature_csv
 from .corpus import (
     GrantRecord,
     Label,
@@ -60,6 +55,9 @@ _SALT_RESAMPLE = 101
 _SALT_FOLD = 202
 _SALT_TRAIN = 303
 _SALT_KNN = 404
+
+# Inner folds of the nested selection of k (fewer when a class is smaller).
+KNN_INNER_FOLDS = 3
 
 
 class TrainingDivergedError(RuntimeError):
@@ -131,37 +129,24 @@ def apply_standardizer(X: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.n
     return (X - mean) / std
 
 
-def complexity_vectors(
-    records: Sequence[GrantRecord],
-    language: str = "pt",
-    lexicons: LexiconSet | None = None,
-    include_title: bool = False,
-) -> list[ComplexityVector]:
-    """One complexity vector per record, extracted from its document text."""
-    if lexicons is None:
-        lexicons = builtin_lexicons(language)
-    return [
-        extract_complexity_vector(
-            document_text(record, language, include_title),
-            language=language,
-            lexicons=lexicons,
-            doc_id=record.grant_id,
-        )
-        for record in records
-    ]
-
-
 def complexity_rows(
     records: Sequence[GrantRecord],
     language: str = "pt",
     lexicons: LexiconSet | None = None,
     include_title: bool = False,
 ) -> np.ndarray:
-    """Raw complexity matrix with NaN where a metric is missing."""
-    rows = [
-        [np.nan if v is None else float(v) for v in vector.as_row()]
-        for vector in complexity_vectors(records, language, lexicons, include_title)
-    ]
+    """Raw complexity matrix, one row per record, with NaN where a metric is missing."""
+    if lexicons is None:
+        lexicons = builtin_lexicons(language)
+    rows = []
+    for record in records:
+        vector = extract_complexity_vector(
+            document_text(record, language, include_title),
+            language=language,
+            lexicons=lexicons,
+            doc_id=record.grant_id,
+        )
+        rows.append([np.nan if v is None else float(v) for v in vector.as_row()])
     return np.array(rows, dtype=float).reshape(len(rows), len(COMPLEXITY_SCHEMA))
 
 
@@ -331,7 +316,7 @@ def _best_split(X, y, features, min_leaf):
     return best
 
 
-def _grow_tree(X, y, hyper: TreeHyper, depth, rng=None, max_features=None):
+def _grow_tree(X, y, hyper: TreeHyper, depth, rng, max_features):
     n = y.size
     node = TreeNode(n_samples=n, n_positive=int(y.sum()))
     if node.n_positive in (0, n):
@@ -394,19 +379,6 @@ class TreeModel:
                     stack.append(node.left)
 
 
-def train_decision_tree(train: FeatureMatrix, hyper: TreeHyper | None = None) -> TreeModel:
-    """Greedy binary tree maximizing information gain at each node.
-
-    A single-class training set yields a one-leaf majority model rather than
-    an error.
-    """
-    hyper = hyper or TreeHyper()
-    _require_nonempty(train.y)
-    _check_finite(train.X)
-    root = _grow_tree(train.X, train.y, hyper, depth=0)
-    return TreeModel(roots=[root], n_features=train.X.shape[1])
-
-
 # ---------------------------------------------------------------------------
 # Random forest
 # ---------------------------------------------------------------------------
@@ -443,6 +415,17 @@ def train_random_forest(
             X_t, y_t = train.X, train.y
         roots.append(_grow_tree(X_t, y_t, hyper.tree, depth=0, rng=rng, max_features=max_features))
     return TreeModel(roots=roots, n_features=d)
+
+
+def train_decision_tree(train: FeatureMatrix, hyper: TreeHyper | None = None) -> TreeModel:
+    """Greedy binary tree maximizing information gain at each node.
+
+    The forest of one tree on every row with every feature at each node, so
+    its rng is never read.  A single-class training set yields a one-leaf
+    majority model rather than an error.
+    """
+    forest = ForestHyper(n_trees=1, max_features=None, bootstrap=False, tree=hyper or TreeHyper())
+    return train_random_forest(train, forest)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +576,6 @@ def select_knn_k(
     hyper: KnnHyper,
     seed: int,
     metric: str = "euclidean",
-    inner_folds: int = 3,
 ) -> int:
     """Nested grid selection of k on the training split only.
 
@@ -601,11 +583,11 @@ def select_knn_k(
     """
     X = np.asarray(X, dtype=float)
     _check_finite(X)
-    candidates = [k for k in hyper.grid if k <= max(1, y.size - max(2, y.size // inner_folds))]
+    candidates = [k for k in hyper.grid if k <= max(1, y.size - max(2, y.size // KNN_INNER_FOLDS))]
     if not candidates:
         candidates = [1]
     class_min = min(int((y == 0).sum()), int((y == 1).sum()))
-    folds_n = min(inner_folds, max(2, class_min))
+    folds_n = min(KNN_INNER_FOLDS, max(2, class_min))
     if y.size < folds_n or class_min == 0:
         return candidates[0]
     if min(candidates) < 1:  # train_knn's check, which each k used to pass through
@@ -993,16 +975,10 @@ def _f1(tp: int, fp: int, fn: int) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def f1_score(predictions, truth, positive: int = 1) -> float:
-    """F1 of the ``positive`` class, 0 or 1."""
-    if positive not in (0, 1):
-        raise ValueError(f"positive must be 0 or 1, not {positive!r}")
-    tp, fp, fn, tn = _confusion(predictions, truth)
-    return _f1(tp, fp, fn) if positive == 1 else _f1(tn, fn, fp)
-
-
-def macro_f1(predictions, truth) -> float:
-    return 0.5 * (f1_score(predictions, truth, 1) + f1_score(predictions, truth, 0))
+def f1_score(predictions, truth) -> float:
+    """F1 of class 1."""
+    tp, fp, fn, _ = _confusion(predictions, truth)
+    return _f1(tp, fp, fn)
 
 
 def significance_pvalue(n_correct: int, n_total: int, p_dominant: float) -> float:
@@ -1071,7 +1047,7 @@ class ComplexityFeatures:
         write_feature_csv(
             out_dir / "features_complexity.csv",
             [r.grant_id for r in records],
-            complexity_vectors(records, self.language, lexicons, self.include_title),
+            self.prepare(records, lexicons),
             header_comment=comment,
         )
 

@@ -18,6 +18,11 @@ import numpy as np
 
 from .corpus import write_csv
 
+# Significance level of the critical difference.
+CD_ALPHA = 0.05
+# Features of a rank diagram that get a text label, best-ranked first.
+LABELED_FEATURES = 5
+
 
 class UnsupportedModelError(TypeError):
     pass
@@ -198,18 +203,14 @@ def nemenyi_q(k: int, alpha: float = 0.05) -> float:
     return row[k]
 
 
-def critical_difference(
-    average_ranks: Sequence[float],
-    n_datasets: int,
-    alpha: float = 0.05,
-) -> float:
-    """Nemenyi CD: two features differ iff their average-rank gap exceeds it."""
+def critical_difference(average_ranks: Sequence[float], n_datasets: int) -> float:
+    """Nemenyi CD at ``CD_ALPHA``: two features differ iff their average-rank gap exceeds it."""
     k = len(average_ranks)
     if k < 2:
         raise ValueError("critical difference needs at least two compared features")
     if n_datasets < 2:
         raise ValueError("critical difference needs at least two datasets")
-    return nemenyi_q(k, alpha) * math.sqrt(k * (k + 1) / (6.0 * n_datasets))
+    return nemenyi_q(k, CD_ALPHA) * math.sqrt(k * (k + 1) / (6.0 * n_datasets))
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +239,11 @@ def write_ranking_csv(
 def render_rank_diagram(
     ranking: Sequence[RankingRow],
     cd: float | None = None,
-    top_labels: int = 5,
     timestamp: str | None = None,
 ) -> str:
     """SVG rank diagram: horizontal axis = average rank, one marker per feature.
 
-    The best-ranked features (up to ``top_labels``) get text labels with
+    The best-ranked features (up to ``LABELED_FEATURES``) get text labels with
     leader lines; the optional CD bar shows the significance yardstick.
     """
     k = len(ranking)
@@ -252,7 +252,7 @@ def render_rank_diagram(
     left, right = 60.0, 740.0
     axis_y = 70.0
     label_step = 22.0
-    labeled = list(ranking[: min(top_labels, k)])
+    labeled = list(ranking[: min(LABELED_FEATURES, k)])
     height = int(axis_y + 60 + label_step * len(labeled))
     span = max(k - 1, 1)
 
@@ -307,9 +307,6 @@ def write_rank_diagram(
     path: str | Path,
     ranking: Sequence[RankingRow],
     cd: float | None = None,
-    top_labels: int = 5,
     timestamp: str | None = None,
 ) -> None:
-    Path(path).write_text(
-        render_rank_diagram(ranking, cd, top_labels, timestamp), encoding="utf-8"
-    )
+    Path(path).write_text(render_rank_diagram(ranking, cd, timestamp), encoding="utf-8")

@@ -270,9 +270,6 @@ class TaggedDocument:
     tokens: tuple[Token, ...]
     entity_span_count: int
 
-    def word_tokens(self) -> list[Token]:
-        return [t for t in self.tokens if t.kind is TokenKind.WORD]
-
 
 def analyze(text: str | Sequence[str], lexicons: LexiconSet) -> TaggedDocument:
     """Split one document into sentences and build every token in one pass.

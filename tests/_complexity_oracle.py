@@ -3,18 +3,25 @@
 The oracle for the single loop of ``extract_complexity_vector``: each
 function reads a ``TaggedDocument`` on its own, so each field of a
 ``ComplexityVector`` can be checked against an independent computation.
+``complexity_vectors`` and ``write_feature_csv`` are the former export,
+which wrote one ``ComplexityVector`` per record: the oracle of the matrix
+writer ``complexity.write_feature_csv``.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from pathlib import Path
 from typing import Iterable, Sequence
 
 from grantprod.complexity import (
+    COMPLEXITY_SCHEMA,
     ComplexityVector,
     _population_sd,
     brunet_index,
+    extract_complexity_vector,
 )
+from grantprod.corpus import GrantRecord, write_csv
 from grantprod.textproc import (
     LexiconSet,
     PosTag,
@@ -22,7 +29,11 @@ from grantprod.textproc import (
     Token,
     TokenKind,
     analyze,
+    builtin_lexicons,
 )
+from grantprod.topical import document_text
+
+from _textproc_oracle import word_tokens
 
 
 class DiversityClass(Enum):
@@ -33,7 +44,7 @@ class DiversityClass(Enum):
 
 def basic_counts(doc: TaggedDocument) -> dict[str, int | float | None]:
     """The first nine ComplexityVector fields; punctuation is excluded from word_count."""
-    words = doc.word_tokens()
+    words = word_tokens(doc)
     word_count = len(words)
     noun_count = sum(1 for t in words if t.tag is PosTag.NOUN)
     return {
@@ -51,7 +62,7 @@ def basic_counts(doc: TaggedDocument) -> dict[str, int | float | None]:
 
 def logical_operator_count(doc: TaggedDocument, lexicons: LexiconSet) -> int:
     """Token count (not type count) of logical-operator lexicon hits."""
-    return sum(1 for t in doc.word_tokens() if t.normalized in lexicons.logical_operators)
+    return sum(1 for t in word_tokens(doc) if t.normalized in lexicons.logical_operators)
 
 
 def type_diversity(doc: TaggedDocument, selector: DiversityClass) -> float | None:
@@ -61,7 +72,7 @@ def type_diversity(doc: TaggedDocument, selector: DiversityClass) -> float | Non
     are not a subset of the word vocabulary, so that ratio is clamped at 1.0
     to keep the declared [0, 1] range on degenerate inputs.
     """
-    words = doc.word_tokens()
+    words = word_tokens(doc)
     vocabulary_size = len({t.normalized for t in words})
     if vocabulary_size == 0:
         return None
@@ -151,7 +162,7 @@ def concreteness_sd(doc: TaggedDocument, lexicons: LexiconSet) -> float | None:
     """
     scores = [
         lexicons.concreteness[t.normalized]
-        for t in doc.word_tokens()
+        for t in word_tokens(doc)
         if t.normalized in lexicons.concreteness
     ]
     if len(scores) < 2:
@@ -161,7 +172,7 @@ def concreteness_sd(doc: TaggedDocument, lexicons: LexiconSet) -> float | None:
 
 def ne_ratio(doc: TaggedDocument) -> float | None:
     """Named-entity spans over word-token count."""
-    words = doc.word_tokens()
+    words = word_tokens(doc)
     if not words:
         return None
     return doc.entity_span_count / len(words)
@@ -183,3 +194,42 @@ def reference_vector(text: str, lexicons: LexiconSet) -> ComplexityVector:
         concreteness_sd=concreteness_sd(doc, lexicons),
         ne_ratio=ne_ratio(doc),
     )
+
+
+def complexity_vectors(
+    records: Sequence[GrantRecord],
+    language: str = "pt",
+    lexicons: LexiconSet | None = None,
+    include_title: bool = False,
+) -> list[ComplexityVector]:
+    """One complexity vector per record, extracted from its document text."""
+    if lexicons is None:
+        lexicons = builtin_lexicons(language)
+    return [
+        extract_complexity_vector(
+            document_text(record, language, include_title),
+            language=language,
+            lexicons=lexicons,
+            doc_id=record.grant_id,
+        )
+        for record in records
+    ]
+
+
+def write_feature_csv(
+    path: str | Path,
+    grant_ids: Sequence[str],
+    vectors: Sequence[ComplexityVector],
+    header_comment: str | None = None,
+) -> None:
+    """Feature matrix CSV: grant_id column, schema columns, empty cell = missing."""
+    if len(grant_ids) != len(vectors):
+        raise ValueError("grant_ids and vectors must align")
+    rows = []
+    for grant_id, vector in zip(grant_ids, vectors):
+        row: list = [grant_id]
+        for value in vector.as_row():
+            row.append("" if value is None else repr(value) if isinstance(value, float) else value)
+        rows.append(row)
+    comments = [header_comment] if header_comment else []
+    write_csv(path, comments, ("grant_id",) + COMPLEXITY_SCHEMA, rows)

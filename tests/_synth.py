@@ -113,6 +113,54 @@ def mixed_area_corpus(n=144, seed=7) -> list[GrantRecord]:
     return records
 
 
+POSITIVE_TOPIC_EN = ["gene", "therapy", "clinical", "cell", "protein", "molecular", "receptor", "tumor"]
+NEGATIVE_TOPIC_EN = ["enamel", "dentin", "occlusion", "implant", "orthodontics", "periodontal",
+                     "canal", "resin"]
+FILLER_EN = ["study", "project", "analysis", "evaluation", "patients", "group", "method", "effect"]
+POSITIVE_SUBJECTS = ["genetics", "oncology", "immunology", "pharmacology"]
+NEGATIVE_SUBJECTS = ["dentistry", "prosthodontics", "endodontics", "radiology"]
+
+
+def english_title_corpus(n=72, seed=13) -> list[GrantRecord]:
+    """Corpus over MED, DENT and VET whose English titles and subject lists vary.
+
+    A title has 3-6 words, each a word of the record's class topic with
+    probability 40% and filler otherwise; a record has 1-3 subjects, each
+    from its class's list with probability 70% and from the other's
+    otherwise.  The abstracts are fixed, so only titles and subjects carry
+    signal.
+    """
+    rng = SplitMix64(seed)
+    records = []
+    for i in range(n):
+        positive = i % 2 == 0
+        topic = POSITIVE_TOPIC_EN if positive else NEGATIVE_TOPIC_EN
+        own, other = ((POSITIVE_SUBJECTS, NEGATIVE_SUBJECTS) if positive
+                      else (NEGATIVE_SUBJECTS, POSITIVE_SUBJECTS))
+        title = [
+            topic[rng.randbelow(len(topic))]
+            if rng.randbelow(100) < 40
+            else FILLER_EN[rng.randbelow(len(FILLER_EN))]
+            for _ in range(3 + rng.randbelow(4))
+        ]
+        subjects = [
+            (own if rng.randbelow(100) < 70 else other)[rng.randbelow(4)]
+            for _ in range(1 + rng.randbelow(3))
+        ]
+        records.append(GrantRecord(
+            grant_id=f"2014/{60000 + i:05d}-{i % 10}",
+            title_pt="Estudo de caso",
+            abstract_pt="Resumo do projeto.",
+            title_en=" ".join(title).capitalize(),
+            abstract_en="Project abstract.",
+            subject=tuple(subjects),
+            area=[Area.MED, Area.DENT, Area.VET][i % 3],
+            year=2014,
+            publication_count=1 if positive else 0,
+        ))
+    return records
+
+
 def write_corpus_csv(records, path: Path) -> None:
     columns = ["grant_id", "title_pt", "abstract_pt", "title_en", "abstract_en",
                "subject", "area", "year", "publication_count"]

@@ -26,6 +26,11 @@ from grantprod.textproc import (
 )
 
 
+def word_tokens(doc) -> list:
+    """The word tokens of a ``textproc.analyze`` document, in order."""
+    return [t for t in doc.tokens if t.kind is TokenKind.WORD]
+
+
 def abbreviation_before(text: str, period_index: int) -> bool:
     """Whether the period at ``period_index`` closes a known abbreviation.
 

@@ -289,7 +289,7 @@ def test_english_subset_is_the_records_whose_extraction_succeeds(features, field
     def extracts(record) -> bool:
         try:
             if features == "complexity":
-                ml.complexity_vectors([record], "en", include_title=include_title)
+                ml.complexity_rows([record], "en", include_title=include_title)
             else:
                 field_tokens(record, cli.FIELD_CHOICES[fields], "en")
         except ValueError:

@@ -1,6 +1,9 @@
 import math
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +16,11 @@ from grantprod.complexity import (
     extract_complexity_vector,
     write_feature_csv,
 )
+from grantprod.corpus import Area, GrantRecord
+from grantprod.ml import complexity_rows
 from grantprod.textproc import LexiconSet, PosTag, analyze, builtin_lexicons
 
+import _complexity_oracle as oracle
 from _complexity_oracle import (
     DiversityClass,
     _chunk_count,
@@ -425,8 +431,8 @@ CASES = (str, str.title, str.upper)
 
 
 @st.composite
-def pt_en_texts(draw):
-    language = draw(st.sampled_from(sorted(LEXICONS)))
+def pt_en_texts(draw, languages=tuple(sorted(LEXICONS))):
+    language = draw(st.sampled_from(languages))
     pieces = draw(st.lists(
         st.tuples(st.sampled_from(PIECES[language]), st.sampled_from(CASES)),
         min_size=1, max_size=60,
@@ -458,10 +464,16 @@ def test_one_pass_vector_equals_per_metric_oracle(sample):
 # CSV export
 # ---------------------------------------------------------------------------
 
+def as_matrix(vectors) -> np.ndarray:
+    """The vectors' rows with NaN for None, as ``ml.complexity_rows`` builds them."""
+    rows = [[np.nan if v is None else float(v) for v in vector.as_row()] for vector in vectors]
+    return np.array(rows, dtype=float).reshape(len(rows), len(COMPLEXITY_SCHEMA))
+
+
 def test_feature_csv_missing_as_empty_cell(tmp_path, pt):
-    vectors = [extract_complexity_vector("O gato dorme.", "pt", pt)]
+    matrix = as_matrix([extract_complexity_vector("O gato dorme.", "pt", pt)])
     path = tmp_path / "features.csv"
-    write_feature_csv(path, ["2001/00001-1"], vectors, header_comment="cfg")
+    write_feature_csv(path, ["2001/00001-1"], matrix, header_comment="cfg")
     lines = path.read_text().splitlines()
     assert lines[0] == "# cfg"
     assert lines[1].split(",")[:2] == ["grant_id", "sentence_count"]
@@ -469,6 +481,88 @@ def test_feature_csv_missing_as_empty_cell(tmp_path, pt):
     # concreteness_sd is missing for this toy document -> empty cell
     index = 1 + COMPLEXITY_SCHEMA.index("concreteness_sd")
     assert row[index] == ""
+
+
+OPTIONAL_COLUMNS = {f.name for f in fields(ComplexityVector) if "None" in f.type}
+# A text with no word leaves every ratio, diversity, brunet_index, ne_ratio
+# and concreteness_sd missing; one with fewer than two scored words leaves
+# concreteness_sd missing.  noun_sd and mean_noun_phrase are missing only
+# without a sentence, and a document with a token has one.
+SPARSE_TEXTS = ("2020.", "42 ; 3.5 !", "(10)", "O gato dorme.", "The cat sleeps.")
+NEVER_MISSING_IN_A_DOCUMENT = {"noun_sd", "mean_noun_phrase"}
+
+
+def both_feature_csvs(ids, matrix, vectors) -> tuple[bytes, bytes]:
+    """The matrix writer's file and the vector oracle's, with the same comment."""
+    with tempfile.TemporaryDirectory() as scratch:
+        written, expected = Path(scratch) / "matrix.csv", Path(scratch) / "vectors.csv"
+        write_feature_csv(written, ids, matrix, header_comment="cfg")
+        oracle.write_feature_csv(expected, ids, vectors, header_comment="cfg")
+        return written.read_bytes(), expected.read_bytes()
+
+
+def feature_records(texts: list[tuple[str, str]]) -> list[GrantRecord]:
+    """One record per (title, abstract) pair, the same text in both languages."""
+    return [
+        GrantRecord(grant_id=f"2001/{i:05d}-1", title_pt=title, abstract_pt=abstract,
+                    title_en=title, abstract_en=abstract, area=Area.MED, year=2001,
+                    publication_count=i % 2)
+        for i, (title, abstract) in enumerate(texts)
+    ]
+
+
+@st.composite
+def feature_documents(draw):
+    language = draw(st.sampled_from(sorted(LEXICONS)))
+    text = st.one_of(st.sampled_from(SPARSE_TEXTS), pt_en_texts((language,)).map(lambda s: s[1]))
+    pairs = draw(st.lists(st.tuples(text, text), min_size=1, max_size=5))
+    return language, draw(st.booleans()), feature_records(pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sample=feature_documents())
+def test_matrix_writer_equals_vector_oracle_on_documents(sample):
+    language, include_title, records = sample
+    lexicons = LEXICONS[language]
+    ids = [record.grant_id for record in records]
+    matrix = complexity_rows(records, language, lexicons, include_title)
+    vectors = oracle.complexity_vectors(records, language, lexicons, include_title)
+    written, expected = both_feature_csvs(ids, matrix, vectors)
+    assert written == expected
+
+
+@pytest.mark.parametrize("include_title", [False, True])
+@pytest.mark.parametrize("language", sorted(LEXICONS))
+def test_sparse_documents_leave_every_optional_column_missing(language, include_title):
+    records = feature_records([(text, text) for text in SPARSE_TEXTS])
+    lexicons = LEXICONS[language]
+    matrix = complexity_rows(records, language, lexicons, include_title)
+    vectors = oracle.complexity_vectors(records, language, lexicons, include_title)
+    missing = {COMPLEXITY_SCHEMA[j] for j in np.flatnonzero(np.isnan(matrix).any(axis=0))}
+    assert missing == OPTIONAL_COLUMNS - NEVER_MISSING_IN_A_DOCUMENT
+    written, expected = both_feature_csvs([r.grant_id for r in records], matrix, vectors)
+    assert written == expected
+
+
+def field_values(kind: str):
+    """Values of a ComplexityVector field declared ``kind``."""
+    if kind == "int":
+        return st.integers(0, 2**53)  # each exact as a float
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return st.one_of(st.none(), finite) if "None" in kind else finite
+
+
+VECTOR_FIELDS = {f.name: field_values(f.type) for f in fields(ComplexityVector)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(vectors=st.lists(st.fixed_dictionaries(VECTOR_FIELDS).map(lambda v: ComplexityVector(**v)),
+                        min_size=1, max_size=4))
+def test_matrix_writer_equals_vector_oracle_on_any_vectors(vectors):
+    # every optional column, noun_sd and mean_noun_phrase too, can be None here
+    ids = [f"2001/{i:05d}-1" for i in range(len(vectors))]
+    written, expected = both_feature_csvs(ids, as_matrix(vectors), vectors)
+    assert written == expected
 
 
 @settings(max_examples=60, deadline=None)

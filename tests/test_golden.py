@@ -1,4 +1,4 @@
-"""Golden-output lock: six CLI runs must reproduce the checked-in files byte for byte.
+"""Golden-output lock: seven CLI runs must reproduce the checked-in files byte for byte.
 
 The fixtures under ``tests/golden/`` pin the determinism contract (one seed,
 byte-identical CSV/JSON/SVG).  A change that moves floats on purpose must
@@ -20,7 +20,12 @@ import pytest
 import grantprod
 from grantprod.cli import EXIT_OK, main
 
-from _synth import mixed_area_corpus, planted_topic_corpus, write_corpus_csv
+from _synth import (
+    english_title_corpus,
+    mixed_area_corpus,
+    planted_topic_corpus,
+    write_corpus_csv,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -62,6 +67,15 @@ RUNS = {
         "--algo", "dtrees,svm,mlp", "--folds", "3", "--resamples", "1", "--seed", "42",
         "--jobs", "2", "--out", "complexity_en",
     ],
+    # English titles and subject lists that vary with the class, as raw
+    # counts: the only run of a field other than the abstract and of
+    # --raw-frequency.
+    "tfidf_en": [
+        "evaluate", "--input", "titles_en.csv", "--format", "csv",
+        "--features", "tfidf", "--lang", "en", "--fields", "title+subject", "--raw-frequency",
+        "--algo", "knn,mlp", "--folds", "3", "--resamples", "2", "--seed", "42",
+        "--out", "tfidf_en",
+    ],
     "relevance": [
         "relevance", "--input", "corpus.csv", "--format", "csv",
         "--resamples", "3", "--trees", "10", "--seed", "42",
@@ -88,15 +102,20 @@ GOLDEN_FILES = (
     "tfidf_lowsignal/eval_report.json",
     "tfidf_lowsignal/features_tfidf.csv",
     "tfidf_lowsignal/vocabulary.tsv",
+    "tfidf_en/eval_summary.csv",
+    "tfidf_en/eval_report.json",
+    "tfidf_en/features_tfidf.csv",
+    "tfidf_en/vocabulary.tsv",
     "relevance/relevance.csv",
     "relevance/rank_diagram.svg",
 )
 
 
 def write_corpora(work_dir: Path) -> None:
-    """The three input files the runs read, written into ``work_dir``."""
+    """The four input files the runs read, written into ``work_dir``."""
     write_corpus_csv(mixed_area_corpus(n=72, seed=7), work_dir / "corpus.csv")
     write_corpus_csv(mixed_area_corpus(n=144, seed=7), work_dir / "corpus_en.csv")
+    write_corpus_csv(english_title_corpus(n=72, seed=13), work_dir / "titles_en.csv")
     lowsignal = planted_topic_corpus(n=36, seed=11, signal_pct=5)
     write_corpus_csv([record for record, _ in lowsignal], work_dir / "lowsignal.csv")
 
@@ -147,6 +166,7 @@ ECHO_FILES = {
     "tfidf": "eval_summary.csv",
     "tfidf_global": "eval_summary.csv",
     "tfidf_lowsignal": "eval_summary.csv",
+    "tfidf_en": "eval_summary.csv",
     "relevance": "relevance.csv",
 }
 

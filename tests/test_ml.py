@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grantprod import ml
+from grantprod.complexity import COMPLEXITY_SCHEMA
 from grantprod.corpus import Label
 from grantprod.ml import (
     ComplexityFeatures,
@@ -22,11 +23,9 @@ from grantprod.ml import (
     TreeHyper,
     apply_imputer,
     complexity_rows,
-    complexity_vectors,
     cross_validate,
     f1_score,
     fit_median_imputer,
-    macro_f1,
     select_knn_k,
     significance_pvalue,
     tfidf_fold_matrices,
@@ -41,6 +40,7 @@ from grantprod.ml import _mlp_init
 from grantprod.relevance import gini_from_counts, impurity_decrease
 from grantprod.seeds import derive_seed
 
+from _complexity_oracle import complexity_vectors
 from _synth import planted_ne_corpus, planted_topic_corpus, shuffled_labels
 from _trainer_oracle import information_gain, kernel_loss_and_grad
 
@@ -537,11 +537,6 @@ def test_f1_length_mismatch():
         f1_score([1, 0], [1])
 
 
-def test_f1_positive_class_must_be_0_or_1():
-    with pytest.raises(ValueError):
-        f1_score([1, 0], [1, 0], positive=2)
-
-
 def test_f1_accepts_labels():
     predictions = [Label.PRODUCTIVE, Label.ZERO_PUBLICATIONS]
     truth = [Label.PRODUCTIVE, Label.ZERO_PUBLICATIONS]
@@ -559,13 +554,6 @@ def test_f1_permutation_invariance(pairs, rng):
     rng.shuffle(order)
     after = f1_score([predictions[i] for i in order], [truth[i] for i in order])
     assert before == after
-
-
-def test_macro_f1():
-    predictions = [1, 1, 0, 0]
-    truth = [1, 0, 1, 0]
-    expected = 0.5 * (f1_score(predictions, truth, 1) + f1_score(predictions, truth, 0))
-    assert macro_f1(predictions, truth) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -744,9 +732,10 @@ def test_included_title_is_a_sentence_of_its_own(monkeypatch):
     calls = []
     extract = ml.extract_complexity_vector
     monkeypatch.setattr(ml, "extract_complexity_vector", lambda *a, **k: calls.append(1) or extract(*a, **k))
-    [with_title] = complexity_vectors([record], "pt", include_title=True)
-    [abstract_only] = complexity_vectors([record], "pt")
+    [with_title] = complexity_rows([record], "pt", include_title=True)
+    [abstract_only] = complexity_rows([record], "pt")
     assert len(calls) == 2  # one extraction per record and run
-    assert abstract_only.sentence_count == 1
-    assert with_title.sentence_count == 2
-    assert with_title.word_count == abstract_only.word_count + 1
+    sentences, words = (COMPLEXITY_SCHEMA.index(name) for name in ("sentence_count", "word_count"))
+    assert abstract_only[sentences] == 1
+    assert with_title[sentences] == 2
+    assert with_title[words] == abstract_only[words] + 1

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _topical_oracle as oracle
+from _textproc_oracle import word_tokens
 from grantprod.corpus import Area, GrantRecord
 from grantprod.ml import tfidf_fold_matrices
 from grantprod.textproc import analyze, builtin_lexicons
@@ -455,7 +456,7 @@ TOKEN_PIECES = st.sampled_from([
 @settings(max_examples=300, deadline=None)
 @given(text=st.one_of(TOKEN_TEXT, st.lists(TOKEN_PIECES | TOKEN_TEXT).map(" ".join)))
 def test_text_tokens_equals_tokenize_words(text):
-    words = analyze(text, PT_LEXICONS).word_tokens()
+    words = word_tokens(analyze(text, PT_LEXICONS))
     assert text_tokens(text) == [t.normalized for t in words]
 
 
