@@ -562,7 +562,7 @@ def cmd_relevance(args, corpus: ValidationReport, lexicons: LexiconSet) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ranking, aggregated, _ = relevance_over_resamples(
+    ranking, cd, _ = relevance_over_resamples(
         label_records(records),
         features,
         lexicons=lexicons,
@@ -572,7 +572,6 @@ def cmd_relevance(args, corpus: ValidationReport, lexicons: LexiconSet) -> int:
         weighting=args.weighting,
     )
 
-    cd = aggregated.critical_difference
     write_ranking_csv(out_dir / "relevance.csv", ranking, cd,
                       header_comment=json.dumps(_echo(args), sort_keys=True))
     timestamp = None if args.no_timestamp else datetime.now(timezone.utc).isoformat()

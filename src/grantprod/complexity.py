@@ -52,9 +52,9 @@ class ComplexityVector:
     function_word_diversity: float | None  # function-word types over vocabulary size
     preposition_diversity: float | None  # preposition types over vocabulary size
     punctuation_diversity: float | None  # punctuation types over vocabulary size
-    noun_sd: float | None  # population SD of nouns per sentence
+    noun_sd: float  # population SD of nouns per sentence
     brunet_index: float | None  # v ** (n ** -0.165)
-    mean_noun_phrase: float | None  # noun phrases (maximal noun runs) per sentence
+    mean_noun_phrase: float  # noun phrases (maximal noun runs) per sentence
     concreteness_sd: float | None  # population SD of concreteness scores
     ne_ratio: float | None  # named-entity spans over word tokens
 
@@ -160,14 +160,14 @@ def extract_complexity_vector(
         verb_count=word_tags.count(PosTag.VERB),
         noun_count=noun_count,
         noun_ratio=noun_count / word_count if word_count else None,
-        words_per_sentence=word_count / sentences if sentences else 0.0,
+        words_per_sentence=word_count / sentences,
         logical_operator_count=operators,
         function_word_diversity=diversity(function_types),
         preposition_diversity=diversity(preposition_types),
         punctuation_diversity=diversity(punctuation_types),
-        noun_sd=_population_sd(nouns_per_sentence) if sentences else None,
+        noun_sd=_population_sd(nouns_per_sentence),
         brunet_index=brunet_index(word_count, vocabulary_size),
-        mean_noun_phrase=noun_runs / sentences if sentences else None,
+        mean_noun_phrase=noun_runs / sentences,
         concreteness_sd=_population_sd(scores) if len(scores) >= 2 else None,
         ne_ratio=doc.entity_span_count / word_count if word_count else None,
     )

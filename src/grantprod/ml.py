@@ -25,7 +25,6 @@ from .corpus import (
     write_csv,
 )
 from .relevance import (
-    FeatureRelevanceReport,
     RankingRow,
     aggregate_relevance,
     average_rank,
@@ -193,7 +192,7 @@ class TreeHyper:
 @dataclass(frozen=True)
 class ForestHyper:
     n_trees: int = 100
-    max_features: int | str | None = "sqrt"
+    max_features: str | None = "sqrt"  # "sqrt" of the feature count, or None for all
     bootstrap: bool = True
     tree: TreeHyper = field(default_factory=TreeHyper)
 
@@ -386,12 +385,9 @@ class TreeModel:
 def _resolve_max_features(spec_value, d: int) -> int | None:
     if spec_value is None:
         return None
-    if spec_value == "sqrt":
-        return max(1, int(math.sqrt(d)))
-    value = int(spec_value)
-    if value < 1:
-        raise ValueError("max_features must be at least 1")
-    return min(value, d)
+    if spec_value != "sqrt":
+        raise ValueError(f"max_features must be 'sqrt' or None, not {spec_value!r}")
+    return max(1, int(math.sqrt(d)))
 
 
 def train_random_forest(
@@ -1256,15 +1252,19 @@ def relevance_over_resamples(
     base_seed: int = 0,
     forest_hyper: ForestHyper | None = None,
     weighting: str = "node_mean",
-) -> tuple[list[RankingRow], FeatureRelevanceReport, list[FeatureRelevanceReport]]:
+) -> tuple[list[RankingRow], float, np.ndarray]:
     """Train one forest per balanced resample on complexity features and rank.
 
+    Returns the ranking, the Nemenyi critical difference over the resamples
+    and the (resamples x features) rank matrix, columns in schema order.
     Resample seeds match those used by :func:`cross_validate` for the same
     base seed, so relevance runs line up with evaluation runs.
     """
+    if n_resamples < 2:
+        raise ValueError("the critical difference needs at least two resamples")
     prepared = features.prepare([record for record, _ in labeled], lexicons)
     labels = np.array([label for _, label in labeled])
-    reports = []
+    importances = []
     for r in range(n_resamples):
         rows = balanced_resample(labeled, derive_seed(base_seed, _SALT_RESAMPLE, r))
         X, _ = features.fold_matrices(prepared, rows, [])
@@ -1273,9 +1273,8 @@ def relevance_over_resamples(
             forest_hyper,
             seed=derive_seed(base_seed, _SALT_TRAIN, r),
         )
-        reports.append(feature_importance(forest, COMPLEXITY_SCHEMA, weighting))
-    aggregated = aggregate_relevance(reports)
-    ranking = average_rank(aggregated)
-    if n_resamples >= 2:
-        aggregated.critical_difference = critical_difference(aggregated.average_rank, n_resamples)
-    return ranking, aggregated, reports
+        importances.append(feature_importance(forest, weighting))
+    importances = np.vstack(importances)
+    ranks = aggregate_relevance(importances)
+    ranking = average_rank(COMPLEXITY_SCHEMA, importances, ranks)
+    return ranking, critical_difference(ranks.mean(axis=0), n_resamples), ranks

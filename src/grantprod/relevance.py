@@ -8,6 +8,7 @@ critical-difference check whose q constants ship as a data file.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -18,8 +19,6 @@ import numpy as np
 
 from .corpus import write_csv
 
-# Significance level of the critical difference.
-CD_ALPHA = 0.05
 # Features of a rank diagram that get a text label, best-ranked first.
 LABELED_FEATURES = 5
 
@@ -66,28 +65,13 @@ def _split_decrease(node) -> float:
     )
 
 
-@dataclass
-class FeatureRelevanceReport:
-    """Per-feature importance for one model, plus rank aggregates when present."""
-
-    feature_names: tuple[str, ...]
-    mean_importance: np.ndarray          # mean Gini decrease per feature; unused -> 0
-    node_counts: np.ndarray              # nodes splitting on each feature
-    per_resample_ranks: np.ndarray | None = None   # (n_resamples, n_features)
-    average_rank: np.ndarray | None = None
-    critical_difference: float | None = None
-
-
-def feature_importance(
-    model,
-    feature_names: Sequence[str] | None = None,
-    weighting: str = "node_mean",
-) -> FeatureRelevanceReport:
+def feature_importance(model, weighting: str = "node_mean") -> np.ndarray:
     """Mean impurity decrease per feature over all split nodes of a tree or forest.
 
-    Each decrease is computed here from the node's and its children's sample
-    and positive counts.  ``weighting='node_mean'`` averages it uniformly
-    over nodes; ``'instance_weighted'`` weights each node by the instances it
+    Returns a (features,) array, 0 for a feature no node splits on.  Each
+    decrease is computed here from the node's and its children's sample and
+    positive counts.  ``weighting='node_mean'`` averages it uniformly over
+    nodes; ``'instance_weighted'`` weights each node by the instances it
     splits.
     """
     if not hasattr(model, "split_nodes"):
@@ -96,25 +80,13 @@ def feature_importance(
         raise ValueError(f"unknown weighting '{weighting}'")
 
     d = model.n_features
-    if feature_names is None:
-        feature_names = tuple(f"f{i}" for i in range(d))
-    if len(feature_names) != d:
-        raise ValueError("feature_names length must match the model's feature count")
-
     sums = np.zeros(d)
     weights = np.zeros(d)
-    counts = np.zeros(d, dtype=int)
     for node in model.split_nodes():
         w = float(node.n_samples) if weighting == "instance_weighted" else 1.0
         sums[node.feature] += w * _split_decrease(node)
         weights[node.feature] += w
-        counts[node.feature] += 1
-    importance = np.divide(sums, weights, out=np.zeros(d), where=weights > 0)
-    return FeatureRelevanceReport(
-        feature_names=tuple(feature_names),
-        mean_importance=importance,
-        node_counts=counts,
-    )
+    return np.divide(sums, weights, out=np.zeros(d), where=weights > 0)
 
 
 def rank_descending(values: Sequence[float]) -> np.ndarray:
@@ -141,30 +113,21 @@ class RankingRow:
     average_rank: float
 
 
-def aggregate_relevance(reports: Sequence[FeatureRelevanceReport]) -> FeatureRelevanceReport:
-    """Combine per-resample reports into one with rank matrices filled in."""
-    if not reports:
-        raise ValueError("no relevance reports to aggregate")
-    names = reports[0].feature_names
-    for report in reports:
-        if report.feature_names != names:
-            raise ValueError("relevance reports use different feature schemas")
-    ranks = np.vstack([rank_descending(report.mean_importance) for report in reports])
-    return FeatureRelevanceReport(
-        feature_names=names,
-        mean_importance=np.vstack([r.mean_importance for r in reports]).mean(axis=0),
-        node_counts=np.vstack([r.node_counts for r in reports]).sum(axis=0),
-        per_resample_ranks=ranks,
-        average_rank=ranks.mean(axis=0),
-    )
+def aggregate_relevance(importances: np.ndarray) -> np.ndarray:
+    """The rank matrix of a (resamples x features) importance matrix, one row per resample."""
+    if not len(importances):
+        raise ValueError("no importances to aggregate")
+    return np.vstack([rank_descending(row) for row in importances])
 
 
-def average_rank(aggregated: FeatureRelevanceReport) -> list[RankingRow]:
-    """One row per feature of an aggregated report, sorted by average rank."""
+def average_rank(
+    feature_names: Sequence[str], importances: np.ndarray, ranks: np.ndarray
+) -> list[RankingRow]:
+    """One row per feature: its importance and rank averaged over resamples, best first."""
     rows = [
         RankingRow(feature=name, mean_importance=float(importance), average_rank=float(rank))
         for name, importance, rank in zip(
-            aggregated.feature_names, aggregated.mean_importance, aggregated.average_rank
+            feature_names, importances.mean(axis=0), ranks.mean(axis=0), strict=True
         )
     ]
     rows.sort(key=lambda row: (row.average_rank, row.feature))
@@ -175,42 +138,36 @@ def average_rank(aggregated: FeatureRelevanceReport) -> list[RankingRow]:
 # Critical difference
 # ---------------------------------------------------------------------------
 
-def _load_q_table() -> dict[float, dict[int, float]]:
-    table: dict[float, dict[int, float]] = {0.05: {}, 0.10: {}}
+@functools.cache
+def _q_column() -> dict[int, float]:
+    """q by k from the alpha-0.05 column of the data table."""
+    column = {}
     data = resources.files("grantprod").joinpath("data", "nemenyi_q.tsv").read_text("utf-8")
     for line in data.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        k, q05, q10 = line.split("\t")
-        table[0.05][int(k)] = float(q05)
-        table[0.10][int(k)] = float(q10)
-    return table
+        k, q05, _ = line.split("\t")
+        column[int(k)] = float(q05)
+    return column
 
 
-_Q_TABLE: dict[float, dict[int, float]] | None = None
-
-
-def nemenyi_q(k: int, alpha: float = 0.05) -> float:
-    global _Q_TABLE
-    if _Q_TABLE is None:
-        _Q_TABLE = _load_q_table()
-    if alpha not in _Q_TABLE:
-        raise ValueError(f"alpha {alpha} not tabulated (available: {sorted(_Q_TABLE)})")
-    row = _Q_TABLE[alpha]
+def nemenyi_q(k: int) -> float:
+    """Nemenyi critical value q for ``k`` compared features at alpha 0.05."""
+    row = _q_column()
     if k not in row:
         raise ValueError(f"k={k} outside the tabulated range {min(row)}..{max(row)}")
     return row[k]
 
 
 def critical_difference(average_ranks: Sequence[float], n_datasets: int) -> float:
-    """Nemenyi CD at ``CD_ALPHA``: two features differ iff their average-rank gap exceeds it."""
+    """Nemenyi CD at alpha 0.05: two features differ iff their average-rank gap exceeds it."""
     k = len(average_ranks)
     if k < 2:
         raise ValueError("critical difference needs at least two compared features")
     if n_datasets < 2:
         raise ValueError("critical difference needs at least two datasets")
-    return nemenyi_q(k, CD_ALPHA) * math.sqrt(k * (k + 1) / (6.0 * n_datasets))
+    return nemenyi_q(k) * math.sqrt(k * (k + 1) / (6.0 * n_datasets))
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +177,16 @@ def critical_difference(average_ranks: Sequence[float], n_datasets: int) -> floa
 def write_ranking_csv(
     path: str | Path,
     ranking: Sequence[RankingRow],
-    cd: float | None,
+    cd: float,
     header_comment: str | None = None,
 ) -> None:
     """CSV table: feature, mean importance, average rank, within-CD-of-best flag."""
     best = ranking[0].average_rank if ranking else 0.0
     comments = [header_comment] if header_comment else []
-    if cd is not None:
-        comments.append(f"critical_difference={cd:.4f}")
+    comments.append(f"critical_difference={cd:.4f}")
     rows = []
     for row in ranking:
-        flag = "" if cd is None else str(row.average_rank - best <= cd).lower()
+        flag = str(row.average_rank - best <= cd).lower()
         rows.append((row.feature, f"{row.mean_importance:.6f}", f"{row.average_rank:.4f}", flag))
     header = ("feature", "mean_importance", "average_rank", "within_cd_of_best")
     write_csv(path, comments, header, rows)
@@ -238,13 +194,13 @@ def write_ranking_csv(
 
 def render_rank_diagram(
     ranking: Sequence[RankingRow],
-    cd: float | None = None,
+    cd: float,
     timestamp: str | None = None,
 ) -> str:
     """SVG rank diagram: horizontal axis = average rank, one marker per feature.
 
     The best-ranked features (up to ``LABELED_FEATURES``) get text labels with
-    leader lines; the optional CD bar shows the significance yardstick.
+    leader lines; the CD bar shows the significance yardstick.
     """
     k = len(ranking)
     if k == 0:
@@ -278,13 +234,12 @@ def render_rank_diagram(
             'stroke="black"/>'
         )
         parts.append(f'<text x="{x:.2f}" y="{axis_y - 10:.2f}" text-anchor="middle">{tick}</text>')
-    if cd is not None and span > 0:
-        cd_px = cd / span * (right - left)
-        parts.append(
-            f'<line x1="{left:.2f}" y1="30.00" x2="{left + cd_px:.2f}" y2="30.00" '
-            'stroke="black" stroke-width="2"/>'
-        )
-        parts.append(f'<text x="{left:.2f}" y="22.00">CD = {cd:.4f}</text>')
+    cd_px = cd / span * (right - left)
+    parts.append(
+        f'<line x1="{left:.2f}" y1="30.00" x2="{left + cd_px:.2f}" y2="30.00" '
+        'stroke="black" stroke-width="2"/>'
+    )
+    parts.append(f'<text x="{left:.2f}" y="22.00">CD = {cd:.4f}</text>')
     for row in ranking:
         x = x_of(row.average_rank)
         parts.append(f'<circle cx="{x:.2f}" cy="{axis_y:.2f}" r="4" fill="black"/>')
@@ -306,7 +261,7 @@ def render_rank_diagram(
 def write_rank_diagram(
     path: str | Path,
     ranking: Sequence[RankingRow],
-    cd: float | None = None,
+    cd: float,
     timestamp: str | None = None,
 ) -> None:
     Path(path).write_text(render_rank_diagram(ranking, cd, timestamp), encoding="utf-8")

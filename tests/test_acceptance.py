@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from grantprod.cli import main
-from grantprod.complexity import brunet_index
+from grantprod.complexity import COMPLEXITY_SCHEMA, brunet_index
 from grantprod.ml import (
     FeatureMatrix,
     ForestHyper,
@@ -244,12 +244,11 @@ def test_label_shuffled_null():
 @criterion("7c planted feature: ranked first in every resample")
 def test_planted_feature_ranks_first():
     corpus = planted_ne_corpus(n=160, seed=3)
-    ranking, aggregated, _ = relevance_over_resamples(
+    ranking, _, ranks = relevance_over_resamples(
         corpus, n_resamples=10, base_seed=4, forest_hyper=ForestHyper(n_trees=50)
     )
     assert ranking[0].feature == "ne_ratio"
-    index = aggregated.feature_names.index("ne_ratio")
-    assert (aggregated.per_resample_ranks[:, index] == 1.0).all()
+    assert (ranks[:, COMPLEXITY_SCHEMA.index("ne_ratio")] == 1.0).all()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 import tempfile
 from dataclasses import fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -483,13 +484,14 @@ def test_feature_csv_missing_as_empty_cell(tmp_path, pt):
     assert row[index] == ""
 
 
-OPTIONAL_COLUMNS = {f.name for f in fields(ComplexityVector) if "None" in f.type}
+OPTIONAL_COLUMNS = {
+    name for name, hint in get_type_hints(ComplexityVector).items() if type(None) in get_args(hint)
+}
 # A text with no word leaves every ratio, diversity, brunet_index, ne_ratio
 # and concreteness_sd missing; one with fewer than two scored words leaves
-# concreteness_sd missing.  noun_sd and mean_noun_phrase are missing only
-# without a sentence, and a document with a token has one.
+# concreteness_sd missing.  noun_sd and mean_noun_phrase are never missing:
+# a document with a token has a sentence.
 SPARSE_TEXTS = ("2020.", "42 ; 3.5 !", "(10)", "O gato dorme.", "The cat sleeps.")
-NEVER_MISSING_IN_A_DOCUMENT = {"noun_sd", "mean_noun_phrase"}
 
 
 def both_feature_csvs(ids, matrix, vectors) -> tuple[bytes, bytes]:
@@ -539,7 +541,7 @@ def test_sparse_documents_leave_every_optional_column_missing(language, include_
     matrix = complexity_rows(records, language, lexicons, include_title)
     vectors = oracle.complexity_vectors(records, language, lexicons, include_title)
     missing = {COMPLEXITY_SCHEMA[j] for j in np.flatnonzero(np.isnan(matrix).any(axis=0))}
-    assert missing == OPTIONAL_COLUMNS - NEVER_MISSING_IN_A_DOCUMENT
+    assert missing == OPTIONAL_COLUMNS
     written, expected = both_feature_csvs([r.grant_id for r in records], matrix, vectors)
     assert written == expected
 
@@ -559,7 +561,7 @@ VECTOR_FIELDS = {f.name: field_values(f.type) for f in fields(ComplexityVector)}
 @given(vectors=st.lists(st.fixed_dictionaries(VECTOR_FIELDS).map(lambda v: ComplexityVector(**v)),
                         min_size=1, max_size=4))
 def test_matrix_writer_equals_vector_oracle_on_any_vectors(vectors):
-    # every optional column, noun_sd and mean_noun_phrase too, can be None here
+    # every column declared ``| None`` can be None here
     ids = [f"2001/{i:05d}-1" for i in range(len(vectors))]
     written, expected = both_feature_csvs(ids, as_matrix(vectors), vectors)
     assert written == expected

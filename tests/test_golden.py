@@ -1,4 +1,4 @@
-"""Golden-output lock: seven CLI runs must reproduce the checked-in files byte for byte.
+"""Golden-output lock: eight CLI runs must reproduce the checked-in files byte for byte.
 
 The fixtures under ``tests/golden/`` pin the determinism contract (one seed,
 byte-identical CSV/JSON/SVG).  A change that moves floats on purpose must
@@ -81,6 +81,15 @@ RUNS = {
         "--resamples", "3", "--trees", "10", "--seed", "42",
         "--no-timestamp", "--out", "relevance",
     ],
+    # English text with the title, each node's decrease weighted by its
+    # instances: the only run of --weighting instance_weighted and of English
+    # relevance.
+    "relevance_en": [
+        "relevance", "--input", "corpus_en.csv", "--format", "csv",
+        "--lang", "en", "--include-title", "--weighting", "instance_weighted",
+        "--resamples", "3", "--trees", "10", "--seed", "42",
+        "--no-timestamp", "--out", "relevance_en",
+    ],
 }
 
 GOLDEN_FILES = (
@@ -108,6 +117,8 @@ GOLDEN_FILES = (
     "tfidf_en/vocabulary.tsv",
     "relevance/relevance.csv",
     "relevance/rank_diagram.svg",
+    "relevance_en/relevance.csv",
+    "relevance_en/rank_diagram.svg",
 )
 
 
@@ -168,6 +179,7 @@ ECHO_FILES = {
     "tfidf_lowsignal": "eval_summary.csv",
     "tfidf_en": "eval_summary.csv",
     "relevance": "relevance.csv",
+    "relevance_en": "relevance.csv",
 }
 
 

@@ -175,6 +175,14 @@ def test_forest_determinism_under_seed():
     assert splits(a) == splits(b) != splits(c)
 
 
+@pytest.mark.parametrize("max_features", [3, "log2"])
+def test_forest_rejects_max_features_other_than_sqrt_or_none(max_features):
+    X = np.zeros((4, 9))
+    y = np.array([0, 1, 0, 1])
+    with pytest.raises(ValueError, match=repr(max_features)):
+        train_random_forest(FeatureMatrix(X, y), ForestHyper(max_features=max_features))
+
+
 # ---------------------------------------------------------------------------
 # naive bayes
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grantprod.complexity import COMPLEXITY_SCHEMA
 from grantprod.ml import (
     FeatureMatrix,
     ForestHyper,
@@ -17,7 +18,6 @@ from grantprod.ml import (
     train_random_forest,
 )
 from grantprod.relevance import (
-    FeatureRelevanceReport,
     RankingRow,
     UnsupportedModelError,
     aggregate_relevance,
@@ -106,9 +106,7 @@ def split(feature, left, right):
 def test_single_node_tree_importance():
     # (4, 2) -> (2, 0) + (2, 2): Gini 0.5 falls to two pure children
     model = TreeModel(roots=[split(0, leaf(2, 0), leaf(2, 2))], n_features=1)
-    report = feature_importance(model)
-    assert report.mean_importance[0] == 0.5
-    assert report.node_counts[0] == 1
+    assert feature_importance(model)[0] == 0.5
 
 
 def test_mean_over_nodes():
@@ -116,11 +114,10 @@ def test_mean_over_nodes():
     # (4, 1) -> (1, 1) + (3, 0): 0.375 - 0 = 0.375
     # (4, 3) -> (2, 2) + (2, 1): 0.375 - 0.5 * 0.5 = 0.125
     root = split(2, split(2, leaf(1, 1), leaf(3, 0)), split(0, leaf(2, 2), leaf(2, 1)))
-    report = feature_importance(TreeModel(roots=[root], n_features=3))
-    assert report.mean_importance[2] == pytest.approx((0.125 + 0.375) / 2)
-    assert report.mean_importance[0] == pytest.approx(0.125)
-    assert report.mean_importance[1] == 0.0  # unused feature
-    assert list(report.node_counts) == [1, 0, 2]
+    importance = feature_importance(TreeModel(roots=[root], n_features=3))
+    assert importance[2] == pytest.approx((0.125 + 0.375) / 2)
+    assert importance[0] == pytest.approx(0.125)
+    assert importance[1] == 0.0  # unused feature
 
 
 def test_instance_weighted_alternative():
@@ -130,8 +127,8 @@ def test_instance_weighted_alternative():
     model = TreeModel(roots=[big, small], n_features=1)
     node_mean = feature_importance(model, weighting="node_mean")
     weighted = feature_importance(model, weighting="instance_weighted")
-    assert node_mean.mean_importance[0] == pytest.approx((0.5 + 0.02) / 2)
-    assert weighted.mean_importance[0] == pytest.approx((60 * 0.5 + 10 * 0.02) / 70)
+    assert node_mean[0] == pytest.approx((0.5 + 0.02) / 2)
+    assert weighted[0] == pytest.approx((60 * 0.5 + 10 * 0.02) / 70)
 
 
 def test_unsupported_model():
@@ -196,8 +193,8 @@ def test_node_counts_and_importance_match_an_independent_recount():
                     sums[node.feature] += w * decrease
                     weights[node.feature] += w
                 expected = np.divide(sums, weights, out=np.zeros(d), where=weights > 0)
-                report = feature_importance(model, weighting=weighting)
-                np.testing.assert_allclose(report.mean_importance, expected, rtol=0, atol=1e-12)
+                importance = feature_importance(model, weighting=weighting)
+                np.testing.assert_allclose(importance, expected, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -212,36 +209,31 @@ def test_rank_ties_take_mean():
     np.testing.assert_array_equal(rank_descending([0.9, 0.5, 0.5, 0.1]), [1, 2.5, 2.5, 4])
 
 
-def make_report(importances):
-    return FeatureRelevanceReport(
-        feature_names=tuple(f"f{i}" for i in range(len(importances))),
-        mean_importance=np.array(importances, dtype=float),
-        node_counts=np.ones(len(importances), dtype=int),
-    )
+def ranking_of(importances):
+    """The ranking of a (resamples x features) importance matrix, features f0, f1, ..."""
+    importances = np.array(importances, dtype=float)
+    names = tuple(f"f{i}" for i in range(importances.shape[1]))
+    return average_rank(names, importances, aggregate_relevance(importances))
 
 
 def test_single_resample_rank_is_sorted_order():
-    rows = average_rank(aggregate_relevance([make_report([0.2, 0.9, 0.5])]))
+    rows = ranking_of([[0.2, 0.9, 0.5]])
     assert [r.feature for r in rows] == ["f1", "f2", "f0"]
     assert [r.average_rank for r in rows] == [1.0, 2.0, 3.0]
 
 
 def test_average_of_two_resamples():
-    rows = average_rank(aggregate_relevance(
-        [make_report([0.9, 0.5, 0.1]), make_report([0.1, 0.5, 0.9])]
-    ))
+    rows = ranking_of([[0.9, 0.5, 0.1], [0.1, 0.5, 0.9]])
     by_name = {r.feature: r.average_rank for r in rows}
     assert by_name["f0"] == pytest.approx((1 + 3) / 2)
     assert by_name["f1"] == pytest.approx(2.0)
+    assert {r.feature: r.mean_importance for r in rows}["f0"] == pytest.approx(0.5)
 
 
-def test_schema_mismatch_rejected():
-    a = make_report([0.1, 0.2])
-    b = FeatureRelevanceReport(feature_names=("x", "y"),
-                               mean_importance=np.array([0.1, 0.2]),
-                               node_counts=np.ones(2, dtype=int))
+def test_feature_names_must_cover_every_column():
+    importances = np.array([[0.2, 0.9]])
     with pytest.raises(ValueError):
-        aggregate_relevance([a, b])
+        average_rank(("f0",), importances, aggregate_relevance(importances))
 
 
 @settings(max_examples=50, deadline=None)
@@ -277,9 +269,7 @@ def test_q_table_bounds():
     with pytest.raises(ValueError) as excinfo:
         nemenyi_q(25)
     assert "2..20" in str(excinfo.value)
-    with pytest.raises(ValueError):
-        nemenyi_q(5, alpha=0.01)
-    assert nemenyi_q(2, 0.10) == pytest.approx(1.6449)
+    assert nemenyi_q(2) == 1.96  # the alpha-0.05 column
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +278,23 @@ def test_q_table_bounds():
 
 def test_planted_feature_ranks_first_each_resample():
     corpus = planted_ne_corpus(n=80, seed=5)
-    ranking, aggregated, reports = relevance_over_resamples(
+    ranking, cd, ranks = relevance_over_resamples(
         corpus, n_resamples=4, base_seed=6, forest_hyper=ForestHyper(n_trees=25)
     )
     assert ranking[0].feature == "ne_ratio"
-    index = aggregated.feature_names.index("ne_ratio")
-    assert (aggregated.per_resample_ranks[:, index] == 1.0).all()
-    assert aggregated.critical_difference is not None
+    assert ranks.shape == (4, len(COMPLEXITY_SCHEMA))
+    assert (ranks[:, COMPLEXITY_SCHEMA.index("ne_ratio")] == 1.0).all()
+    assert cd == critical_difference(ranks.mean(axis=0), 4)
+
+
+def test_one_resample_is_rejected_before_any_forest_is_trained(monkeypatch):
+    import grantprod.ml
+
+    trained = []
+    monkeypatch.setattr(grantprod.ml, "train_random_forest", lambda *a, **k: trained.append(a))
+    with pytest.raises(ValueError, match="two resamples"):
+        relevance_over_resamples(planted_ne_corpus(n=40, seed=5), n_resamples=1)
+    assert trained == []
 
 
 def test_each_resample_is_ranked_once(monkeypatch):
@@ -347,8 +347,8 @@ def test_svg_labels_all_when_fewer_than_five():
 
 
 def test_svg_timestamp_header_is_optional():
-    with_stamp = render_rank_diagram(ranking_fixture(), timestamp="2020-01-01T00:00:00")
-    without = render_rank_diagram(ranking_fixture())
+    with_stamp = render_rank_diagram(ranking_fixture(), 0.8, timestamp="2020-01-01T00:00:00")
+    without = render_rank_diagram(ranking_fixture(), 0.8)
     assert "<!-- generated 2020-01-01T00:00:00 -->" in with_stamp
     assert "generated" not in without
-    assert render_rank_diagram(ranking_fixture()) == without  # deterministic
+    assert render_rank_diagram(ranking_fixture(), 0.8) == without  # deterministic
