@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import ClassVar, Iterator, Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -235,24 +235,22 @@ DEFAULT_HYPER = {
 # Decision tree
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TreeNode:
-    """What a tree learned at one node: its training counts and, if internal, the split."""
+@dataclass(frozen=True)
+class Tree:
+    """What a tree learned, as parallel arrays over its nodes in preorder.
 
-    n_samples: int
-    n_positive: int
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
+    Node 0 is the root and each left subtree precedes its right sibling.  A
+    leaf has ``feature`` -1 and ``left``/``right`` -1; an internal node sends
+    a row left when its ``feature`` value is at most ``threshold``.  Every
+    node keeps its training sample and positive counts.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-    @property
-    def prediction(self) -> int:
-        return 1 if 2 * self.n_positive > self.n_samples else 0
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    n_samples: np.ndarray
+    n_positive: np.ndarray
 
 
 def _entropy_bits(pos: int, total: int) -> float:
@@ -276,106 +274,100 @@ def _entropy_bits_vec(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
 
 
 def _best_split(X, y, features, min_leaf):
-    """Highest-gain (feature, midpoint threshold); ties keep the first found."""
+    """Highest-gain (feature, midpoint threshold) over all candidate features at once."""
     n = y.size
     pos_total = int(y.sum())
-    h_parent = _entropy_bits(pos_total, n)
-    best = None
-    for j in features:
-        column = X[:, j]
-        order = np.argsort(column, kind="stable")
-        xs = column[order]
-        ys = y[order]
-        boundaries = np.nonzero(xs[1:] > xs[:-1])[0]  # left block is [0..b]
-        if boundaries.size == 0:
-            continue
-        admissible = (boundaries + 1 >= min_leaf) & (n - boundaries - 1 >= min_leaf)
-        boundaries = boundaries[admissible]
-        if boundaries.size == 0:
-            continue
-        pos_prefix = np.cumsum(ys)
-        n_left = boundaries + 1
-        pos_left = pos_prefix[boundaries]
-        n_right = n - n_left
-        pos_right = pos_total - pos_left
-        gains = (
-            h_parent
-            - (n_left / n) * _entropy_bits_vec(pos_left, n_left)
-            - (n_right / n) * _entropy_bits_vec(pos_right, n_right)
-        )
-        i = int(np.argmax(gains))  # first max -> smallest threshold
-        if best is None or gains[i] > best[0]:
-            b = boundaries[i]
-            threshold = (xs[b] + xs[b + 1]) / 2.0
-            if not threshold < xs[b + 1]:
-                # adjacent floats: the midpoint rounds up to the right value,
-                # so split at the left value to keep the scored partition
-                threshold = xs[b]
-            best = (float(gains[i]), int(j), float(threshold))
-    return best
+    columns = X[:, features]
+    order = np.argsort(columns, axis=0, kind="stable")
+    xs = np.take_along_axis(columns, order, axis=0)
+    pos_prefix = np.cumsum(y[order], axis=0)
+    # a boundary b puts sorted rows [0..b] on the left; scored feature by feature
+    sizes = np.arange(1, n)
+    admissible = (sizes >= min_leaf) & (n - sizes >= min_leaf)
+    column, boundary = np.nonzero((xs[1:] > xs[:-1]).T & admissible)
+    if boundary.size == 0:
+        return None
+    n_left = boundary + 1
+    pos_left = pos_prefix[boundary, column]
+    n_right = n - n_left
+    pos_right = pos_total - pos_left
+    gains = (
+        _entropy_bits(pos_total, n)
+        - (n_left / n) * _entropy_bits_vec(pos_left, n_left)
+        - (n_right / n) * _entropy_bits_vec(pos_right, n_right)
+    )
+    i = int(np.argmax(gains))  # first max -> first feature, then smallest threshold
+    low, high = xs[boundary[i], column[i]], xs[boundary[i] + 1, column[i]]
+    threshold = (low + high) / 2.0
+    if not threshold < high:
+        # adjacent floats: the midpoint rounds up to the right value,
+        # so split at the left value to keep the scored partition
+        threshold = low
+    return float(gains[i]), int(features[column[i]]), float(threshold)
 
 
-def _grow_tree(X, y, hyper: TreeHyper, depth, rng, max_features):
-    n = y.size
-    node = TreeNode(n_samples=n, n_positive=int(y.sum()))
-    if node.n_positive in (0, n):
-        return node
-    if hyper.max_depth is not None and depth >= hyper.max_depth:
-        return node
-    if n < hyper.min_samples_split:
-        return node
+def _grow_tree(X, y, hyper: TreeHyper, rng, max_features) -> Tree:
+    """Grow depth first, left subtree first, appending each node in preorder."""
+    nodes = []  # per node: feature, threshold, left, right, n_samples, n_positive
 
-    d = X.shape[1]
-    if max_features is not None and max_features < d:
-        features = np.sort(rng.choice(d, size=max_features, replace=False))
-    else:
-        features = np.arange(d)
-    best = _best_split(X, y, features, hyper.min_samples_leaf)
-    if best is None or best[0] < hyper.min_gain:
-        return node
+    def grow(X, y, depth) -> int:
+        index = len(nodes)
+        n = y.size
+        n_positive = int(y.sum())
+        nodes.append([-1, np.nan, -1, -1, n, n_positive])
+        if n_positive in (0, n):
+            return index
+        if hyper.max_depth is not None and depth >= hyper.max_depth:
+            return index
+        if n < hyper.min_samples_split:
+            return index
 
-    _, node.feature, node.threshold = best
-    left_mask = X[:, node.feature] <= node.threshold
-    node.left = _grow_tree(X[left_mask], y[left_mask], hyper, depth + 1, rng, max_features)
-    node.right = _grow_tree(X[~left_mask], y[~left_mask], hyper, depth + 1, rng, max_features)
-    return node
+        d = X.shape[1]
+        if max_features is not None and max_features < d:
+            features = np.sort(rng.choice(d, size=max_features, replace=False))
+        else:
+            features = np.arange(d)
+        best = _best_split(X, y, features, hyper.min_samples_leaf)
+        if best is None or best[0] < hyper.min_gain:
+            return index
+
+        _, feature, threshold = best
+        left_mask = X[:, feature] <= threshold
+        left = grow(X[left_mask], y[left_mask], depth + 1)
+        right = grow(X[~left_mask], y[~left_mask], depth + 1)
+        nodes[index][:4] = feature, threshold, left, right
+        return index
+
+    grow(X, y, 0)
+    return Tree(*(np.array(column) for column in zip(*nodes)))
 
 
-def _predict_tree(root: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0], dtype=int)
-    for i, row in enumerate(X):
-        node = root
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        out[i] = node.prediction
-    return out
+def _tree_predictions(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """Each row's leaf majority; every row at an internal node moves down a level per step."""
+    node = np.zeros(X.shape[0], dtype=int)
+    rows = np.arange(X.shape[0])
+    while rows.size:
+        rows = rows[tree.feature[node[rows]] >= 0]
+        at = node[rows]
+        go_left = X[rows, tree.feature[at]] <= tree.threshold[at]
+        node[rows] = np.where(go_left, tree.left[at], tree.right[at])
+    return (2 * tree.n_positive[node] > tree.n_samples[node]).astype(int)
 
 
 @dataclass
 class TreeModel:
     """One decision tree, or a forest of them."""
 
-    roots: list[TreeNode]
+    trees: list[Tree]
     n_features: int
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         votes = np.zeros(X.shape[0], dtype=int)
-        for root in self.roots:
-            votes += _predict_tree(root, X)
+        for tree in self.trees:
+            votes += _tree_predictions(tree, X)
         # strict majority of trees; exact ties fall to the zero class
-        return (2 * votes > len(self.roots)).astype(int)
-
-    def split_nodes(self) -> Iterator[TreeNode]:
-        """Internal nodes tree by tree, each tree in preorder with the left subtree first."""
-        for root in self.roots:
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                if not node.is_leaf:
-                    yield node
-                    stack.append(node.right)
-                    stack.append(node.left)
+        return (2 * votes > len(self.trees)).astype(int)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +393,7 @@ def train_random_forest(
     _check_finite(train.X)
     n, d = train.X.shape
     max_features = _resolve_max_features(hyper.max_features, d)
-    roots = []
+    trees = []
     for t in range(hyper.n_trees):
         rng = np.random.default_rng(derive_seed(seed, t))
         if hyper.bootstrap:
@@ -409,8 +401,8 @@ def train_random_forest(
             X_t, y_t = train.X[sample], train.y[sample]
         else:
             X_t, y_t = train.X, train.y
-        roots.append(_grow_tree(X_t, y_t, hyper.tree, depth=0, rng=rng, max_features=max_features))
-    return TreeModel(roots=roots, n_features=d)
+        trees.append(_grow_tree(X_t, y_t, hyper.tree, rng, max_features))
+    return TreeModel(trees=trees, n_features=d)
 
 
 def train_decision_tree(train: FeatureMatrix, hyper: TreeHyper | None = None) -> TreeModel:
@@ -1277,4 +1269,4 @@ def relevance_over_resamples(
     importances = np.vstack(importances)
     ranks = aggregate_relevance(importances)
     ranking = average_rank(COMPLEXITY_SCHEMA, importances, ranks)
-    return ranking, critical_difference(ranks.mean(axis=0), n_resamples), ranks
+    return ranking, critical_difference(len(COMPLEXITY_SCHEMA), n_resamples), ranks

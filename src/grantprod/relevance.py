@@ -27,42 +27,27 @@ class UnsupportedModelError(TypeError):
     pass
 
 
-def gini_from_counts(n_pos: int, n_total: int) -> float:
-    """Two-class Gini impurity straight from counts."""
-    if n_total <= 0:
+def gini_from_counts(n_pos, n_total):
+    """Two-class Gini impurity straight from counts (scalars or arrays)."""
+    if np.any(n_total <= 0):
         raise ValueError("empty node")
     p = n_pos / n_total
     return 2.0 * p * (1.0 - p)
 
 
-def impurity_decrease(
-    gini_before: float,
-    gini_left: float,
-    gini_right: float,
-    n_left: int,
-    n_right: int,
-) -> float:
-    """Weighted impurity decrease of a split; child weights are instance shares."""
-    if n_left < 0 or n_right < 0:
+def impurity_decrease(gini_before, gini_left, gini_right, n_left, n_right):
+    """Weighted impurity decrease of a split, or of an array of splits.
+
+    Child weights are instance shares.
+    """
+    if np.any(n_left < 0) or np.any(n_right < 0):
         raise ValueError("child counts must be non-negative")
     total = n_left + n_right
-    if total < 1:
+    if np.any(total < 1):
         raise ValueError("both child nodes are empty")
     beta_left = n_left / total
     beta_right = n_right / total
     return gini_before - beta_left * gini_left - beta_right * gini_right
-
-
-def _split_decrease(node) -> float:
-    """Gini decrease of a tree node's split, from the counts of the node and its children."""
-    left, right = node.left, node.right
-    return impurity_decrease(
-        gini_from_counts(node.n_positive, node.n_samples),
-        gini_from_counts(left.n_positive, left.n_samples),
-        gini_from_counts(right.n_positive, right.n_samples),
-        left.n_samples,
-        right.n_samples,
-    )
 
 
 def feature_importance(model, weighting: str = "node_mean") -> np.ndarray:
@@ -72,9 +57,9 @@ def feature_importance(model, weighting: str = "node_mean") -> np.ndarray:
     decrease is computed here from the node's and its children's sample and
     positive counts.  ``weighting='node_mean'`` averages it uniformly over
     nodes; ``'instance_weighted'`` weights each node by the instances it
-    splits.
+    splits.  Nodes are summed tree by tree, each tree in preorder.
     """
-    if not hasattr(model, "split_nodes"):
+    if not hasattr(model, "trees"):
         raise UnsupportedModelError(f"model of type {type(model).__name__} has no tree nodes")
     if weighting not in ("node_mean", "instance_weighted"):
         raise ValueError(f"unknown weighting '{weighting}'")
@@ -82,10 +67,20 @@ def feature_importance(model, weighting: str = "node_mean") -> np.ndarray:
     d = model.n_features
     sums = np.zeros(d)
     weights = np.zeros(d)
-    for node in model.split_nodes():
-        w = float(node.n_samples) if weighting == "instance_weighted" else 1.0
-        sums[node.feature] += w * _split_decrease(node)
-        weights[node.feature] += w
+    for tree in model.trees:
+        split = np.flatnonzero(tree.feature >= 0)
+        left, right = tree.left[split], tree.right[split]
+        counts, positives = tree.n_samples, tree.n_positive
+        decrease = impurity_decrease(
+            gini_from_counts(positives[split], counts[split]),
+            gini_from_counts(positives[left], counts[left]),
+            gini_from_counts(positives[right], counts[right]),
+            counts[left],
+            counts[right],
+        )
+        w = counts[split] if weighting == "instance_weighted" else np.ones(split.size)
+        np.add.at(sums, tree.feature[split], w * decrease)
+        np.add.at(weights, tree.feature[split], w)
     return np.divide(sums, weights, out=np.zeros(d), where=weights > 0)
 
 
@@ -160,9 +155,11 @@ def nemenyi_q(k: int) -> float:
     return row[k]
 
 
-def critical_difference(average_ranks: Sequence[float], n_datasets: int) -> float:
-    """Nemenyi CD at alpha 0.05: two features differ iff their average-rank gap exceeds it."""
-    k = len(average_ranks)
+def critical_difference(k: int, n_datasets: int) -> float:
+    """Nemenyi CD at alpha 0.05 for ``k`` features ranked on ``n_datasets`` datasets.
+
+    Two features differ iff their average-rank gap exceeds it.
+    """
     if k < 2:
         raise ValueError("critical difference needs at least two compared features")
     if n_datasets < 2:

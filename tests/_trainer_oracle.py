@@ -13,33 +13,47 @@ both.  ``kernel_loss_and_grad`` runs the MLP epoch kernel on one fold.
 split search maximizes.  ``f1_score`` counts one class's hits from the label
 arrays, and ``report_scores`` is the report loop that pooled every fold's
 predictions and labels; ``ml`` scores each fold from its confusion counts.
+
+The trees are ``TreeNode`` objects: ``best_split`` scans the candidate
+features one at a time, ``grow_forest`` grows the node trees that
+``ml.train_random_forest`` grows under the same rng draws, ``predict_tree``
+walks one row at a time, and ``feature_importance`` sums one node's decrease
+at a time.  ``flatten`` numbers a node tree in preorder as an ``ml.Tree``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from grantprod.corpus import Label, stratified_fold_indices
 from grantprod.ml import (
     FeatureMatrix,
+    ForestHyper,
     KnnHyper,
     LinearSvmModel,
     MlpHyper,
     MlpModel,
     SvmHyper,
+    Tree,
+    TreeHyper,
     TrainingDivergedError,
     _check_finite,
     _entropy_bits,
+    _entropy_bits_vec,
     _mlp_backprop,
     _mlp_init,
     _PrimalFirstLayer,
     _require_nonempty,
+    _resolve_max_features,
     significance_pvalue,
     train_knn,
 )
+from grantprod.relevance import gini_from_counts, impurity_decrease
 from grantprod.seeds import derive_seed
 
 
@@ -283,3 +297,169 @@ def report_scores(folds) -> dict:
         "p_dominant": p_dominant,
         "p_value": significance_pvalue(n_correct, n_total, p_dominant),
     }
+
+
+# ---------------------------------------------------------------------------
+# Node-object trees
+# ---------------------------------------------------------------------------
+
+@dataclass
+class TreeNode:
+    """What a tree learned at one node: its training counts and, if internal, the split."""
+
+    n_samples: int
+    n_positive: int
+    feature: int | None = None
+    threshold: float | None = None
+    left: "TreeNode | None" = None
+    right: "TreeNode | None" = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.feature is None
+
+    @property
+    def prediction(self) -> int:
+        return 1 if 2 * self.n_positive > self.n_samples else 0
+
+
+def best_split(X, y, features, min_leaf):
+    """Highest-gain (feature, midpoint threshold); ties keep the first found."""
+    n = y.size
+    pos_total = int(y.sum())
+    h_parent = _entropy_bits(pos_total, n)
+    best = None
+    for j in features:
+        column = X[:, j]
+        order = np.argsort(column, kind="stable")
+        xs = column[order]
+        ys = y[order]
+        boundaries = np.nonzero(xs[1:] > xs[:-1])[0]  # left block is [0..b]
+        if boundaries.size == 0:
+            continue
+        admissible = (boundaries + 1 >= min_leaf) & (n - boundaries - 1 >= min_leaf)
+        boundaries = boundaries[admissible]
+        if boundaries.size == 0:
+            continue
+        pos_prefix = np.cumsum(ys)
+        n_left = boundaries + 1
+        pos_left = pos_prefix[boundaries]
+        n_right = n - n_left
+        pos_right = pos_total - pos_left
+        gains = (
+            h_parent
+            - (n_left / n) * _entropy_bits_vec(pos_left, n_left)
+            - (n_right / n) * _entropy_bits_vec(pos_right, n_right)
+        )
+        i = int(np.argmax(gains))  # first max -> smallest threshold
+        if best is None or gains[i] > best[0]:
+            b = boundaries[i]
+            threshold = (xs[b] + xs[b + 1]) / 2.0
+            if not threshold < xs[b + 1]:
+                # adjacent floats: the midpoint rounds up to the right value,
+                # so split at the left value to keep the scored partition
+                threshold = xs[b]
+            best = (float(gains[i]), int(j), float(threshold))
+    return best
+
+
+def grow_tree(X, y, hyper: TreeHyper, depth, rng, max_features) -> TreeNode:
+    n = y.size
+    node = TreeNode(n_samples=n, n_positive=int(y.sum()))
+    if node.n_positive in (0, n):
+        return node
+    if hyper.max_depth is not None and depth >= hyper.max_depth:
+        return node
+    if n < hyper.min_samples_split:
+        return node
+
+    d = X.shape[1]
+    if max_features is not None and max_features < d:
+        features = np.sort(rng.choice(d, size=max_features, replace=False))
+    else:
+        features = np.arange(d)
+    best = best_split(X, y, features, hyper.min_samples_leaf)
+    if best is None or best[0] < hyper.min_gain:
+        return node
+
+    _, node.feature, node.threshold = best
+    left_mask = X[:, node.feature] <= node.threshold
+    node.left = grow_tree(X[left_mask], y[left_mask], hyper, depth + 1, rng, max_features)
+    node.right = grow_tree(X[~left_mask], y[~left_mask], hyper, depth + 1, rng, max_features)
+    return node
+
+
+def grow_forest(train: FeatureMatrix, hyper: ForestHyper, seed: int = 0) -> list[TreeNode]:
+    """The roots ``ml.train_random_forest`` grows, under the same rng draws."""
+    n, d = train.X.shape
+    max_features = _resolve_max_features(hyper.max_features, d)
+    roots = []
+    for t in range(hyper.n_trees):
+        rng = np.random.default_rng(derive_seed(seed, t))
+        if hyper.bootstrap:
+            sample = rng.integers(0, n, size=n)
+            X_t, y_t = train.X[sample], train.y[sample]
+        else:
+            X_t, y_t = train.X, train.y
+        roots.append(grow_tree(X_t, y_t, hyper.tree, 0, rng, max_features))
+    return roots
+
+
+def predict_tree(root: TreeNode, X: np.ndarray) -> np.ndarray:
+    out = np.empty(X.shape[0], dtype=int)
+    for i, row in enumerate(X):
+        node = root
+        while not node.is_leaf:
+            node = node.left if row[node.feature] <= node.threshold else node.right
+        out[i] = node.prediction
+    return out
+
+
+def split_nodes(roots: list[TreeNode]) -> Iterator[TreeNode]:
+    """Internal nodes tree by tree, each tree in preorder with the left subtree first."""
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                yield node
+                stack.append(node.right)
+                stack.append(node.left)
+
+
+def flatten(root: TreeNode) -> Tree:
+    """The node tree as ``ml.Tree`` arrays, nodes numbered in preorder."""
+    rows = []
+
+    def visit(node) -> int:
+        index = len(rows)
+        rows.append([-1, np.nan, -1, -1, node.n_samples, node.n_positive])
+        if not node.is_leaf:
+            rows[index][:4] = node.feature, node.threshold, visit(node.left), visit(node.right)
+        return index
+
+    visit(root)
+    return Tree(*(np.array(column) for column in zip(*rows)))
+
+
+def _split_decrease(node: TreeNode) -> float:
+    """Gini decrease of a tree node's split, from the counts of the node and its children."""
+    left, right = node.left, node.right
+    return impurity_decrease(
+        gini_from_counts(node.n_positive, node.n_samples),
+        gini_from_counts(left.n_positive, left.n_samples),
+        gini_from_counts(right.n_positive, right.n_samples),
+        left.n_samples,
+        right.n_samples,
+    )
+
+
+def feature_importance(roots: list[TreeNode], n_features: int, weighting: str) -> np.ndarray:
+    """Mean impurity decrease per feature, one node at a time."""
+    sums = np.zeros(n_features)
+    weights = np.zeros(n_features)
+    for node in split_nodes(roots):
+        w = float(node.n_samples) if weighting == "instance_weighted" else 1.0
+        sums[node.feature] += w * _split_decrease(node)
+        weights[node.feature] += w
+    return np.divide(sums, weights, out=np.zeros(n_features), where=weights > 0)

@@ -166,9 +166,9 @@ def test_information_gain_oracle():
         datasets += 1
         best_gain = max(gains.values())
         model = train_decision_tree(FeatureMatrix(X, y))
-        root = model.roots[0]
-        assert not root.is_leaf
-        chosen = gains[root.feature]
+        root_feature = model.trees[0].feature[0]
+        assert root_feature != -1
+        chosen = gains[root_feature]
         assert abs(chosen - best_gain) <= 1e-12  # exact arg max agreement
     assert datasets == 50
 

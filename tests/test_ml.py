@@ -62,10 +62,11 @@ def test_perfect_split_one_bit_gain():
     X = np.array([[0.0]] * 8 + [[1.0]] * 8)
     y = np.array([0] * 8 + [1] * 8)
     model = train_decision_tree(FeatureMatrix(X, y))
-    assert model.roots[0].feature == 0
-    assert model.roots[0].threshold == 0.5
+    tree = model.trees[0]
+    assert tree.feature[0] == 0
+    assert tree.threshold[0] == 0.5
     assert information_gain(y, X[:, 0] <= 0.5) == pytest.approx(1.0)
-    assert model.roots[0].left.is_leaf and model.roots[0].right.is_leaf
+    assert tree.feature[tree.left[0]] == tree.feature[tree.right[0]] == -1
     assert (model.predict(X) == y).all()
 
 
@@ -73,7 +74,7 @@ def test_constant_features_single_leaf():
     X = np.zeros((6, 3))
     y = np.array([0, 0, 0, 0, 1, 1])
     model = train_decision_tree(FeatureMatrix(X, y))
-    assert model.roots[0].is_leaf
+    assert model.trees[0].feature[0] == -1
     assert (model.predict(X) == 0).all()  # majority class
 
 
@@ -81,7 +82,7 @@ def test_single_class_training_set_is_single_leaf():
     X = np.arange(8.0).reshape(4, 2)
     y = np.ones(4, dtype=int)
     model = train_decision_tree(FeatureMatrix(X, y))
-    assert model.roots[0].is_leaf
+    assert model.trees[0].feature[0] == -1
     assert (model.predict(X) == 1).all()
 
 
@@ -92,8 +93,9 @@ def test_xor_resolved_at_depth_two():
     for j in range(2):
         assert information_gain(y, X[:, j] <= 0.5) == pytest.approx(0.0, abs=1e-12)
     model = train_decision_tree(FeatureMatrix(X, y))
-    assert not model.roots[0].is_leaf
-    assert not (model.roots[0].left.is_leaf and model.roots[0].right.is_leaf)
+    tree = model.trees[0]
+    assert tree.feature[0] != -1
+    assert not (tree.feature[tree.left[0]] == -1 and tree.feature[tree.right[0]] == -1)
     assert (model.predict(X) == y).all()
 
 
@@ -101,9 +103,9 @@ def test_max_depth_and_min_gain_stop():
     X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     y = np.array([0, 1, 1, 0])
     stump = train_decision_tree(FeatureMatrix(X, y), TreeHyper(max_depth=0))
-    assert stump.roots[0].is_leaf
+    assert stump.trees[0].feature[0] == -1
     strict = train_decision_tree(FeatureMatrix(X, y), TreeHyper(min_gain=1e-6))
-    assert strict.roots[0].is_leaf  # zero-gain root split now rejected
+    assert strict.trees[0].feature[0] == -1  # zero-gain root split now rejected
 
 
 def test_split_between_adjacent_floats_keeps_both_children():
@@ -113,8 +115,9 @@ def test_split_between_adjacent_floats_keeps_both_children():
     X = np.array([[low], [high]])
     y = np.array([0, 1])
     model = train_decision_tree(FeatureMatrix(X, y))
-    assert model.roots[0].threshold == low
-    assert model.roots[0].left.n_samples == model.roots[0].right.n_samples == 1
+    tree = model.trees[0]
+    assert tree.threshold[0] == low
+    assert tree.n_samples[tree.left[0]] == tree.n_samples[tree.right[0]] == 1
     assert (model.predict(X) == y).all()
 
 
@@ -122,16 +125,16 @@ def test_chosen_splits_have_nonnegative_delta_g():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(60, 4))
     y = (X[:, 1] + 0.3 * rng.normal(size=60) > 0).astype(int)
-    model = train_decision_tree(FeatureMatrix(X, y))
-    nodes = list(model.split_nodes())
-    assert nodes
+    tree = train_decision_tree(FeatureMatrix(X, y)).trees[0]
+    nodes = np.flatnonzero(tree.feature >= 0)
+    assert nodes.size
     decreases = [
         impurity_decrease(
-            gini_from_counts(node.n_positive, node.n_samples),
-            gini_from_counts(node.left.n_positive, node.left.n_samples),
-            gini_from_counts(node.right.n_positive, node.right.n_samples),
-            node.left.n_samples,
-            node.right.n_samples,
+            gini_from_counts(tree.n_positive[node], tree.n_samples[node]),
+            gini_from_counts(tree.n_positive[tree.left[node]], tree.n_samples[tree.left[node]]),
+            gini_from_counts(tree.n_positive[tree.right[node]], tree.n_samples[tree.right[node]]),
+            tree.n_samples[tree.left[node]],
+            tree.n_samples[tree.right[node]],
         )
         for node in nodes
     ]
@@ -171,7 +174,10 @@ def test_forest_determinism_under_seed():
     c = train_random_forest(FeatureMatrix(X, y), ForestHyper(n_trees=21), seed=10)
     assert (a.predict(X) == b.predict(X)).all()
     def splits(model):
-        return [(n.feature, n.threshold, n.n_samples, n.n_positive) for n in model.split_nodes()]
+        return [
+            (t.feature[i], t.threshold[i], t.n_samples[i], t.n_positive[i])
+            for t in model.trees for i in np.flatnonzero(t.feature >= 0)
+        ]
     assert splits(a) == splits(b) != splits(c)
 
 

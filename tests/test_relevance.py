@@ -11,7 +11,6 @@ from grantprod.ml import (
     ForestHyper,
     TreeHyper,
     TreeModel,
-    TreeNode,
     relevance_over_resamples,
     train_decision_tree,
     train_knn,
@@ -33,6 +32,7 @@ from grantprod.relevance import (
 )
 
 from _synth import planted_ne_corpus
+from _trainer_oracle import TreeNode, flatten
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +105,7 @@ def split(feature, left, right):
 
 def test_single_node_tree_importance():
     # (4, 2) -> (2, 0) + (2, 2): Gini 0.5 falls to two pure children
-    model = TreeModel(roots=[split(0, leaf(2, 0), leaf(2, 2))], n_features=1)
+    model = TreeModel(trees=[flatten(split(0, leaf(2, 0), leaf(2, 2)))], n_features=1)
     assert feature_importance(model)[0] == 0.5
 
 
@@ -114,7 +114,7 @@ def test_mean_over_nodes():
     # (4, 1) -> (1, 1) + (3, 0): 0.375 - 0 = 0.375
     # (4, 3) -> (2, 2) + (2, 1): 0.375 - 0.5 * 0.5 = 0.125
     root = split(2, split(2, leaf(1, 1), leaf(3, 0)), split(0, leaf(2, 2), leaf(2, 1)))
-    importance = feature_importance(TreeModel(roots=[root], n_features=3))
+    importance = feature_importance(TreeModel(trees=[flatten(root)], n_features=3))
     assert importance[2] == pytest.approx((0.125 + 0.375) / 2)
     assert importance[0] == pytest.approx(0.125)
     assert importance[1] == 0.0  # unused feature
@@ -124,7 +124,7 @@ def test_instance_weighted_alternative():
     # (60, 30) -> (30, 0) + (30, 30): 0.5;  (10, 5) -> (5, 2) + (5, 3): 0.5 - 0.48 = 0.02
     big = split(0, leaf(30, 0), leaf(30, 30))
     small = split(0, leaf(5, 2), leaf(5, 3))
-    model = TreeModel(roots=[big, small], n_features=1)
+    model = TreeModel(trees=[flatten(big), flatten(small)], n_features=1)
     node_mean = feature_importance(model, weighting="node_mean")
     weighted = feature_importance(model, weighting="instance_weighted")
     assert node_mean[0] == pytest.approx((0.5 + 0.02) / 2)
@@ -156,33 +156,39 @@ def test_node_counts_and_importance_match_an_independent_recount():
             train_random_forest(train, ForestHyper(n_trees=5, bootstrap=False), seed=trial),
         ]
         for model in models:
-            nodes = list(model.split_nodes())
+            nodes = [
+                (t, node)
+                for t, tree in enumerate(model.trees)
+                for node in np.flatnonzero(tree.feature >= 0)
+            ]
             assert nodes
             # route every training row down each tree and recount every node
             counts = {}
-            for root in model.roots:
+            for t, tree in enumerate(model.trees):
                 for row, label in zip(X, y):
-                    node = root
+                    node = 0
                     while True:
-                        n_seen, pos_seen = counts.get(id(node), (0, 0))
-                        counts[id(node)] = (n_seen + 1, pos_seen + int(label))
-                        if node.is_leaf:
+                        n_seen, pos_seen = counts.get((t, node), (0, 0))
+                        counts[(t, node)] = (n_seen + 1, pos_seen + int(label))
+                        if tree.feature[node] == -1:
                             break
-                        node = node.left if row[node.feature] <= node.threshold else node.right
-            for root in model.roots:
-                pending = [root]
+                        go_left = row[tree.feature[node]] <= tree.threshold[node]
+                        node = tree.left[node] if go_left else tree.right[node]
+            for t, tree in enumerate(model.trees):
+                pending = [0]
                 while pending:
                     node = pending.pop()
-                    assert counts[id(node)] == (node.n_samples, node.n_positive)
-                    if not node.is_leaf:
-                        pending += [node.left, node.right]
+                    assert counts[(t, node)] == (tree.n_samples[node], tree.n_positive[node])
+                    if tree.feature[node] != -1:
+                        pending += [tree.left[node], tree.right[node]]
 
             for weighting in ("node_mean", "instance_weighted"):
                 sums, weights = np.zeros(d), np.zeros(d)
-                for node in nodes:
-                    n_node, pos_node = counts[id(node)]
-                    n_left, pos_left = counts[id(node.left)]
-                    n_right, pos_right = counts[id(node.right)]
+                for t, node in nodes:
+                    tree = model.trees[t]
+                    n_node, pos_node = counts[(t, node)]
+                    n_left, pos_left = counts[(t, tree.left[node])]
+                    n_right, pos_right = counts[(t, tree.right[node])]
                     decrease = (
                         textbook_gini(pos_node, n_node)
                         - n_left / n_node * textbook_gini(pos_left, n_left)
@@ -190,8 +196,8 @@ def test_node_counts_and_importance_match_an_independent_recount():
                     )
                     assert decrease >= -1e-12
                     w = n_node if weighting == "instance_weighted" else 1
-                    sums[node.feature] += w * decrease
-                    weights[node.feature] += w
+                    sums[tree.feature[node]] += w * decrease
+                    weights[tree.feature[node]] += w
                 expected = np.divide(sums, weights, out=np.zeros(d), where=weights > 0)
                 importance = feature_importance(model, weighting=weighting)
                 np.testing.assert_allclose(importance, expected, rtol=0, atol=1e-12)
@@ -250,18 +256,18 @@ def test_rank_conservation_with_ties(values):
 
 def test_cd_formula_collapse_for_two():
     n = 10
-    assert critical_difference([1.4, 1.6], n) == pytest.approx(
+    assert critical_difference(2, n) == pytest.approx(
         nemenyi_q(2) * math.sqrt(1.0 / n)
     )
 
 
 def test_cd_hand_evaluation_k5():
     expected = 2.7278 * math.sqrt(5 * 6 / (6.0 * 10))
-    assert critical_difference([1, 2, 3, 4, 5], 10) == pytest.approx(expected)
+    assert critical_difference(5, 10) == pytest.approx(expected)
 
 
 def test_zero_gap_never_significant():
-    cd = critical_difference([2.0, 2.0, 2.0], 8)
+    cd = critical_difference(3, 8)
     assert cd > 0.0  # equal average ranks always fall inside the CD
 
 
@@ -284,7 +290,7 @@ def test_planted_feature_ranks_first_each_resample():
     assert ranking[0].feature == "ne_ratio"
     assert ranks.shape == (4, len(COMPLEXITY_SCHEMA))
     assert (ranks[:, COMPLEXITY_SCHEMA.index("ne_ratio")] == 1.0).all()
-    assert cd == critical_difference(ranks.mean(axis=0), 4)
+    assert cd == critical_difference(len(COMPLEXITY_SCHEMA), 4)
 
 
 def test_one_resample_is_rejected_before_any_forest_is_trained(monkeypatch):

@@ -14,6 +14,9 @@ moves by one ulp, so no reordering of its sums could stay within the
 tolerance; the MLP property checks only the runs that the textbook loop
 resolves to ``GRAM_RTOL / 1000``.
 
+The tree layer is exact throughout: the split search, the flat trees, their
+prediction and the importances equal the node-object oracle's bit for bit.
+
 Each strategy returns a problem recipe: a frozen dataclass of its scalar draws
 (the numpy generator's seed among them) whose ``build()`` makes the arrays.
 A falsifying report prints the recipe, not the arrays (whose 8-digit repr
@@ -32,6 +35,7 @@ from hypothesis import strategies as st
 import _trainer_oracle as oracle
 from grantprod import ml
 from grantprod.ml import FeatureMatrix, KnnHyper, MlpHyper, SvmHyper
+from grantprod.relevance import feature_importance
 
 GRAM_RTOL = 1e-9
 DECISION_MARGIN = 1e-9
@@ -466,3 +470,150 @@ def test_scores_from_confusion_counts_equal_pooled_report_loop(folds):
     for (predictions, y), (tp, fp, fn, tn) in zip(folds, counts):
         assert ml.f1_score(predictions, y) == oracle.f1_score(predictions, y)
         assert tp + fp + fn + tn == y.size
+
+
+# Column kinds of a tree problem: integer values with many ties, normal
+# values, runs of adjacent floats (whose midpoints round up) and constants.
+ADJACENT = np.array([1.5, np.nextafter(1.5, 2.0), np.nextafter(np.nextafter(1.5, 2.0), 2.0)])
+COLUMN_KINDS = st.sampled_from(["ties", "normal", "adjacent", "constant"])
+
+
+@dataclass(frozen=True)
+class TreeProblem:
+    """Columns of mixed kinds; with ``xor`` the first two are a tiled XOR table.
+
+    An XOR table gives either of its columns zero gain at the nodes that hold
+    whole copies of it, so ``min_gain`` 0.0 splits there on a zero gain.
+    """
+
+    n: int
+    kinds: tuple[str, ...]
+    rng_seed: int
+    xor: bool
+    labels: str
+
+    def build(self) -> tuple[np.ndarray, np.ndarray]:
+        rng = np.random.default_rng(self.rng_seed)
+        columns = {
+            "ties": lambda: rng.integers(0, 3, self.n).astype(float),
+            "normal": lambda: rng.normal(size=self.n),
+            "adjacent": lambda: ADJACENT[rng.integers(0, 3, self.n)],
+            "constant": lambda: np.full(self.n, 0.25),
+        }
+        X = np.column_stack([columns[kind]() for kind in self.kinds])
+        y = _labels(rng, self.labels, self.n)
+        if self.xor:
+            table = np.tile([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], (self.n // 4, 1))
+            X[:, :2] = table
+            y = (table[:, 0] != table[:, 1]).astype(int)
+        return X, y
+
+
+@st.composite
+def tree_problems(draw) -> TreeProblem:
+    xor = draw(st.booleans())
+    n = 4 * draw(st.integers(1, 6)) if xor else draw(st.integers(1, 24))
+    return TreeProblem(
+        n=n,
+        kinds=tuple(draw(st.lists(COLUMN_KINDS, min_size=2 if xor else 1, max_size=6))),
+        rng_seed=draw(RNG_SEEDS),
+        xor=xor,
+        labels=draw(st.sampled_from(["mixed", "mixed", "mixed", "zeros", "ones"])),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree_problems(), st.data())
+def test_split_search_equals_per_feature_scan(problem, data):
+    X, y = problem.build()
+    d = X.shape[1]
+    features = np.array(sorted(data.draw(
+        st.sets(st.integers(0, d - 1), min_size=1, max_size=d), label="features"
+    )))
+    min_leaf = data.draw(st.integers(1, 4), label="min_leaf")
+    assert ml._best_split(X, y, features, min_leaf) == oracle.best_split(X, y, features, min_leaf)
+
+
+def test_split_search_on_constant_and_xor_columns():
+    X = np.array([[0.0, 0.0, 3.0], [0.0, 1.0, 3.0], [1.0, 0.0, 3.0], [1.0, 1.0, 3.0]])
+    y = np.array([0, 1, 1, 0])
+    for features in ([2], [0, 1, 2], [1, 2]):
+        features = np.array(features)
+        assert ml._best_split(X, y, features, 1) == oracle.best_split(X, y, features, 1)
+    assert ml._best_split(X, y, np.array([2]), 1) is None
+    assert ml._best_split(X, y, np.array([0, 1]), 1) == (0.0, 0, 0.5)
+
+
+def test_zero_gain_split_keeps_the_scalar_parent_entropy():
+    # Scalar math.log2 and numpy's array log2 round some fractions apart, so
+    # a split whose two children copy the parent's fraction a/b scores an ulp
+    # or so from zero, and min_gain 0.0 keeps or rejects it by that ulp.
+    pos, total = np.array([(a, b) for b in range(2, 400) for a in range(1, b)]).T
+    array_entropy = ml._entropy_bits_vec(pos, total)
+    apart = [
+        (a, b) for a, b, h in zip(pos.tolist(), total.tolist(), array_entropy)
+        if ml._entropy_bits(a, b) != h
+    ]
+    for a, b in apart[:10] or [(1, 3), (9, 74)]:
+        X = np.repeat([0.0, 1.0], b)[:, None]
+        y = np.tile(np.arange(b) < a, 2).astype(int)
+        split = ml._best_split(X, y, np.array([0]), 1)
+        assert split == oracle.best_split(X, y, np.array([0]), 1)
+        assert abs(split[0]) < 1e-15
+
+
+FOREST_HYPERS = st.builds(
+    ml.ForestHyper,
+    n_trees=st.integers(1, 4),
+    max_features=st.sampled_from(["sqrt", None]),
+    bootstrap=st.booleans(),
+    tree=st.builds(
+        ml.TreeHyper,
+        max_depth=st.sampled_from([None, 1, 2, 4]),
+        min_samples_split=st.integers(2, 4),
+        min_samples_leaf=st.integers(1, 3),
+        min_gain=st.sampled_from([0.0, 1e-6, 0.1]),
+    ),
+)
+
+
+def grow_both(problem, hyper, seed):
+    X, y = problem.build()
+    train = FeatureMatrix(X, y)
+    return X, ml.train_random_forest(train, hyper, seed), oracle.grow_forest(train, hyper, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_problems(), FOREST_HYPERS, st.integers(0, 1000))
+def test_flat_forest_equals_flattened_node_trees(problem, hyper, seed):
+    _, model, roots = grow_both(problem, hyper, seed)
+    assert len(model.trees) == len(roots)
+    for tree, root in zip(model.trees, roots):
+        flat = oracle.flatten(root)
+        for name in ("feature", "threshold", "left", "right", "n_samples", "n_positive"):
+            assert np.array_equal(getattr(tree, name), getattr(flat, name), equal_nan=True), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_problems(), FOREST_HYPERS, st.integers(0, 1000))
+def test_flat_prediction_equals_row_walk(problem, hyper, seed):
+    X, model, roots = grow_both(problem, hyper, seed)
+    # training rows sit on thresholds' sides exactly; the others are new
+    probes = np.vstack([X, np.random.default_rng(seed).normal(size=(5, X.shape[1]))])
+    votes = np.zeros(len(probes), dtype=int)
+    for tree, root in zip(model.trees, roots):
+        walked = oracle.predict_tree(root, probes)
+        assert np.array_equal(ml._tree_predictions(tree, probes), walked)
+        votes += walked
+    assert np.array_equal(model.predict(probes), (2 * votes > len(roots)).astype(int))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_problems(), FOREST_HYPERS, st.integers(0, 1000))
+def test_importance_equals_per_node_loop(problem, hyper, seed):
+    X, model, roots = grow_both(problem, hyper, seed)
+    for weighting in ("node_mean", "instance_weighted"):
+        assert np.array_equal(
+            feature_importance(model, weighting),
+            oracle.feature_importance(roots, X.shape[1], weighting),
+        )
