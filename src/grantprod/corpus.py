@@ -16,6 +16,7 @@ GRANT_ID_PATTERN = re.compile(r"^\d+/\d+-\d$")
 
 REQUIRED_FIELDS = ("grant_id", "title_pt", "abstract_pt", "area", "year", "publication_count")
 OPTIONAL_FIELDS = ("title_en", "abstract_en", "subject")
+_TEXT_FIELDS = ("grant_id", "title_pt", "abstract_pt", "area", "title_en", "abstract_en")
 
 HISTOGRAM_THRESHOLDS = tuple(range(2, 9))
 
@@ -106,38 +107,51 @@ def _parse_subject(value, fmt: str) -> tuple[str, ...]:
     if value is None:
         return ()
     if fmt == "csv":
-        value = str(value).split(";")
+        value = value.split(";")
     elif not isinstance(value, list):
         raise ValueError("subject must be an array")
-    keywords = (str(p).strip() for p in value)
+    elif not all(isinstance(keyword, str) for keyword in value):
+        raise ValueError("subject keywords must be strings")
+    keywords = (keyword.strip() for keyword in value)
     return tuple(k for k in keywords if k)
 
 
-def _record_from_mapping(mapping: dict, row_number: int, fmt: str) -> GrantRecord:
-    for field in REQUIRED_FIELDS:
-        if field not in mapping or mapping[field] is None or str(mapping[field]).strip() == "":
-            raise MalformedRowError(row_number, field, "missing or empty value")
+def _integer(mapping: dict, field: str, row_number: int) -> int:
+    """A JSON integer, or a string int() parses (CSV gives every value as one)."""
+    value = mapping[field]
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            raise MalformedRowError(row_number, field, f"'{value}' is not an integer") from None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise MalformedRowError(row_number, field, f"{json.dumps(value)} is not an integer")
 
-    grant_id = str(mapping["grant_id"]).strip()
+
+def _record_from_mapping(mapping: dict, row_number: int, fmt: str) -> GrantRecord:
+    """One record from a row; every value is a string, except JSON integers for the counts."""
+    for field in REQUIRED_FIELDS:
+        value = mapping.get(field)
+        if value is None or isinstance(value, str) and not value.strip():
+            raise MalformedRowError(row_number, field, "missing or empty value")
+    if fmt == "jsonl":  # CSV gives every value as a string
+        for field in _TEXT_FIELDS:
+            value = mapping.get(field)
+            if value is not None and not isinstance(value, str):
+                raise MalformedRowError(row_number, field, f"{json.dumps(value)} is not a string")
+
+    grant_id = mapping["grant_id"].strip()
     if not GRANT_ID_PATTERN.match(grant_id):
         raise MalformedRowError(row_number, "grant_id", f"'{grant_id}' does not match year/number-digit format")
 
     try:
-        area = Area(str(mapping["area"]).strip())
+        area = Area(mapping["area"].strip())
     except ValueError:
         raise MalformedRowError(row_number, "area", f"unknown area '{mapping['area']}'") from None
 
-    try:
-        year = int(mapping["year"])
-    except (TypeError, ValueError):
-        raise MalformedRowError(row_number, "year", f"'{mapping['year']}' is not an integer") from None
-
-    try:
-        publication_count = int(mapping["publication_count"])
-    except (TypeError, ValueError):
-        raise MalformedRowError(
-            row_number, "publication_count", f"'{mapping['publication_count']}' is not an integer"
-        ) from None
+    year = _integer(mapping, "year", row_number)
+    publication_count = _integer(mapping, "publication_count", row_number)
     if publication_count < 0:
         raise MalformedRowError(row_number, "publication_count", "must be >= 0")
 
@@ -150,13 +164,12 @@ def _record_from_mapping(mapping: dict, row_number: int, fmt: str) -> GrantRecor
         value = mapping.get(key)
         if value is None:
             return None
-        text = str(value).strip()
-        return text or None
+        return value.strip() or None
 
     return GrantRecord(
         grant_id=grant_id,
-        title_pt=str(mapping["title_pt"]).strip(),
-        abstract_pt=str(mapping["abstract_pt"]).strip(),
+        title_pt=mapping["title_pt"].strip(),
+        abstract_pt=mapping["abstract_pt"].strip(),
         area=area,
         year=year,
         publication_count=publication_count,
@@ -169,7 +182,7 @@ def _record_from_mapping(mapping: dict, row_number: int, fmt: str) -> GrantRecor
 def _iter_rows(path: Path, fmt: str):
     """Yield (row_number, mapping) pairs; row numbers are 1-based data rows."""
     if fmt == "csv":
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.DictReader(handle)
             header = reader.fieldnames or []
             missing = [c for c in REQUIRED_FIELDS if c not in header]
@@ -178,7 +191,7 @@ def _iter_rows(path: Path, fmt: str):
             for row_number, row in enumerate(reader, start=1):
                 yield row_number, row
     elif fmt == "jsonl":
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             for row_number, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:

@@ -253,17 +253,6 @@ class Tree:
     n_positive: np.ndarray
 
 
-def _entropy_bits(pos: int, total: int) -> float:
-    if total == 0:
-        return 0.0
-    h = 0.0
-    for count in (pos, total - pos):
-        if count > 0:
-            p = count / total
-            h -= p * math.log2(p)
-    return h
-
-
 def _entropy_bits_vec(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
     out = np.zeros(len(total))
     for counts in (pos, total - pos):
@@ -290,12 +279,13 @@ def _best_split(X, y, features, min_leaf):
     n_left = boundary + 1
     pos_left = pos_prefix[boundary, column]
     n_right = n - n_left
-    pos_right = pos_total - pos_left
-    gains = (
-        _entropy_bits(pos_total, n)
-        - (n_left / n) * _entropy_bits_vec(pos_left, n_left)
-        - (n_right / n) * _entropy_bits_vec(pos_right, n_right)
+    # one kernel call: the node's entropy, then each left child's, then each right child's
+    m = boundary.size
+    h = _entropy_bits_vec(
+        np.concatenate(([pos_total], pos_left, pos_total - pos_left)),
+        np.concatenate(([n], n_left, n_right)),
     )
+    gains = h[0] - (n_left / n) * h[1:m + 1] - (n_right / n) * h[m + 1:]
     i = int(np.argmax(gains))  # first max -> first feature, then smallest threshold
     low, high = xs[boundary[i], column[i]], xs[boundary[i] + 1, column[i]]
     threshold = (low + high) / 2.0

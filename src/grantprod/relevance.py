@@ -70,13 +70,10 @@ def feature_importance(model, weighting: str = "node_mean") -> np.ndarray:
     for tree in model.trees:
         split = np.flatnonzero(tree.feature >= 0)
         left, right = tree.left[split], tree.right[split]
-        counts, positives = tree.n_samples, tree.n_positive
+        counts = tree.n_samples
+        gini = gini_from_counts(tree.n_positive, counts)
         decrease = impurity_decrease(
-            gini_from_counts(positives[split], counts[split]),
-            gini_from_counts(positives[left], counts[left]),
-            gini_from_counts(positives[right], counts[right]),
-            counts[left],
-            counts[right],
+            gini[split], gini[left], gini[right], counts[left], counts[right]
         )
         w = counts[split] if weighting == "instance_weighted" else np.ones(split.size)
         np.add.at(sums, tree.feature[split], w * decrease)

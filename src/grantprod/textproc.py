@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 
 class TokenKind(Enum):
@@ -323,51 +323,34 @@ def analyze(text: str | Sequence[str], lexicons: LexiconSet) -> TaggedDocument:
 #   suffix rules          suffix<TAB>tag     (tried in file order)
 #   concreteness norms    word<TAB>score     (score on the 100-700 scale)
 
-def _read_lines(path: Path) -> list[str]:
-    lines = []
-    for raw in path.read_text(encoding="utf-8").splitlines():
+def _entries(path: Path) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) of every line but blank ones and '#' comments."""
+    for number, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
-        if line and not line.startswith("#"):
-            lines.append(line)
-    return lines
+        if line and line[0] != "#":
+            yield number, line
 
 
 def load_wordlist(path: str | Path) -> frozenset[str]:
-    return frozenset(unicodedata.normalize("NFC", line.lower()) for line in _read_lines(Path(path)))
+    return frozenset(unicodedata.normalize("NFC", line.lower()) for _, line in _entries(Path(path)))
 
 
-def _split_tab(line: str, path: Path) -> tuple[str, str]:
-    parts = line.split("\t")
-    if len(parts) != 2:
-        raise ValueError(f"{path}: expected 'entry<TAB>value', got '{line}'")
-    return parts[0], parts[1]
+def _read_pairs(path: Path, convert) -> list[tuple]:
+    """The (normalized entry, converted value) pairs of a word<TAB>value file, in file order.
 
-
-def load_pos_lexicon(path: str | Path) -> dict[str, PosTag]:
-    path = Path(path)
-    lexicon: dict[str, PosTag] = {}
-    for line in _read_lines(path):
-        word, tag = _split_tab(line, path)
-        lexicon[unicodedata.normalize("NFC", word.lower())] = PosTag(tag)
-    return lexicon
-
-
-def load_suffix_rules(path: str | Path) -> tuple[tuple[str, PosTag], ...]:
-    path = Path(path)
-    rules = []
-    for line in _read_lines(path):
-        suffix, tag = _split_tab(line, path)
-        rules.append((unicodedata.normalize("NFC", suffix.lower()), PosTag(tag)))
-    return tuple(rules)
-
-
-def load_concreteness(path: str | Path) -> dict[str, float]:
-    path = Path(path)
-    scores: dict[str, float] = {}
-    for line in _read_lines(path):
-        word, value = _split_tab(line, path)
-        scores[unicodedata.normalize("NFC", word.lower())] = float(value)
-    return scores
+    A line without exactly one tab, or a value ``convert`` rejects, raises a
+    ValueError naming the file and the line.
+    """
+    pairs = []
+    for number, line in _entries(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{number}: expected 'entry<TAB>value', got '{line}'")
+        try:
+            pairs.append((unicodedata.normalize("NFC", parts[0].lower()), convert(parts[1])))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{number}: {exc}") from None
+    return pairs
 
 
 _LEXICON_FILES = {
@@ -390,9 +373,9 @@ def load_lexicons(directory: str | Path, language: str) -> LexiconSet:
         function_words=frozenset(function_words),
         prepositions=prepositions,
         logical_operators=load_wordlist(directory / _LEXICON_FILES["logical_operators"]),
-        pos_lexicon=load_pos_lexicon(directory / _LEXICON_FILES["pos_lexicon"]),
-        suffix_rules=load_suffix_rules(directory / _LEXICON_FILES["suffix_rules"]),
-        concreteness=load_concreteness(directory / _LEXICON_FILES["concreteness"]),
+        pos_lexicon=dict(_read_pairs(directory / _LEXICON_FILES["pos_lexicon"], PosTag)),
+        suffix_rules=tuple(_read_pairs(directory / _LEXICON_FILES["suffix_rules"], PosTag)),
+        concreteness=dict(_read_pairs(directory / _LEXICON_FILES["concreteness"], float)),
     )
 
 

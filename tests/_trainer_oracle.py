@@ -9,8 +9,10 @@ many rows as columns the rewritten kernels must give the same floats bit for
 bit; with fewer rows than columns they train in Gram space and must stay
 within a fixed tolerance.  The properties in ``test_trainer_oracle.py`` check
 both.  ``kernel_loss_and_grad`` runs the MLP epoch kernel on one fold.
-``information_gain`` scores one split from its mask, the quantity the tree's
-split search maximizes.  ``f1_score`` counts one class's hits from the label
+``entropy_bits`` and ``gini`` are the textbook two-class impurities of a
+node's counts, computed here rather than borrowed from the kernels under
+test; ``information_gain`` scores one split from its mask, the quantity the
+tree's split search maximizes.  ``f1_score`` counts one class's hits from the label
 arrays, and ``report_scores`` is the report loop that pooled every fold's
 predictions and labels; ``ml`` scores each fold from its confusion counts.
 
@@ -43,8 +45,6 @@ from grantprod.ml import (
     TreeHyper,
     TrainingDivergedError,
     _check_finite,
-    _entropy_bits,
-    _entropy_bits_vec,
     _mlp_backprop,
     _mlp_init,
     _PrimalFirstLayer,
@@ -53,7 +53,6 @@ from grantprod.ml import (
     significance_pvalue,
     train_knn,
 )
-from grantprod.relevance import gini_from_counts, impurity_decrease
 from grantprod.seeds import derive_seed
 
 
@@ -226,6 +225,22 @@ def select_knn_k(
     return max(candidates, key=lambda k: (sum(scores[k]) / len(scores[k]), -k))
 
 
+def entropy_bits(n_positive: int, n_total: int) -> float:
+    """Two-class entropy in bits: each class count over the total, positive class first."""
+    h = 0.0
+    for count in (n_positive, n_total - n_positive):
+        if count > 0:
+            p = count / n_total
+            h -= p * np.log2(p)
+    return h
+
+
+def gini(n_positive: int, n_total: int) -> float:
+    """Two-class Gini impurity 2p(1 - p) of a node's counts."""
+    p = n_positive / n_total
+    return 2.0 * p * (1.0 - p)
+
+
 def information_gain(y: np.ndarray, left_mask: np.ndarray) -> float:
     """Entropy of the labels minus the split-conditional entropy, in bits."""
     y = np.asarray(y)
@@ -233,9 +248,9 @@ def information_gain(y: np.ndarray, left_mask: np.ndarray) -> float:
     n = y.size
     n_left = int(left_mask.sum())
     n_right = n - n_left
-    parent = _entropy_bits(int(y.sum()), n)
-    left = _entropy_bits(int(y[left_mask].sum()), n_left)
-    right = _entropy_bits(int(y[~left_mask].sum()), n_right)
+    parent = entropy_bits(int(y.sum()), n)
+    left = entropy_bits(int(y[left_mask].sum()), n_left)
+    right = entropy_bits(int(y[~left_mask].sum()), n_right)
     return parent - (n_left / n) * left - (n_right / n) * right
 
 
@@ -327,7 +342,7 @@ def best_split(X, y, features, min_leaf):
     """Highest-gain (feature, midpoint threshold); ties keep the first found."""
     n = y.size
     pos_total = int(y.sum())
-    h_parent = _entropy_bits(pos_total, n)
+    h_parent = entropy_bits(pos_total, n)
     best = None
     for j in features:
         column = X[:, j]
@@ -342,15 +357,15 @@ def best_split(X, y, features, min_leaf):
         if boundaries.size == 0:
             continue
         pos_prefix = np.cumsum(ys)
-        n_left = boundaries + 1
-        pos_left = pos_prefix[boundaries]
-        n_right = n - n_left
-        pos_right = pos_total - pos_left
-        gains = (
-            h_parent
-            - (n_left / n) * _entropy_bits_vec(pos_left, n_left)
-            - (n_right / n) * _entropy_bits_vec(pos_right, n_right)
-        )
+        gains = []
+        for b in boundaries:
+            n_left, pos_left = b + 1, int(pos_prefix[b])
+            n_right, pos_right = n - n_left, pos_total - pos_left
+            gains.append(
+                h_parent
+                - (n_left / n) * entropy_bits(pos_left, n_left)
+                - (n_right / n) * entropy_bits(pos_right, n_right)
+            )
         i = int(np.argmax(gains))  # first max -> smallest threshold
         if best is None or gains[i] > best[0]:
             b = boundaries[i]
@@ -443,14 +458,13 @@ def flatten(root: TreeNode) -> Tree:
 
 
 def _split_decrease(node: TreeNode) -> float:
-    """Gini decrease of a tree node's split, from the counts of the node and its children."""
+    """Gini decrease of a tree node's split, each child weighted by its share of the rows."""
     left, right = node.left, node.right
-    return impurity_decrease(
-        gini_from_counts(node.n_positive, node.n_samples),
-        gini_from_counts(left.n_positive, left.n_samples),
-        gini_from_counts(right.n_positive, right.n_samples),
-        left.n_samples,
-        right.n_samples,
+    n = left.n_samples + right.n_samples
+    return (
+        gini(node.n_positive, node.n_samples)
+        - (left.n_samples / n) * gini(left.n_positive, left.n_samples)
+        - (right.n_samples / n) * gini(right.n_positive, right.n_samples)
     )
 
 

@@ -3,6 +3,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -101,6 +102,32 @@ def test_ingest_zero_accepted_rows(tmp_path, capsys):
 def test_ingest_unreadable_input(tmp_path):
     assert main(["ingest", "--input", str(tmp_path / "nope.csv"), "--format", "csv",
                  "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+
+
+def test_jsonl_count_of_another_type_is_listed_by_ingest_and_fails_the_others(tmp_path, capsys):
+    # a publication count of 1.9 or true is neither truncated nor read as 1
+    rows = [
+        {"grant_id": f"2001/0000{i}-{i}", "title_pt": "T", "abstract_pt": "Resumo.",
+         "area": "MED", "year": 2001, "publication_count": count}
+        for i, count in enumerate([0, 1.9, True, 2], start=1)
+    ]
+    path = tmp_path / "c.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert main(["ingest", "--input", str(path), "--format", "jsonl",
+                 "--out", str(tmp_path / "o")]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "rejected: 2" in out
+    assert "row 2: publication_count: 1.9 is not an integer" in out
+    assert "row 3: publication_count: true is not an integer" in out
+    for argv in (
+        ["stats"],
+        ["evaluate", "--features", "complexity", "--algo", "bayes", "--folds", "2",
+         "--resamples", "1", "--seed", "1", "--out", str(tmp_path / "e")],
+        ["relevance", "--seed", "1", "--out", str(tmp_path / "r")],
+    ):
+        assert main(argv + ["--input", str(path), "--format", "jsonl"]) == EXIT_VALIDATION
+        assert "row 2, field 'publication_count'" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists() and not (tmp_path / "r").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +365,29 @@ def test_evaluate_without_algorithm_exits_2_before_output(canonical, tmp_path, c
 
 
 LEXICON_DIR = str(Path(cli.__file__).parent / "data" / "pt")  # an existing lexicon directory
+
+@pytest.mark.parametrize("name, text, reason", [
+    ("pos_lexicon.tsv", "gato\tnounx\n", "'nounx' is not a valid PosTag"),
+    ("concreteness.tsv", "# scores\n\nestudo\tabc\n", "could not convert string to float: 'abc'"),
+    ("suffix_rules.tsv", "mente\tadverb\tx\n", "expected 'entry<TAB>value'"),
+])
+def test_bad_lexicon_line_exits_2_naming_the_file_and_line(
+    canonical, tmp_path, capsys, name, text, reason
+):
+    lexicons = tmp_path / "lexicons"
+    shutil.copytree(LEXICON_DIR, lexicons)
+    bad = lexicons / name
+    lines = bad.read_text(encoding="utf-8").splitlines(keepends=True)
+    bad.write_text("".join(lines[:4]) + text + "".join(lines[4:]), encoding="utf-8")
+    line_number = 4 + text.count("\n")
+    code = main(["evaluate", "--input", str(canonical), "--features", "complexity",
+                 "--lexicon-dir", str(lexicons), "--algo", "bayes", "--folds", "2",
+                 "--resamples", "1", "--seed", "1", "--out", str(tmp_path / "run")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{bad}:{line_number}: " in err and reason in err
+    assert not (tmp_path / "run").exists()
+
 
 # Options a run does not read: --features, the option as flags and as config
 # lines, and the error naming it.

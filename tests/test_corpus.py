@@ -185,6 +185,52 @@ def test_blank_subject_keywords_are_dropped(tmp_path, fmt, subject):
     assert record.subject == (("alpha", "beta") if "alpha" in subject else ())
 
 
+JSONL_ROW = {"grant_id": "2001/00001-1", "title_pt": "T", "abstract_pt": "Resumo.",
+             "area": "MED", "year": 2001, "publication_count": 0}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("publication_count", 1.9),
+    ("publication_count", True),
+    ("publication_count", 1.0),
+    ("year", 2019.7),
+    ("grant_id", 2001),
+    ("title_pt", 5),
+    ("abstract_pt", ["Resumo."]),
+    ("area", 1),
+    ("title_en", 7),
+    ("abstract_en", {"text": "Summary."}),
+    ("subject", ["alpha", 3]),
+])
+def test_jsonl_value_of_another_type_is_rejected_not_coerced(tmp_path, field, value):
+    path = tmp_path / "c.jsonl"
+    bad = {**JSONL_ROW, "grant_id": "2001/00002-2", field: value}
+    path.write_text(json.dumps(JSONL_ROW) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(MalformedRowError) as excinfo:
+        load_corpus(path, "jsonl")
+    assert (excinfo.value.row_number, excinfo.value.field) == (2, field)
+    report = scan_corpus_file(path, "jsonl")
+    assert [r.grant_id for r in report.records] == ["2001/00001-1"]
+    assert [(row, name) for row, name, _ in report.rejected] == [(2, field)]
+
+
+def test_jsonl_counts_may_be_integer_strings(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps({**JSONL_ROW, "year": "2001", "publication_count": " 3"}) + "\n")
+    [record] = load_corpus(path, "jsonl")
+    assert (record.year, record.publication_count) == (2001, 3)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_utf8_byte_order_mark_is_read_as_no_text(tmp_path, fmt):
+    # spreadsheet "CSV UTF-8" exports start the file with one
+    path = tmp_path / f"bom.{fmt}"
+    body = HEADER + "2001/00001-1,T,Resumo.,MED,2001,0\n" if fmt == "csv" else json.dumps(JSONL_ROW) + "\n"
+    path.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
+    [record] = load_corpus(path, fmt)
+    assert record.grant_id == "2001/00001-1"
+
+
 # ---------------------------------------------------------------------------
 # labels and histogram
 # ---------------------------------------------------------------------------

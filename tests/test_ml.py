@@ -108,6 +108,18 @@ def test_max_depth_and_min_gain_stop():
     assert strict.trees[0].feature[0] == -1  # zero-gain root split now rejected
 
 
+def test_zero_gain_split_is_admitted_at_min_gain_zero():
+    # 9 positives in each 74-row half: the split leaves both children at the
+    # node's fraction 9/74, where scalar and array log2 round apart
+    X = np.repeat([0.0, 1.0], 74)[:, None]
+    y = np.tile(np.arange(74) < 9, 2).astype(int)
+    tree = train_decision_tree(FeatureMatrix(X, y)).trees[0]
+    assert tree.feature.size == 3
+    assert tree.threshold[0] == 0.5
+    assert list(tree.n_samples) == [148, 74, 74]
+    assert list(tree.n_positive) == [18, 9, 9]
+
+
 def test_split_between_adjacent_floats_keeps_both_children():
     low = 4.9216076867444665  # a noun_sd value seen in a generated corpus
     high = np.nextafter(low, np.inf)

@@ -24,6 +24,7 @@ loses the digits a chaotic run depends on), so pasting the printed recipe
 into ``@example(...)`` on the test replays the failure exactly.
 """
 
+import math
 from dataclasses import dataclass
 from unittest import mock
 
@@ -544,22 +545,28 @@ def test_split_search_on_constant_and_xor_columns():
     assert ml._best_split(X, y, np.array([0, 1]), 1) == (0.0, 0, 0.5)
 
 
-def test_zero_gain_split_keeps_the_scalar_parent_entropy():
-    # Scalar math.log2 and numpy's array log2 round some fractions apart, so
-    # a split whose two children copy the parent's fraction a/b scores an ulp
-    # or so from zero, and min_gain 0.0 keeps or rejects it by that ulp.
+def scalar_entropy_bits(a: int, b: int) -> float:
+    """Two-class entropy in bits with scalar math.log2."""
+    return -sum(c / b * math.log2(c / b) for c in (a, b - a) if c > 0)
+
+
+def test_zero_gain_split_scores_exactly_zero():
+    # Scalar math.log2 and numpy's array log2 round some fractions a/b apart.
+    # Scoring the node with one and its children with the other put a split
+    # whose two children copy the node's fraction an ulp or so from zero, and
+    # min_gain 0.0 kept or rejected it by that ulp.  One kernel scores 0.0.
     pos, total = np.array([(a, b) for b in range(2, 400) for a in range(1, b)]).T
     array_entropy = ml._entropy_bits_vec(pos, total)
-    apart = [
+    apart = {
         (a, b) for a, b, h in zip(pos.tolist(), total.tolist(), array_entropy)
-        if ml._entropy_bits(a, b) != h
-    ]
-    for a, b in apart[:10] or [(1, 3), (9, 74)]:
+        if scalar_entropy_bits(a, b) != h
+    }
+    for a, b in sorted(apart | {(9, 74)}):
         X = np.repeat([0.0, 1.0], b)[:, None]
         y = np.tile(np.arange(b) < a, 2).astype(int)
         split = ml._best_split(X, y, np.array([0]), 1)
+        assert split[0] == 0.0, (a, b)
         assert split == oracle.best_split(X, y, np.array([0]), 1)
-        assert abs(split[0]) < 1e-15
 
 
 FOREST_HYPERS = st.builds(
