@@ -15,7 +15,6 @@ from .seeds import SplitMix64
 GRANT_ID_PATTERN = re.compile(r"^\d+/\d+-\d$")
 
 REQUIRED_FIELDS = ("grant_id", "title_pt", "abstract_pt", "area", "year", "publication_count")
-OPTIONAL_FIELDS = ("title_en", "abstract_en", "subject")
 _TEXT_FIELDS = ("grant_id", "title_pt", "abstract_pt", "area", "title_en", "abstract_en")
 
 HISTOGRAM_THRESHOLDS = tuple(range(2, 9))
@@ -135,11 +134,10 @@ def _record_from_mapping(mapping: dict, row_number: int, fmt: str) -> GrantRecor
         value = mapping.get(field)
         if value is None or isinstance(value, str) and not value.strip():
             raise MalformedRowError(row_number, field, "missing or empty value")
-    if fmt == "jsonl":  # CSV gives every value as a string
-        for field in _TEXT_FIELDS:
-            value = mapping.get(field)
-            if value is not None and not isinstance(value, str):
-                raise MalformedRowError(row_number, field, f"{json.dumps(value)} is not a string")
+    for field in _TEXT_FIELDS:
+        value = mapping.get(field)
+        if value is not None and not isinstance(value, str):
+            raise MalformedRowError(row_number, field, f"{json.dumps(value)} is not a string")
 
     grant_id = mapping["grant_id"].strip()
     if not GRANT_ID_PATTERN.match(grant_id):

@@ -6,9 +6,9 @@ regenerate the affected files and say why; regenerate with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and, to see which files a change moves before regenerating, run it with
-``--check``: it prints each file as ``same`` or ``differs`` (with the first
-differing line), writes nothing, and exits 1 if any file differs.
+``pytest tests/test_golden.py`` names each file a change moves without
+writing anything; after regenerating, ``git diff tests/golden`` shows the
+moved lines.
 """
 
 from __future__ import annotations
@@ -223,48 +223,13 @@ def test_echo_with_lexicon_dir_replays_the_run(tmp_path, monkeypatch):
     assert matrix("custom") != matrix("builtin")
 
 
-def first_differing_line(produced: bytes, expected: bytes) -> int | None:
-    """1-based number of the first line where the two files part, or None if equal."""
-    produced_lines = produced.splitlines(keepends=True)
-    expected_lines = expected.splitlines(keepends=True)
-    for number, (ours, theirs) in enumerate(zip(produced_lines, expected_lines), 1):
-        if ours != theirs:
-            return number
-    if len(produced_lines) == len(expected_lines):
-        return None
-    return min(len(produced_lines), len(expected_lines)) + 1
-
-
-def test_first_differing_line():
-    assert first_differing_line(b"a\nb\n", b"a\nb\n") is None
-    assert first_differing_line(b"a\nb\n", b"a\nc\n") == 2
-    assert first_differing_line(b"a\n", b"a\nb\n") == 2
-    assert first_differing_line(b"a", b"a\n") == 1
-
-
 if __name__ == "__main__":
-    import argparse
-    import contextlib
     import tempfile
 
-    parser = argparse.ArgumentParser(description="Regenerate or check the golden files.")
-    parser.add_argument("--check", action="store_true",
-                        help="compare against tests/golden/ instead of writing; exit 1 on a difference")
-    check = parser.parse_args().check
-    differing = 0
     with tempfile.TemporaryDirectory() as scratch:
-        with contextlib.redirect_stdout(sys.stderr):  # stdout is the check's table
-            run_golden_commands(Path(scratch))
+        run_golden_commands(Path(scratch))
         for relative in GOLDEN_FILES:
             target = GOLDEN_DIR / relative
-            if check:
-                expected = target.read_bytes() if target.exists() else b""
-                line = first_differing_line((Path(scratch) / relative).read_bytes(), expected)
-                differing += line is not None
-                print(f"same     {relative}" if line is None
-                      else f"differs  {relative} (first at line {line})")
-                continue
             target.parent.mkdir(parents=True, exist_ok=True)
             shutil.copyfile(Path(scratch) / relative, target)
             print(f"wrote {target}", file=sys.stderr)
-    sys.exit(1 if differing else 0)
