@@ -19,8 +19,9 @@ from .textproc import (
     LexiconSet,
     PosTag,
     TokenKind,
-    analyze,
+    _TOKEN_RE,
     builtin_lexicons,
+    split_sentences,
 )
 
 if TYPE_CHECKING:  # imported here first, numpy raised evaluate's peak RSS by 0.8 MB
@@ -86,7 +87,7 @@ def extract_complexity_vector(
     lexicons: LexiconSet | None = None,
     doc_id: str | None = None,
 ) -> ComplexityVector:
-    """Run the text pipeline and compute all metrics in one pass over the tokens.
+    """Split the text into sentences and compute all metrics in one walk over its tokens.
 
     Counts and ratios are over word tokens; punctuation counts only towards
     punctuation diversity.  The three diversities share the word-type
@@ -96,53 +97,67 @@ def extract_complexity_vector(
     chunk, with or without post-nominal adjectives, holds exactly one such
     run, so both chunkings give the same count.  Words absent from the
     concreteness norms are skipped, not imputed: a made-up score would
-    manufacture signal.  ``text`` may be a sequence of parts, which
-    ``analyze`` splits into sentences separately.
+    manufacture signal.  ``text`` may be a sequence of parts, each split
+    into sentences separately.  Named-entity spans follow the rule of
+    ``textproc.analyze``, which builds the same tokens as ``Token`` tuples.
     """
     if lexicons is None:
         lexicons = builtin_lexicons(language)
-    doc = analyze(text, lexicons)
-    if not doc.tokens:
+    parts = [text] if isinstance(text, str) else text
+    sentences = [sentence for part in parts for sentence in split_sentences(part)]
+    if not sentences:  # a sentence is stripped text, so it holds a token
         raise EmptyDocumentError(doc_id)
-    sentences = doc.sentence_count
     word_tags: list[PosTag] = []
     vocabulary: set[str] = set()
     function_types: set[str] = set()
     preposition_types: set[str] = set()
     punctuation_types: set[str] = set()
     operators = 0
-    nouns_per_sentence = [0] * sentences
     noun_runs = 0
-    noun_run_sentence = -1  # the sentence of the previous token if it is a noun
+    spans = 0
+    nouns_per_sentence = [0] * len(sentences)
     scores: list[float] = []
     word, punctuation = TokenKind.WORD, TokenKind.PUNCTUATION
     noun, preposition = PosTag.NOUN, PosTag.PREPOSITION
     logical_operators = lexicons.logical_operators
     concreteness = lexicons.concreteness.get
-    for _, normalized, kind, sentence, tag, is_function, _ in doc.tokens:
-        if kind is not word:
-            noun_run_sentence = -1
-            if kind is punctuation:
-                punctuation_types.add(normalized)
-            continue
-        word_tags.append(tag)
-        vocabulary.add(normalized)
-        if is_function:
-            function_types.add(normalized)
-        if tag is noun:
-            if noun_run_sentence != sentence:
-                noun_runs += 1
-            noun_run_sentence = sentence
-            nouns_per_sentence[sentence] += 1
-        else:
-            noun_run_sentence = -1
-            if tag is preposition:
-                preposition_types.add(normalized)
-        if normalized in logical_operators:
-            operators += 1
-        score = concreteness(normalized)
-        if score is not None:
-            scores.append(score)
+    surfaces, classify = lexicons._surfaces, lexicons.classify
+    for index, sentence in enumerate(sentences):
+        after_first_word = False
+        previous_marked = False
+        previous_noun = False
+        for surface in _TOKEN_RE.findall(sentence):
+            normalized, kind, tag, is_function, acronym, capitalized = (
+                surfaces.get(surface) or classify(surface)
+            )
+            marked = acronym or (after_first_word and capitalized)
+            if marked and not previous_marked:
+                spans += 1
+            previous_marked = marked
+            if kind is not word:
+                previous_noun = False
+                if kind is punctuation:
+                    punctuation_types.add(normalized)
+                continue
+            after_first_word = True
+            word_tags.append(tag)
+            vocabulary.add(normalized)
+            if is_function:
+                function_types.add(normalized)
+            if tag is noun:
+                if not previous_noun:
+                    noun_runs += 1
+                previous_noun = True
+                nouns_per_sentence[index] += 1
+            else:
+                previous_noun = False
+                if tag is preposition:
+                    preposition_types.add(normalized)
+            if normalized in logical_operators:
+                operators += 1
+            score = concreteness(normalized)
+            if score is not None:
+                scores.append(score)
 
     word_count = len(word_tags)
     vocabulary_size = len(vocabulary)
@@ -152,7 +167,7 @@ def extract_complexity_vector(
         return min(1.0, len(types) / vocabulary_size) if vocabulary_size else None
 
     return ComplexityVector(
-        sentence_count=sentences,
+        sentence_count=len(sentences),
         word_count=word_count,
         vocabulary_size=vocabulary_size,
         adjective_count=word_tags.count(PosTag.ADJECTIVE),
@@ -160,16 +175,16 @@ def extract_complexity_vector(
         verb_count=word_tags.count(PosTag.VERB),
         noun_count=noun_count,
         noun_ratio=noun_count / word_count if word_count else None,
-        words_per_sentence=word_count / sentences,
+        words_per_sentence=word_count / len(sentences),
         logical_operator_count=operators,
         function_word_diversity=diversity(function_types),
         preposition_diversity=diversity(preposition_types),
         punctuation_diversity=diversity(punctuation_types),
         noun_sd=_population_sd(nouns_per_sentence),
         brunet_index=brunet_index(word_count, vocabulary_size),
-        mean_noun_phrase=noun_runs / sentences,
+        mean_noun_phrase=noun_runs / len(sentences),
         concreteness_sd=_population_sd(scores) if len(scores) >= 2 else None,
-        ne_ratio=doc.entity_span_count / word_count if word_count else None,
+        ne_ratio=spans / word_count if word_count else None,
     )
 
 

@@ -1166,13 +1166,14 @@ def cross_validate(
 ) -> EvalReport:
     """Balanced-resample x stratified k-fold evaluation of one algorithm.
 
-    Each resample builds its k folds' matrices first, then gets one model
-    per fold: the MLP trains all k in one ``train_mlp`` call, the other
-    learners fold by fold.  Seeds derive from the (resample, fold) path, so
-    a fold's model does not depend on how it is trained, and a failure is
-    the first in fold order.  Each fold is kept as its confusion counts,
-    resample-major, fold order within, and every report number comes from
-    them, so the report is bit-reproducible for a given base seed.
+    The cell builds the matrices of all its (resample, fold) paths first,
+    then gets one model per path: the MLP trains all of them in one
+    ``train_mlp`` call, the other learners path by path.  Seeds derive from
+    the path, so a fold's model does not depend on how it is trained, and a
+    failure is the first in (resample, fold) order.  Each fold is kept as
+    its confusion counts, resample-major, fold order within, and every
+    report number comes from them, so the report is bit-reproducible for a
+    given base seed.
     """
     if algorithm not in DEFAULT_HYPER:
         raise ValueError(f"unknown algorithm '{algorithm}' (expected one of {tuple(DEFAULT_HYPER)})")
@@ -1180,15 +1181,13 @@ def cross_validate(
     prepared = feature_config.prepare([record for record, _ in labeled], lexicons)
     labels = np.array([label for _, label in labeled])
 
-    confusions: list[tuple[int, int, int, int]] = []  # (tp, fp, fn, tn) per fold
-
+    trains, tests = [], []
     for r in range(n_resamples):
         source = np.array(balanced_resample(labeled, derive_seed(base_seed, _SALT_RESAMPLE, r)))
         y_ds = labels[source]
         assignment = np.array(
             stratified_fold_indices(list(y_ds), k, derive_seed(base_seed, _SALT_FOLD, r))
         )
-        trains, tests = [], []
         for fold in range(k):
             test_mask = assignment == fold
             X_train, X_test = feature_config.fold_matrices(
@@ -1201,19 +1200,21 @@ def cross_validate(
             trains.append(FeatureMatrix(X_train, y_ds[~test_mask]))
             tests.append((X_test, y_ds[test_mask]))
 
-        seeds = [derive_seed(base_seed, _SALT_TRAIN, r, fold) for fold in range(k)]
-        if algorithm == "mlp":
-            models = train_mlp(trains, hyper, seeds)
-        else:  # trained as the loop below reaches each fold
-            models = (
-                _train_for_cell(
-                    algorithm, train, hyper, seed, feature_config,
-                    derive_seed(base_seed, _SALT_KNN, r, fold),
-                )
-                for fold, (train, seed) in enumerate(zip(trains, seeds))
+    paths = [(r, fold) for r in range(n_resamples) for fold in range(k)]
+    seeds = [derive_seed(base_seed, _SALT_TRAIN, r, fold) for r, fold in paths]
+    if algorithm == "mlp":
+        models = train_mlp(trains, hyper, seeds)
+    else:  # trained as the loop below reaches each fold
+        models = (
+            _train_for_cell(
+                algorithm, train, hyper, seed, feature_config,
+                derive_seed(base_seed, _SALT_KNN, r, fold),
             )
-        for model, (X_test, y_test) in zip(models, tests):
-            confusions.append(_confusion(model.predict(X_test), y_test))
+            for (r, fold), train, seed in zip(paths, trains, seeds)
+        )
+    confusions: list[tuple[int, int, int, int]] = []  # (tp, fp, fn, tn) per fold
+    for model, (X_test, y_test) in zip(models, tests):
+        confusions.append(_confusion(model.predict(X_test), y_test))
 
     return EvalReport(
         algorithm=algorithm,

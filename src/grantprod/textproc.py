@@ -332,7 +332,13 @@ def _entries(path: Path) -> Iterator[tuple[int, str]]:
 
 
 def load_wordlist(path: str | Path) -> frozenset[str]:
-    return frozenset(unicodedata.normalize("NFC", line.lower()) for _, line in _entries(Path(path)))
+    path = Path(path)
+    words = []
+    for number, line in _entries(path):
+        if len(line.split()) != 1:  # a token never holds whitespace, so no token matches it
+            raise ValueError(f"{path}:{number}: expected one word, got '{line}'")
+        words.append(unicodedata.normalize("NFC", line.lower()))
+    return frozenset(words)
 
 
 def _read_pairs(path: Path, convert) -> list[tuple]:

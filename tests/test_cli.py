@@ -370,6 +370,8 @@ LEXICON_DIR = str(Path(cli.__file__).parent / "data" / "pt")  # an existing lexi
     ("pos_lexicon.tsv", "gato\tnounx\n", "'nounx' is not a valid PosTag"),
     ("concreteness.tsv", "# scores\n\nestudo\tabc\n", "could not convert string to float: 'abc'"),
     ("suffix_rules.tsv", "mente\tadverb\tx\n", "expected 'entry<TAB>value'"),
+    ("prepositions.txt", "sobre\tpreposition\n", "expected one word, got 'sobre\tpreposition'"),
+    ("function_words.txt", "de fato\n", "expected one word, got 'de fato'"),
 ])
 def test_bad_lexicon_line_exits_2_naming_the_file_and_line(
     canonical, tmp_path, capsys, name, text, reason

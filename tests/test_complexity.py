@@ -451,14 +451,48 @@ def test_one_pass_vector_equals_per_metric_oracle(sample):
     lexicons = LEXICONS[language]
     if not text.strip():
         return
-    vector = extract_complexity_vector(text, language, lexicons)
-    expected = reference_vector(text, lexicons)
+    assert_fields_equal(extract_complexity_vector(text, language, lexicons),
+                        reference_vector(text, lexicons))
+
+
+def assert_fields_equal(vector, expected):
     for name in COMPLEXITY_SCHEMA:
         got, want = getattr(vector, name), getattr(expected, name)
         if want is None:
             assert got is None, name
         else:
             assert type(got) is type(want) and got == want, (name, got, want)
+
+
+# The walk keeps its own sentence index, first-word flag, noun run and
+# entity span; the oracle reads them from analyze's tokens.
+BOUNDARY_DOCUMENTS = [
+    # a title ending in a noun, and an abstract opening with a capitalized noun
+    ("Estudo de ratos", "Ratos da USP dormem na casa."),
+    # a sentence of punctuation only between two sentences of nouns
+    "Estudamos ratos! ; . Ratos dormem.",
+    # entity spans at a sentence end and at a part end, each followed by another
+    ("Projeto da UNICAMP", "FAPESP financia o estudo da USP. Instituto Butantan colabora."),
+    "Avaliamos a USP. FAPESP avalia o NIH",
+]
+
+
+@pytest.mark.parametrize("text", BOUNDARY_DOCUMENTS, ids=[
+    "title-abstract", "punctuation-sentence", "entity-at-part-end", "entity-at-sentence-end"])
+def test_walk_equals_per_metric_oracle_across_sentence_and_part_ends(pt, text):
+    assert_fields_equal(extract_complexity_vector(text, "pt", pt), reference_vector(text, pt))
+
+
+def test_numbers_and_punctuation_leave_every_optional_metric_missing(pt):
+    text = ("2020", "3.5 ; (10) !")
+    vector = extract_complexity_vector(text, "pt", pt)
+    assert_fields_equal(vector, reference_vector(text, pt))
+    assert {name for name in COMPLEXITY_SCHEMA if getattr(vector, name) is None} == OPTIONAL_COLUMNS
+
+
+def test_whitespace_parts_raise_naming_the_record(pt):
+    with pytest.raises(EmptyDocumentError, match="2001/00001-1"):
+        extract_complexity_vector((" ", "\n\t "), "pt", pt, doc_id="2001/00001-1")
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +607,13 @@ def test_vector_is_the_same_with_a_fresh_or_a_warm_memo(sample, others):
     language, text = sample
     if not text.strip():
         return
-    warm = builtin_lexicons(language)
+    # each walk over the tokens reads the memo entries the other one leaves
+    by_analyze, by_extract = builtin_lexicons(language), builtin_lexicons(language)
     for _, other in others:
-        analyze(other, warm)
-        analyze(other.upper(), warm)
+        for variant in (other, other.upper()):
+            analyze(variant, by_analyze)
+            extract_complexity_vector(variant, language, by_extract)
     fresh = extract_complexity_vector(text, language, builtin_lexicons(language))
-    assert extract_complexity_vector(text, language, warm) == fresh
+    assert extract_complexity_vector(text, language, by_analyze) == fresh
+    assert extract_complexity_vector(text, language, by_extract) == fresh
+    assert analyze(text, by_extract) == analyze(text, builtin_lexicons(language))

@@ -538,18 +538,90 @@ def test_nonfinite_weights_after_the_last_epoch_raise(shape):
             train_mlp([FeatureMatrix(X, [0, 1, 0, 1])], hyper, [0])
 
 
-def test_cross_validate_fits_each_resample_in_one_mlp_call():
-    # perfbench traces the MLP fit as ml.train_mlp: one call per resample,
-    # which runs one lockstep loop per training shape
+def test_cross_validate_fits_each_cell_in_one_mlp_call():
+    # perfbench traces the MLP fit as ml.train_mlp: one call per cell, over
+    # every (resample, fold) training set, which runs one lockstep loop per
+    # training shape
     corpus = planted_topic_corpus(n=40, seed=1)
     with mock.patch.object(ml, "train_mlp", wraps=ml.train_mlp) as fit, \
             mock.patch.object(ml, "_mlp_lockstep", wraps=ml._mlp_lockstep) as lockstep:
         cross_validate(corpus, TfidfFeatures(top_x=20), "mlp", k=3, n_resamples=2, base_seed=5)
-    assert fit.call_count == 2
-    assert [len(call.args[0]) for call in fit.call_args_list] == [3, 3]
-    shapes = [{train.X.shape for train in call.args[0]} for call in fit.call_args_list]
-    assert max(len(group) for group in shapes) > 1  # unequal folds share a call
-    assert lockstep.call_count == sum(len(group) for group in shapes)
+    ((trains, _, _), _), = fit.call_args_list
+    assert len(trains) == 2 * 3
+    shapes = {train.X.shape for train in trains}
+    assert len(shapes) > 1  # unequal folds share the call
+    assert lockstep.call_count == len(shapes)
+
+
+def _mlp_cell_fits(n_resamples):
+    """The (training sets, seeds, models) of the MLP's one call in a cell of
+    ``n_resamples`` x 3 folds whose folds differ in size."""
+    calls = []
+
+    def fit(trains, hyper, seeds):
+        calls.append((trains, seeds, train_mlp(trains, hyper, seeds)))
+        return calls[-1][2]
+
+    with mock.patch.object(ml, "train_mlp", side_effect=fit):
+        cross_validate(planted_topic_corpus(n=40, seed=1), TfidfFeatures(top_x=20), "mlp",
+                       k=3, n_resamples=n_resamples, base_seed=5)
+    (call,) = calls
+    return call
+
+
+def test_each_mlp_model_of_a_cell_is_its_one_set_fit():
+    trains, seeds, models = _mlp_cell_fits(n_resamples=2)
+    assert seeds == [derive_seed(5, ml._SALT_TRAIN, r, fold) for r in range(2) for fold in range(3)]
+    first_trains, first_seeds, _ = _mlp_cell_fits(n_resamples=1)
+    assert seeds[:3] == first_seeds  # resample-major: resample 0's folds come first
+    for train, first in zip(trains, first_trains):
+        assert np.array_equal(train.X, first.X) and np.array_equal(train.y, first.y)
+    hyper = ml.DEFAULT_HYPER["mlp"]
+    for train, seed, model in zip(trains, seeds, models):
+        alone = train_mlp([train], hyper, [seed])[0]
+        for got, want in zip(model.weights + model.biases, alone.weights + alone.biases):
+            assert np.array_equal(got, want)
+
+
+def _diverging_cell(scales):
+    """The error of a DIVERGING MLP cell of 2 resamples x 2 folds whose
+    training rows at (resample, fold) path p are scaled by ``scales[p]``, and
+    each path's one-set fit error (None where it trains)."""
+    fold_matrices = TfidfFeatures.fold_matrices
+    factors = iter(scales)
+
+    def scaled(self, prepared, train_rows, test_rows):
+        X_train, X_test = fold_matrices(self, prepared, train_rows, test_rows)
+        return next(factors) * X_train, X_test
+
+    with mock.patch.object(TfidfFeatures, "fold_matrices", scaled), \
+            mock.patch.dict(ml.DEFAULT_HYPER, mlp=DIVERGING), \
+            mock.patch.object(ml, "train_mlp", wraps=ml.train_mlp) as fit, \
+            pytest.raises(TrainingDivergedError) as excinfo:
+        cross_validate(planted_topic_corpus(n=24, seed=1), TfidfFeatures(top_x=20), "mlp",
+                       k=2, n_resamples=2, base_seed=5)
+    ((trains, _, seeds), _), = fit.call_args_list
+    alone = []
+    for train, seed in zip(trains, seeds):
+        try:
+            train_mlp([train], DIVERGING, [seed])
+            alone.append(None)
+        except TrainingDivergedError as error:
+            alone.append(str(error))
+    return str(excinfo.value), alone
+
+
+def test_mlp_cell_reports_the_first_divergence_in_resample_fold_order():
+    # paths (0, 0), (0, 1), (1, 0), (1, 1); at these scales (1, 0) alone
+    # diverges, at epoch 1 ...
+    message, alone = _diverging_cell([1, 2, 20, 1])
+    assert alone[0] is alone[1] is alone[3] is None and "at epoch 1 " in alone[2]
+    assert message == alone[2]
+    # ... and with (0, 1) diverging too, at the later epoch 2, the cell
+    # reports resample 0's error, as training resample by resample would
+    message, alone = _diverging_cell([1, 0.1, 20, 1])
+    assert "at epoch 2 " in alone[1] and "at epoch 1 " in alone[2]
+    assert message == alone[1]
 
 
 # ---------------------------------------------------------------------------
