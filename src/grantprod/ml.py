@@ -285,7 +285,9 @@ def _best_split(X, y, features, min_leaf):
         np.concatenate(([pos_total], pos_left, pos_total - pos_left)),
         np.concatenate(([n], n_left, n_right)),
     )
-    gains = h[0] - (n_left / n) * h[1:m + 1] - (n_right / n) * h[m + 1:]
+    # each child's loss against the node: a child that keeps the node's
+    # fraction adds exactly 0, whatever its rounded weight
+    gains = (n_left / n) * (h[0] - h[1:m + 1]) + (n_right / n) * (h[0] - h[m + 1:])
     i = int(np.argmax(gains))  # first max -> first feature, then smallest threshold
     low, high = xs[boundary[i], column[i]], xs[boundary[i] + 1, column[i]]
     threshold = (low + high) / 2.0

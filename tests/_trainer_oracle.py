@@ -362,9 +362,8 @@ def best_split(X, y, features, min_leaf):
             n_left, pos_left = b + 1, int(pos_prefix[b])
             n_right, pos_right = n - n_left, pos_total - pos_left
             gains.append(
-                h_parent
-                - (n_left / n) * entropy_bits(pos_left, n_left)
-                - (n_right / n) * entropy_bits(pos_right, n_right)
+                (n_left / n) * (h_parent - entropy_bits(pos_left, n_left))
+                + (n_right / n) * (h_parent - entropy_bits(pos_right, n_right))
             )
         i = int(np.argmax(gains))  # first max -> smallest threshold
         if best is None or gains[i] > best[0]:

@@ -120,10 +120,9 @@ def test_zero_gain_split_is_admitted_at_min_gain_zero():
     assert list(tree.n_positive) == [18, 9, 9]
 
 
-@pytest.mark.xfail(strict=True, reason="h0 - wl*h0 - wr*h0 rounds below 0 for unequal children")
 def test_zero_gain_split_of_unequal_children_is_admitted_at_min_gain_zero():
     # children of 4 and 18 rows both at the node's fraction 1/2: the weights
-    # 4/22 and 18/22 round, and the gain lands an ulp below 0 (ROADMAP item 5)
+    # 4/22 and 18/22 round, and h0 - wl*h0 - wr*h0 would land an ulp below 0
     X = np.repeat([0.0, 1.0], [4, 18])[:, None]
     y = np.concatenate([np.arange(4) < 2, np.arange(18) < 9]).astype(int)
     tree = train_decision_tree(FeatureMatrix(X, y)).trees[0]

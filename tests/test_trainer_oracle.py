@@ -554,8 +554,8 @@ def test_zero_gain_split_scores_exactly_zero():
     # Scalar math.log2 and numpy's array log2 round some fractions a/b apart.
     # Scoring the node with one and its children with the other put a split
     # whose two children copy the node's fraction an ulp or so from zero, and
-    # min_gain 0.0 kept or rejected it by that ulp.  One kernel scores two
-    # equal halves 0.0 (unequal ones: test_ml, xfail).
+    # min_gain 0.0 kept or rejected it by that ulp.  One kernel and a gain
+    # summed from each child's loss score the two halves exactly 0.0.
     pos, total = np.array([(a, b) for b in range(2, 400) for a in range(1, b)]).T
     array_entropy = ml._entropy_bits_vec(pos, total)
     apart = {
