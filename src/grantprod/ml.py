@@ -204,8 +204,7 @@ class KnnHyper:
 
 @dataclass(frozen=True)
 class SvmHyper:
-    C: float = 1.0
-    epochs: int = 200
+    C: float = 1.0  # weight of the summed squared hinge against 1/2 |w|^2
 
 
 @dataclass(frozen=True)
@@ -586,17 +585,8 @@ def select_knn_k(
 
 
 # ---------------------------------------------------------------------------
-# Linear SVM (Pegasos: stochastic subgradient descent on hinge loss + L2)
+# Linear SVM (L2-loss, solved by finite Newton over the active set)
 # ---------------------------------------------------------------------------
-
-def _gram_form(X: np.ndarray) -> bool:
-    """Train through G = X X^T when the training set has fewer rows than columns.
-
-    The SVM weights and the MLP's first-layer updates lie in the span of the
-    rows (X^T a), so a step reads the n x n Gram matrix, not d-wide rows.
-    """
-    return X.shape[0] < X.shape[1]
-
 
 @dataclass
 class LinearSvmModel:
@@ -610,112 +600,110 @@ class LinearSvmModel:
         return (self.decision_function(X) > 0).astype(int)
 
 
-def train_linear_svm(
-    train: FeatureMatrix,
-    hyper: SvmHyper | None = None,
-    seed: int = 0,
-) -> LinearSvmModel:
-    """Pegasos-style stochastic subgradient descent, lambda = 1 / (C n).
+# Newton steps before a fit is declared diverged; the active set settles in a few.
+_NEWTON_MAX_STEPS = 50
 
-    The bias term is updated without regularization; the weight vector is
-    projected onto the ball of radius 1/sqrt(lambda) for stability.  With at
-    least as many rows as columns the loop holds w itself and computes the
-    textbook steps bit for bit.  With fewer rows than columns it holds
-    w = s X^T alpha and takes the same steps in O(n) each (kernelized
-    Pegasos); the weights then agree with the textbook loop to rounding.
+
+def train_linear_svm(train: FeatureMatrix, hyper: SvmHyper | None = None) -> LinearSvmModel:
+    """Minimize 1/2 |w~|^2 + C sum_i max(0, 1 - y_i w~.x~_i)^2 with x~ = [x, 1].
+
+    The L2-loss SVM of LIBLINEAR with its bias as a regularized extra column
+    (Fan et al., JMLR 2008), solved by finite Newton (Keerthi and DeCoste,
+    JMLR 2005): each step solves the rows inside the margin exactly, and an
+    exact line search on the objective, a piecewise quadratic along the
+    step, takes the step as far as it pays.  The fit stops when the step's
+    directional derivative is non-negative to rounding (the objective
+    cannot fall by more than its last bit), and draws no random numbers.
     """
     hyper = hyper or SvmHyper()
     _require_nonempty(train.y)
     _check_finite(train.X)
-    X, y = train.X, train.y
-    n = X.shape[0]
-    signs = (2.0 * y - 1.0).tolist()
-    lam = 1.0 / (hyper.C * n)
-    radius = 1.0 / math.sqrt(lam)
-    rng = np.random.default_rng(derive_seed(seed))
-    pegasos = _pegasos_gram if _gram_form(X) else _pegasos_primal
-    w, b = pegasos(X, signs, lam, radius, hyper.epochs, rng)
-    return LinearSvmModel(weights=w, bias=b)
+    X = np.hstack([train.X, np.ones((train.X.shape[0], 1))])
+    y = 2.0 * train.y - 1.0
+    C = hyper.C
+
+    gram = None  # X X^T, formed at the first push-through step
+    w = np.zeros(X.shape[1])
+    margins = np.zeros(X.shape[0])
+    for _ in range(_NEWTON_MAX_STEPS):
+        slack = 1.0 - y * margins
+        active = slack > 0.0
+        gradient = w - 2.0 * C * (X.T @ np.where(active, y * slack, 0.0))
+        push_through = np.count_nonzero(active) < X.shape[1]
+        if push_through and gram is None:
+            gram = X @ X.T
+        step = _newton_step(X, active, C, gradient, gram if push_through else None)
+        slope = float(gradient @ step)
+        value = 0.5 * float(w @ w) + C * float(slack[active] @ slack[active])
+        if slope >= -np.finfo(float).eps * value:
+            return LinearSvmModel(weights=w[:-1], bias=float(w[-1]))
+        t = _exact_line_search(slope, float(step @ step), slack, y * (X @ step), C)
+        w = w + t * step
+        margins = X @ w
+    raise TrainingDivergedError(
+        f"no optimum within {_NEWTON_MAX_STEPS} Newton steps: objective {value!r} (C={C})"
+    )
 
 
-def _pegasos_primal(X, signs, lam, radius, epochs, rng) -> tuple[np.ndarray, float]:
-    # A step costs mostly call overhead, so rows are read once.  Each float
-    # operation is the textbook step's, on the same operands in the same
-    # order; np.linalg.norm of a vector is sqrt(w.dot(w)).
-    n, d = X.shape
-    rows = list(X)
-    w = np.zeros(d)
-    step = np.empty(d)
-    b = 0.0
-    t = 0
-    for _ in range(epochs):
-        for i in rng.permutation(n).tolist():
-            t += 1
-            eta = 1.0 / (lam * t)
-            x, sign = rows[i], signs[i]
-            margin = sign * (x.dot(w) + b)
-            w *= 1.0 - eta * lam
-            if margin < 1.0:
-                coef = eta * sign
-                np.multiply(x, coef, out=step)
-                w += step
-                b += coef
-            norm = math.sqrt(w.dot(w))
-            if norm > radius:
-                w *= radius / norm
-    return w, b
+def _newton_step(X, active, C, gradient, gram) -> np.ndarray:
+    """-H^-1 gradient for the generalized Hessian H = I + 2C A^T A of the active rows A.
+
+    A is X[active].  Without ``gram`` it solves the (d+1)^2 system
+    (I/2C + A^T A) s = -gradient/2C.  Given ``gram`` = X X^T it takes the
+    push-through form s = A^T (I/2C + A A^T)^-1 A gradient - gradient, a
+    system in the active rows.  From a point, the step lands on the exact
+    solution of its active rows, and the next step refines the gradient
+    that rounding leaves.
+    """
+    if gram is None:
+        A = X[active]
+        system = A.T @ A
+        system.flat[::len(system) + 1] += 0.5 / C
+        return np.linalg.solve(system, gradient) / (-2.0 * C)
+    system = gram[np.ix_(active, active)]
+    system.flat[::len(system) + 1] += 0.5 / C
+    coefficients = np.zeros(X.shape[0])
+    coefficients[active] = np.linalg.solve(system, (X @ gradient)[active])
+    return X.T @ coefficients - gradient
 
 
-# Below this the scale of a Gram-form Pegasos vector is folded into its
-# coefficients, so that repeated projections cannot underflow it to zero.
-_MIN_SCALE = 1e-100
+def _exact_line_search(slope, curvature, slack, rate, C) -> float:
+    """The t > 0 that minimizes the objective along a step.
 
-
-def _pegasos_gram(X, signs, lam, radius, epochs, rng) -> tuple[np.ndarray, float]:
-    # The same rng calls and the same shrink, hinge-step and projection
-    # sequence as _pegasos_primal, with w = s * X^T alpha: x_i . w is
-    # s * G[i] . alpha, and ||w||^2 is carried as a scalar through each step.
-    n = X.shape[0]
-    gram = X @ X.T
-    rows = list(gram)
-    diagonal = gram.diagonal().tolist()
-    alpha = np.zeros(n)
-    scale = 1.0
-    sq_norm = 0.0
-    radius_sq = radius * radius
-    b = 0.0
-    t = 0
-    for _ in range(epochs):
-        for i in rng.permutation(n).tolist():
-            t += 1
-            eta = 1.0 / (lam * t)
-            sign = signs[i]
-            xw = scale * float(rows[i].dot(alpha))
-            margin = sign * (xw + b)
-            # At t = 1 the shrink is 0 up to rounding and w is still zero,
-            # so the scale stays 1 rather than collapse to (nearly) 0.
-            if t > 1:
-                shrink = 1.0 - eta * lam
-                scale *= shrink
-                xw *= shrink
-                sq_norm *= shrink * shrink
-            if margin < 1.0:
-                coef = eta * sign
-                alpha[i] += coef / scale
-                sq_norm += coef * (2.0 * xw + coef * diagonal[i])
-                b += coef
-            if sq_norm > radius_sq:
-                scale *= radius / math.sqrt(sq_norm)
-                sq_norm = radius_sq
-                if scale < _MIN_SCALE:
-                    alpha *= scale
-                    scale = 1.0
-    return scale * (X.T @ alpha), b
+    Row i's slack along the step is slack[i] - t * rate[i], so the
+    derivative in t is slope + t * curvature plus 2C * rate[i] * (t * rate[i]
+    - slack[i]) for each row whose slack at t is positive (the rows with
+    positive slack at 0 are already in ``slope``): piecewise linear and
+    increasing, with a knee where a row's slack crosses 0.  Walking the
+    knees in order finds the segment where it crosses 0.
+    """
+    inside = (slack > 0.0) | ((slack == 0.0) & (rate < 0.0))  # in the loss just after 0
+    knees = np.flatnonzero(np.where(inside, rate > 0.0, rate < 0.0))
+    at_knee = slack[knees] / rate[knees]
+    order = np.argsort(at_knee, kind="stable")
+    knees, at_knee = knees[order], at_knee[order]
+    # a row leaving the loss takes its terms out of the derivative, a row entering adds them
+    sign = np.where(inside[knees], -2.0 * C, 2.0 * C)
+    offset = slope + np.cumsum(np.concatenate(([0.0], -sign * rate[knees] * slack[knees])))
+    gain = curvature + 2.0 * C * float(rate[inside] @ rate[inside])
+    gain = gain + np.cumsum(np.concatenate(([0.0], sign * rate[knees] ** 2)))
+    crossed = np.flatnonzero(offset[:-1] + gain[:-1] * at_knee >= 0.0)
+    k = crossed[0] if crossed.size else knees.size
+    return -offset[k] / gain[k]
 
 
 # ---------------------------------------------------------------------------
 # Multi-layer perceptron
 # ---------------------------------------------------------------------------
+
+def _gram_form(X: np.ndarray) -> bool:
+    """Train the MLP through G = X X^T when the training set has fewer rows than columns.
+
+    The MLP's first-layer updates lie in the span of the rows (X^T a), so an
+    epoch reads the n x n Gram matrix, not d-wide rows.
+    """
+    return X.shape[0] < X.shape[1]
+
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # e^-|z| never overflows; each branch is the stable form for its sign
@@ -1153,7 +1141,7 @@ def _train_for_cell(algorithm, train: FeatureMatrix, hyper, seed, feature_config
         metric = feature_config.metric
         return train_knn(train, select_knn_k(train.X, train.y, hyper, knn_seed, metric), metric)
     if algorithm == "linear_svm":
-        return train_linear_svm(train, hyper, seed)
+        return train_linear_svm(train, hyper)
     raise ValueError(f"unknown algorithm '{algorithm}'")
 
 

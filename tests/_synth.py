@@ -113,6 +113,48 @@ def mixed_area_corpus(n=144, seed=7) -> list[GrantRecord]:
     return records
 
 
+SYLLABLES = ["ba", "ce", "di", "fo", "gu", "la", "me", "ni", "po", "ru", "sa", "te", "vi", "zo"]
+FUNCTION_WORDS = ["o", "a", "de", "do", "da", "em", "para", "com", "que", "e"]
+
+
+def wide_vocabulary_corpus(n=60, seed=17, words_per_doc=150,
+                           signal_pct=5) -> list[tuple[GrantRecord, Label]]:
+    """Balanced corpus of long abstracts over a vocabulary far wider than the corpus.
+
+    Each word is a class topic word with probability ``signal_pct`` %, a
+    function word with probability 40% minus that, and otherwise one of 784
+    invented three-syllable words, the lower-ranked ones more often (the
+    smaller of two uniform ranks).  A tf-idf training fold then has several
+    hundred columns for a few dozen rows, and each entry is small.
+    """
+    rng = SplitMix64(seed)
+    vocabulary = [a + b + c for a in SYLLABLES for b in SYLLABLES for c in SYLLABLES[:4]]
+    labeled = []
+    for i in range(n):
+        positive = i % 2 == 0
+        topic = POSITIVE_TOPIC if positive else NEGATIVE_TOPIC
+        words = []
+        for _ in range(words_per_doc):
+            draw = rng.randbelow(100)
+            if draw < signal_pct:
+                words.append(topic[rng.randbelow(len(topic))])
+            elif draw < 40:
+                words.append(FUNCTION_WORDS[rng.randbelow(len(FUNCTION_WORDS))])
+            else:
+                rank = min(rng.randbelow(len(vocabulary)), rng.randbelow(len(vocabulary)))
+                words.append(vocabulary[rank])
+        record = GrantRecord(
+            grant_id=f"2015/{70000 + i:05d}-{i % 10}",
+            title_pt="Projeto",
+            abstract_pt=" ".join(words) + ".",
+            area=Area.MED,
+            year=2015,
+            publication_count=1 if positive else 0,
+        )
+        labeled.append((record, Label.PRODUCTIVE if positive else Label.ZERO_PUBLICATIONS))
+    return labeled
+
+
 POSITIVE_TOPIC_EN = ["gene", "therapy", "clinical", "cell", "protein", "molecular", "receptor", "tumor"]
 NEGATIVE_TOPIC_EN = ["enamel", "dentin", "occlusion", "implant", "orthodontics", "periodontal",
                      "canal", "resin"]

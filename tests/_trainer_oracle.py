@@ -1,14 +1,17 @@
 """Reference trainer loops: the textbook code the lean kernels in ``ml`` replace.
 
-``train_linear_svm``, ``_sigmoid``, ``mlp_loss_and_grad`` and ``train_mlp``
-are the array-call versions of the Pegasos step and the MLP epoch, both held
-in the primal (``w`` and ``W1`` stored as they are); ``mlp_predict_proba`` is
-the forward pass with this module's sigmoid.  ``select_knn_k`` scores every
-k with its own ``train_knn(...).predict``.  On a training set with at least as
-many rows as columns the rewritten kernels must give the same floats bit for
-bit; with fewer rows than columns they train in Gram space and must stay
-within a fixed tolerance.  The properties in ``test_trainer_oracle.py`` check
-both.  ``kernel_loss_and_grad`` runs the MLP epoch kernel on one fold.
+``_sigmoid``, ``mlp_loss_and_grad`` and ``train_mlp`` are the array-call
+versions of the MLP epoch, held in the primal (``W1`` stored as it is);
+``mlp_predict_proba`` is the forward pass with this module's sigmoid.
+``select_knn_k`` scores every k with its own ``train_knn(...).predict``.  On a
+training set with at least as many rows as columns the rewritten kernels must
+give the same floats bit for bit; with fewer rows than columns the MLP trains
+in Gram space and must stay within a fixed tolerance.  The properties in
+``test_trainer_oracle.py`` check both.  ``kernel_loss_and_grad`` runs the MLP
+epoch kernel on one fold.  ``svm_objective`` is the L2-loss SVM objective in
+exact rational arithmetic, and ``svm_gradient_and_hessian`` sums its gradient
+and generalized Hessian one row at a time; the SVM properties check that a
+fit is optimal by them, since a Newton solve has no textbook loop to equal.
 ``entropy_bits`` and ``gini`` are the textbook two-class impurities of a
 node's counts, computed here rather than borrowed from the kernels under
 test; ``information_gain`` scores one split from its mask, the quantity the
@@ -28,6 +31,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
@@ -40,7 +44,6 @@ from grantprod.ml import (
     LinearSvmModel,
     MlpHyper,
     MlpModel,
-    SvmHyper,
     Tree,
     TreeHyper,
     TrainingDivergedError,
@@ -56,41 +59,38 @@ from grantprod.ml import (
 from grantprod.seeds import derive_seed
 
 
-def train_linear_svm(
-    train: FeatureMatrix,
-    hyper: SvmHyper | None = None,
-    seed: int = 0,
-) -> LinearSvmModel:
-    """Pegasos-style stochastic subgradient descent, lambda = 1 / (C n).
+def svm_objective(train: FeatureMatrix, C: float, model: LinearSvmModel) -> Fraction:
+    """1/2 |w~|^2 + C sum_i max(0, 1 - y_i w~.x~_i)^2 with x~ = [x, 1], exactly.
 
-    The bias term is updated without regularization; the weight vector is
-    projected onto the ball of radius 1/sqrt(lambda) for stability.
+    Every float is a rational, so the sums and products are exact and two
+    nearby points compare by their objectives, not by rounding.
     """
-    hyper = hyper or SvmHyper()
-    _require_nonempty(train.y)
-    _check_finite(train.X)
-    X, y = train.X, train.y
-    n, d = X.shape
-    targets = 2.0 * y - 1.0
-    lam = 1.0 / (hyper.C * n)
-    radius = 1.0 / math.sqrt(lam)
-    w = np.zeros(d)
-    b = 0.0
-    t = 0
-    rng = np.random.default_rng(derive_seed(seed))
-    for _ in range(hyper.epochs):
-        for i in rng.permutation(n):
-            t += 1
-            eta = 1.0 / (lam * t)
-            margin = targets[i] * (X[i] @ w + b)
-            w *= 1.0 - eta * lam
-            if margin < 1.0:
-                w += eta * targets[i] * X[i]
-                b += eta * targets[i]
-            norm = np.linalg.norm(w)
-            if norm > radius:
-                w *= radius / norm
-    return LinearSvmModel(weights=w, bias=b)
+    w = [Fraction(v) for v in model.weights.tolist()]
+    bias = Fraction(model.bias)
+    total = (sum(v * v for v in w) + bias * bias) / 2
+    for x, label in zip(train.X.tolist(), train.y.tolist()):
+        margin = sum(Fraction(a) * v for a, v in zip(x, w)) + bias
+        slack = 1 - margin if label == 1 else 1 + margin
+        if slack > 0:
+            total += Fraction(C) * slack * slack
+    return total
+
+
+def svm_gradient_and_hessian(
+    train: FeatureMatrix, C: float, model: LinearSvmModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """The objective's gradient and generalized Hessian at the model, summed row by row."""
+    w = np.append(model.weights, model.bias)
+    gradient = w.copy()
+    hessian = np.eye(w.size)
+    for x, label in zip(train.X, train.y):
+        x = np.append(x, 1.0)
+        sign = 1.0 if label == 1 else -1.0
+        slack = 1.0 - sign * (x @ w)
+        if slack > 0.0:
+            gradient -= 2.0 * C * slack * sign * x
+            hessian += 2.0 * C * np.outer(x, x)
+    return gradient, hessian
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

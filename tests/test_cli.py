@@ -497,6 +497,24 @@ def test_evaluate_failure_manifest(canonical, tmp_path, monkeypatch, jobs):
     assert (out / "failure_manifest.json").read_text() == expected + "\n"
 
 
+def test_svm_iteration_cap_fails_its_cells_into_the_manifest(canonical, tmp_path, monkeypatch):
+    # a fit that reaches the Newton step cap raises TrainingDivergedError,
+    # which fails its cell like any other error
+    monkeypatch.setattr(ml, "_NEWTON_MAX_STEPS", 1)
+    out = tmp_path / "capped"
+    code = main([
+        "evaluate", "--input", str(canonical), "--features", "tfidf",
+        "--algo", "bayes,svm", "--folds", "2", "--resamples", "1",
+        "--seed", "1", "--jobs", "1", "--out", str(out),
+    ])
+    assert code == 3
+    failures = json.loads((out / "failure_manifest.json").read_text())["failures"]
+    assert [(f["dataset"], f["method"]) for f in failures] == [
+        (area.value, "linear_svm") for area in AREAS
+    ]
+    assert all("within 1 Newton steps: objective " in f["error"] for f in failures)
+
+
 def test_killed_worker_fails_its_cells_and_leaves_no_process(canonical, tmp_path, monkeypatch):
     def exit_worker(*args, **kwargs):
         os._exit(1)

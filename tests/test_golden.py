@@ -62,8 +62,9 @@ RUNS = {
         "--folds", "3", "--resamples", "2", "--seed", "42", "--out", "tfidf_lowsignal",
     ],
     # English text with the title, on 48 records per area: every 3-fold SVM
-    # and MLP fit has more rows than columns (32 x 18) and takes the primal
-    # form.  The cells run in worker processes; the files were written by a
+    # and MLP fit has more rows than columns (32 x 18), so the MLP takes the
+    # primal form and the SVM's first Newton step the (d+1)^2 system.  The
+    # cells run in worker processes; the files were written by a
     # --jobs 1 run, and the replay of the echo runs with --jobs 1.
     "complexity_en": [
         "evaluate", "--input", "corpus_en.csv", "--format", "csv",

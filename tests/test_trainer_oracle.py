@@ -2,11 +2,16 @@
 
 With at least as many rows as columns every comparison is exact
 (``np.array_equal`` and ``==``): the kernels do the same IEEE operations on
-the same operands in the same order.  With fewer rows than columns the SVM and
-the MLP train in Gram space, which reorders the sums, so those properties
-allow a relative weight difference of ``GRAM_RTOL`` and require the textbook
+the same operands in the same order.  With fewer rows than columns the MLP
+trains in Gram space, which reorders the sums, so those properties allow a
+relative weight difference of ``GRAM_RTOL`` and require the textbook
 prediction on every row whose textbook decision value is more than
 ``DECISION_MARGIN`` from its threshold.
+
+The SVM is a Newton solve, not a loop with a textbook twin, so its
+properties check optimality: at the fit the gradient vanishes to rounding
+(measured by the Newton decrement), no nearby point has a lower exact
+objective, and the two forms of a Newton step agree.
 
 Full-batch descent at a large step can amplify rounding tenfold an epoch.  On
 such a run the textbook loop itself moves by more than ``GRAM_RTOL`` when X
@@ -40,6 +45,7 @@ from grantprod.relevance import feature_importance
 
 GRAM_RTOL = 1e-9
 DECISION_MARGIN = 1e-9
+EPS = np.finfo(float).eps
 
 
 RNG_SEEDS = st.integers(0, 2**32 - 1)
@@ -92,23 +98,20 @@ class SvmProblem:
     zero_row: int | None
     labels: str
     C: float
-    epochs: int
-    seed: int
 
-    def build(self) -> tuple[FeatureMatrix, SvmHyper, int, np.ndarray]:
+    def build(self) -> tuple[FeatureMatrix, SvmHyper]:
         rng = np.random.default_rng(self.rng_seed)
         shape = (self.n, self.d)
         X = self.scale * rng.normal(size=shape) * (rng.random(shape) < self.density)
         if self.zero_row is not None:
             X[self.zero_row] = 0.0
-        y = _labels(rng, self.labels, self.n)
-        probes = np.vstack([X, self.scale * rng.normal(size=(4, self.d))])
-        return FeatureMatrix(X, y), SvmHyper(C=self.C, epochs=self.epochs), self.seed, probes
+        return FeatureMatrix(X, _labels(rng, self.labels, self.n)), SvmHyper(C=self.C)
 
 
 @st.composite
-def svm_problems(draw, gram: bool = False) -> SvmProblem:
-    n, d = _shape(draw, gram, max_cols=12)
+def svm_problems(draw) -> SvmProblem:
+    """Either shape: fewer rows than columns or at least as many."""
+    n, d = _shape(draw, draw(st.booleans()), max_cols=12)
     return SvmProblem(
         n=n,
         d=d,
@@ -118,59 +121,68 @@ def svm_problems(draw, gram: bool = False) -> SvmProblem:
         zero_row=_zero_row(draw, n),
         labels=draw(LABEL_KINDS),
         C=draw(st.sampled_from([0.01, 1.0, 100.0])),
-        epochs=draw(st.integers(1, 8)),
-        seed=draw(st.integers(0, 1000)),
     )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(svm_problems())
-def test_svm_equals_textbook_pegasos(problem):
-    train, hyper, seed, _ = problem.build()
-    lean = ml.train_linear_svm(train, hyper, seed)
-    textbook = oracle.train_linear_svm(train, hyper, seed)
-    assert np.array_equal(lean.weights, textbook.weights)
-    assert lean.bias == textbook.bias
+def test_svm_gradient_vanishes_at_the_fit(problem):
+    # The Newton decrement g^T H^-1 g is what the objective's local model can
+    # still lose; at the optimum it is 0, and rounding leaves it below eps f.
+    train, hyper = problem.build()
+    model = ml.train_linear_svm(train, hyper)
+    gradient, hessian = oracle.svm_gradient_and_hessian(train, hyper.C, model)
+    decrement = gradient @ np.linalg.solve(hessian, gradient)
+    assert decrement <= 2 * EPS * float(oracle.svm_objective(train, hyper.C, model))
 
 
-def assert_svm_near_textbook(train, hyper, seed, probes) -> None:
-    gram = ml.train_linear_svm(train, hyper, seed)
-    textbook = oracle.train_linear_svm(train, hyper, seed)
-    assert_close(gram.weights, textbook.weights)
-    assert_close(gram.bias, textbook.bias)
-    assert_same_decisions(gram.decision_function(probes), textbook.decision_function(probes), 0.0)
+@settings(max_examples=150, deadline=None)
+@given(svm_problems(), st.sampled_from([1e-3, 1e-6, 1e-9]))
+def test_no_small_perturbation_lowers_the_svm_objective(problem, size):
+    train, hyper = problem.build()
+    model = ml.train_linear_svm(train, hyper)
+    best = oracle.svm_objective(train, hyper.C, model)
+    w = np.append(model.weights, model.bias)
+    rng = np.random.default_rng(problem.rng_seed + 1)
+    for _ in range(4):
+        delta = rng.normal(size=w.size)
+        moved = w + delta * (size * (np.linalg.norm(w) or 1.0) / np.linalg.norm(delta))
+        nearby = ml.LinearSvmModel(weights=moved[:-1], bias=float(moved[-1]))
+        assert oracle.svm_objective(train, hyper.C, nearby) >= best * (1 - EPS)
 
 
 @settings(max_examples=300, deadline=None)
-@given(svm_problems(gram=True))
-def test_gram_svm_within_tolerance_of_textbook_pegasos(problem):
-    assert_svm_near_textbook(*problem.build())
+@given(svm_problems(), st.data())
+def test_push_through_step_equals_square_step(problem, data):
+    # Both solve H s = -g, so they agree to 1e-9 plus the forward error
+    # eps * cond(H) that a backward-stable solve allows.  The push-through
+    # form subtracts g from A^T (...)^-1 A g, so its rounding scales with |g|.
+    train, hyper = problem.build()
+    X = np.hstack([train.X, np.ones((problem.n, 1))])
+    active = np.array(data.draw(st.lists(st.booleans(), min_size=problem.n, max_size=problem.n)))
+    gradient = np.random.default_rng(problem.rng_seed).normal(size=X.shape[1])
+    square = ml._newton_step(X, active, hyper.C, gradient, None)
+    push_through = ml._newton_step(X, active, hyper.C, gradient, X @ X.T)
+    A = X[active]
+    hessian = np.eye(X.shape[1]) + 2.0 * hyper.C * (A.T @ A)
+    bound = (GRAM_RTOL + EPS * np.linalg.cond(hessian)) * np.linalg.norm(gradient)
+    assert np.linalg.norm(push_through - square) <= bound
 
 
-@pytest.mark.parametrize("C, n", [(1.0, 3), (0.01, 9)])
-def test_gram_svm_first_step_with_zero_or_rounded_shrink(C, n):
-    # At t = 1 the shrink 1 - eta * lam is 0 for (1, 3) and 1.1e-16 for
-    # (0.01, 9); w is still zero there, and neither may become the scale of w.
-    lam = 1.0 / (C * n)
-    assert (1.0 - (1.0 / lam) * lam == 0.0) == (C == 1.0)
-    rng = np.random.default_rng(n)
-    X = rng.normal(size=(n, n + 4))
-    y = np.arange(n) % 2
-    for epochs in (1, 5):
-        assert_svm_near_textbook(FeatureMatrix(X, y), SvmHyper(C=C, epochs=epochs), 7, X)
-
-
-@pytest.mark.parametrize("row_scale", [1e3, 1e6])
-def test_gram_svm_scale_survives_repeated_projections(row_scale):
-    # Large rows make hinge steps overshoot the ball, and each projection
-    # shrinks the scale of w = s X^T alpha; left unfolded, the scale falls
-    # below 1e-300 within 50 epochs, and at 1e6 alpha overflows.
-    X = row_scale * np.random.default_rng(1).normal(size=(4, 10))
-    train, hyper = FeatureMatrix(X, np.array([0, 1, 0, 1])), SvmHyper(C=100.0, epochs=50)
-    with np.errstate(all="raise"):
-        model = ml.train_linear_svm(train, hyper, seed=0)
-    assert np.isfinite(model.weights).all()
-    assert_svm_near_textbook(train, hyper, 0, X)
+@settings(max_examples=100, deadline=None)
+@given(svm_problems())
+def test_svm_iteration_cap_raises_diverged_error(problem):
+    train, hyper = problem.build()
+    with mock.patch.object(ml, "_newton_step", wraps=ml._newton_step) as newton_step:
+        model = ml.train_linear_svm(train, hyper)
+    steps = newton_step.call_count
+    with mock.patch.object(ml, "_NEWTON_MAX_STEPS", steps):
+        again = ml.train_linear_svm(train, hyper)
+    assert np.array_equal(again.weights, model.weights) and again.bias == model.bias
+    if steps > 1:  # one step ends at once when w~ = 0 is the optimum
+        with mock.patch.object(ml, "_NEWTON_MAX_STEPS", steps - 1), \
+                pytest.raises(ml.TrainingDivergedError, match=r"Newton steps: objective \d"):
+            ml.train_linear_svm(train, hyper)
 
 
 HIDDEN_LAYERS = st.lists(st.integers(1, 6), min_size=1, max_size=2).map(tuple)
@@ -361,25 +373,17 @@ def test_form_rule_at_its_boundary(d):
     n = 6
     rng = np.random.default_rng(d)
     train = FeatureMatrix(rng.normal(size=(n, d)), np.arange(n) % 2)
-    svm_hyper, mlp_hyper = SvmHyper(epochs=20), MlpHyper(hidden_layers=(3,), epochs=20)
-    with mock.patch.object(ml, "_pegasos_gram", wraps=ml._pegasos_gram) as pegasos_gram, \
-            mock.patch.object(ml, "_GramFirstLayer", wraps=ml._GramFirstLayer) as mlp_gram:
-        svm = ml.train_linear_svm(train, svm_hyper, seed=3)
+    mlp_hyper = MlpHyper(hidden_layers=(3,), epochs=20)
+    with mock.patch.object(ml, "_GramFirstLayer", wraps=ml._GramFirstLayer) as mlp_gram:
         mlp = ml.train_mlp([train], mlp_hyper, [3])[0]
-    assert pegasos_gram.call_count == mlp_gram.call_count == (n < d)
-    assert svm.weights.shape == (d,)
+    assert mlp_gram.call_count == (n < d)
     assert mlp.weights[0].shape == (d, 3)
-    svm_textbook = oracle.train_linear_svm(train, svm_hyper, seed=3)
     mlp_textbook = oracle.train_mlp(train, mlp_hyper, seed=3)
     if n == d:
-        assert np.array_equal(svm.weights, svm_textbook.weights)
-        assert svm.bias == svm_textbook.bias
         for got, want in zip(mlp.weights + mlp.biases, mlp_textbook.weights + mlp_textbook.biases):
             assert np.array_equal(got, want)
     else:
-        assert_svm_near_textbook(train, svm_hyper, 3, train.X)
         assert_mlp_near_textbook(train, mlp_hyper, 3, train.X)
-    assert np.array_equal(svm.predict(train.X), svm_textbook.predict(train.X))
     assert np.array_equal(mlp.predict(train.X), mlp_textbook.predict(train.X))
 
 
