@@ -1130,18 +1130,24 @@ def _scores(confusions: Sequence[tuple[int, int, int, int]]) -> dict:
     }
 
 
-def _train_for_cell(algorithm, train: FeatureMatrix, hyper, seed, feature_config, knn_seed):
+def _fit_cell(algorithm, trains, hyper, seeds, knn_seeds, feature_config) -> list:
+    """One model per training set of a cell, in (resample, fold) order."""
+    if algorithm == "mlp":
+        return train_mlp(trains, hyper, seeds)
     if algorithm == "dtree":
-        return train_decision_tree(train, hyper)
+        return [train_decision_tree(train, hyper) for train in trains]
     if algorithm == "random_forest":
-        return train_random_forest(train, hyper, seed)
+        return [train_random_forest(train, hyper, seed) for train, seed in zip(trains, seeds)]
     if algorithm == "naive_bayes":
-        return train_naive_bayes(train, feature_config.likelihood)
+        return [train_naive_bayes(train, feature_config.likelihood) for train in trains]
     if algorithm == "knn":
         metric = feature_config.metric
-        return train_knn(train, select_knn_k(train.X, train.y, hyper, knn_seed, metric), metric)
+        return [
+            train_knn(train, select_knn_k(train.X, train.y, hyper, knn_seed, metric), metric)
+            for train, knn_seed in zip(trains, knn_seeds)
+        ]
     if algorithm == "linear_svm":
-        return train_linear_svm(train, hyper)
+        return [train_linear_svm(train, hyper) for train in trains]
     raise ValueError(f"unknown algorithm '{algorithm}'")
 
 
@@ -1157,11 +1163,10 @@ def cross_validate(
     """Balanced-resample x stratified k-fold evaluation of one algorithm.
 
     The cell builds the matrices of all its (resample, fold) paths first,
-    then gets one model per path: the MLP trains all of them in one
-    ``train_mlp`` call, the other learners path by path.  Seeds derive from
-    the path, so a fold's model does not depend on how it is trained, and a
-    failure is the first in (resample, fold) order.  Each fold is kept as
-    its confusion counts, resample-major, fold order within, and every
+    then fits one model per path in one ``_fit_cell`` call.  Seeds derive
+    from the path, so a fold's model does not depend on how it is trained,
+    and a failure is the first in (resample, fold) order.  Each fold is kept
+    as its confusion counts, resample-major, fold order within, and every
     report number comes from them, so the report is bit-reproducible for a
     given base seed.
     """
@@ -1192,16 +1197,8 @@ def cross_validate(
 
     paths = [(r, fold) for r in range(n_resamples) for fold in range(k)]
     seeds = [derive_seed(base_seed, _SALT_TRAIN, r, fold) for r, fold in paths]
-    if algorithm == "mlp":
-        models = train_mlp(trains, hyper, seeds)
-    else:  # trained as the loop below reaches each fold
-        models = (
-            _train_for_cell(
-                algorithm, train, hyper, seed, feature_config,
-                derive_seed(base_seed, _SALT_KNN, r, fold),
-            )
-            for (r, fold), train, seed in zip(paths, trains, seeds)
-        )
+    knn_seeds = [derive_seed(base_seed, _SALT_KNN, r, fold) for r, fold in paths]
+    models = _fit_cell(algorithm, trains, hyper, seeds, knn_seeds, feature_config)
     confusions: list[tuple[int, int, int, int]] = []  # (tp, fp, fn, tn) per fold
     for model, (X_test, y_test) in zip(models, tests):
         confusions.append(_confusion(model.predict(X_test), y_test))

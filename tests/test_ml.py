@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from unittest import mock
 
 import numpy as np
@@ -634,6 +634,90 @@ def test_mlp_cell_reports_the_first_divergence_in_resample_fold_order():
     message, alone = _diverging_cell([1, 0.1, 20, 1])
     assert "at epoch 2 " in alone[1] and "at epoch 1 " in alone[2]
     assert message == alone[1]
+
+
+# The public one-set fit of each learner at one (resample, fold) path, given
+# the path's training seed and kNN selection seed.
+ONE_SET_FITS = {
+    "dtree": lambda train, hyper, seed, knn_seed: train_decision_tree(train, hyper),
+    "random_forest": lambda train, hyper, seed, knn_seed: train_random_forest(train, hyper, seed),
+    "naive_bayes": lambda train, hyper, seed, knn_seed: train_naive_bayes(train, "multinomial"),
+    "knn": lambda train, hyper, seed, knn_seed: train_knn(
+        train, select_knn_k(train.X, train.y, hyper, knn_seed, "euclidean"), "euclidean"),
+    "linear_svm": lambda train, hyper, seed, knn_seed: train_linear_svm(train, hyper),
+    "mlp": lambda train, hyper, seed, knn_seed: train_mlp([train], hyper, [seed])[0],
+}
+
+
+def _model_values(model):
+    """Every array and scalar a model holds, in field order."""
+    if is_dataclass(model):
+        return [v for f in fields(model) for v in _model_values(getattr(model, f.name))]
+    if isinstance(model, list):
+        return [v for item in model for v in _model_values(item)]
+    return [model]
+
+
+def _cell_fit(algorithm, features):
+    """The (training sets, seeds, kNN seeds, models) of a 2-resample x
+    3-fold cell's one ``_fit_cell`` call."""
+    calls, real = [], ml._fit_cell
+
+    def fit(algorithm, trains, hyper, seeds, knn_seeds, feature_config):
+        models = real(algorithm, trains, hyper, seeds, knn_seeds, feature_config)
+        calls.append((trains, seeds, knn_seeds, models))
+        return models
+
+    with mock.patch.object(ml, "_fit_cell", side_effect=fit):
+        cross_validate(planted_topic_corpus(n=40, seed=1), features, algorithm,
+                       k=3, n_resamples=2, base_seed=5)
+    (call,) = calls
+    return call
+
+
+@pytest.mark.parametrize("algorithm", sorted(ONE_SET_FITS))
+def test_each_model_of_a_cell_is_its_one_set_fit(algorithm):
+    # knn, linear_svm and mlp read standardized complexity features; the
+    # others read tf-idf as it is
+    standardized = algorithm in ComplexityFeatures.standardized
+    features = ComplexityFeatures() if standardized else TfidfFeatures(top_x=20)
+    trains, seeds, knn_seeds, models = _cell_fit(algorithm, features)
+    paths = [(r, fold) for r in range(2) for fold in range(3)]
+    assert seeds == [derive_seed(5, ml._SALT_TRAIN, r, fold) for r, fold in paths]
+    assert knn_seeds == [derive_seed(5, ml._SALT_KNN, r, fold) for r, fold in paths]
+    assert len(trains) == len(models) == len(paths)
+    hyper = ml.DEFAULT_HYPER[algorithm]
+    for train, seed, knn_seed, model in zip(trains, seeds, knn_seeds, models):
+        if standardized:
+            assert np.allclose(train.X.mean(axis=0), 0.0)
+        alone = ONE_SET_FITS[algorithm](train, hyper, seed, knn_seed)
+        got, want = _model_values(model), _model_values(alone)
+        assert type(model) is type(alone) and len(got) == len(want)
+        for a, b in zip(got, want):  # NaN thresholds mark tree leaves
+            np.testing.assert_array_equal(a, b, strict=True)
+
+
+def test_per_set_learner_cell_reports_the_first_failure_in_resample_fold_order():
+    # paths (0, 2) and (1, 0) fail; whatever order the sets are fitted in,
+    # the cell reports (0, 2)
+    cell, real = [], ml._fit_cell
+
+    def fit_cell(algorithm, trains, *args):
+        cell.extend(trains)
+        return real(algorithm, trains, *args)
+
+    def train_linear_svm(train, hyper):
+        r, fold = divmod(next(i for i, t in enumerate(cell) if t is train), 3)
+        if (r, fold) in ((0, 2), (1, 0)):
+            raise TrainingDivergedError(f"path ({r}, {fold})")
+        return ml.LinearSvmModel(np.zeros(train.X.shape[1]), 0.0)
+
+    with mock.patch.object(ml, "_fit_cell", side_effect=fit_cell), \
+            mock.patch.object(ml, "train_linear_svm", side_effect=train_linear_svm), \
+            pytest.raises(TrainingDivergedError, match=r"^path \(0, 2\)$"):
+        cross_validate(planted_topic_corpus(n=40, seed=1), TfidfFeatures(top_x=20), "linear_svm",
+                       k=3, n_resamples=2, base_seed=5)
+    assert len(cell) == 6
 
 
 # ---------------------------------------------------------------------------
