@@ -43,7 +43,7 @@ from .topical import (
     document_text,
     field_text,
     field_tokens,
-    fit_vocabulary,
+    fit_vocabulary_from_tokens,
     save_vocabulary,
     select_columns,
     vectorize,
@@ -1056,11 +1056,14 @@ class TfidfFeatures:
 
     def export(self, records, lexicons: LexiconSet, out_dir: Path, comment: str) -> None:
         # the exported matrix uses a whole-corpus vocabulary fit; per-fold
-        # vocabularies exist only inside cross-validation.  fit_vocabulary and
-        # vectorize run the fold kernel on their own token lists, so the
-        # records are tokenized twice here: perfbench/tests pin that count
-        # (six tokenizations per eval-tfidf record).
-        vocabulary = fit_vocabulary(records, self.selector, self.top_x, self.language)
+        # vocabularies exist only inside cross-validation.  The vocabulary
+        # fit and vectorize run the fold kernel on their own token lists, so
+        # the records are tokenized twice here: perfbench/tests pin that
+        # count (six tokenizations per eval-tfidf record).
+        vocabulary = fit_vocabulary_from_tokens(
+            [field_tokens(record, self.selector, self.language) for record in records],
+            self.top_x,
+        )
         save_vocabulary(vocabulary, out_dir / "vocabulary.tsv")
         words = sorted(vocabulary.entries, key=vocabulary.entries.get)
         matrix = vectorize(

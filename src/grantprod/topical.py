@@ -140,17 +140,6 @@ def fit_vocabulary_from_tokens(token_lists: Sequence[Sequence[str]], top_x: int)
     return counts.vocabulary(select_columns(counts, range(len(token_lists)), top_x))
 
 
-def fit_vocabulary(
-    corpus: Sequence[GrantRecord],
-    selector: FieldSelector,
-    top_x: int,
-    language: str = "pt",
-) -> Vocabulary:
-    return fit_vocabulary_from_tokens(
-        [field_tokens(record, selector, language) for record in corpus], top_x
-    )
-
-
 def tfidf_weight(
     f_wd: int,
     n_d: int,

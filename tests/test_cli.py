@@ -25,7 +25,13 @@ from grantprod.cli import (
 
 from grantprod.complexity import EmptyDocumentError
 from grantprod.corpus import Area, load_corpus
-from grantprod.topical import FieldSelector, VectorMode, field_tokens, fit_vocabulary, vectorize
+from grantprod.topical import (
+    FieldSelector,
+    VectorMode,
+    field_tokens,
+    fit_vocabulary_from_tokens,
+    vectorize,
+)
 
 from _synth import mixed_area_corpus, write_corpus_csv
 
@@ -75,13 +81,15 @@ def test_ingest_reports_bad_row(tmp_path, capsys):
         + "2001/00001-1,T1,Resumo.,MED,2001,0\n"
         + "2001/00002-2,T2,Resumo.,MED,2001,-1\n"
         + "2001/00003-3,T3,Resumo.,VET,2001,1\n"
+        + "2001/00004-4,T4,Resumo.,VET,2001,1,stray,cells\n"
     )
     assert main(["ingest", "--input", str(path), "--format", "csv",
                  "--out", str(tmp_path / "o")]) == EXIT_OK
     out = capsys.readouterr().out
     assert "accepted: 2" in out
-    assert "rejected: 1" in out
+    assert "rejected: 2" in out
     assert "publication_count" in out
+    assert "row 4: <row>: 8 cells for 6 columns" in out
 
 
 def test_ingest_missing_column_exits_nonzero(tmp_path, capsys):
@@ -90,6 +98,15 @@ def test_ingest_missing_column_exits_nonzero(tmp_path, capsys):
     assert main(["ingest", "--input", str(path), "--format", "csv",
                  "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
     assert "abstract_pt" in capsys.readouterr().err
+
+
+def test_ingest_repeated_column_exits_nonzero(tmp_path, capsys):
+    path = tmp_path / "repeated.csv"
+    path.write_text(HEADER[:-1] + ",grant_id\n" + "2001/00001-1,T1,Resumo.,MED,2001,1,2011/00002-2\n")
+    assert main(["ingest", "--input", str(path), "--format", "csv",
+                 "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    assert "repeated column(s): grant_id; file rejected" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_ingest_zero_accepted_rows(tmp_path, capsys):
@@ -112,13 +129,16 @@ def test_jsonl_count_of_another_type_is_listed_by_ingest_and_fails_the_others(tm
         for i, count in enumerate([0, 1.9, True, 2], start=1)
     ]
     path = tmp_path / "c.jsonl"
-    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    lines = [json.dumps(row) for row in rows]
+    lines.append(lines[0].replace("00001-1", "00005-5")[:-1] + ', "publication_count": 3}')
+    path.write_text("".join(line + "\n" for line in lines))
     assert main(["ingest", "--input", str(path), "--format", "jsonl",
                  "--out", str(tmp_path / "o")]) == EXIT_OK
     out = capsys.readouterr().out
-    assert "rejected: 2" in out
+    assert "rejected: 3" in out
     assert "row 2: publication_count: 1.9 is not an integer" in out
     assert "row 3: publication_count: true is not an integer" in out
+    assert "row 5: publication_count: key appears more than once" in out
     for argv in (
         ["stats"],
         ["evaluate", "--features", "complexity", "--algo", "bayes", "--folds", "2",
@@ -218,12 +238,9 @@ def test_evaluate_raw_frequency_exports_counts_on_the_corpus_vocabulary(canonica
     ])
     assert code == EXIT_OK
     records = load_corpus(canonical, "jsonl")
-    vocabulary = fit_vocabulary(records, FieldSelector.ABSTRACT, 30, "pt")
-    expected = vectorize(
-        [field_tokens(record, FieldSelector.ABSTRACT, "pt") for record in records],
-        vocabulary,
-        VectorMode.RAW_FREQUENCY,
-    )
+    token_lists = [field_tokens(record, FieldSelector.ABSTRACT, "pt") for record in records]
+    vocabulary = fit_vocabulary_from_tokens(token_lists, 30)
+    expected = vectorize(token_lists, vocabulary, VectorMode.RAW_FREQUENCY)
     header, *rows = (out / "features_tfidf.csv").read_text().splitlines()[1:]
     assert header.split(",") == ["grant_id"] + sorted(vocabulary.entries, key=vocabulary.entries.get)
     assert [row.split(",")[0] for row in rows] == [record.grant_id for record in records]

@@ -21,7 +21,6 @@ from grantprod.topical import (
     count_documents,
     field_text,
     field_tokens,
-    fit_vocabulary,
     fit_vocabulary_from_tokens,
     save_vocabulary,
     select_columns,
@@ -92,7 +91,8 @@ def test_tie_broken_lexicographically():
 def test_fit_over_records():
     corpus = [record(i, abstract_pt=text) for i, text in
               enumerate(["gato gato rua", "gato casa", "casa rua gato"])]
-    vocab = fit_vocabulary(corpus, FieldSelector.ABSTRACT, top_x=10)
+    token_lists = [field_tokens(r, FieldSelector.ABSTRACT) for r in corpus]
+    vocab = fit_vocabulary_from_tokens(token_lists, top_x=10)
     assert vocab.entries["gato"] == 0  # most frequent gets the first index
     assert vocab.doc_freq == {"gato": 3, "casa": 2, "rua": 2}
     assert vocab.corpus_size == 3
