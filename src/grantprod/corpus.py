@@ -178,7 +178,7 @@ def _record_from_mapping(mapping: dict, row_number: int, fmt: str) -> GrantRecor
 
 
 def _iter_rows(path: Path, fmt: str):
-    """Yield (row_number, mapping) pairs; row numbers are 1-based data rows."""
+    """Yield (row_number, row) pairs, numbered from 1: a CSV row dict or a non-blank JSONL line."""
     if fmt == "csv":
         with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.DictReader(handle)
@@ -186,23 +186,47 @@ def _iter_rows(path: Path, fmt: str):
             missing = [c for c in REQUIRED_FIELDS if c not in header]
             if missing:
                 raise MissingColumnError(missing)
-            for row_number, row in enumerate(reader, start=1):
-                yield row_number, row
+            repeated = sorted({c for c in header if header.count(c) > 1})
+            if repeated:
+                raise CorpusError(f"repeated column(s): {', '.join(repeated)}; file rejected")
+            yield from enumerate(reader, start=1)
     elif fmt == "jsonl":
         with open(path, encoding="utf-8-sig") as handle:
             for row_number, line in enumerate(handle, start=1):
                 line = line.strip()
-                if not line:
-                    continue
-                try:
-                    mapping = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedRowError(row_number, "<line>", f"invalid JSON: {exc}") from None
-                if not isinstance(mapping, dict):
-                    raise MalformedRowError(row_number, "<line>", "line is not a JSON object")
-                yield row_number, mapping
+                if line:
+                    yield row_number, line
     else:
         raise ValueError(f"unknown corpus format '{fmt}' (expected 'csv' or 'jsonl')")
+
+
+def _distinct_keys(pairs: list) -> dict:
+    """The object_pairs_hook of a JSONL row: a key named twice raises KeyError(key)."""
+    mapping = {}
+    for key, value in pairs:
+        if key in mapping:
+            raise KeyError(key)
+        mapping[key] = value
+    return mapping
+
+
+def _row_mapping(row, row_number: int, fmt: str) -> dict:
+    """The field mapping of one row; a cell past the header or a repeated key raises."""
+    if fmt == "csv":
+        if None in row:  # csv.DictReader files the cells past the header under None
+            columns = len(row) - 1
+            reason = f"{columns + len(row[None])} cells for {columns} columns"
+            raise MalformedRowError(row_number, "<row>", reason)
+        return row
+    try:
+        mapping = json.loads(row, object_pairs_hook=_distinct_keys)
+    except json.JSONDecodeError as exc:
+        raise MalformedRowError(row_number, "<line>", f"invalid JSON: {exc}") from None
+    except KeyError as exc:
+        raise MalformedRowError(row_number, exc.args[0], "key appears more than once") from None
+    if not isinstance(mapping, dict):
+        raise MalformedRowError(row_number, "<line>", "line is not a JSON object")
+    return mapping
 
 
 @dataclass
@@ -219,14 +243,15 @@ def _read_records(
     """The record loop of both loaders.
 
     A malformed row raises unless ``rejected`` collects it as (row number,
-    field, reason).  A duplicate grant id always raises: duplicated instances
-    would bias cross-validation.
+    field, reason).  A header that lacks or repeats a column always raises,
+    and so does a duplicate grant id: duplicated instances would bias
+    cross-validation.
     """
     records: list[GrantRecord] = []
     seen: set[str] = set()
-    for row_number, mapping in _iter_rows(Path(path), fmt):
+    for row_number, row in _iter_rows(Path(path), fmt):
         try:
-            record = _record_from_mapping(mapping, row_number, fmt)
+            record = _record_from_mapping(_row_mapping(row, row_number, fmt), row_number, fmt)
         except MalformedRowError as exc:
             if rejected is None:
                 raise
@@ -240,10 +265,7 @@ def _read_records(
 
 
 def scan_corpus_file(path: str | Path, fmt: str) -> ValidationReport:
-    """Lenient ingestion: collect well-formed records, list malformed rows.
-
-    Duplicate grant ids still reject the whole file.
-    """
+    """Lenient ingestion: collect well-formed records, list malformed rows."""
     rejected: list[tuple[int, str, str]] = []
     records = _read_records(path, fmt, rejected)
     return ValidationReport(records=records, rejected=rejected)

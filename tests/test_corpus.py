@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from grantprod.corpus import (
     Area,
+    CorpusError,
     DuplicateGrantIdError,
     EmptyClassError,
     EmptyCorpusError,
@@ -127,6 +128,47 @@ def test_missing_required_column(tmp_path):
     assert "abstract_pt" in excinfo.value.columns
 
 
+@pytest.mark.parametrize("header, row, named", [
+    (HEADER[:-1] + ",grant_id", "2001/00001-1,T,Resumo.,MED,2001,1,2011/00002-2", "grant_id"),
+    ("year,grant_id,title_pt,abstract_pt,year,area,publication_count,title_pt",
+     "2001,2001/00001-1,T,Resumo.,2001,MED,1,T2", "title_pt, year"),
+], ids=["one", "two"])
+def test_repeated_column_rejects_file(tmp_path, header, row, named):
+    # csv.DictReader would keep only the last cell of a repeated column
+    path = tmp_path / "repeated.csv"
+    path.write_text(header + "\n" + row + "\n")
+    for read in (load_corpus, scan_corpus_file):
+        with pytest.raises(CorpusError, match=rf"^repeated column\(s\): {named}; file rejected$"):
+            read(path, "csv")
+
+
+JSONL_ROW = {"grant_id": "2001/00001-1", "title_pt": "T", "abstract_pt": "Resumo.",
+             "area": "MED", "year": 2001, "publication_count": 0}
+
+
+@pytest.mark.parametrize("fmt, line, field, reason", [
+    # csv.DictReader files the cells past the header under None
+    ("csv", "2001/00002-2,T,Resumo.,MED,2001,1,stray,cells", "<row>", "8 cells for 6 columns"),
+    ("csv", '2001/00002-2,T,Resumo.,MED,2001,1,""', "<row>", "7 cells for 6 columns"),
+    # json.loads keeps the last value of a key named twice, here flipping the label
+    ("jsonl", json.dumps({**JSONL_ROW, "grant_id": "2001/00002-2"})[:-1] + ', "publication_count": 3}',
+     "publication_count", "key appears more than once"),
+    ("jsonl", '{"grant_id": "2001/00002-2"', "<line>",
+     "invalid JSON: Expecting ',' delimiter: line 1 column 28 (char 27)"),
+    ("jsonl", '["2001/00002-2"]', "<line>", "line is not a JSON object"),
+], ids=["csv-extra-cells", "csv-empty-extra-cell", "jsonl-repeated-key", "jsonl-invalid", "jsonl-array"])
+def test_row_that_would_lose_a_cell_or_key_is_rejected(tmp_path, fmt, line, field, reason):
+    path = tmp_path / f"c.{fmt}"
+    first = HEADER + "2001/00001-1,T,Resumo.,MED,2001,0" if fmt == "csv" else json.dumps(JSONL_ROW)
+    path.write_text(first + "\n" + line + "\n")
+    with pytest.raises(MalformedRowError) as excinfo:
+        load_corpus(path, fmt)
+    assert (excinfo.value.row_number, excinfo.value.field, excinfo.value.reason) == (2, field, reason)
+    report = scan_corpus_file(path, fmt)  # lenient: listed, and the other rows still load
+    assert [r.grant_id for r in report.records] == ["2001/00001-1"]
+    assert report.rejected == [(2, field, reason)]
+
+
 def test_scan_collects_rejects(tmp_path):
     path = tmp_path / "mixed.csv"
     path.write_text(
@@ -183,10 +225,6 @@ def test_blank_subject_keywords_are_dropped(tmp_path, fmt, subject):
         )
     [record] = load_corpus(path, fmt)
     assert record.subject == (("alpha", "beta") if "alpha" in subject else ())
-
-
-JSONL_ROW = {"grant_id": "2001/00001-1", "title_pt": "T", "abstract_pt": "Resumo.",
-             "area": "MED", "year": 2001, "publication_count": 0}
 
 
 @pytest.mark.parametrize("field, value", [
