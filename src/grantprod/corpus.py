@@ -210,7 +210,7 @@ def _distinct_keys(pairs: list) -> dict:
     return mapping
 
 
-def _row_mapping(row, row_number: int, fmt: str) -> dict:
+def _row_mapping(row: dict | str, row_number: int, fmt: str) -> dict:
     """The field mapping of one row; a cell past the header or a repeated key raises."""
     if fmt == "csv":
         if None in row:  # csv.DictReader files the cells past the header under None

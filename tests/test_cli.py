@@ -102,7 +102,7 @@ def test_ingest_missing_column_exits_nonzero(tmp_path, capsys):
 
 def test_ingest_repeated_column_exits_nonzero(tmp_path, capsys):
     path = tmp_path / "repeated.csv"
-    path.write_text(HEADER[:-1] + ",grant_id\n" + "2001/00001-1,T1,Resumo.,MED,2001,1,2011/00002-2\n")
+    path.write_text(HEADER[:-1] + ",grant_id\n2001/00001-1,T1,Resumo.,MED,2001,1,2011/00002-2\n")
     assert main(["ingest", "--input", str(path), "--format", "csv",
                  "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
     assert "repeated column(s): grant_id; file rejected" in capsys.readouterr().err

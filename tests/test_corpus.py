@@ -151,19 +151,22 @@ JSONL_ROW = {"grant_id": "2001/00001-1", "title_pt": "T", "abstract_pt": "Resumo
     ("csv", "2001/00002-2,T,Resumo.,MED,2001,1,stray,cells", "<row>", "8 cells for 6 columns"),
     ("csv", '2001/00002-2,T,Resumo.,MED,2001,1,""', "<row>", "7 cells for 6 columns"),
     # json.loads keeps the last value of a key named twice, here flipping the label
-    ("jsonl", json.dumps({**JSONL_ROW, "grant_id": "2001/00002-2"})[:-1] + ', "publication_count": 3}',
+    ("jsonl",
+     json.dumps({**JSONL_ROW, "grant_id": "2001/00002-2"})[:-1] + ', "publication_count": 3}',
      "publication_count", "key appears more than once"),
     ("jsonl", '{"grant_id": "2001/00002-2"', "<line>",
      "invalid JSON: Expecting ',' delimiter: line 1 column 28 (char 27)"),
     ("jsonl", '["2001/00002-2"]', "<line>", "line is not a JSON object"),
-], ids=["csv-extra-cells", "csv-empty-extra-cell", "jsonl-repeated-key", "jsonl-invalid", "jsonl-array"])
+], ids=["csv-extra-cells", "csv-empty-extra-cell", "jsonl-repeated-key", "jsonl-invalid",
+        "jsonl-array"])
 def test_row_that_would_lose_a_cell_or_key_is_rejected(tmp_path, fmt, line, field, reason):
     path = tmp_path / f"c.{fmt}"
     first = HEADER + "2001/00001-1,T,Resumo.,MED,2001,0" if fmt == "csv" else json.dumps(JSONL_ROW)
     path.write_text(first + "\n" + line + "\n")
     with pytest.raises(MalformedRowError) as excinfo:
         load_corpus(path, fmt)
-    assert (excinfo.value.row_number, excinfo.value.field, excinfo.value.reason) == (2, field, reason)
+    error = excinfo.value
+    assert (error.row_number, error.field, error.reason) == (2, field, reason)
     report = scan_corpus_file(path, fmt)  # lenient: listed, and the other rows still load
     assert [r.grant_id for r in report.records] == ["2001/00001-1"]
     assert report.rejected == [(2, field, reason)]
