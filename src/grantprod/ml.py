@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import ClassVar, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -1133,24 +1133,25 @@ def _scores(confusions: Sequence[tuple[int, int, int, int]]) -> dict:
     }
 
 
-def _fit_cell(algorithm, trains, hyper, seeds, knn_seeds, feature_config) -> list:
-    """One model per training set of a cell, in (resample, fold) order."""
+def _fit_cell(algorithm, trains, hyper, seeds, knn_seeds, feature_config) -> Iterable:
+    """One model per training set of a cell, in (resample, fold) order: every MLP
+    at once, the other learners' models lazily, so scoring holds one at a time."""
     if algorithm == "mlp":
         return train_mlp(trains, hyper, seeds)
     if algorithm == "dtree":
-        return [train_decision_tree(train, hyper) for train in trains]
+        return (train_decision_tree(train, hyper) for train in trains)
     if algorithm == "random_forest":
-        return [train_random_forest(train, hyper, seed) for train, seed in zip(trains, seeds)]
+        return (train_random_forest(train, hyper, seed) for train, seed in zip(trains, seeds))
     if algorithm == "naive_bayes":
-        return [train_naive_bayes(train, feature_config.likelihood) for train in trains]
+        return (train_naive_bayes(train, feature_config.likelihood) for train in trains)
     if algorithm == "knn":
         metric = feature_config.metric
-        return [
+        return (
             train_knn(train, select_knn_k(train.X, train.y, hyper, knn_seed, metric), metric)
             for train, knn_seed in zip(trains, knn_seeds)
-        ]
+        )
     if algorithm == "linear_svm":
-        return [train_linear_svm(train, hyper) for train in trains]
+        return (train_linear_svm(train, hyper) for train in trains)
     raise ValueError(f"unknown algorithm '{algorithm}'")
 
 
@@ -1166,7 +1167,7 @@ def cross_validate(
     """Balanced-resample x stratified k-fold evaluation of one algorithm.
 
     The cell builds the matrices of all its (resample, fold) paths first,
-    then fits one model per path in one ``_fit_cell`` call.  Seeds derive
+    then fits one model per path through one ``_fit_cell`` call.  Seeds derive
     from the path, so a fold's model does not depend on how it is trained,
     and a failure is the first in (resample, fold) order.  Each fold is kept
     as its confusion counts, resample-major, fold order within, and every

@@ -664,7 +664,7 @@ def _cell_fit(algorithm, features):
     calls, real = [], ml._fit_cell
 
     def fit(algorithm, trains, hyper, seeds, knn_seeds, feature_config):
-        models = real(algorithm, trains, hyper, seeds, knn_seeds, feature_config)
+        models = list(real(algorithm, trains, hyper, seeds, knn_seeds, feature_config))
         calls.append((trains, seeds, knn_seeds, models))
         return models
 
