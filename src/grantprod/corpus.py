@@ -130,6 +130,10 @@ def _integer(mapping: dict, field: str, row_number: int) -> int:
 
 def _record_from_mapping(mapping: dict, row_number: int, fmt: str) -> GrantRecord:
     """One record from a row; every value is a string, except JSON integers for the counts."""
+    if None in mapping:  # csv.DictReader files the cells past the header under None
+        columns = len(mapping) - 1
+        reason = f"{columns + len(mapping[None])} cells for {columns} columns"
+        raise MalformedRowError(row_number, "<row>", reason)
     for field in REQUIRED_FIELDS:
         value = mapping.get(field)
         if value is None or isinstance(value, str) and not value.strip():
@@ -202,24 +206,17 @@ def _iter_rows(path: Path, fmt: str):
 
 def _distinct_keys(pairs: list) -> dict:
     """The object_pairs_hook of a JSONL row: a key named twice raises KeyError(key)."""
-    mapping = {}
-    for key, value in pairs:
-        if key in mapping:
-            raise KeyError(key)
-        mapping[key] = value
+    mapping = dict(pairs)
+    if len(mapping) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise KeyError(next(key for key in keys if keys.count(key) > 1))
     return mapping
 
 
-def _row_mapping(row: dict | str, row_number: int, fmt: str) -> dict:
-    """The field mapping of one row; a cell past the header or a repeated key raises."""
-    if fmt == "csv":
-        if None in row:  # csv.DictReader files the cells past the header under None
-            columns = len(row) - 1
-            reason = f"{columns + len(row[None])} cells for {columns} columns"
-            raise MalformedRowError(row_number, "<row>", reason)
-        return row
+def _json_object(line: str, row_number: int) -> dict:
+    """One JSONL line's object; a key named twice in any object on the line raises."""
     try:
-        mapping = json.loads(row, object_pairs_hook=_distinct_keys)
+        mapping = json.loads(line, object_pairs_hook=_distinct_keys)
     except json.JSONDecodeError as exc:
         raise MalformedRowError(row_number, "<line>", f"invalid JSON: {exc}") from None
     except KeyError as exc:
@@ -251,7 +248,8 @@ def _read_records(
     seen: set[str] = set()
     for row_number, row in _iter_rows(Path(path), fmt):
         try:
-            record = _record_from_mapping(_row_mapping(row, row_number, fmt), row_number, fmt)
+            mapping = _json_object(row, row_number) if fmt == "jsonl" else row
+            record = _record_from_mapping(mapping, row_number, fmt)
         except MalformedRowError as exc:
             if rejected is None:
                 raise

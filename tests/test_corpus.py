@@ -154,11 +154,15 @@ JSONL_ROW = {"grant_id": "2001/00001-1", "title_pt": "T", "abstract_pt": "Resumo
     ("jsonl",
      json.dumps({**JSONL_ROW, "grant_id": "2001/00002-2"})[:-1] + ', "publication_count": 3}',
      "publication_count", "key appears more than once"),
+    # the hook sees every object on the line, so a nested repeat rejects the row too
+    ("jsonl",
+     json.dumps({**JSONL_ROW, "grant_id": "2001/00002-2"})[:-1] + ', "extra": {"k": 1, "k": 2}}',
+     "k", "key appears more than once"),
     ("jsonl", '{"grant_id": "2001/00002-2"', "<line>",
      "invalid JSON: Expecting ',' delimiter: line 1 column 28 (char 27)"),
     ("jsonl", '["2001/00002-2"]', "<line>", "line is not a JSON object"),
-], ids=["csv-extra-cells", "csv-empty-extra-cell", "jsonl-repeated-key", "jsonl-invalid",
-        "jsonl-array"])
+], ids=["csv-extra-cells", "csv-empty-extra-cell", "jsonl-repeated-key",
+        "jsonl-nested-repeated-key", "jsonl-invalid", "jsonl-array"])
 def test_row_that_would_lose_a_cell_or_key_is_rejected(tmp_path, fmt, line, field, reason):
     path = tmp_path / f"c.{fmt}"
     first = HEADER + "2001/00001-1,T,Resumo.,MED,2001,0" if fmt == "csv" else json.dumps(JSONL_ROW)
