@@ -41,7 +41,7 @@ def test_every_import_is_stdlib_the_package_a_test_helper_or_declared():
     helpers = {path.stem for path in (ROOT / "tests").glob("_*.py")}
     allowed = set(sys.stdlib_module_names) | {"grantprod"} | helpers | declared_modules()
     imports = {path: imported_modules(path) for path in SOURCES}
-    assert {"numpy", "pytest", "hypothesis", "mpmath"} <= set().union(*imports.values())
+    assert "numpy" in imports[ROOT / "src" / "grantprod" / "ml.py"]  # the scan finds imports
     undeclared = [
         f"{path.relative_to(ROOT)}: {name}"
         for path, names in imports.items()
