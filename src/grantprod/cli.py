@@ -138,7 +138,7 @@ def read_config_file(path: str | Path) -> dict:
     # subcommands declare a shared flag alike, so the key's action fixes its type
     actions = {key: action for keys in _config_keys().values() for key, action in keys.items()}
     values: dict = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in Path(path).read_text(encoding="utf-8-sig").splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -229,8 +229,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     if args.config:
         try:
             values = read_config_file(args.config)
-        except OSError as exc:
-            raise CliValidationError(f"cannot read config file: {exc}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CliValidationError(f"cannot read config file {args.config}: {exc}") from None
         subparser = _subcommands(parser)[args.command]
         keys = _config_keys()[args.command]
         for key in values:
@@ -328,7 +328,7 @@ def cmd_stats(args, corpus: ValidationReport, lexicons: None) -> int:
     print("positive-class percentage (at least one publication):")
     for area in areas:
         area_records = [r for r in records if r.area is area]
-        positive = sum(1 for r in area_records if r.publication_count >= 1)
+        positive, _ = _class_counts(area_records)
         print(f"  {area.value:5s} {100.0 * positive / len(area_records):5.1f}%  (n={len(area_records)})")
 
     print()
@@ -395,14 +395,15 @@ def _feature_config(args):
     )
 
 
-def _write_summary_csv(path: Path, rows: list[dict], echo: dict) -> None:
-    scores = ("mean_f1", "sd_f1", "macro_f1", "pooled_f1", "p_value")
-    columns = ("dataset", "method") + scores + ("significant_best",)
+def _write_summary_csv(path: Path, scored: list[tuple], echo: dict) -> None:
+    columns = ("dataset", "method", "mean_f1", "sd_f1", "macro_f1", "pooled_f1", "p_value",
+               "significant_best")
     write_csv(path, [json.dumps(echo, sort_keys=True)], columns, (
-        [row["dataset"], row["method"]]
-        + [f"{row[name]:.4f}" for name in scores]
-        + ["yes" if row["significant_best"] else ""]
-        for row in rows
+        [area.value, algorithm]
+        + [f"{value:.4f}" for value in (report.mean_f1, report.sd_f1, report.mean_macro_f1,
+                                        report.pooled_f1, report.p_value)]
+        + ["yes" if significant else ""]
+        for area, algorithm, report, significant in scored
     ))
 
 
@@ -485,45 +486,30 @@ def cmd_evaluate(args, corpus: ValidationReport, lexicons: LexiconSet) -> int:
     else:
         outcomes = _run_cells_in_workers(tasks, args.jobs)
 
-    results: dict[tuple, EvalReport] = {}
+    results: list[tuple[Area, str, EvalReport]] = []
     failures: list[dict] = []
-    for cell, outcome in zip(cells, outcomes):  # in cell order; a failure flushes the rest
+    # in cell order; a failure flushes the rest
+    for (area, algorithm), outcome in zip(cells, outcomes):
         if isinstance(outcome, str):
-            failures.append({"dataset": cell[0].value, "method": cell[1], "error": outcome})
+            failures.append({"dataset": area.value, "method": algorithm, "error": outcome})
         else:
-            results[cell] = outcome
+            results.append((area, algorithm, outcome))
 
-    # best cell per dataset is flagged when significant at alpha = 0.05
-    best: dict[str, tuple] = {}
-    for (area, algorithm), report in results.items():
-        key = area.value
-        if key not in best or report.mean_f1 > results[best[key]].mean_f1:
-            best[key] = (area, algorithm)
+    # best cell per dataset (the first on a tie) is flagged when significant at alpha = 0.05
+    best: dict[Area, EvalReport] = {}
+    for area, _, report in results:
+        if area not in best or report.mean_f1 > best[area].mean_f1:
+            best[area] = report
+    scored = [(area, algorithm, report, report is best[area] and report.p_value < 0.05)
+              for area, algorithm, report in results]
 
-    rows = []
-    for area, algorithm in cells:
-        report = results.get((area, algorithm))
-        if report is None:
-            continue
-        rows.append({
-            "dataset": area.value,
-            "method": algorithm,
-            "mean_f1": report.mean_f1,
-            "sd_f1": report.sd_f1,
-            "macro_f1": report.mean_macro_f1,
-            "pooled_f1": report.pooled_f1,
-            "p_value": report.p_value,
-            "significant_best": best.get(area.value) == (area, algorithm)
-            and report.p_value < 0.05,
-        })
-
-    _write_summary_csv(out_dir / "eval_summary.csv", rows, echo)
+    _write_summary_csv(out_dir / "eval_summary.csv", scored, echo)
     full = {
         "config": echo,
         "reports": [
             {"dataset": area.value, "method": algorithm, **report.to_dict()}
-            for (area, algorithm), report in sorted(
-                results.items(), key=lambda item: (item[0][0].value, item[0][1])
+            for area, algorithm, report, _ in sorted(
+                scored, key=lambda cell: (cell[0].value, cell[1])
             )
         ],
     }
@@ -535,10 +521,10 @@ def cmd_evaluate(args, corpus: ValidationReport, lexicons: LexiconSet) -> int:
     except Exception as exc:
         failures.append({"dataset": "*", "method": "feature_export", "error": str(exc)})
 
-    for row in rows:
-        flag = "  *significant best*" if row["significant_best"] else ""
-        print(f"{row['dataset']:5s} {row['method']:14s} F1 {row['mean_f1']:.4f} "
-              f"± {row['sd_f1']:.4f}  p={row['p_value']:.4f}{flag}")
+    for area, algorithm, report, significant in scored:
+        flag = "  *significant best*" if significant else ""
+        print(f"{area.value:5s} {algorithm:14s} F1 {report.mean_f1:.4f} "
+              f"± {report.sd_f1:.4f}  p={report.p_value:.4f}{flag}")
 
     if failures:
         (out_dir / "failure_manifest.json").write_text(

@@ -242,23 +242,27 @@ def _read_records(
     A malformed row raises unless ``rejected`` collects it as (row number,
     field, reason).  A header that lacks or repeats a column always raises,
     and so does a duplicate grant id: duplicated instances would bias
-    cross-validation.
+    cross-validation.  Text that is not UTF-8 raises a CorpusError naming
+    the file; the file is decoded in chunks, so no row number is known.
     """
     records: list[GrantRecord] = []
     seen: set[str] = set()
-    for row_number, row in _iter_rows(Path(path), fmt):
-        try:
-            mapping = _json_object(row, row_number) if fmt == "jsonl" else row
-            record = _record_from_mapping(mapping, row_number, fmt)
-        except MalformedRowError as exc:
-            if rejected is None:
-                raise
-            rejected.append((exc.row_number, exc.field, exc.reason))
-            continue
-        if record.grant_id in seen:
-            raise DuplicateGrantIdError(record.grant_id, row_number)
-        seen.add(record.grant_id)
-        records.append(record)
+    try:
+        for row_number, row in _iter_rows(Path(path), fmt):
+            try:
+                mapping = _json_object(row, row_number) if fmt == "jsonl" else row
+                record = _record_from_mapping(mapping, row_number, fmt)
+            except MalformedRowError as exc:
+                if rejected is None:
+                    raise
+                rejected.append((exc.row_number, exc.field, exc.reason))
+                continue
+            if record.grant_id in seen:
+                raise DuplicateGrantIdError(record.grant_id, row_number)
+            seen.add(record.grant_id)
+            records.append(record)
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return records
 
 

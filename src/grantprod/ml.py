@@ -201,6 +201,10 @@ class ForestHyper:
 class KnnHyper:
     grid: tuple[int, ...] = (1, 3, 5, 7, 11, 15)  # k candidates for nested selection
 
+    def __post_init__(self):
+        if not self.grid or min(self.grid) < 1:
+            raise ValueError("the k grid must be non-empty and every k at least 1")
+
 
 @dataclass(frozen=True)
 class SvmHyper:
@@ -569,8 +573,6 @@ def select_knn_k(
     folds_n = min(KNN_INNER_FOLDS, max(2, class_min))
     if y.size < folds_n or class_min == 0:
         return candidates[0]
-    if min(candidates) < 1:  # train_knn's check, which each k used to pass through
-        raise ValueError("k must be in [1, len(train)]")
     assignment = np.array(stratified_fold_indices(list(y), folds_n, seed))
     scores = {k: [] for k in candidates}
     for fold in range(folds_n):
@@ -981,14 +983,12 @@ def significance_pvalue(n_correct: int, n_total: int, p_dominant: float) -> floa
 
 # A feature family prepares the records once per cross_validate call, builds each
 # fold's matrices from that and exports the matrix.  Its settings are the
-# fields; the family name and the constants the learners read are class
-# constants, which asdict (the config echo) skips.
+# fields; the constants the learners read are class constants.
 
 @dataclass(frozen=True)
 class ComplexityFeatures:
     language: str = "pt"
     include_title: bool = False
-    family: ClassVar[str] = "complexity"
 
     # Dense features are standardized for the geometry/gradient-based
     # learners; trees are scale-invariant and the Gaussian likelihood handles
@@ -1028,7 +1028,6 @@ class TfidfFeatures:
     mode: VectorMode = VectorMode.TFIDF
     idf_variant: IdfVariant = IdfVariant.LOG_RATIO
     per_fold_vocabulary: bool = True
-    family: ClassVar[str] = "tfidf"
 
     # Sparse tf-idf features are used as-is for every learner.
     standardized: ClassVar[frozenset[str]] = frozenset()
@@ -1077,24 +1076,8 @@ class TfidfFeatures:
         write_csv(out_dir / "features_tfidf.csv", [comment], ["grant_id"] + words, rows)
 
 
-def _config_echo(feature_config, algorithm, k, n_resamples, base_seed, hyper) -> dict:
-    features = {}
-    for key, value in asdict(feature_config).items():
-        features[key] = value.value if hasattr(value, "value") else value
-    features["family"] = feature_config.family
-    return {
-        "algorithm": algorithm,
-        "features": features,
-        "k_folds": k,
-        "n_resamples": n_resamples,
-        "base_seed": base_seed,
-        "hyperparameters": repr(hyper) if hyper is not None else "default",
-    }
-
-
 @dataclass
 class EvalReport:
-    algorithm: str
     per_run_f1: tuple[float, ...]
     mean_f1: float
     sd_f1: float
@@ -1105,7 +1088,6 @@ class EvalReport:
     n_total: int
     p_dominant: float
     p_value: float
-    config: dict
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -1207,11 +1189,7 @@ def cross_validate(
     for model, (X_test, y_test) in zip(models, tests):
         confusions.append(_confusion(model.predict(X_test), y_test))
 
-    return EvalReport(
-        algorithm=algorithm,
-        **_scores(confusions),
-        config=_config_echo(feature_config, algorithm, k, n_resamples, base_seed, hyper),
-    )
+    return EvalReport(**_scores(confusions))
 
 
 # ---------------------------------------------------------------------------

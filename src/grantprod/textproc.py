@@ -325,7 +325,11 @@ def analyze(text: str | Sequence[str], lexicons: LexiconSet) -> TaggedDocument:
 
 def _entries(path: Path) -> Iterator[tuple[int, str]]:
     """(line number, stripped line) of every line but blank ones and '#' comments."""
-    for number, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line and line[0] != "#":
             yield number, line

@@ -1,3 +1,4 @@
+import csv
 import inspect
 import itertools
 import json
@@ -33,7 +34,7 @@ from grantprod.topical import (
     vectorize,
 )
 
-from _synth import mixed_area_corpus, write_corpus_csv
+from _synth import english_title_corpus, mixed_area_corpus, write_corpus_csv
 
 AREAS = (Area.MED, Area.DENT, Area.VET)  # the areas of mixed_area_corpus
 HEADER = "grant_id,title_pt,abstract_pt,area,year,publication_count\n"
@@ -247,6 +248,51 @@ def test_evaluate_raw_frequency_exports_counts_on_the_corpus_vocabulary(canonica
     exported = [[float(cell) for cell in row.split(",")[1:]] for row in rows]
     assert exported == expected.tolist()
     assert expected.max() > 1  # counts, not weights
+
+
+# The summary CSV column of each EvalReport field the CSV prints.
+SUMMARY_FIELDS = {"mean_f1": "mean_f1", "sd_f1": "sd_f1", "macro_f1": "mean_macro_f1",
+                  "pooled_f1": "pooled_f1", "p_value": "p_value"}
+
+
+def test_summary_rows_and_stdout_are_the_reports_of_the_json(tmp_path, capsys):
+    # Two runs: one where every MED/DENT/VET cell ties at F1 1.0 (the first
+    # cell is flagged), one whose VET best cell has p > 0.05 (none flagged).
+    write_corpus_csv(mixed_area_corpus(n=72), tmp_path / "pt.csv")
+    write_corpus_csv(english_title_corpus(n=72, seed=13), tmp_path / "en.csv")
+    runs = {
+        "tie": ["--input", "pt.csv", "--top-x", "30", "--algo", "bayes,svm"],
+        "unflagged": ["--input", "en.csv", "--lang", "en", "--fields", "title+subject",
+                      "--raw-frequency", "--algo", "knn,mlp"],
+    }
+    seen = set()
+    for name, argv in runs.items():
+        argv = [arg if not arg.endswith(".csv") else str(tmp_path / arg) for arg in argv]
+        out = tmp_path / name
+        assert main(["evaluate", "--format", "csv", "--features", "tfidf", *argv, "--folds", "3",
+                     "--resamples", "2", "--seed", "42", "--out", str(out)]) == EXIT_OK
+        printed = capsys.readouterr().out.splitlines()
+        with open(out / "eval_summary.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(line for line in handle if not line.startswith("#")))
+        reports = json.loads((out / "eval_report.json").read_text(encoding="utf-8"))["reports"]
+        by_cell = {(report["dataset"], report["method"]): report for report in reports}
+        assert len(by_cell) == len(reports) == len(rows) == len(printed)
+        for row, line in zip(rows, printed):
+            report = by_cell[row["dataset"], row["method"]]
+            for column, key in SUMMARY_FIELDS.items():
+                assert row[column] == f"{report[key]:.4f}", (name, row, column)
+            assert line.split()[:2] == [row["dataset"], row["method"]]
+            assert line.endswith("*significant best*") == (row["significant_best"] == "yes")
+        for area in dict.fromkeys(row["dataset"] for row in rows):
+            cells = [row for row in rows if row["dataset"] == area]
+            f1 = {row["method"]: by_cell[area, row["method"]]["mean_f1"] for row in cells}
+            best = max(cells, key=lambda row: f1[row["method"]])  # the first on a tie
+            significant = by_cell[area, best["method"]]["p_value"] < 0.05
+            flagged = [row for row in cells if row["significant_best"] == "yes"]
+            assert flagged == ([best] if significant else []), (name, area)
+            tied = list(f1.values()).count(f1[best["method"]]) > 1
+            seen.add(("tie" if tied else "best") + ("" if significant else "-unflagged"))
+    assert seen >= {"tie", "best", "best-unflagged"}
 
 
 @pytest.mark.parametrize("features, jobs, areas", [
@@ -624,6 +670,13 @@ def test_read_config_file_types(tmp_path):
     assert values == {"seed": 3, "features": "tfidf", "include_title": True}
 
 
+def test_config_file_byte_order_mark_is_read_as_no_text(tmp_path):
+    # Notepad's "UTF-8 with BOM" starts the file with one
+    path = tmp_path / "bom.conf"
+    path.write_bytes(b"\xef\xbb\xbfseed = 3\ninclude_title = true\n")
+    assert read_config_file(path) == {"seed": 3, "include_title": True}
+
+
 @pytest.mark.parametrize("command, line, key", [
     ("evaluate", "sed = 5", "sed"),  # unknown key
     ("evaluate", "global_vocab = ture", "global_vocab"),  # malformed boolean
@@ -637,6 +690,16 @@ def test_bad_config_key_exits_2_and_names_it(canonical, tmp_path, capsys, comman
                  "--seed", "1", "--out", str(tmp_path / "out")])
     assert code == EXIT_VALIDATION
     assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_exits_2_and_names_it(canonical, tmp_path, capsys):
+    config = tmp_path / "latin1.conf"
+    config.write_bytes("# configuração\nseed = 1\n".encode("latin-1"))
+    code = main(["relevance", "--input", str(canonical), "--config", str(config),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    assert str(config) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_typed_option_reaches_relevance_as_int(canonical, tmp_path):
@@ -859,3 +922,11 @@ def test_package_exports_what_the_readme_imports():
     exported = {name for name, value in vars(grantprod).items()
                 if not name.startswith("_") and not inspect.ismodule(value)}
     assert exported == imported
+
+
+def test_readme_hyperparameter_table_is_default_hyper():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("| learner ", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in block.splitlines()[2:]]
+    table = {name.strip().strip("`"): value.strip().strip("`") for name, value in rows}
+    assert table == {name: repr(hyper) for name, hyper in ml.DEFAULT_HYPER.items()}

@@ -276,6 +276,18 @@ def test_utf8_byte_order_mark_is_read_as_no_text(tmp_path, fmt):
     assert record.grant_id == "2001/00001-1"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_text_that_is_not_utf8_rejects_the_file_naming_it(tmp_path, fmt):
+    path = tmp_path / f"latin1.{fmt}"
+    body = (HEADER + "2001/00001-1,T,Resumo técnico.,MED,2001,0\n" if fmt == "csv"
+            else json.dumps({**JSONL_ROW, "abstract_pt": "Resumo técnico."}, ensure_ascii=False))
+    path.write_bytes(body.encode("latin-1"))
+    for load in (load_corpus, scan_corpus_file):
+        with pytest.raises(CorpusError, match="not UTF-8") as info:
+            load(path, fmt)
+        assert str(path) in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # labels and histogram
 # ---------------------------------------------------------------------------

@@ -326,6 +326,12 @@ def test_select_knn_k_prefers_small_on_ties():
     assert k in (1, 3, 5, 7, 11, 15)
 
 
+@pytest.mark.parametrize("grid", [(), (0, 3), (3, -1)], ids=["empty", "zero", "negative"])
+def test_knn_grid_is_checked_where_it_is_built(grid):
+    with pytest.raises(ValueError, match="k grid"):
+        KnnHyper(grid=grid)
+
+
 # ---------------------------------------------------------------------------
 # linear SVM
 # ---------------------------------------------------------------------------
@@ -862,14 +868,6 @@ def test_report_shape_contract():
         sum(report.per_run_f1) / len(report.per_run_f1)
     )
     assert report.n_total == 40  # every instance tested once per resample
-
-
-def test_family_is_a_class_constant_the_report_still_names():
-    with pytest.raises(TypeError):
-        ComplexityFeatures(family="tfidf")
-    report = cross_validate(planted_topic_corpus(n=40, seed=1), TfidfFeatures(top_x=20),
-                            "naive_bayes", k=2, n_resamples=1, base_seed=0)
-    assert report.config["features"]["family"] == "tfidf"
 
 
 def test_cross_validate_deterministic():

@@ -1,3 +1,4 @@
+import re
 import sys
 import unicodedata
 
@@ -294,6 +295,37 @@ def test_custom_lexicon_files_roundtrip(tmp_path):
     assert lex.pos_lexicon["gato"] is PosTag.NOUN
     assert "de" in lex.function_words  # prepositions merged in
     assert lex.concreteness["gato"] == 620.0
+
+
+# Each custom lexicon file, its first entry non-ASCII so that a Latin-1 copy
+# of the file is not UTF-8.
+LEXICON_FILES = {
+    "function_words.txt": "à\no\n",
+    "prepositions.txt": "após\nde\n",
+    "logical_operators.txt": "não\ne\n",
+    "pos_lexicon.tsv": "ação\tnoun\n",
+    "suffix_rules.tsv": "ção\tnoun\n",
+    "concreteness.tsv": "pé\t620\n",
+}
+
+
+@pytest.mark.parametrize("name", LEXICON_FILES)
+def test_lexicon_byte_order_mark_is_read_as_no_text(tmp_path, name):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    for directory in (plain, marked):
+        directory.mkdir()
+        for file, text in LEXICON_FILES.items():
+            start = "\ufeff" if directory is marked and file == name else ""
+            (directory / file).write_text(start + text, encoding="utf-8")
+    assert load_lexicons(marked, "pt") == load_lexicons(plain, "pt")
+
+
+@pytest.mark.parametrize("name", LEXICON_FILES)
+def test_lexicon_file_that_is_not_utf8_names_the_file(tmp_path, name):
+    for file, text in LEXICON_FILES.items():
+        (tmp_path / file).write_text(text, encoding="latin-1" if file == name else "utf-8")
+    with pytest.raises(ValueError, match=re.escape(str(tmp_path / name))):
+        load_lexicons(tmp_path, "pt")
 
 
 # ---------------------------------------------------------------------------
