@@ -31,7 +31,7 @@ from .relevance import (
     critical_difference,
     feature_importance,
 )
-from .seeds import derive_seed
+from .seeds import _GOLDEN, _MASK64, _mix64, derive_seed
 from .textproc import LexiconSet, builtin_lexicons
 from .topical import (
     ColumnSelection,
@@ -210,6 +210,10 @@ class KnnHyper:
 class SvmHyper:
     C: float = 1.0  # weight of the summed squared hinge against 1/2 |w|^2
 
+    def __post_init__(self):
+        if not 0.0 < self.C < math.inf:
+            raise ValueError(f"C must be finite and positive, not {self.C!r}")
+
 
 @dataclass(frozen=True)
 class MlpHyper:
@@ -220,6 +224,10 @@ class MlpHyper:
     def __post_init__(self):
         if not self.hidden_layers or any(h < 1 for h in self.hidden_layers):
             raise ValueError("hidden layers must all have at least one unit")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning rate must be finite and positive, not {self.learning_rate!r}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, not {self.epochs!r}")
 
 
 # The algorithms cross_validate runs, each with the hyperparameters it trains
@@ -757,11 +765,29 @@ def _mlp_backprop(
     return losses, delta, grad_w, grad_b
 
 
-def _mlp_init(sizes: Sequence[int], rng: np.random.Generator):
+def _standard_normals(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` standard normals of the splitmix64 stream of ``seed``.
+
+    Output i = 1, 2, ... is m(seed + i G), the i-th ``SplitMix64(seed).next_u64()``;
+    u = ((out >> 11) + 1) 2^-53 is in (0, 1], and each pair (u_2k, u_2k+1) gives
+    r cos t and r sin t with r = sqrt(-2 ln u_2k), t = 2 pi u_2k+1 (Box-Muller).
+    """
+    steps = np.arange(1, count + count % 2 + 1, dtype=np.uint64)
+    out = _mix64(steps * np.uint64(_GOLDEN) + np.uint64(seed & _MASK64))  # uint64 arrays wrap
+    u = ((out >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+    r, t = np.sqrt(-2.0 * np.log(u[0::2])), 2.0 * math.pi * u[1::2]
+    u[0::2], u[1::2] = r * np.cos(t), r * np.sin(t)
+    return u[:count]
+
+
+def _mlp_init(sizes: Sequence[int], seed: int):
+    """Zero biases and N(0, 1/fan_in) weights, drawn layer by layer in row-major order."""
     weights = []
     biases = []
+    draws = _standard_normals(seed, sum(a * b for a, b in zip(sizes[:-1], sizes[1:])))
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=(fan_in, fan_out)))
+        layer, draws = draws[:fan_in * fan_out], draws[fan_in * fan_out:]
+        weights.append(layer.reshape(fan_in, fan_out) * (1.0 / math.sqrt(fan_in)))
         biases.append(np.zeros(fan_out))
     return weights, biases
 
@@ -789,8 +815,8 @@ class _GramFirstLayer:
     X W1 is then X W1_0 - G A with G = X X^T, so an epoch costs O(n^2 h)
     instead of O(n d h) (the representer form of the first layer).  Only
     G, X W1_0 and A are stacked, each computed per fold with the one-fold
-    products, so the stack holds O(F n^2) numbers, not O(F n d); the
-    weights W1_0 - X^T A are formed fold by fold at the end.
+    products, so the stack holds O(F n^2) numbers, not O(F n d); the one
+    call of ``weights()`` turns each W1_0 into W1_0 - X^T A in place.
     """
 
     def __init__(self, Xs: Sequence[np.ndarray], Ws: Sequence[np.ndarray]):
@@ -807,7 +833,9 @@ class _GramFirstLayer:
         self.A += learning_rate * delta
 
     def weights(self) -> list[np.ndarray]:
-        return [W0 - X.T @ A for X, W0, A in zip(self.X, self.W0, self.A)]
+        for X, W0, A in zip(self.X, self.W0, self.A):
+            W0 -= X.T @ A
+        return self.W0
 
 
 @dataclass
@@ -862,7 +890,7 @@ def train_mlp(
             guard = error
             break
         sizes = [train.X.shape[1], *hyper.hidden_layers, 1]
-        init = _mlp_init(sizes, np.random.default_rng(derive_seed(seed)))
+        init = _mlp_init(sizes, derive_seed(seed))
         folds.append((train.X, train.y.astype(float), *init))
 
     groups: dict[tuple[int, int], list[int]] = {}

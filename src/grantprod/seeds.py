@@ -14,7 +14,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 
 def _mix64(z: int) -> int:
-    """splitmix64 finalizer: avalanche a 64-bit value."""
+    """splitmix64 finalizer: avalanche a 64-bit value, or each of a numpy uint64 array."""
     z &= _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -42,8 +42,9 @@ class SplitMix64:
     """Minimal counter-based generator for sampling and shuffling.
 
     Used where cross-platform reproducibility matters more than speed
-    (resample selection, fold shuffling).  Heavier vectorized draws use
-    numpy generators seeded through :func:`derive_seed`.
+    (resample selection, fold shuffling).  The MLP's initial weights draw
+    the same outputs in one vectorized pass (``ml._standard_normals``); only
+    the tree learners use numpy generators seeded through :func:`derive_seed`.
     """
 
     def __init__(self, seed: int):

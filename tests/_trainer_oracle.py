@@ -3,10 +3,15 @@
 ``_sigmoid``, ``mlp_loss_and_grad`` and ``train_mlp`` are the array-call
 versions of the MLP epoch, held in the primal (``W1`` stored as it is);
 ``mlp_predict_proba`` is the forward pass with this module's sigmoid.
-``select_knn_k`` scores every k with its own ``train_knn(...).predict``.  On a
-training set with at least as many rows as columns the rewritten kernels must
-give the same floats bit for bit; with fewer rows than columns the MLP trains
-in Gram space and must stay within a fixed tolerance.  The properties in
+``standard_normals`` is the MLP's initial draw one ``SplitMix64`` output and
+one ``math`` call at a time, the scalar Box-Muller that
+``ml._standard_normals`` vectorizes; numpy's vectorized log, cos and sin may
+differ from the C library's in the last bits, so its property allows a few
+ulp.  ``select_knn_k`` scores every k with its own
+``train_knn(...).predict``.  On a training set with at least as many rows
+as columns the rewritten kernels must give the same floats bit for bit; with
+fewer rows than columns the MLP trains in Gram space and must stay within a
+fixed tolerance.  The properties in
 ``test_trainer_oracle.py`` check both.  ``kernel_loss_and_grad`` runs the MLP
 epoch kernel on one fold.  ``svm_objective`` is the L2-loss SVM objective in
 exact rational arithmetic, and ``svm_gradient_and_hessian`` sums its gradient
@@ -56,7 +61,7 @@ from grantprod.ml import (
     significance_pvalue,
     train_knn,
 )
-from grantprod.seeds import derive_seed
+from grantprod.seeds import SplitMix64, derive_seed
 
 
 def svm_objective(train: FeatureMatrix, C: float, model: LinearSvmModel) -> Fraction:
@@ -159,6 +164,18 @@ def kernel_loss_and_grad(
     )
 
 
+def standard_normals(seed: int, count: int) -> list[float]:
+    """Box-Muller on the uniforms ((out >> 11) + 1) 2^-53 of ``SplitMix64(seed)``, pair by pair."""
+    stream = SplitMix64(seed)
+    normals = []
+    while len(normals) < count:
+        u1 = ((stream.next_u64() >> 11) + 1) * 2.0**-53
+        u2 = ((stream.next_u64() >> 11) + 1) * 2.0**-53
+        r = math.sqrt(-2.0 * math.log(u1))
+        normals += [r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)]
+    return normals[:count]
+
+
 def train_mlp(
     train: FeatureMatrix,
     hyper: MlpHyper | None = None,
@@ -171,8 +188,7 @@ def train_mlp(
     X = train.X
     y = train.y.astype(float)
     sizes = [X.shape[1], *hyper.hidden_layers, 1]
-    rng = np.random.default_rng(derive_seed(seed))
-    weights, biases = _mlp_init(sizes, rng)
+    weights, biases = _mlp_init(sizes, derive_seed(seed))
     for epoch in range(hyper.epochs):
         loss, grad_w, grad_b = mlp_loss_and_grad(weights, biases, X, y)
         if not math.isfinite(loss):

@@ -185,7 +185,7 @@ def test_mlp_gradient_check():
         d = int(rng.integers(1, 4))
         hidden = [int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 3)))]
         sizes = [d, *hidden, 1]
-        weights, biases = _mlp_init(sizes, rng)
+        weights, biases = _mlp_init(sizes, int(rng.integers(2**63)))
         n = int(rng.integers(2, 9))
         X = rng.normal(size=(n, d))
         y = rng.integers(0, 2, n).astype(float)

@@ -259,7 +259,7 @@ def test_summary_rows_and_stdout_are_the_reports_of_the_json(tmp_path, capsys):
     # Two runs: one where every MED/DENT/VET cell ties at F1 1.0 (the first
     # cell is flagged), one whose VET best cell has p > 0.05 (none flagged).
     write_corpus_csv(mixed_area_corpus(n=72), tmp_path / "pt.csv")
-    write_corpus_csv(english_title_corpus(n=72, seed=13), tmp_path / "en.csv")
+    write_corpus_csv(english_title_corpus(n=72, seed=25), tmp_path / "en.csv")
     runs = {
         "tie": ["--input", "pt.csv", "--top-x", "30", "--algo", "bayes,svm"],
         "unflagged": ["--input", "en.csv", "--lang", "en", "--fields", "title+subject",
@@ -888,6 +888,17 @@ def test_relevance_without_usable_records_exits_2_before_output(tmp_path, capsys
     assert not out.exists()
 
 
+def _run_python(script: str) -> list[str]:
+    """The stdout lines of ``script`` run in a fresh interpreter that imports this package."""
+    source = str(Path(grantprod.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [source, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
 def test_complexity_evaluate_does_not_load_numpy_ma(canonical, tmp_path):
     # np.nanmedian imports numpy.ma on its first call, which costs a
     # complexity command about 18 ms and 2 MB; no step of the run needs it
@@ -900,13 +911,29 @@ def test_complexity_evaluate_does_not_load_numpy_ma(canonical, tmp_path):
         f"code = main({argv!r})\n"
         "print(code, 'numpy.ma' in sys.modules)\n"
     )
-    source = str(Path(grantprod.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [source, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                            text=True, env=env, timeout=300)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1].split() == [str(EXIT_OK), "False"]
+    assert _run_python(script)[-1].split() == [str(EXIT_OK), "False"]
+
+
+def test_evaluate_without_trees_does_not_load_numpy_random(canonical, tmp_path):
+    # numpy 2 imports numpy.random on first use, which raised a command's
+    # peak RSS by about 5 MB; only the tree learners draw from it
+    runs = [["evaluate", "--input", str(canonical), *family,
+             "--algo", "bayes,knn,svm,mlp", "--folds", "3", "--resamples", "1",
+             "--seed", "5", "--out", str(tmp_path / family[1])]
+            for family in (["--features", "complexity"], ["--features", "tfidf", "--top-x", "30"])]
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "print('numpy.random' in sys.modules)\n"
+        "from grantprod.cli import main\n"
+        f"codes = [main(argv) for argv in {runs!r}]\n"
+        "print(*codes, 'numpy.random' in sys.modules)\n"
+    )
+    lines = _run_python(script)
+    preloaded, after = lines[0], lines[-1]
+    if preloaded == "True":
+        pytest.skip("import numpy alone loads numpy.random (numpy < 2)")
+    assert after.split() == [str(EXIT_OK), str(EXIT_OK), "False"]
 
 
 def test_package_exports_what_the_readme_imports():

@@ -42,6 +42,7 @@ import _trainer_oracle as oracle
 from grantprod import ml
 from grantprod.ml import FeatureMatrix, KnnHyper, MlpHyper, SvmHyper
 from grantprod.relevance import feature_importance
+from grantprod.seeds import SplitMix64, _mix64, derive_seed
 
 GRAM_RTOL = 1e-9
 DECISION_MARGIN = 1e-9
@@ -190,7 +191,53 @@ def test_svm_iteration_cap_raises_diverged_error(problem):
             ml.train_linear_svm(train, hyper)
 
 
-HIDDEN_LAYERS = st.lists(st.integers(1, 6), min_size=1, max_size=2).map(tuple)
+STREAM_SEEDS = [0, 1, 2**63, 2**64 - 1, derive_seed(7), derive_seed(42, 303, 1, 2)]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+@pytest.mark.parametrize("count", [1, 7, 64])
+def test_mlp_init_stream_is_splitmix64(seed, count):
+    # the vectorized pass's 64-bit outputs are SplitMix64(seed).next_u64(),
+    # one per uniform, and an odd count draws its last pair whole
+    outputs = []
+
+    def mix(z):
+        outputs.append(_mix64(z))
+        return outputs[-1]
+
+    with mock.patch.object(ml, "_mix64", side_effect=mix):
+        ml._standard_normals(seed, count)
+    stream = SplitMix64(seed)
+    assert outputs[0].dtype == np.uint64
+    assert outputs[0].tolist() == [stream.next_u64() for _ in range(count + count % 2)]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_mlp_init_normals_equal_scalar_box_muller(seed):
+    got = ml._standard_normals(seed, 2001)
+    want = np.array(oracle.standard_normals(seed, 2001))
+    np.testing.assert_array_max_ulp(got, want, maxulp=4)
+
+
+def test_mlp_init_normals_have_standard_moments():
+    z = ml._standard_normals(derive_seed(1), 10**5)
+    # each bound is about six standard errors of its sample moment
+    assert abs(z.mean()) < 0.02
+    assert abs(z.var() - 1.0) < 0.03
+    assert abs((z**4).mean() - 3.0) < 0.2
+    assert abs((np.abs(z) < 1.0).mean() - math.erf(1 / math.sqrt(2))) < 0.01
+
+
+def test_mlp_init_scales_the_stream_layer_by_layer():
+    weights, biases = ml._mlp_init([3, 4, 2, 1], seed=9)
+    draws = ml._standard_normals(9, 3 * 4 + 4 * 2 + 2 * 1)
+    assert np.array_equal(weights[0], draws[:12].reshape(3, 4) * (1.0 / math.sqrt(3)))
+    assert np.array_equal(weights[1], draws[12:20].reshape(4, 2) * (1.0 / math.sqrt(4)))
+    assert np.array_equal(weights[2], draws[20:].reshape(2, 1) * (1.0 / math.sqrt(2)))
+    assert all(np.array_equal(b, np.zeros(n)) for b, n in zip(biases, [4, 2, 1]))
+
+
+HIDDEN_LAYERS =st.lists(st.integers(1, 6), min_size=1, max_size=2).map(tuple)
 
 
 @dataclass(frozen=True)
@@ -207,7 +254,7 @@ class MlpProblem:
         rng = np.random.default_rng(self.rng_seed)
         X = self.scale * rng.normal(size=(self.n, self.d))
         y = rng.integers(0, 2, self.n).astype(float)
-        weights, biases = ml._mlp_init([self.d, *self.hidden, 1], rng)
+        weights, biases = ml._mlp_init([self.d, *self.hidden, 1], self.rng_seed)
         biases = [rng.normal(size=b.shape) for b in biases]
         return X, y, weights, biases
 
