@@ -338,8 +338,8 @@ def test_knn_grid_is_checked_where_it_is_built(grid):
 
 @pytest.mark.parametrize("C", [0.0, -1.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
 def test_svm_C_is_checked_where_it_is_built(C):
-    # C = 0 used to fail only in training, with ZeroDivisionError, and C = -1
-    # trained a model that predicted one class
+    # unchecked, C = 0 divides by zero in training and C = -1 trains a model
+    # that predicts one class
     with pytest.raises(ValueError, match="C must be finite and positive"):
         SvmHyper(C=C)
 
@@ -418,8 +418,8 @@ def test_zero_hidden_units_rejected():
     ("learning_rate", math.inf), ("epochs", 0), ("epochs", -1),
 ])
 def test_mlp_step_and_epochs_are_checked_where_they_are_built(field, value):
-    # a rate <= 0 or no epoch at all used to "train" without complaint, and a
-    # NaN rate failed only at epoch 1
+    # unchecked, a rate <= 0 or no epoch at all "trains" without complaint,
+    # and a NaN rate fails only at epoch 1
     with pytest.raises(ValueError, match=field.replace("_", " ")):
         MlpHyper(**{field: value})
     assert MlpHyper(learning_rate=1e308, epochs=1).learning_rate == 1e308  # DIVERGING's rate
