@@ -10,7 +10,7 @@ which the relevance stage derives Gini impurity decreases.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import ClassVar, Iterable, Sequence
 
@@ -179,22 +179,10 @@ def tfidf_fold_matrices(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TreeHyper:
-    max_depth: int | None = None
-    min_samples_split: int = 2
-    min_samples_leaf: int = 1
-    # Splits with gain below this become leaves.  The default of 0.0 admits
-    # zero-gain splits on impure nodes, which is what lets a tree resolve
-    # XOR-style interactions at depth 2.
-    min_gain: float = 0.0
-
-
-@dataclass(frozen=True)
 class ForestHyper:
     n_trees: int = 100
     max_features: str | None = "sqrt"  # "sqrt" of the feature count, or None for all
     bootstrap: bool = True
-    tree: TreeHyper = field(default_factory=TreeHyper)
 
 
 @dataclass(frozen=True)
@@ -231,9 +219,9 @@ class MlpHyper:
 
 
 # The algorithms cross_validate runs, each with the hyperparameters it trains
-# with (Naive Bayes has none).
+# with (the decision tree and Naive Bayes have none).
 DEFAULT_HYPER = {
-    "dtree": TreeHyper(),
+    "dtree": None,
     "random_forest": ForestHyper(),
     "knn": KnnHyper(),
     "naive_bayes": None,
@@ -273,7 +261,7 @@ def _entropy_bits_vec(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
     return out
 
 
-def _best_split(X, y, features, min_leaf):
+def _best_split(X, y, features):
     """Highest-gain (feature, midpoint threshold) over all candidate features at once."""
     n = y.size
     pos_total = int(y.sum())
@@ -282,9 +270,7 @@ def _best_split(X, y, features, min_leaf):
     xs = np.take_along_axis(columns, order, axis=0)
     pos_prefix = np.cumsum(y[order], axis=0)
     # a boundary b puts sorted rows [0..b] on the left; scored feature by feature
-    sizes = np.arange(1, n)
-    admissible = (sizes >= min_leaf) & (n - sizes >= min_leaf)
-    column, boundary = np.nonzero((xs[1:] > xs[:-1]).T & admissible)
+    column, boundary = np.nonzero((xs[1:] > xs[:-1]).T)
     if boundary.size == 0:
         return None
     n_left = boundary + 1
@@ -309,20 +295,22 @@ def _best_split(X, y, features, min_leaf):
     return float(gains[i]), int(features[column[i]]), float(threshold)
 
 
-def _grow_tree(X, y, hyper: TreeHyper, rng, max_features) -> Tree:
-    """Grow depth first, left subtree first, appending each node in preorder."""
+def _grow_tree(X, y, rng, max_features) -> Tree:
+    """Grow depth first, left subtree first, appending each node in preorder.
+
+    A node is a leaf when it is pure, when no candidate feature takes two
+    values in it, or when its best gain rounds below 0.0.  A zero gain
+    splits, which is what lets a tree resolve XOR-style interactions at
+    depth 2.
+    """
     nodes = []  # per node: feature, threshold, left, right, n_samples, n_positive
 
-    def grow(X, y, depth) -> int:
+    def grow(X, y) -> int:
         index = len(nodes)
         n = y.size
         n_positive = int(y.sum())
         nodes.append([-1, np.nan, -1, -1, n, n_positive])
         if n_positive in (0, n):
-            return index
-        if hyper.max_depth is not None and depth >= hyper.max_depth:
-            return index
-        if n < hyper.min_samples_split:
             return index
 
         d = X.shape[1]
@@ -330,18 +318,18 @@ def _grow_tree(X, y, hyper: TreeHyper, rng, max_features) -> Tree:
             features = np.sort(rng.choice(d, size=max_features, replace=False))
         else:
             features = np.arange(d)
-        best = _best_split(X, y, features, hyper.min_samples_leaf)
-        if best is None or best[0] < hyper.min_gain:
+        best = _best_split(X, y, features)
+        if best is None or best[0] < 0.0:
             return index
 
         _, feature, threshold = best
         left_mask = X[:, feature] <= threshold
-        left = grow(X[left_mask], y[left_mask], depth + 1)
-        right = grow(X[~left_mask], y[~left_mask], depth + 1)
+        left = grow(X[left_mask], y[left_mask])
+        right = grow(X[~left_mask], y[~left_mask])
         nodes[index][:4] = feature, threshold, left, right
         return index
 
-    grow(X, y, 0)
+    grow(X, y)
     return Tree(*(np.array(column) for column in zip(*nodes)))
 
 
@@ -404,19 +392,18 @@ def train_random_forest(
             X_t, y_t = train.X[sample], train.y[sample]
         else:
             X_t, y_t = train.X, train.y
-        trees.append(_grow_tree(X_t, y_t, hyper.tree, rng, max_features))
+        trees.append(_grow_tree(X_t, y_t, rng, max_features))
     return TreeModel(trees=trees, n_features=d)
 
 
-def train_decision_tree(train: FeatureMatrix, hyper: TreeHyper | None = None) -> TreeModel:
+def train_decision_tree(train: FeatureMatrix) -> TreeModel:
     """Greedy binary tree maximizing information gain at each node.
 
     The forest of one tree on every row with every feature at each node, so
-    its rng is never read.  A single-class training set yields a one-leaf
+    it draws nothing.  A single-class training set yields a one-leaf
     majority model rather than an error.
     """
-    forest = ForestHyper(n_trees=1, max_features=None, bootstrap=False, tree=hyper or TreeHyper())
-    return train_random_forest(train, forest)
+    return train_random_forest(train, ForestHyper(n_trees=1, max_features=None, bootstrap=False))
 
 
 # ---------------------------------------------------------------------------
@@ -1149,7 +1136,7 @@ def _fit_cell(algorithm, trains, hyper, seeds, knn_seeds, feature_config) -> Ite
     if algorithm == "mlp":
         return train_mlp(trains, hyper, seeds)
     if algorithm == "dtree":
-        return (train_decision_tree(train, hyper) for train in trains)
+        return (train_decision_tree(train) for train in trains)
     if algorithm == "random_forest":
         return (train_random_forest(train, hyper, seed) for train, seed in zip(trains, seeds))
     if algorithm == "naive_bayes":

@@ -50,7 +50,6 @@ from grantprod.ml import (
     MlpHyper,
     MlpModel,
     Tree,
-    TreeHyper,
     TrainingDivergedError,
     _check_finite,
     _mlp_backprop,
@@ -354,7 +353,7 @@ class TreeNode:
         return 1 if 2 * self.n_positive > self.n_samples else 0
 
 
-def best_split(X, y, features, min_leaf):
+def best_split(X, y, features):
     """Highest-gain (feature, midpoint threshold); ties keep the first found."""
     n = y.size
     pos_total = int(y.sum())
@@ -366,10 +365,6 @@ def best_split(X, y, features, min_leaf):
         xs = column[order]
         ys = y[order]
         boundaries = np.nonzero(xs[1:] > xs[:-1])[0]  # left block is [0..b]
-        if boundaries.size == 0:
-            continue
-        admissible = (boundaries + 1 >= min_leaf) & (n - boundaries - 1 >= min_leaf)
-        boundaries = boundaries[admissible]
         if boundaries.size == 0:
             continue
         pos_prefix = np.cumsum(ys)
@@ -393,14 +388,10 @@ def best_split(X, y, features, min_leaf):
     return best
 
 
-def grow_tree(X, y, hyper: TreeHyper, depth, rng, max_features) -> TreeNode:
+def grow_tree(X, y, rng, max_features) -> TreeNode:
     n = y.size
     node = TreeNode(n_samples=n, n_positive=int(y.sum()))
     if node.n_positive in (0, n):
-        return node
-    if hyper.max_depth is not None and depth >= hyper.max_depth:
-        return node
-    if n < hyper.min_samples_split:
         return node
 
     d = X.shape[1]
@@ -408,14 +399,14 @@ def grow_tree(X, y, hyper: TreeHyper, depth, rng, max_features) -> TreeNode:
         features = np.sort(rng.choice(d, size=max_features, replace=False))
     else:
         features = np.arange(d)
-    best = best_split(X, y, features, hyper.min_samples_leaf)
-    if best is None or best[0] < hyper.min_gain:
+    best = best_split(X, y, features)
+    if best is None or best[0] < 0.0:
         return node
 
     _, node.feature, node.threshold = best
     left_mask = X[:, node.feature] <= node.threshold
-    node.left = grow_tree(X[left_mask], y[left_mask], hyper, depth + 1, rng, max_features)
-    node.right = grow_tree(X[~left_mask], y[~left_mask], hyper, depth + 1, rng, max_features)
+    node.left = grow_tree(X[left_mask], y[left_mask], rng, max_features)
+    node.right = grow_tree(X[~left_mask], y[~left_mask], rng, max_features)
     return node
 
 
@@ -431,7 +422,7 @@ def grow_forest(train: FeatureMatrix, hyper: ForestHyper, seed: int = 0) -> list
             X_t, y_t = train.X[sample], train.y[sample]
         else:
             X_t, y_t = train.X, train.y
-        roots.append(grow_tree(X_t, y_t, hyper.tree, 0, rng, max_features))
+        roots.append(grow_tree(X_t, y_t, rng, max_features))
     return roots
 
 

@@ -20,7 +20,6 @@ from grantprod.ml import (
     SvmHyper,
     TfidfFeatures,
     TrainingDivergedError,
-    TreeHyper,
     apply_imputer,
     complexity_rows,
     cross_validate,
@@ -102,15 +101,6 @@ def test_xor_resolved_at_depth_two():
     assert tree.feature[0] != -1
     assert not (tree.feature[tree.left[0]] == -1 and tree.feature[tree.right[0]] == -1)
     assert (model.predict(X) == y).all()
-
-
-def test_max_depth_and_min_gain_stop():
-    X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-    y = np.array([0, 1, 1, 0])
-    stump = train_decision_tree(FeatureMatrix(X, y), TreeHyper(max_depth=0))
-    assert stump.trees[0].feature[0] == -1
-    strict = train_decision_tree(FeatureMatrix(X, y), TreeHyper(min_gain=1e-6))
-    assert strict.trees[0].feature[0] == -1  # zero-gain root split now rejected
 
 
 def test_zero_gain_split_is_admitted_at_min_gain_zero():
@@ -665,7 +655,7 @@ def test_mlp_cell_reports_the_first_divergence_in_resample_fold_order():
 # The public one-set fit of each learner at one (resample, fold) path, given
 # the path's training seed and kNN selection seed.
 ONE_SET_FITS = {
-    "dtree": lambda train, hyper, seed, knn_seed: train_decision_tree(train, hyper),
+    "dtree": lambda train, hyper, seed, knn_seed: train_decision_tree(train),
     "random_forest": lambda train, hyper, seed, knn_seed: train_random_forest(train, hyper, seed),
     "naive_bayes": lambda train, hyper, seed, knn_seed: train_naive_bayes(train, "multinomial"),
     "knn": lambda train, hyper, seed, knn_seed: train_knn(

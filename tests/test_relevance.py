@@ -9,7 +9,6 @@ from grantprod.complexity import COMPLEXITY_SCHEMA
 from grantprod.ml import (
     FeatureMatrix,
     ForestHyper,
-    TreeHyper,
     TreeModel,
     relevance_over_resamples,
     train_decision_tree,
@@ -152,7 +151,7 @@ def test_node_counts_and_importance_match_an_independent_recount():
         y = ((X[:, 0] + X[:, 2] + rng.integers(0, 3, size=n)) > 4).astype(int)
         train = FeatureMatrix(X, y)
         models = [
-            train_decision_tree(train, TreeHyper(max_depth=4)),
+            train_decision_tree(train),
             train_random_forest(train, ForestHyper(n_trees=5, bootstrap=False), seed=trial),
         ]
         for model in models:

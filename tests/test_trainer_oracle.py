@@ -540,7 +540,7 @@ class TreeProblem:
     """Columns of mixed kinds; with ``xor`` the first two are a tiled XOR table.
 
     An XOR table gives either of its columns zero gain at the nodes that hold
-    whole copies of it, so ``min_gain`` 0.0 splits there on a zero gain.
+    whole copies of it, where a tree splits on a zero gain.
     """
 
     n: int
@@ -587,8 +587,7 @@ def test_split_search_equals_per_feature_scan(problem, data):
     features = np.array(sorted(data.draw(
         st.sets(st.integers(0, d - 1), min_size=1, max_size=d), label="features"
     )))
-    min_leaf = data.draw(st.integers(1, 4), label="min_leaf")
-    assert ml._best_split(X, y, features, min_leaf) == oracle.best_split(X, y, features, min_leaf)
+    assert ml._best_split(X, y, features) == oracle.best_split(X, y, features)
 
 
 def test_split_search_on_constant_and_xor_columns():
@@ -596,9 +595,9 @@ def test_split_search_on_constant_and_xor_columns():
     y = np.array([0, 1, 1, 0])
     for features in ([2], [0, 1, 2], [1, 2]):
         features = np.array(features)
-        assert ml._best_split(X, y, features, 1) == oracle.best_split(X, y, features, 1)
-    assert ml._best_split(X, y, np.array([2]), 1) is None
-    assert ml._best_split(X, y, np.array([0, 1]), 1) == (0.0, 0, 0.5)
+        assert ml._best_split(X, y, features) == oracle.best_split(X, y, features)
+    assert ml._best_split(X, y, np.array([2])) is None
+    assert ml._best_split(X, y, np.array([0, 1])) == (0.0, 0, 0.5)
 
 
 def scalar_entropy_bits(a: int, b: int) -> float:
@@ -610,7 +609,7 @@ def test_zero_gain_split_scores_exactly_zero():
     # Scalar math.log2 and numpy's array log2 round some fractions a/b apart.
     # Scoring the node with one and its children with the other put a split
     # whose two children copy the node's fraction an ulp or so from zero, and
-    # min_gain 0.0 kept or rejected it by that ulp.  One kernel and a gain
+    # the tree kept or rejected it by that ulp.  One kernel and a gain
     # summed from each child's loss score the two halves exactly 0.0.
     pos, total = np.array([(a, b) for b in range(2, 400) for a in range(1, b)]).T
     array_entropy = ml._entropy_bits_vec(pos, total)
@@ -621,9 +620,9 @@ def test_zero_gain_split_scores_exactly_zero():
     for a, b in sorted(apart | {(9, 74)}):
         X = np.repeat([0.0, 1.0], b)[:, None]
         y = np.tile(np.arange(b) < a, 2).astype(int)
-        split = ml._best_split(X, y, np.array([0]), 1)
+        split = ml._best_split(X, y, np.array([0]))
         assert split[0] == 0.0, (a, b)
-        assert split == oracle.best_split(X, y, np.array([0]), 1)
+        assert split == oracle.best_split(X, y, np.array([0]))
 
 
 FOREST_HYPERS = st.builds(
@@ -631,13 +630,6 @@ FOREST_HYPERS = st.builds(
     n_trees=st.integers(1, 4),
     max_features=st.sampled_from(["sqrt", None]),
     bootstrap=st.booleans(),
-    tree=st.builds(
-        ml.TreeHyper,
-        max_depth=st.sampled_from([None, 1, 2, 4]),
-        min_samples_split=st.integers(2, 4),
-        min_samples_leaf=st.integers(1, 3),
-        min_gain=st.sampled_from([0.0, 1e-6, 0.1]),
-    ),
 )
 
 
