@@ -31,7 +31,7 @@ from .relevance import (
     critical_difference,
     feature_importance,
 )
-from .seeds import _GOLDEN, _MASK64, _mix64, derive_seed
+from .seeds import _GOLDEN, _MASK64, SplitMix64, _mix64, derive_seed
 from .textproc import LexiconSet, builtin_lexicons
 from .topical import (
     ColumnSelection,
@@ -295,17 +295,20 @@ def _best_split(X, y, features):
     return float(gains[i]), int(features[column[i]]), float(threshold)
 
 
-def _grow_tree(X, y, rng, max_features) -> Tree:
+def _grow_tree(X, y, seed, max_features) -> Tree:
     """Grow depth first, left subtree first, appending each node in preorder.
 
     A node is a leaf when it is pure, when no candidate feature takes two
     values in it, or when its best gain rounds below 0.0.  A zero gain
     splits, which is what lets a tree resolve XOR-style interactions at
-    depth 2.
+    depth 2.  A node of seed q draws its candidate features from
+    ``SplitMix64(q)`` and seeds its children ``derive_seed(q, 0)`` (left)
+    and ``derive_seed(q, 1)`` (right), so its draws follow from its path
+    alone, whatever order the nodes grow in.
     """
     nodes = []  # per node: feature, threshold, left, right, n_samples, n_positive
 
-    def grow(X, y) -> int:
+    def grow(X, y, seed) -> int:
         index = len(nodes)
         n = y.size
         n_positive = int(y.sum())
@@ -315,7 +318,7 @@ def _grow_tree(X, y, rng, max_features) -> Tree:
 
         d = X.shape[1]
         if max_features is not None and max_features < d:
-            features = np.sort(rng.choice(d, size=max_features, replace=False))
+            features = sorted(SplitMix64(seed).sample_indices(d, max_features))
         else:
             features = np.arange(d)
         best = _best_split(X, y, features)
@@ -324,12 +327,12 @@ def _grow_tree(X, y, rng, max_features) -> Tree:
 
         _, feature, threshold = best
         left_mask = X[:, feature] <= threshold
-        left = grow(X[left_mask], y[left_mask])
-        right = grow(X[~left_mask], y[~left_mask])
+        left = grow(X[left_mask], y[left_mask], derive_seed(seed, 0))
+        right = grow(X[~left_mask], y[~left_mask], derive_seed(seed, 1))
         nodes[index][:4] = feature, threshold, left, right
         return index
 
-    grow(X, y)
+    grow(X, y, seed)
     return Tree(*(np.array(column) for column in zip(*nodes)))
 
 
@@ -373,12 +376,23 @@ def _resolve_max_features(spec_value, d: int) -> int | None:
     return max(1, int(math.sqrt(d)))
 
 
+def _splitmix64(seed: int, count: int) -> np.ndarray:
+    """Outputs 1..count of ``SplitMix64(seed)``, m(seed + i G), in one uint64 pass."""
+    steps = np.arange(1, count + 1, dtype=np.uint64)
+    return _mix64(steps * np.uint64(_GOLDEN) + np.uint64(seed & _MASK64))  # uint64 arrays wrap
+
+
 def train_random_forest(
     train: FeatureMatrix,
     hyper: ForestHyper | None = None,
     seed: int = 0,
 ) -> TreeModel:
-    """Bootstrap trees with per-node feature subsampling, majority vote."""
+    """Bootstrap trees with per-node feature subsampling, majority vote.
+
+    Tree t has the seed s = derive_seed(seed, t).  Its bootstrap row i is
+    output i + 1 of ``SplitMix64(s)`` modulo n, and its root has the node
+    seed derive_seed(s, 0) (see ``_grow_tree``).
+    """
     hyper = hyper or ForestHyper()
     _require_nonempty(train.y)
     _check_finite(train.X)
@@ -386,13 +400,13 @@ def train_random_forest(
     max_features = _resolve_max_features(hyper.max_features, d)
     trees = []
     for t in range(hyper.n_trees):
-        rng = np.random.default_rng(derive_seed(seed, t))
+        tree_seed = derive_seed(seed, t)
         if hyper.bootstrap:
-            sample = rng.integers(0, n, size=n)
+            sample = (_splitmix64(tree_seed, n) % np.uint64(n)).astype(np.intp)
             X_t, y_t = train.X[sample], train.y[sample]
         else:
             X_t, y_t = train.X, train.y
-        trees.append(_grow_tree(X_t, y_t, rng, max_features))
+        trees.append(_grow_tree(X_t, y_t, derive_seed(tree_seed, 0), max_features))
     return TreeModel(trees=trees, n_features=d)
 
 
@@ -759,9 +773,7 @@ def _standard_normals(seed: int, count: int) -> np.ndarray:
     u = ((out >> 11) + 1) 2^-53 is in (0, 1], and each pair (u_2k, u_2k+1) gives
     r cos t and r sin t with r = sqrt(-2 ln u_2k), t = 2 pi u_2k+1 (Box-Muller).
     """
-    steps = np.arange(1, count + count % 2 + 1, dtype=np.uint64)
-    out = _mix64(steps * np.uint64(_GOLDEN) + np.uint64(seed & _MASK64))  # uint64 arrays wrap
-    u = ((out >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+    u = ((_splitmix64(seed, count + count % 2) >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
     r, t = np.sqrt(-2.0 * np.log(u[0::2])), 2.0 * math.pi * u[1::2]
     u[0::2], u[1::2] = r * np.cos(t), r * np.sin(t)
     return u[:count]

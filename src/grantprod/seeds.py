@@ -42,9 +42,9 @@ class SplitMix64:
     """Minimal counter-based generator for sampling and shuffling.
 
     Used where cross-platform reproducibility matters more than speed
-    (resample selection, fold shuffling).  The MLP's initial weights draw
-    the same outputs in one vectorized pass (``ml._standard_normals``); only
-    the tree learners use numpy generators seeded through :func:`derive_seed`.
+    (resample selection, fold shuffling, each tree node's candidate
+    features).  The MLP's initial weights and the forests' bootstrap rows
+    take the same outputs in one vectorized pass (``ml._splitmix64``).
     """
 
     def __init__(self, seed: int):

@@ -26,7 +26,8 @@ predictions and labels; ``ml`` scores each fold from its confusion counts.
 
 The trees are ``TreeNode`` objects: ``best_split`` scans the candidate
 features one at a time, ``grow_forest`` grows the node trees that
-``ml.train_random_forest`` grows under the same rng draws, ``predict_tree``
+``ml.train_random_forest`` grows, with the same draws taken from the scalar
+``SplitMix64`` and the nodes grown in any of three orders, ``predict_tree``
 walks one row at a time, and ``feature_importance`` sums one node's decrease
 at a time.  ``flatten`` numbers a node tree in preorder as an ``ml.Tree``.
 """
@@ -34,7 +35,7 @@ at a time.  ``flatten`` numbers a node tree in preorder as an ``ml.Tree``.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -388,41 +389,57 @@ def best_split(X, y, features):
     return best
 
 
-def grow_tree(X, y, rng, max_features) -> TreeNode:
-    n = y.size
-    node = TreeNode(n_samples=n, n_positive=int(y.sum()))
-    if node.n_positive in (0, n):
-        return node
+def grow_tree(X, y, seed, max_features, order="left_first") -> TreeNode:
+    """Grow one node tree, taking the open nodes in ``order``.
 
-    d = X.shape[1]
-    if max_features is not None and max_features < d:
-        features = np.sort(rng.choice(d, size=max_features, replace=False))
-    else:
-        features = np.arange(d)
-    best = best_split(X, y, features)
-    if best is None or best[0] < 0.0:
-        return node
+    "left_first" and "right_first" are depth first, the named subtree
+    first; "breadth_first" grows level by level, left to right.  A node of
+    seed q samples its candidate features with ``SplitMix64(q)`` and seeds
+    its children ``derive_seed(q, 0)`` and ``derive_seed(q, 1)``.
+    """
+    root = TreeNode(n_samples=y.size, n_positive=int(y.sum()))
+    pending = deque([(root, X, y, seed)])
+    while pending:
+        node, X, y, seed = pending.popleft() if order == "breadth_first" else pending.pop()
+        if node.n_positive in (0, node.n_samples):
+            continue
+        d = X.shape[1]
+        if max_features is not None and max_features < d:
+            features = sorted(SplitMix64(seed).sample_indices(d, max_features))
+        else:
+            features = range(d)
+        best = best_split(X, y, features)
+        if best is None or best[0] < 0.0:
+            continue
+        _, node.feature, node.threshold = best
+        left_mask = X[:, node.feature] <= node.threshold
+        children = [
+            (TreeNode(n_samples=int(mask.sum()), n_positive=int(y[mask].sum())),
+             X[mask], y[mask], derive_seed(seed, side))
+            for side, mask in ((0, left_mask), (1, ~left_mask))
+        ]
+        node.left, node.right = children[0][0], children[1][0]
+        # the stack pops the last child pushed first
+        pending.extend(reversed(children) if order == "left_first" else children)
+    return root
 
-    _, node.feature, node.threshold = best
-    left_mask = X[:, node.feature] <= node.threshold
-    node.left = grow_tree(X[left_mask], y[left_mask], rng, max_features)
-    node.right = grow_tree(X[~left_mask], y[~left_mask], rng, max_features)
-    return node
 
-
-def grow_forest(train: FeatureMatrix, hyper: ForestHyper, seed: int = 0) -> list[TreeNode]:
-    """The roots ``ml.train_random_forest`` grows, under the same rng draws."""
+def grow_forest(
+    train: FeatureMatrix, hyper: ForestHyper, seed: int = 0, order: str = "left_first"
+) -> list[TreeNode]:
+    """The roots ``ml.train_random_forest`` grows, drawing one ``SplitMix64`` output at a time."""
     n, d = train.X.shape
     max_features = _resolve_max_features(hyper.max_features, d)
     roots = []
     for t in range(hyper.n_trees):
-        rng = np.random.default_rng(derive_seed(seed, t))
+        tree_seed = derive_seed(seed, t)
         if hyper.bootstrap:
-            sample = rng.integers(0, n, size=n)
+            stream = SplitMix64(tree_seed)
+            sample = [stream.next_u64() % n for _ in range(n)]
             X_t, y_t = train.X[sample], train.y[sample]
         else:
             X_t, y_t = train.X, train.y
-        roots.append(grow_tree(X_t, y_t, rng, max_features))
+        roots.append(grow_tree(X_t, y_t, derive_seed(tree_seed, 0), max_features, order))
     return roots
 
 

@@ -914,13 +914,20 @@ def test_complexity_evaluate_does_not_load_numpy_ma(canonical, tmp_path):
     assert _run_python(script)[-1].split() == [str(EXIT_OK), "False"]
 
 
-def test_evaluate_without_trees_does_not_load_numpy_random(canonical, tmp_path):
+def test_no_command_loads_numpy_random(canonical, corpus_csv, tmp_path):
     # numpy 2 imports numpy.random on first use, which raised a command's
-    # peak RSS by about 5 MB; only the tree learners draw from it
-    runs = [["evaluate", "--input", str(canonical), *family,
-             "--algo", "bayes,knn,svm,mlp", "--folds", "3", "--resamples", "1",
-             "--seed", "5", "--out", str(tmp_path / family[1])]
-            for family in (["--features", "complexity"], ["--features", "tfidf", "--top-x", "30"])]
+    # peak RSS by about 5 MB; every draw comes from the package's splitmix64
+    run = ["--folds", "3", "--resamples", "1", "--seed", "5"]
+    runs = [
+        ["ingest", "--input", str(corpus_csv), "--format", "csv", "--out", str(tmp_path / "in")],
+        ["stats", "--input", str(canonical)],
+        ["evaluate", "--input", str(canonical), "--features", "complexity", "--algo", "all",
+         *run, "--out", str(tmp_path / "complexity")],
+        ["evaluate", "--input", str(canonical), "--features", "tfidf", "--top-x", "30",
+         "--algo", "all", *run, "--out", str(tmp_path / "tfidf")],
+        ["relevance", "--input", str(canonical), "--resamples", "2", "--trees", "5",
+         "--seed", "5", "--no-timestamp", "--out", str(tmp_path / "relevance")],
+    ]
     script = (
         "import sys\n"
         "import numpy\n"
@@ -933,7 +940,7 @@ def test_evaluate_without_trees_does_not_load_numpy_random(canonical, tmp_path):
     preloaded, after = lines[0], lines[-1]
     if preloaded == "True":
         pytest.skip("import numpy alone loads numpy.random (numpy < 2)")
-    assert after.split() == [str(EXIT_OK), str(EXIT_OK), "False"]
+    assert after.split() == [str(EXIT_OK)] * len(runs) + ["False"]
 
 
 def test_package_exports_what_the_readme_imports():

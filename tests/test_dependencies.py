@@ -1,7 +1,10 @@
 """The package and its tests import nothing that pyproject.toml does not declare.
 
 A module that is installed but undeclared (scipy, say) would make the suite
-pass here and fail on a clean install of the declared dependencies.
+pass here and fail on a clean install of the declared dependencies.  The
+package also never reaches ``numpy.random``: every draw comes from the
+splitmix64 stream of ``grantprod.seeds``, whose outputs no numpy version
+changes.
 """
 
 import ast
@@ -48,3 +51,31 @@ def test_every_import_is_stdlib_the_package_a_test_helper_or_declared():
         for name in sorted(names - allowed)
     ]
     assert not undeclared
+
+
+def numpy_random_uses(source: str) -> list[int]:
+    """Line numbers of each import of numpy.random and each ``np.random`` / ``numpy.random``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found = any(alias.name.startswith("numpy.random") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found = (node.module or "").startswith("numpy.random") or (
+                node.module == "numpy" and any(alias.name == "random" for alias in node.names))
+        else:
+            found = (isinstance(node, ast.Attribute) and node.attr == "random"
+                     and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+        if found:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_package_never_reaches_numpy_random():
+    forms = ["import numpy.random", "import numpy.random as npr", "from numpy import random",
+             "from numpy.random import default_rng", "rng = np.random.default_rng(0)",
+             "draw = numpy.random"]
+    assert numpy_random_uses("\n".join(forms)) == list(range(1, len(forms) + 1))
+    package = sorted((ROOT / "src" / "grantprod").glob("*.py"))
+    uses = [f"{path.name}:{line}" for path in package
+            for line in numpy_random_uses(path.read_text(encoding="utf-8"))]
+    assert not uses

@@ -897,12 +897,12 @@ def test_planted_signal_recovered():
 
 @pytest.mark.parametrize("features", [ComplexityFeatures(), TfidfFeatures(top_x=20)],
                          ids=["complexity", "tfidf"])
-def test_learners_but_the_trees_never_draw_from_numpy_random(features):
-    # the MLP's initial weights come from the package's splitmix64 stream, so
-    # an evaluation without trees never imports numpy.random
+def test_no_learner_draws_from_numpy_random(features):
+    # the trees' bootstrap rows and feature subsets and the MLP's initial
+    # weights come from the package's splitmix64 stream
     corpus = planted_topic_corpus(n=36, seed=4)
     with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("numpy.random")):
-        for algorithm in ("naive_bayes", "knn", "linear_svm", "mlp"):
+        for algorithm in ml.DEFAULT_HYPER:
             cross_validate(corpus, features, algorithm, k=3, n_resamples=1, base_seed=2)
 
 

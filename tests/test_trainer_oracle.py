@@ -633,21 +633,36 @@ FOREST_HYPERS = st.builds(
 )
 
 
-def grow_both(problem, hyper, seed):
+def grow_both(problem, hyper, seed, order="left_first"):
     X, y = problem.build()
     train = FeatureMatrix(X, y)
-    return X, ml.train_random_forest(train, hyper, seed), oracle.grow_forest(train, hyper, seed)
+    model = ml.train_random_forest(train, hyper, seed)
+    return X, model, oracle.grow_forest(train, hyper, seed, order)
+
+
+def assert_flattened_equal(model, roots):
+    assert len(model.trees) == len(roots)
+    for tree, root in zip(model.trees, roots):
+        flat = oracle.flatten(root)
+        for name in ("feature", "threshold", "left", "right", "n_samples", "n_positive"):
+            assert np.array_equal(getattr(tree, name), getattr(flat, name), equal_nan=True), name
 
 
 @settings(max_examples=150, deadline=None)
 @given(tree_problems(), FOREST_HYPERS, st.integers(0, 1000))
 def test_flat_forest_equals_flattened_node_trees(problem, hyper, seed):
     _, model, roots = grow_both(problem, hyper, seed)
-    assert len(model.trees) == len(roots)
-    for tree, root in zip(model.trees, roots):
-        flat = oracle.flatten(root)
-        for name in ("feature", "threshold", "left", "right", "n_samples", "n_positive"):
-            assert np.array_equal(getattr(tree, name), getattr(flat, name), equal_nan=True), name
+    assert_flattened_equal(model, roots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_problems(), FOREST_HYPERS, st.integers(0, 1000),
+       st.sampled_from(["right_first", "breadth_first"]))
+def test_growth_order_leaves_every_tree_unchanged(problem, hyper, seed, order):
+    # a node's draws follow from its path, so growing the right subtree
+    # first, or level by level, grows the trees train_random_forest grows
+    _, model, roots = grow_both(problem, hyper, seed, order)
+    assert_flattened_equal(model, roots)
 
 
 @settings(max_examples=150, deadline=None)
