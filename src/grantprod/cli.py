@@ -255,7 +255,9 @@ def _preflight(args: argparse.Namespace) -> tuple[ValidationReport, LexiconSet |
     """Every check that needs no extraction or output; raises CliValidationError.
 
     ``ingest`` reads the corpus leniently and reports the rejected rows
-    itself; the other subcommands read it strictly and need a record.
+    itself; the other subcommands read it strictly and need a record.  Only
+    the runs that extract complexity features (``relevance`` and complexity
+    ``evaluate``) load lexicons.
     """
     if not args.input:
         raise CliValidationError("--input is required")
@@ -285,7 +287,7 @@ def _preflight(args: argparse.Namespace) -> tuple[ValidationReport, LexiconSet |
             corpus = ValidationReport(load_corpus(args.input, args.format), rejected=[])
             if not corpus.records:
                 raise CliValidationError("empty corpus")
-        if minimums is not None:
+        if args.command == "relevance" or getattr(args, "features", None) == "complexity":
             lexicons = (
                 load_lexicons(args.lexicon_dir, args.lang)
                 if args.lexicon_dir
@@ -456,7 +458,7 @@ def _run_cells_in_workers(tasks: list[tuple], jobs: int) -> list[EvalReport | st
         pool.shutdown(cancel_futures=True)
 
 
-def cmd_evaluate(args, corpus: ValidationReport, lexicons: LexiconSet) -> int:
+def cmd_evaluate(args, corpus: ValidationReport, lexicons: LexiconSet | None) -> int:
     algorithms = _parse_algos(args.algo)
     feature_config = _feature_config(args)
     records = _usable_records(corpus.records, feature_config)

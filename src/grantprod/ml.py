@@ -164,14 +164,16 @@ def tfidf_fold_matrices(
     fold's vocabulary is selected from column sums over the training rows
     (or is ``selection``, fitted beforehand) and its matrices are built by
     column selection.  The fold's ``Vocabulary``, where one is wanted, is
-    ``counts.vocabulary(select_columns(counts, train_rows, top_x))``.
+    ``counts.vocabulary(select_columns(counts, train_rows, top_x))``.  Both
+    matrices come from one ``vectorize_counts`` call over the training rows
+    then the test rows, whose every row is computed on its own.
     """
     if selection is None:
         selection = select_columns(counts, train_rows, top_x)
-    return (
-        vectorize_counts(counts, train_rows, selection, mode, idf_variant),
-        vectorize_counts(counts, test_rows, selection, mode, idf_variant),
-    )
+    train_rows = np.asarray(train_rows, dtype=np.intp)
+    rows = np.concatenate([train_rows, np.asarray(test_rows, dtype=np.intp)])
+    matrix = vectorize_counts(counts, rows, selection, mode, idf_variant)
+    return matrix[:train_rows.size], matrix[train_rows.size:]
 
 
 # ---------------------------------------------------------------------------
@@ -1080,7 +1082,7 @@ class TfidfFeatures:
             counts, train_rows, test_rows, self.top_x, self.mode, self.idf_variant, selection
         )
 
-    def export(self, records, lexicons: LexiconSet, out_dir: Path, comment: str) -> None:
+    def export(self, records, lexicons: None, out_dir: Path, comment: str) -> None:
         # the exported matrix uses a whole-corpus vocabulary fit; per-fold
         # vocabularies exist only inside cross-validation.  The vocabulary
         # fit and vectorize run the fold kernel on their own token lists, so

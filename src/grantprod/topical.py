@@ -188,10 +188,11 @@ def vectorize(
     )
 
 
-def _idf_factors(doc_freqs: list[int], corpus_size: int, idf_variant: IdfVariant) -> np.ndarray:
+def _idf_factors(doc_freq: np.ndarray, corpus_size: int, idf_variant: IdfVariant) -> np.ndarray:
     """``tfidf_weight(1, 1, N, N_w)`` for each N_w, evaluated once per distinct N_w."""
-    weights = {n_w: tfidf_weight(1, 1, corpus_size, n_w, idf_variant) for n_w in set(doc_freqs)}
-    return np.array([weights[n_w] for n_w in doc_freqs], dtype=float)
+    distinct, inverse = np.unique(doc_freq, return_inverse=True)
+    weights = [tfidf_weight(1, 1, corpus_size, n_w, idf_variant) for n_w in distinct.tolist()]
+    return np.array(weights, dtype=float)[inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +327,7 @@ def vectorize_counts(
     if mode is VectorMode.RAW_FREQUENCY:
         return matrix
     matrix /= counts.lengths[rows][:, None]
-    matrix *= _idf_factors(selection.doc_freq.tolist(), selection.corpus_size, idf_variant)
+    matrix *= _idf_factors(selection.doc_freq, selection.corpus_size, idf_variant)
     return matrix
 
 

@@ -914,6 +914,22 @@ def test_complexity_evaluate_does_not_load_numpy_ma(canonical, tmp_path):
     assert _run_python(script)[-1].split() == [str(EXIT_OK), "False"]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_only_complexity_runs_load_lexicons(canonical, tmp_path, monkeypatch, jobs):
+    # tf-idf reads no lexicon, so its runs neither load the six files nor
+    # ship a LexiconSet to each worker's task
+    loaded = []
+    builtin = cli.builtin_lexicons
+    monkeypatch.setattr(cli, "builtin_lexicons", lambda lang: loaded.append(lang) or builtin(lang))
+    run = ["--input", str(canonical), "--folds", "3", "--resamples", "1", "--seed", "5"]
+    assert main(["evaluate", *run, "--features", "tfidf", "--top-x", "30", "--algo", "bayes",
+                 "--jobs", jobs, "--out", str(tmp_path / "tfidf")]) == EXIT_OK
+    assert loaded == []
+    assert main(["evaluate", *run, "--features", "complexity", "--algo", "bayes",
+                 "--jobs", jobs, "--out", str(tmp_path / "complexity")]) == EXIT_OK
+    assert loaded == ["pt"]
+
+
 def test_no_command_loads_numpy_random(canonical, corpus_csv, tmp_path):
     # numpy 2 imports numpy.random on first use, which raised a command's
     # peak RSS by about 5 MB; every draw comes from the package's splitmix64
