@@ -256,8 +256,7 @@ def _preflight(args: argparse.Namespace) -> tuple[ValidationReport, LexiconSet |
 
     ``ingest`` reads the corpus leniently and reports the rejected rows
     itself; the other subcommands read it strictly and need a record.  Only
-    the runs that extract complexity features (``relevance`` and complexity
-    ``evaluate``) load lexicons.
+    ``relevance`` and complexity ``evaluate`` extract, and load lexicons.
     """
     if not args.input:
         raise CliValidationError("--input is required")

@@ -164,16 +164,14 @@ def tfidf_fold_matrices(
     fold's vocabulary is selected from column sums over the training rows
     (or is ``selection``, fitted beforehand) and its matrices are built by
     column selection.  The fold's ``Vocabulary``, where one is wanted, is
-    ``counts.vocabulary(select_columns(counts, train_rows, top_x))``.  Both
-    matrices come from one ``vectorize_counts`` call over the training rows
-    then the test rows, whose every row is computed on its own.
+    ``counts.vocabulary(select_columns(counts, train_rows, top_x))``.  One
+    ``vectorize_counts`` call builds both, each row on its own.
     """
     if selection is None:
         selection = select_columns(counts, train_rows, top_x)
-    train_rows = np.asarray(train_rows, dtype=np.intp)
-    rows = np.concatenate([train_rows, np.asarray(test_rows, dtype=np.intp)])
+    rows = np.concatenate([train_rows, test_rows]).astype(np.intp)
     matrix = vectorize_counts(counts, rows, selection, mode, idf_variant)
-    return matrix[:train_rows.size], matrix[train_rows.size:]
+    return matrix[:len(train_rows)], matrix[len(train_rows):]
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +299,10 @@ def _grow_tree(X, y, seed, max_features) -> Tree:
     """Grow depth first, left subtree first, appending each node in preorder.
 
     A node is a leaf when it is pure, when no candidate feature takes two
-    values in it, or when its best gain rounds below 0.0.  A zero gain
-    splits, which is what lets a tree resolve XOR-style interactions at
-    depth 2.  A node of seed q draws its candidate features from
-    ``SplitMix64(q)`` and seeds its children ``derive_seed(q, 0)`` (left)
-    and ``derive_seed(q, 1)`` (right), so its draws follow from its path
-    alone, whatever order the nodes grow in.
+    values in it, or when its best gain rounds below 0.0; a zero gain splits,
+    so XOR-style interactions resolve at depth 2.  A node of seed q draws its
+    candidates from ``SplitMix64(q)`` and seeds its children derive_seed(q, 0)
+    and derive_seed(q, 1), left then right: its draws follow from its path.
     """
     nodes = []  # per node: feature, threshold, left, right, n_samples, n_positive
 
@@ -391,9 +387,8 @@ def train_random_forest(
 ) -> TreeModel:
     """Bootstrap trees with per-node feature subsampling, majority vote.
 
-    Tree t has the seed s = derive_seed(seed, t).  Its bootstrap row i is
-    output i + 1 of ``SplitMix64(s)`` modulo n, and its root has the node
-    seed derive_seed(s, 0) (see ``_grow_tree``).
+    Tree t of seed s = derive_seed(seed, t) draws its bootstrap row i as output
+    i + 1 of ``SplitMix64(s)`` mod n, and its root's seed is derive_seed(s, 0).
     """
     hyper = hyper or ForestHyper()
     _require_nonempty(train.y)
