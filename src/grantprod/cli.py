@@ -148,7 +148,10 @@ def read_config_file(path: str | Path) -> dict:
         key = key.strip().replace("-", "_")
         if key not in actions:
             raise CliValidationError(f"unknown config key '{key}'")
-        values[key] = _convert_config_value(key, value.strip().strip("\"'"), actions[key])
+        value = value.strip()
+        if len(value) >= 2 and value[0] == value[-1] and value[0] in "\"'":
+            value = value[1:-1]  # one pair of matching quotes; any other quote is kept
+        values[key] = _convert_config_value(key, value, actions[key])
     return values
 
 

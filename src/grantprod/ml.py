@@ -55,7 +55,9 @@ _SALT_FOLD = 202
 _SALT_TRAIN = 303
 _SALT_KNN = 404
 
-# Inner folds of the nested selection of k (fewer when a class is smaller).
+# The k candidates of the nested selection, and its inner folds (fewer when
+# a class is smaller).
+KNN_GRID = (1, 3, 5, 7, 11, 15)
 KNN_INNER_FOLDS = 3
 
 
@@ -181,17 +183,10 @@ def tfidf_fold_matrices(
 @dataclass(frozen=True)
 class ForestHyper:
     n_trees: int = 100
-    max_features: str | None = "sqrt"  # "sqrt" of the feature count, or None for all
-    bootstrap: bool = True
-
-
-@dataclass(frozen=True)
-class KnnHyper:
-    grid: tuple[int, ...] = (1, 3, 5, 7, 11, 15)  # k candidates for nested selection
 
     def __post_init__(self):
-        if not self.grid or min(self.grid) < 1:
-            raise ValueError("the k grid must be non-empty and every k at least 1")
+        if self.n_trees < 1:
+            raise ValueError(f"a forest needs at least one tree, not {self.n_trees!r}")
 
 
 @dataclass(frozen=True)
@@ -205,13 +200,13 @@ class SvmHyper:
 
 @dataclass(frozen=True)
 class MlpHyper:
-    hidden_layers: tuple[int, ...] = (16,)
+    hidden_units: int = 16  # of the one tanh hidden layer
     learning_rate: float = 0.1
     epochs: int = 300
 
     def __post_init__(self):
-        if not self.hidden_layers or any(h < 1 for h in self.hidden_layers):
-            raise ValueError("hidden layers must all have at least one unit")
+        if self.hidden_units < 1:
+            raise ValueError(f"hidden units must be at least 1, not {self.hidden_units!r}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError(f"learning rate must be finite and positive, not {self.learning_rate!r}")
         if self.epochs < 1:
@@ -219,11 +214,11 @@ class MlpHyper:
 
 
 # The algorithms cross_validate runs, each with the hyperparameters it trains
-# with (the decision tree and Naive Bayes have none).
+# with (the decision tree, kNN and Naive Bayes have none).
 DEFAULT_HYPER = {
     "dtree": None,
     "random_forest": ForestHyper(),
-    "knn": KnnHyper(),
+    "knn": None,
     "naive_bayes": None,
     "linear_svm": SvmHyper(),
     "mlp": MlpHyper(),
@@ -295,14 +290,15 @@ def _best_split(X, y, features):
     return float(gains[i]), int(features[column[i]]), float(threshold)
 
 
-def _grow_tree(X, y, seed, max_features) -> Tree:
+def _grow_tree(X, y, seed, max_features: int) -> Tree:
     """Grow depth first, left subtree first, appending each node in preorder.
 
     A node is a leaf when it is pure, when no candidate feature takes two
     values in it, or when its best gain rounds below 0.0; a zero gain splits,
-    so XOR-style interactions resolve at depth 2.  A node of seed q draws its
-    candidates from ``SplitMix64(q)`` and seeds its children derive_seed(q, 0)
-    and derive_seed(q, 1), left then right: its draws follow from its path.
+    so XOR-style interactions resolve at depth 2.  A node of seed q draws
+    ``max_features`` candidates from ``SplitMix64(q)``, or none when that is
+    every feature, and seeds its children derive_seed(q, 0) and
+    derive_seed(q, 1), left then right: its draws follow from its path.
     """
     nodes = []  # per node: feature, threshold, left, right, n_samples, n_positive
 
@@ -315,7 +311,7 @@ def _grow_tree(X, y, seed, max_features) -> Tree:
             return index
 
         d = X.shape[1]
-        if max_features is not None and max_features < d:
+        if max_features < d:
             features = sorted(SplitMix64(seed).sample_indices(d, max_features))
         else:
             features = np.arange(d)
@@ -366,14 +362,6 @@ class TreeModel:
 # Random forest
 # ---------------------------------------------------------------------------
 
-def _resolve_max_features(spec_value, d: int) -> int | None:
-    if spec_value is None:
-        return None
-    if spec_value != "sqrt":
-        raise ValueError(f"max_features must be 'sqrt' or None, not {spec_value!r}")
-    return max(1, int(math.sqrt(d)))
-
-
 def _splitmix64(seed: int, count: int) -> np.ndarray:
     """Outputs 1..count of ``SplitMix64(seed)``, m(seed + i G), in one uint64 pass."""
     steps = np.arange(1, count + 1, dtype=np.uint64)
@@ -385,36 +373,38 @@ def train_random_forest(
     hyper: ForestHyper | None = None,
     seed: int = 0,
 ) -> TreeModel:
-    """Bootstrap trees with per-node feature subsampling, majority vote.
+    """Bootstrap trees with per-node feature subsampling, majority vote (Breiman 2001).
 
-    Tree t of seed s = derive_seed(seed, t) draws its bootstrap row i as output
-    i + 1 of ``SplitMix64(s)`` mod n, and its root's seed is derive_seed(s, 0).
+    Each node draws floor(sqrt(d)) candidate features, at least 1.  Tree t of
+    seed s = derive_seed(seed, t) draws its bootstrap row i as output i + 1
+    of ``SplitMix64(s)`` mod n, and its root's seed is derive_seed(s, 0).
     """
     hyper = hyper or ForestHyper()
     _require_nonempty(train.y)
     _check_finite(train.X)
     n, d = train.X.shape
-    max_features = _resolve_max_features(hyper.max_features, d)
+    max_features = max(1, int(math.sqrt(d)))
     trees = []
     for t in range(hyper.n_trees):
         tree_seed = derive_seed(seed, t)
-        if hyper.bootstrap:
-            sample = (_splitmix64(tree_seed, n) % np.uint64(n)).astype(np.intp)
-            X_t, y_t = train.X[sample], train.y[sample]
-        else:
-            X_t, y_t = train.X, train.y
-        trees.append(_grow_tree(X_t, y_t, derive_seed(tree_seed, 0), max_features))
+        sample = (_splitmix64(tree_seed, n) % np.uint64(n)).astype(np.intp)
+        trees.append(
+            _grow_tree(train.X[sample], train.y[sample], derive_seed(tree_seed, 0), max_features)
+        )
     return TreeModel(trees=trees, n_features=d)
 
 
 def train_decision_tree(train: FeatureMatrix) -> TreeModel:
     """Greedy binary tree maximizing information gain at each node.
 
-    The forest of one tree on every row with every feature at each node, so
-    it draws nothing.  A single-class training set yields a one-leaf
-    majority model rather than an error.
+    Every row trains it and every feature is a candidate at each node, so it
+    draws nothing.  A single-class training set yields a one-leaf majority
+    model rather than an error.
     """
-    return train_random_forest(train, ForestHyper(n_trees=1, max_features=None, bootstrap=False))
+    _require_nonempty(train.y)
+    _check_finite(train.X)
+    d = train.X.shape[1]
+    return TreeModel(trees=[_grow_tree(train.X, train.y, 0, d)], n_features=d)
 
 
 # ---------------------------------------------------------------------------
@@ -559,20 +549,14 @@ def _knn_fold_scores(X_tr, y_tr, X_te, y_te, ks: Sequence[int], metric: str) -> 
     return [f1_score(_knn_vote(labels[:, :k]), y_te) if k <= y_tr.size else 0.0 for k in ks]
 
 
-def select_knn_k(
-    X: np.ndarray,
-    y: np.ndarray,
-    hyper: KnnHyper,
-    seed: int,
-    metric: str = "euclidean",
-) -> int:
-    """Nested grid selection of k on the training split only.
+def select_knn_k(X: np.ndarray, y: np.ndarray, seed: int, metric: str = "euclidean") -> int:
+    """Nested selection of k from ``KNN_GRID`` on the training split only.
 
     Each inner fold sorts its neighbours once and scores every k from it.
     """
     X = np.asarray(X, dtype=float)
     _check_finite(X)
-    candidates = [k for k in hyper.grid if k <= max(1, y.size - max(2, y.size // KNN_INNER_FOLDS))]
+    candidates = [k for k in KNN_GRID if k <= max(1, y.size - max(2, y.size // KNN_INNER_FOLDS))]
     if not candidates:
         candidates = [1]
     class_min = min(int((y == 0).sum()), int((y == 1).sum()))
@@ -719,48 +703,34 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _mlp_backprop(
-    first: _PrimalFirstLayer | _GramFirstLayer,
-    weights: list[np.ndarray | None],
-    biases: list[np.ndarray],
-    y: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], list[np.ndarray]]:
+def _mlp_backprop(first, b1, W2, b2, y) -> tuple[np.ndarray, ...]:
     """One epoch's losses and gradients for F folds of one shape, stacked on a leading axis.
 
-    ``first`` forms the first layers' X W1; ``weights[1:]`` are the later
-    layers' (F, fan_in, fan_out) weights (``weights[0]`` is not read),
-    ``biases`` the (F, fan_out) biases and ``y`` the (F, n) labels.  Every
-    operation is the one-fold epoch's on each slice: an elementwise step,
-    a per-slice matrix product (numpy calls the same BLAS routine on each
-    slice of a stack) or a sum along one slice's rows, so fold f's numbers
-    are bit for bit those of training it alone.
+    ``first``, a ``_PrimalFirstLayer`` or ``_GramFirstLayer``, forms the
+    hidden layers' X W1; ``b1`` is the (F, h) hidden biases, ``W2`` the
+    (F, h, 1) output weights, ``b2`` the (F, 1) output biases and ``y`` the
+    (F, n) labels.  Every operation is the one-fold epoch's on each slice:
+    an elementwise step, a per-slice matrix product (numpy calls the same
+    BLAS routine on each slice of a stack) or a sum along one slice's rows,
+    so fold f's numbers are bit for bit those of training it alone.
 
-    Returns the (F,) losses, the gradient with respect to the first
-    pre-activation X W1 + b1 (whose product with X^T is the first layer's
-    weight gradient, left to the caller), the weight gradients of the
-    later layers and every bias gradient.  A diverging fold overflows; the
-    caller sets the floating-point error handling and checks the losses.
+    Returns the (F,) losses, the gradient with respect to the hidden
+    pre-activation X W1 + b1 (whose product with X^T is the gradient of
+    W1, left to the caller), and the gradients of b1, W2 and b2.  A
+    diverging fold overflows; the caller sets the floating-point error
+    handling and checks the losses.
     """
-    z = first.product() + biases[0][:, None, :]
-    n = z.shape[1]
-    hidden = []
-    for W, b in zip(weights[1:], biases[1:]):
-        hidden.append(np.tanh(z))
-        z = hidden[-1] @ W + b[:, None, :]
-    logits = z[:, :, 0]
+    hidden = np.tanh(first.product() + b1[:, None, :])
+    logits = (hidden @ W2 + b2[:, None, :])[:, :, 0]
+    n = logits.shape[1]
     # log(1 + e^z) - y z, stable for large |z|
     losses = np.add.reduce(np.logaddexp(0.0, logits) - y * logits, axis=-1) / n
 
     delta = ((_sigmoid(logits) - y) / n)[:, :, None]
-    grad_w: list[np.ndarray] = [np.empty(0)] * len(weights)
-    grad_b: list[np.ndarray] = [np.empty(0)] * len(weights)
-    for layer in range(len(weights) - 1, 0, -1):
-        a = hidden[layer - 1]
-        grad_w[layer] = a.transpose(0, 2, 1) @ delta
-        grad_b[layer] = delta.sum(axis=1)
-        delta = (delta @ weights[layer].transpose(0, 2, 1)) * (1.0 - a * a)
-    grad_b[0] = delta.sum(axis=1)
-    return losses, delta, grad_w, grad_b
+    grad_W2 = hidden.transpose(0, 2, 1) @ delta
+    grad_b2 = delta.sum(axis=1)
+    delta = (delta @ W2.transpose(0, 2, 1)) * (1.0 - hidden * hidden)
+    return losses, delta, delta.sum(axis=1), grad_W2, grad_b2
 
 
 def _standard_normals(seed: int, count: int) -> np.ndarray:
@@ -776,20 +746,17 @@ def _standard_normals(seed: int, count: int) -> np.ndarray:
     return u[:count]
 
 
-def _mlp_init(sizes: Sequence[int], seed: int):
-    """Zero biases and N(0, 1/fan_in) weights, drawn layer by layer in row-major order."""
-    weights = []
-    biases = []
-    draws = _standard_normals(seed, sum(a * b for a, b in zip(sizes[:-1], sizes[1:])))
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        layer, draws = draws[:fan_in * fan_out], draws[fan_in * fan_out:]
-        weights.append(layer.reshape(fan_in, fan_out) * (1.0 / math.sqrt(fan_in)))
-        biases.append(np.zeros(fan_out))
-    return weights, biases
+def _mlp_init(d: int, hidden_units: int, seed: int):
+    """(W1, b1, W2, b2): zero biases and N(0, 1/fan_in) weights, W1's draws
+    first, each in row-major order."""
+    draws = _standard_normals(seed, d * hidden_units + hidden_units)
+    W1 = draws[:d * hidden_units].reshape(d, hidden_units) * (1.0 / math.sqrt(d))
+    W2 = draws[d * hidden_units:].reshape(hidden_units, 1) * (1.0 / math.sqrt(hidden_units))
+    return W1, np.zeros(hidden_units), W2, np.zeros(1)
 
 
 class _PrimalFirstLayer:
-    """The first layers' weights W1 of F folds, stacked and updated as they are."""
+    """The hidden layers' weights W1 of F folds, stacked and updated as they are."""
 
     def __init__(self, Xs: Sequence[np.ndarray], Ws: Sequence[np.ndarray]):
         self.X = np.stack(Xs)
@@ -836,14 +803,16 @@ class _GramFirstLayer:
 
 @dataclass
 class MlpModel:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    """One tanh hidden layer of h units and a logistic output."""
+
+    W1: np.ndarray  # (d, h)
+    b1: np.ndarray  # (h,)
+    W2: np.ndarray  # (h, 1)
+    b2: np.ndarray  # (1,)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        a = np.asarray(X, dtype=float)
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.tanh(a @ W + b)
-        return _sigmoid((a @ self.weights[-1] + self.biases[-1])[:, 0])
+        hidden = np.tanh(np.asarray(X, dtype=float) @ self.W1 + self.b1)
+        return _sigmoid((hidden @ self.W2 + self.b2)[:, 0])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_proba(X) > 0.5).astype(int)
@@ -885,8 +854,7 @@ def train_mlp(
         except ValueError as error:  # the sets after it are never reached
             guard = error
             break
-        sizes = [train.X.shape[1], *hyper.hidden_layers, 1]
-        init = _mlp_init(sizes, derive_seed(seed))
+        init = _mlp_init(train.X.shape[1], hyper.hidden_units, derive_seed(seed))
         folds.append((train.X, train.y.astype(float), *init))
 
     groups: dict[tuple[int, int], list[int]] = {}
@@ -905,23 +873,20 @@ def train_mlp(
 def _mlp_lockstep(folds, hyper: MlpHyper) -> list[MlpModel | TrainingDivergedError]:
     """Train folds of one shape together; return each fold's model or divergence error.
 
-    Each fold is (X, y, initial weights, initial biases).  Every fold runs
-    to the last epoch: a fold whose loss goes non-finite records its error
-    and runs on, unread, as inf/NaN, which no other fold's slices see.
+    Each fold is (X, y, W1, b1, W2, b2), the last four initial.  Every fold
+    runs to the last epoch: a fold whose loss goes non-finite records its
+    error and runs on, unread, as inf/NaN, which no other fold's slices see.
     """
-    Xs, ys, inits_w, inits_b = zip(*folds)
+    Xs, ys, W1s, b1s, W2s, b2s = zip(*folds)
     lr = hyper.learning_rate
-    settings = f"(lr={lr}, layers={hyper.hidden_layers})"
+    settings = f"(lr={lr}, hidden_units={hyper.hidden_units})"
     outcomes: list[MlpModel | TrainingDivergedError | None] = [None] * len(folds)
     with np.errstate(all="ignore"):  # a diverged fold's slices overflow; its error is kept
-        first = (_GramFirstLayer if _gram_form(Xs[0]) else _PrimalFirstLayer)(
-            Xs, [w[0] for w in inits_w]
-        )
-        weights = [None] + [np.stack(layer) for layer in list(zip(*inits_w))[1:]]
-        biases = [np.stack(layer) for layer in zip(*inits_b)]
+        first = (_GramFirstLayer if _gram_form(Xs[0]) else _PrimalFirstLayer)(Xs, W1s)
+        b1, W2, b2 = np.stack(b1s), np.stack(W2s), np.stack(b2s)
         y = np.stack(ys)
         for epoch in range(hyper.epochs):
-            losses, delta, grad_w, grad_b = _mlp_backprop(first, weights, biases, y)
+            losses, delta, grad_b1, grad_W2, grad_b2 = _mlp_backprop(first, b1, W2, b2, y)
             if not np.isfinite(losses).all():
                 for f in np.flatnonzero(~np.isfinite(losses)).tolist():
                     if outcomes[f] is None:
@@ -929,15 +894,14 @@ def _mlp_lockstep(folds, hyper: MlpHyper) -> list[MlpModel | TrainingDivergedErr
                             f"non-finite loss {float(losses[f])!r} at epoch {epoch} {settings}"
                         )
             first.descend(lr, delta)
-            for layer in range(1, len(weights)):
-                weights[layer] -= lr * grad_w[layer]
-            for layer in range(len(biases)):
-                biases[layer] -= lr * grad_b[layer]
+            W2 -= lr * grad_W2
+            b1 -= lr * grad_b1
+            b2 -= lr * grad_b2
         first_weights = first.weights()
     for f, W1 in enumerate(first_weights):
-        model = MlpModel(weights=[W1] + [W[f] for W in weights[1:]], biases=[b[f] for b in biases])
+        model = MlpModel(W1, b1[f], W2[f], b2[f])
         if outcomes[f] is None:  # the last epoch's update is checked here, not by a loss
-            finite = all(np.isfinite(a).all() for a in model.weights + model.biases)
+            finite = all(np.isfinite(a).all() for a in (W1, b1[f], W2[f], b2[f]))
             outcomes[f] = model if finite else TrainingDivergedError(
                 f"non-finite weights after epoch {hyper.epochs - 1} {settings}"
             )
@@ -1153,7 +1117,7 @@ def _fit_cell(algorithm, trains, hyper, seeds, knn_seeds, feature_config) -> Ite
     if algorithm == "knn":
         metric = feature_config.metric
         return (
-            train_knn(train, select_knn_k(train.X, train.y, hyper, knn_seed, metric), metric)
+            train_knn(train, select_knn_k(train.X, train.y, knn_seed, metric), metric)
             for train, knn_seed in zip(trains, knn_seeds)
         )
     if algorithm == "linear_svm":

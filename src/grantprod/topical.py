@@ -111,8 +111,8 @@ def field_text(record: GrantRecord, selector: FieldSelector, language: str = "pt
 def document_text(record: GrantRecord, language: str, include_title: bool) -> tuple[str, ...]:
     """Complexity-feature text: the abstract, after the title when asked for and present.
 
-    ``textproc.analyze`` splits the parts into sentences separately, so no
-    sentence spans the title and the abstract.
+    ``complexity.extract_complexity_vector`` splits the parts into sentences
+    separately, so no sentence spans the title and the abstract.
     """
     abstract = field_text(record, FieldSelector.ABSTRACT, language)
     title, _ = _title_and_abstract(record, language)

@@ -7,11 +7,13 @@ versions of the MLP epoch, held in the primal (``W1`` stored as it is);
 one ``math`` call at a time, the scalar Box-Muller that
 ``ml._standard_normals`` vectorizes; numpy's vectorized log, cos and sin may
 differ from the C library's in the last bits, so its property allows a few
-ulp.  ``select_knn_k`` scores every k with its own
-``train_knn(...).predict``.  On a training set with at least as many rows
-as columns the rewritten kernels must give the same floats bit for bit; with
-fewer rows than columns the MLP trains in Gram space and must stay within a
-fixed tolerance.  The properties in
+ulp.  The textbook loops run over any number of layers; the networks
+``ml`` trains, and so the ones compared, have one hidden layer, and
+``mlp_arrays`` lists what one learned.  ``select_knn_k`` scores every k
+with its own ``train_knn(...).predict``.  On a training set with at least
+as many rows as columns the rewritten kernels must give the same floats
+bit for bit; with fewer rows than columns the MLP trains in Gram space and
+must stay within a fixed tolerance.  The properties in
 ``test_trainer_oracle.py`` check both.  ``kernel_loss_and_grad`` runs the MLP
 epoch kernel on one fold.  ``svm_objective`` is the L2-loss SVM objective in
 exact rational arithmetic, and ``svm_gradient_and_hessian`` sums its gradient
@@ -27,9 +29,10 @@ predictions and labels; ``ml`` scores each fold from its confusion counts.
 The trees are ``TreeNode`` objects: ``best_split`` scans the candidate
 features one at a time, ``grow_forest`` grows the node trees that
 ``ml.train_random_forest`` grows, with the same draws taken from the scalar
-``SplitMix64`` and the nodes grown in any of three orders, ``predict_tree``
-walks one row at a time, and ``feature_importance`` sums one node's decrease
-at a time.  ``flatten`` numbers a node tree in preorder as an ``ml.Tree``.
+``SplitMix64`` and the nodes grown in any of three orders; ``grow_tree``
+with ``max_features=None`` grows the tree of ``ml.train_decision_tree``.
+``predict_tree`` walks one row at a time, and ``feature_importance`` sums
+one node's decrease at a time.  ``flatten`` numbers a node tree in preorder as an ``ml.Tree``.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ import numpy as np
 from grantprod.corpus import Label, stratified_fold_indices
 from grantprod.ml import (
     FeatureMatrix,
+    KNN_GRID,
     ForestHyper,
-    KnnHyper,
     LinearSvmModel,
     MlpHyper,
     MlpModel,
@@ -57,7 +60,6 @@ from grantprod.ml import (
     _mlp_init,
     _PrimalFirstLayer,
     _require_nonempty,
-    _resolve_max_features,
     significance_pvalue,
     train_knn,
 )
@@ -144,24 +146,20 @@ def kernel_loss_and_grad(
     X: np.ndarray,
     y: np.ndarray,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """``mlp_loss_and_grad`` computed by ``ml._mlp_backprop`` on a one-fold stack.
+    """``mlp_loss_and_grad`` of a one-hidden-layer network, computed by
+    ``ml._mlp_backprop`` on a one-fold stack.
 
-    The kernel's numbers in the textbook's shapes, so the two can be
-    compared and the kernel's gradients checked against finite differences.
+    The kernel's numbers in the textbook's shapes (``weights`` is [W1, W2]
+    and ``biases`` [b1, b2]), so the two can be compared and the kernel's
+    gradients checked against finite differences.
     """
     X = np.asarray(X, dtype=float)
+    (W1, W2), (b1, b2) = weights, biases
     with np.errstate(over="ignore", invalid="ignore"):  # divergence shows in the loss
-        losses, delta, grad_w, grad_b = _mlp_backprop(
-            _PrimalFirstLayer([X], [weights[0]]),
-            [W[None] for W in weights],
-            [b[None] for b in biases],
-            np.asarray(y)[None],
+        losses, delta, grad_b1, grad_W2, grad_b2 = _mlp_backprop(
+            _PrimalFirstLayer([X], [W1]), b1[None], W2[None], b2[None], np.asarray(y)[None]
         )
-    return (
-        float(losses[0]),
-        [X.T @ delta[0]] + [g[0] for g in grad_w[1:]],
-        [g[0] for g in grad_b],
-    )
+    return float(losses[0]), [X.T @ delta[0], grad_W2[0]], [grad_b1[0], grad_b2[0]]
 
 
 def standard_normals(seed: int, count: int) -> list[float]:
@@ -187,38 +185,41 @@ def train_mlp(
     _check_finite(train.X)
     X = train.X
     y = train.y.astype(float)
-    sizes = [X.shape[1], *hyper.hidden_layers, 1]
-    weights, biases = _mlp_init(sizes, derive_seed(seed))
+    W1, b1, W2, b2 = _mlp_init(X.shape[1], hyper.hidden_units, derive_seed(seed))
+    weights, biases = [W1, W2], [b1, b2]
     for epoch in range(hyper.epochs):
         loss, grad_w, grad_b = mlp_loss_and_grad(weights, biases, X, y)
         if not math.isfinite(loss):
             raise TrainingDivergedError(
                 f"non-finite loss {loss!r} at epoch {epoch} "
-                f"(lr={hyper.learning_rate}, layers={hyper.hidden_layers})"
+                f"(lr={hyper.learning_rate}, hidden_units={hyper.hidden_units})"
             )
         for layer in range(len(weights)):
             weights[layer] -= hyper.learning_rate * grad_w[layer]
             biases[layer] -= hyper.learning_rate * grad_b[layer]
-    return MlpModel(weights=weights, biases=biases)
+    return MlpModel(weights[0], biases[0], weights[1], biases[1])
+
+
+def mlp_arrays(model: MlpModel) -> list[np.ndarray]:
+    """Every array an MLP learned: W1, b1, W2 and b2."""
+    return [model.W1, model.b1, model.W2, model.b2]
 
 
 def mlp_predict_proba(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    a = np.asarray(X, dtype=float)
-    for W, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = np.tanh(a @ W + b)
-    return _sigmoid((a @ model.weights[-1] + model.biases[-1])[:, 0])
+    a = np.tanh(np.asarray(X, dtype=float) @ model.W1 + model.b1)
+    return _sigmoid((a @ model.W2 + model.b2)[:, 0])
 
 
 def select_knn_k(
     X: np.ndarray,
     y: np.ndarray,
-    hyper: KnnHyper,
     seed: int,
     metric: str = "euclidean",
+    grid: tuple[int, ...] = KNN_GRID,
     inner_folds: int = 3,
 ) -> int:
     """Nested grid selection of k on the training split only."""
-    candidates = [k for k in hyper.grid if k <= max(1, y.size - max(2, y.size // inner_folds))]
+    candidates = [k for k in grid if k <= max(1, y.size - max(2, y.size // inner_folds))]
     if not candidates:
         candidates = [1]
     class_min = min(int((y == 0).sum()), int((y == 1).sum()))
@@ -424,21 +425,27 @@ def grow_tree(X, y, seed, max_features, order="left_first") -> TreeNode:
     return root
 
 
+def bootstrap_rows(tree_seed: int, n: int) -> list[int]:
+    """A forest tree's training rows: output i + 1 of ``SplitMix64(tree_seed)`` mod n."""
+    stream = SplitMix64(tree_seed)
+    return [stream.next_u64() % n for _ in range(n)]
+
+
 def grow_forest(
     train: FeatureMatrix, hyper: ForestHyper, seed: int = 0, order: str = "left_first"
 ) -> list[TreeNode]:
-    """The roots ``ml.train_random_forest`` grows, drawing one ``SplitMix64`` output at a time."""
+    """The roots ``ml.train_random_forest`` grows, drawing one ``SplitMix64`` output at a time.
+
+    Each tree trains on its bootstrap rows and each node draws
+    floor(sqrt(d)) candidate features, at least one.
+    """
     n, d = train.X.shape
-    max_features = _resolve_max_features(hyper.max_features, d)
+    max_features = max(1, math.isqrt(d))
     roots = []
     for t in range(hyper.n_trees):
         tree_seed = derive_seed(seed, t)
-        if hyper.bootstrap:
-            stream = SplitMix64(tree_seed)
-            sample = [stream.next_u64() % n for _ in range(n)]
-            X_t, y_t = train.X[sample], train.y[sample]
-        else:
-            X_t, y_t = train.X, train.y
+        sample = bootstrap_rows(tree_seed, n)
+        X_t, y_t = train.X[sample], train.y[sample]
         roots.append(grow_tree(X_t, y_t, derive_seed(tree_seed, 0), max_features, order))
     return roots
 

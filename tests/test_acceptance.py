@@ -183,9 +183,8 @@ def test_mlp_gradient_check():
     worst = 0.0
     for _ in range(20):
         d = int(rng.integers(1, 4))
-        hidden = [int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 3)))]
-        sizes = [d, *hidden, 1]
-        weights, biases = _mlp_init(sizes, int(rng.integers(2**63)))
+        W1, b1, W2, b2 = _mlp_init(d, int(rng.integers(1, 5)), int(rng.integers(2**63)))
+        weights, biases = [W1, W2], [b1, b2]
         n = int(rng.integers(2, 9))
         X = rng.normal(size=(n, d))
         y = rng.integers(0, 2, n).astype(float)

@@ -670,6 +670,26 @@ def test_read_config_file_types(tmp_path):
     assert values == {"seed": 3, "features": "tfidf", "include_title": True}
 
 
+def test_config_value_loses_one_pair_of_matching_quotes_only(tmp_path):
+    path = tmp_path / "quoted.conf"
+    path.write_text("features = \"tfidf\"\nlexicon_dir = 'lex'\n"
+                    "out = runs\"\ninput = ''corpus''\nalgo = '\n")
+    assert read_config_file(path) == {
+        "features": "tfidf", "lexicon_dir": "lex",
+        "out": 'runs"', "input": "'corpus'", "algo": "'",
+    }
+
+
+def test_config_value_with_mismatched_quotes_exits_2(canonical, tmp_path, capsys):
+    config = tmp_path / "mismatched.conf"
+    config.write_text("algo = \"bayes'\n")
+    code = main(["evaluate", "--input", str(canonical), "--config", str(config),
+                 "--seed", "1", "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    assert "unknown algorithm '\"bayes''" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_byte_order_mark_is_read_as_no_text(tmp_path):
     # Notepad's "UTF-8 with BOM" starts the file with one
     path = tmp_path / "bom.conf"

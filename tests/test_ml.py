@@ -15,7 +15,6 @@ from grantprod.ml import (
     ComplexityFeatures,
     FeatureMatrix,
     ForestHyper,
-    KnnHyper,
     MlpHyper,
     SvmHyper,
     TfidfFeatures,
@@ -46,7 +45,7 @@ from _synth import (
     shuffled_labels,
     wide_vocabulary_corpus,
 )
-from _trainer_oracle import information_gain, kernel_loss_and_grad
+from _trainer_oracle import bootstrap_rows, information_gain, kernel_loss_and_grad, mlp_arrays
 
 
 def entropy_bits(labels):
@@ -162,16 +161,17 @@ def test_chosen_splits_have_nonnegative_delta_g():
 # ---------------------------------------------------------------------------
 
 def test_degenerate_forest_equals_tree():
+    # on one feature every node's one candidate is that feature, so a
+    # one-tree forest is the decision tree of its bootstrap rows
     rng = np.random.default_rng(2)
-    X = rng.normal(size=(30, 3))
+    X = rng.normal(size=(30, 1))
     y = (X[:, 0] > 0.2).astype(int)
-    tree = train_decision_tree(FeatureMatrix(X, y))
-    forest = train_random_forest(
-        FeatureMatrix(X, y),
-        ForestHyper(n_trees=1, bootstrap=False, max_features=None),
-        seed=0,
-    )
-    assert (forest.predict(X) == tree.predict(X)).all()
+    forest = train_random_forest(FeatureMatrix(X, y), ForestHyper(n_trees=1), seed=0)
+    rows = bootstrap_rows(derive_seed(0, 0), 30)
+    assert len(set(rows)) < 30  # a bootstrap, not every row once
+    (tree,) = train_decision_tree(FeatureMatrix(X[rows], y[rows])).trees
+    for name in ("feature", "threshold", "left", "right", "n_samples", "n_positive"):
+        assert np.array_equal(getattr(forest.trees[0], name), getattr(tree, name), equal_nan=True)
 
 
 def test_forest_separable_training_accuracy():
@@ -197,12 +197,21 @@ def test_forest_determinism_under_seed():
     assert splits(a) == splits(b) != splits(c)
 
 
-@pytest.mark.parametrize("max_features", [3, "log2"])
-def test_forest_rejects_max_features_other_than_sqrt_or_none(max_features):
-    X = np.zeros((4, 9))
-    y = np.array([0, 1, 0, 1])
-    with pytest.raises(ValueError, match=repr(max_features)):
-        train_random_forest(FeatureMatrix(X, y), ForestHyper(max_features=max_features))
+@pytest.mark.parametrize("trainer", [train_decision_tree, train_random_forest])
+def test_tree_learners_reject_empty_or_nonfinite_training_sets(trainer):
+    with pytest.raises(ValueError, match="^empty training set$"):
+        trainer(FeatureMatrix(np.empty((0, 3)), []))
+    X = np.ones((4, 3))
+    X[2, 1] = np.inf
+    with pytest.raises(ValueError, match="contains NaN or infinite values"):
+        trainer(FeatureMatrix(X, [0, 1, 0, 1]))
+
+
+@pytest.mark.parametrize("n_trees", [0, -1])
+def test_forest_tree_count_is_checked_where_it_is_built(n_trees):
+    # unchecked, no tree votes: every row is class 0 and every importance 0
+    with pytest.raises(ValueError, match=f"at least one tree, not {n_trees}"):
+        ForestHyper(n_trees=n_trees)
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +321,8 @@ def test_select_knn_k_prefers_small_on_ties():
     rng = np.random.default_rng(8)
     X = np.vstack([rng.normal(0, 0.3, (15, 2)), rng.normal(3, 0.3, (15, 2))])
     y = np.array([0] * 15 + [1] * 15)
-    k = select_knn_k(X, y, KnnHyper(), seed=1)
+    k = select_knn_k(X, y, seed=1)
     assert k in (1, 3, 5, 7, 11, 15)
-
-
-@pytest.mark.parametrize("grid", [(), (0, 3), (3, -1)], ids=["empty", "zero", "negative"])
-def test_knn_grid_is_checked_where_it_is_built(grid):
-    with pytest.raises(ValueError, match="k grid"):
-        KnnHyper(grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +400,9 @@ def test_tfidf_svm_predicts_both_classes_in_every_fold():
 # ---------------------------------------------------------------------------
 
 def test_zero_hidden_units_rejected():
-    with pytest.raises(ValueError):
-        MlpHyper(hidden_layers=(0,))
-    with pytest.raises(ValueError):
-        MlpHyper(hidden_layers=())
+    for units in (0, -1):
+        with pytest.raises(ValueError, match=f"hidden units must be at least 1, not {units}"):
+            MlpHyper(hidden_units=units)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -419,13 +421,14 @@ def test_single_neuron_identity_task():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(80, 1))
     y = (x[:, 0] > 0).astype(int)
-    model = train_mlp([FeatureMatrix(x, y)], MlpHyper(hidden_layers=(1,), epochs=400), [2])[0]
+    model = train_mlp([FeatureMatrix(x, y)], MlpHyper(hidden_units=1, epochs=400), [2])[0]
     assert (model.predict(x) == y).mean() >= 0.95
 
 
 def test_gradient_check_small_network():
     rng = np.random.default_rng(10)
-    weights, biases = _mlp_init([3, 4, 1], derive_seed(10))
+    W1, b1, W2, b2 = _mlp_init(3, 4, derive_seed(10))
+    weights, biases = [W1, W2], [b1, b2]
     X = rng.normal(size=(6, 3))
     y = rng.integers(0, 2, 6).astype(float)
     loss, grad_w, grad_b = kernel_loss_and_grad(weights, biases, X, y)
@@ -487,14 +490,14 @@ def test_mlp_determinism():
     y = (X[:, 0] > 0).astype(int)
     a = train_mlp([FeatureMatrix(X, y)], MlpHyper(epochs=50), [4])[0]
     b = train_mlp([FeatureMatrix(X, y)], MlpHyper(epochs=50), [4])[0]
-    for w1, w2 in zip(a.weights, b.weights):
+    for w1, w2 in zip(mlp_arrays(a), mlp_arrays(b)):
         np.testing.assert_array_equal(w1, w2)
 
 
 # At this step size the 6 x 3 rows below diverge at an epoch set by their
 # scale: 1.0 at epoch 3, 2.5 at epoch 2, and the first five rows times 1e3
 # (a second shape) at epoch 1; 0.9 and 2.0 train all 40 epochs.
-DIVERGING = MlpHyper(hidden_layers=(4,), learning_rate=1e308, epochs=40)
+DIVERGING = MlpHyper(hidden_units=4, learning_rate=1e308, epochs=40)
 
 
 def _scaled_fold(scale, rows=6):
@@ -549,7 +552,7 @@ def test_folds_before_a_diverged_one_train_as_alone():
         assert str(outcomes[position]) == raised == _divergence([diverging])
         for train, model in zip(healthy, outcomes[:position] + outcomes[position + 1:]):
             alone = train_mlp([train], DIVERGING, [0])[0]
-            for got, want in zip(model.weights + model.biases, alone.weights + alone.biases):
+            for got, want in zip(mlp_arrays(model), mlp_arrays(alone)):
                 assert np.array_equal(got, want)
 
 
@@ -557,11 +560,11 @@ def test_folds_before_a_diverged_one_train_as_alone():
 def test_nonfinite_weights_after_the_last_epoch_raise(shape):
     # the last update overflows, and no later loss is computed to catch it
     X = np.random.default_rng(2).normal(size=shape) * 100.0
-    hyper = MlpHyper(hidden_layers=(4,), learning_rate=1e308, epochs=1)
+    hyper = MlpHyper(hidden_units=4, learning_rate=1e308, epochs=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(TrainingDivergedError, match=(
-            r"^non-finite weights after epoch 0 \(lr=1e\+308, layers=\(4,\)\)$"
+            r"^non-finite weights after epoch 0 \(lr=1e\+308, hidden_units=4\)$"
         )):
             train_mlp([FeatureMatrix(X, [0, 1, 0, 1])], hyper, [0])
 
@@ -607,7 +610,7 @@ def test_each_mlp_model_of_a_cell_is_its_one_set_fit():
     hyper = ml.DEFAULT_HYPER["mlp"]
     for train, seed, model in zip(trains, seeds, models):
         alone = train_mlp([train], hyper, [seed])[0]
-        for got, want in zip(model.weights + model.biases, alone.weights + alone.biases):
+        for got, want in zip(mlp_arrays(model), mlp_arrays(alone)):
             assert np.array_equal(got, want)
 
 
@@ -659,7 +662,7 @@ ONE_SET_FITS = {
     "random_forest": lambda train, hyper, seed, knn_seed: train_random_forest(train, hyper, seed),
     "naive_bayes": lambda train, hyper, seed, knn_seed: train_naive_bayes(train, "multinomial"),
     "knn": lambda train, hyper, seed, knn_seed: train_knn(
-        train, select_knn_k(train.X, train.y, hyper, knn_seed, "euclidean"), "euclidean"),
+        train, select_knn_k(train.X, train.y, knn_seed, "euclidean"), "euclidean"),
     "linear_svm": lambda train, hyper, seed, knn_seed: train_linear_svm(train, hyper),
     "mlp": lambda train, hyper, seed, knn_seed: train_mlp([train], hyper, [seed])[0],
 }

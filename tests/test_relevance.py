@@ -29,9 +29,10 @@ from grantprod.relevance import (
     render_rank_diagram,
     write_ranking_csv,
 )
+from grantprod.seeds import derive_seed
 
 from _synth import planted_ne_corpus
-from _trainer_oracle import TreeNode, flatten
+from _trainer_oracle import TreeNode, bootstrap_rows, flatten
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +151,13 @@ def test_node_counts_and_importance_match_an_independent_recount():
         X = rng.integers(0, 4, size=(n, d)).astype(float)  # few values: many ties
         y = ((X[:, 0] + X[:, 2] + rng.integers(0, 3, size=n)) > 4).astype(int)
         train = FeatureMatrix(X, y)
+        # each model with the training rows of each of its trees
         models = [
-            train_decision_tree(train),
-            train_random_forest(train, ForestHyper(n_trees=5, bootstrap=False), seed=trial),
+            (train_decision_tree(train), [range(n)]),
+            (train_random_forest(train, ForestHyper(n_trees=5), seed=trial),
+             [bootstrap_rows(derive_seed(trial, t), n) for t in range(5)]),
         ]
-        for model in models:
+        for model, tree_rows in models:
             nodes = [
                 (t, node)
                 for t, tree in enumerate(model.trees)
@@ -163,8 +166,8 @@ def test_node_counts_and_importance_match_an_independent_recount():
             assert nodes
             # route every training row down each tree and recount every node
             counts = {}
-            for t, tree in enumerate(model.trees):
-                for row, label in zip(X, y):
+            for t, (tree, rows) in enumerate(zip(model.trees, tree_rows)):
+                for row, label in zip(X[rows], y[rows]):
                     node = 0
                     while True:
                         n_seen, pos_seen = counts.get((t, node), (0, 0))

@@ -40,7 +40,7 @@ from hypothesis import strategies as st
 
 import _trainer_oracle as oracle
 from grantprod import ml
-from grantprod.ml import FeatureMatrix, KnnHyper, MlpHyper, SvmHyper
+from grantprod.ml import FeatureMatrix, MlpHyper, SvmHyper
 from grantprod.relevance import feature_importance
 from grantprod.seeds import SplitMix64, _mix64, derive_seed
 
@@ -229,15 +229,14 @@ def test_mlp_init_normals_have_standard_moments():
 
 
 def test_mlp_init_scales_the_stream_layer_by_layer():
-    weights, biases = ml._mlp_init([3, 4, 2, 1], seed=9)
-    draws = ml._standard_normals(9, 3 * 4 + 4 * 2 + 2 * 1)
-    assert np.array_equal(weights[0], draws[:12].reshape(3, 4) * (1.0 / math.sqrt(3)))
-    assert np.array_equal(weights[1], draws[12:20].reshape(4, 2) * (1.0 / math.sqrt(4)))
-    assert np.array_equal(weights[2], draws[20:].reshape(2, 1) * (1.0 / math.sqrt(2)))
-    assert all(np.array_equal(b, np.zeros(n)) for b, n in zip(biases, [4, 2, 1]))
+    W1, b1, W2, b2 = ml._mlp_init(3, 4, seed=9)
+    draws = ml._standard_normals(9, 3 * 4 + 4 * 1)
+    assert np.array_equal(W1, draws[:12].reshape(3, 4) * (1.0 / math.sqrt(3)))
+    assert np.array_equal(W2, draws[12:].reshape(4, 1) * (1.0 / math.sqrt(4)))
+    assert np.array_equal(b1, np.zeros(4)) and np.array_equal(b2, np.zeros(1))
 
 
-HIDDEN_LAYERS =st.lists(st.integers(1, 6), min_size=1, max_size=2).map(tuple)
+HIDDEN_UNITS = st.integers(1, 6)
 
 
 @dataclass(frozen=True)
@@ -248,15 +247,15 @@ class MlpProblem:
     d: int
     rng_seed: int
     scale: float
-    hidden: tuple[int, ...]
+    hidden: int
 
     def build(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], list[np.ndarray]]:
         rng = np.random.default_rng(self.rng_seed)
         X = self.scale * rng.normal(size=(self.n, self.d))
         y = rng.integers(0, 2, self.n).astype(float)
-        weights, biases = ml._mlp_init([self.d, *self.hidden, 1], self.rng_seed)
-        biases = [rng.normal(size=b.shape) for b in biases]
-        return X, y, weights, biases
+        W1, b1, W2, b2 = ml._mlp_init(self.d, self.hidden, self.rng_seed)
+        biases = [rng.normal(size=b.shape) for b in (b1, b2)]
+        return X, y, [W1, W2], biases
 
 
 @st.composite
@@ -266,7 +265,7 @@ def mlp_problems(draw) -> MlpProblem:
         d=draw(st.integers(1, 5)),
         rng_seed=draw(RNG_SEEDS),
         scale=draw(st.sampled_from([0.1, 1.0, 30.0])),
-        hidden=draw(HIDDEN_LAYERS),
+        hidden=draw(HIDDEN_UNITS),
     )
 
 
@@ -291,7 +290,7 @@ class MlpTrainingProblem:
     scale: float
     zero_row: int | None
     labels: str
-    hidden: tuple[int, ...]
+    hidden: int
     learning_rate: float
     epochs: int
     seed: int
@@ -303,7 +302,7 @@ class MlpTrainingProblem:
             X[self.zero_row] = 0.0
         y = _labels(rng, self.labels, self.n)
         hyper = MlpHyper(
-            hidden_layers=self.hidden, learning_rate=self.learning_rate, epochs=self.epochs
+            hidden_units=self.hidden, learning_rate=self.learning_rate, epochs=self.epochs
         )
         probes = np.vstack([X, self.scale * rng.normal(size=(4, self.d))])
         return FeatureMatrix(X, y), hyper, self.seed, probes
@@ -319,7 +318,7 @@ def mlp_training_problems(draw, gram: bool = False) -> MlpTrainingProblem:
         scale=draw(st.sampled_from([1e-3, 0.1, 1.0, 30.0, 1e3])),
         zero_row=_zero_row(draw, n),
         labels=draw(LABEL_KINDS),
-        hidden=draw(HIDDEN_LAYERS),
+        hidden=draw(HIDDEN_UNITS),
         learning_rate=draw(st.sampled_from([0.1, 1.0])),
         epochs=draw(st.integers(1, 30)),
         seed=draw(st.integers(0, 1000)),
@@ -332,7 +331,7 @@ def test_trained_mlp_equals_textbook(problem):
     train, hyper, seed, probes = problem.build()
     lean = ml.train_mlp([train], hyper, [seed])[0]
     textbook = oracle.train_mlp(train, hyper, seed)
-    for got, want in zip(lean.weights + lean.biases, textbook.weights + textbook.biases):
+    for got, want in zip(oracle.mlp_arrays(lean), oracle.mlp_arrays(textbook)):
         assert np.array_equal(got, want)
     assert np.array_equal(lean.predict_proba(probes), oracle.mlp_predict_proba(textbook, probes))
 
@@ -344,7 +343,7 @@ class StackedMlpProblem:
     shapes: tuple[tuple[int, int], ...]
     rng_seed: int
     scale: float
-    hidden: tuple[int, ...]
+    hidden: int
     learning_rate: float
     epochs: int
     seeds: tuple[int, ...]
@@ -356,7 +355,7 @@ class StackedMlpProblem:
             for n, d in self.shapes
         ]
         hyper = MlpHyper(
-            hidden_layers=self.hidden, learning_rate=self.learning_rate, epochs=self.epochs
+            hidden_units=self.hidden, learning_rate=self.learning_rate, epochs=self.epochs
         )
         probes = [self.scale * rng.normal(size=(4, d)) for _, d in self.shapes]
         return trains, hyper, list(self.seeds), probes
@@ -370,7 +369,7 @@ def stacked_mlp_problems(draw) -> StackedMlpProblem:
         shapes=shapes,
         rng_seed=draw(RNG_SEEDS),
         scale=draw(st.sampled_from([1e-3, 0.1, 1.0, 30.0])),
-        hidden=draw(HIDDEN_LAYERS),
+        hidden=draw(HIDDEN_UNITS),
         learning_rate=draw(st.sampled_from([0.1, 1.0])),
         epochs=draw(st.integers(1, 30)),
         seeds=tuple(draw(st.integers(0, 1000)) for _ in shapes),
@@ -386,7 +385,7 @@ def test_stacked_mlp_equals_one_fold_calls(problem):
     assert len(stacked) == len(trains)
     for train, seed, model, X in zip(trains, seeds, stacked, probes):
         alone = ml.train_mlp([train], hyper, [seed])[0]
-        for got, want in zip(model.weights + model.biases, alone.weights + alone.biases):
+        for got, want in zip(oracle.mlp_arrays(model), oracle.mlp_arrays(alone)):
             assert np.array_equal(got, want)
         assert np.array_equal(model.predict_proba(X), alone.predict_proba(X))
 
@@ -394,7 +393,7 @@ def test_stacked_mlp_equals_one_fold_calls(problem):
 def assert_mlp_near_textbook(train, hyper, seed, probes) -> None:
     gram = ml.train_mlp([train], hyper, [seed])[0]
     textbook = oracle.train_mlp(train, hyper, seed)
-    for got, want in zip(gram.weights + gram.biases, textbook.weights + textbook.biases):
+    for got, want in zip(oracle.mlp_arrays(gram), oracle.mlp_arrays(textbook)):
         assert_close(got, want)
     assert_same_decisions(
         gram.predict_proba(probes), oracle.mlp_predict_proba(textbook, probes), 0.5
@@ -407,7 +406,7 @@ def _textbook_resolves(train, hyper, seed) -> bool:
     nudged = oracle.train_mlp(FeatureMatrix(train.X * (1.0 + 2.0**-52), train.y), hyper, seed)
     return all(
         within(got, want, GRAM_RTOL / 1000)
-        for got, want in zip(nudged.weights + nudged.biases, textbook.weights + textbook.biases)
+        for got, want in zip(oracle.mlp_arrays(nudged), oracle.mlp_arrays(textbook))
     )
 
 
@@ -425,14 +424,14 @@ def test_form_rule_at_its_boundary(d):
     n = 6
     rng = np.random.default_rng(d)
     train = FeatureMatrix(rng.normal(size=(n, d)), np.arange(n) % 2)
-    mlp_hyper = MlpHyper(hidden_layers=(3,), epochs=20)
+    mlp_hyper = MlpHyper(hidden_units=3, epochs=20)
     with mock.patch.object(ml, "_GramFirstLayer", wraps=ml._GramFirstLayer) as mlp_gram:
         mlp = ml.train_mlp([train], mlp_hyper, [3])[0]
     assert mlp_gram.call_count == (n < d)
-    assert mlp.weights[0].shape == (d, 3)
+    assert mlp.W1.shape == (d, 3)
     mlp_textbook = oracle.train_mlp(train, mlp_hyper, seed=3)
     if n == d:
-        for got, want in zip(mlp.weights + mlp.biases, mlp_textbook.weights + mlp_textbook.biases):
+        for got, want in zip(oracle.mlp_arrays(mlp), oracle.mlp_arrays(mlp_textbook)):
             assert np.array_equal(got, want)
     else:
         assert_mlp_near_textbook(train, mlp_hyper, 3, train.X)
@@ -483,10 +482,7 @@ def knn_problems(draw) -> KnnProblem:
 @given(knn_problems())
 def test_knn_selection_equals_per_k_models(problem):
     X, y, metric, seed = problem.build()
-    hyper = KnnHyper()
-    assert ml.select_knn_k(X, y, hyper, seed, metric) == oracle.select_knn_k(
-        X, y, hyper, seed, metric
-    )
+    assert ml.select_knn_k(X, y, seed, metric) == oracle.select_knn_k(X, y, seed, metric)
     # every per-k score of one split, against one fitted model per k
     test_mask = np.random.default_rng(seed).random(y.size) < 0.4
     X_tr, y_tr, X_te, y_te = X[~test_mask], y[~test_mask], X[test_mask], y[test_mask]
@@ -625,17 +621,15 @@ def test_zero_gain_split_scores_exactly_zero():
         assert split == oracle.best_split(X, y, np.array([0]))
 
 
-FOREST_HYPERS = st.builds(
-    ml.ForestHyper,
-    n_trees=st.integers(1, 4),
-    max_features=st.sampled_from(["sqrt", None]),
-    bootstrap=st.booleans(),
-)
+# A forest's settings, or None for the decision tree
+TREE_LEARNERS = st.none() | st.builds(ml.ForestHyper, n_trees=st.integers(1, 4))
 
 
 def grow_both(problem, hyper, seed, order="left_first"):
     X, y = problem.build()
     train = FeatureMatrix(X, y)
+    if hyper is None:  # every row, and every feature at each node: no draw reads the seed
+        return X, ml.train_decision_tree(train), [oracle.grow_tree(X, y, seed, None, order)]
     model = ml.train_random_forest(train, hyper, seed)
     return X, model, oracle.grow_forest(train, hyper, seed, order)
 
@@ -649,14 +643,14 @@ def assert_flattened_equal(model, roots):
 
 
 @settings(max_examples=150, deadline=None)
-@given(tree_problems(), FOREST_HYPERS, st.integers(0, 1000))
+@given(tree_problems(), TREE_LEARNERS, st.integers(0, 1000))
 def test_flat_forest_equals_flattened_node_trees(problem, hyper, seed):
     _, model, roots = grow_both(problem, hyper, seed)
     assert_flattened_equal(model, roots)
 
 
 @settings(max_examples=150, deadline=None)
-@given(tree_problems(), FOREST_HYPERS, st.integers(0, 1000),
+@given(tree_problems(), TREE_LEARNERS, st.integers(0, 1000),
        st.sampled_from(["right_first", "breadth_first"]))
 def test_growth_order_leaves_every_tree_unchanged(problem, hyper, seed, order):
     # a node's draws follow from its path, so growing the right subtree
@@ -666,7 +660,7 @@ def test_growth_order_leaves_every_tree_unchanged(problem, hyper, seed, order):
 
 
 @settings(max_examples=150, deadline=None)
-@given(tree_problems(), FOREST_HYPERS, st.integers(0, 1000))
+@given(tree_problems(), TREE_LEARNERS, st.integers(0, 1000))
 def test_flat_prediction_equals_row_walk(problem, hyper, seed):
     X, model, roots = grow_both(problem, hyper, seed)
     # training rows sit on thresholds' sides exactly; the others are new
@@ -680,7 +674,7 @@ def test_flat_prediction_equals_row_walk(problem, hyper, seed):
 
 
 @settings(max_examples=150, deadline=None)
-@given(tree_problems(), FOREST_HYPERS, st.integers(0, 1000))
+@given(tree_problems(), TREE_LEARNERS, st.integers(0, 1000))
 def test_importance_equals_per_node_loop(problem, hyper, seed):
     X, model, roots = grow_both(problem, hyper, seed)
     for weighting in ("node_mean", "instance_weighted"):
