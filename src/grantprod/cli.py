@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import (
+    MISSING_VALUE,
     Area,
     CorpusError,
     GrantRecord,
@@ -138,7 +139,8 @@ def read_config_file(path: str | Path) -> dict:
     # subcommands declare a shared flag alike, so the key's action fixes its type
     actions = {key: action for keys in _config_keys().values() for key, action in keys.items()}
     values: dict = {}
-    for raw in Path(path).read_text(encoding="utf-8-sig").splitlines():
+    lines: dict[str, int] = {}  # the line that set each key
+    for number, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -148,6 +150,9 @@ def read_config_file(path: str | Path) -> dict:
         key = key.strip().replace("-", "_")
         if key not in actions:
             raise CliValidationError(f"unknown config key '{key}'")
+        if key in lines:
+            raise CliValidationError(f"config key '{key}' on line {number} repeats line {lines[key]}")
+        lines[key] = number
         value = value.strip()
         if len(value) >= 2 and value[0] == value[-1] and value[0] in "\"'":
             value = value[1:-1]  # one pair of matching quotes; any other quote is kept
@@ -306,7 +311,8 @@ def _preflight(args: argparse.Namespace) -> tuple[ValidationReport, LexiconSet |
 
 def cmd_ingest(args, report: ValidationReport, lexicons: None) -> int:
     # records with an empty Portuguese abstract never reach feature extraction
-    empty_abstract = sum(1 for _, field, _ in report.rejected if field == "abstract_pt")
+    empty_abstract = sum(1 for _, field, reason in report.rejected
+                         if field == "abstract_pt" and reason == MISSING_VALUE)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

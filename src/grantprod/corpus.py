@@ -12,12 +12,14 @@ from typing import Iterable, Sequence
 
 from .seeds import SplitMix64
 
-GRANT_ID_PATTERN = re.compile(r"^\d+/\d+-\d$")
+GRANT_ID_PATTERN = re.compile(r"[0-9]+/[0-9]+-[0-9]")  # matched whole, ASCII digits only
+_INTEGER_PATTERN = re.compile(r"\s*[+-]?[0-9]+\s*")  # not int()'s "1_0" or non-ASCII digits
 
 REQUIRED_FIELDS = ("grant_id", "title_pt", "abstract_pt", "area", "year", "publication_count")
 _TEXT_FIELDS = ("grant_id", "title_pt", "abstract_pt", "area", "title_en", "abstract_en")
 
 HISTOGRAM_THRESHOLDS = tuple(range(2, 9))
+MISSING_VALUE = "missing or empty value"  # the reason a required field is rejected for
 
 
 class Area(Enum):
@@ -80,7 +82,7 @@ class GrantRecord:
     subject: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not GRANT_ID_PATTERN.match(self.grant_id):
+        if not GRANT_ID_PATTERN.fullmatch(self.grant_id):
             raise ValueError(f"grant_id '{self.grant_id}' does not match year/number-digit format")
         if self.publication_count < 0:
             raise ValueError("publication_count must be >= 0")
@@ -116,13 +118,12 @@ def _parse_subject(value, fmt: str) -> tuple[str, ...]:
 
 
 def _integer(mapping: dict, field: str, row_number: int) -> int:
-    """A JSON integer, or a string int() parses (CSV gives every value as one)."""
+    """A JSON integer, or a string of ASCII digits with an optional sign (CSV gives only strings)."""
     value = mapping[field]
     if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            raise MalformedRowError(row_number, field, f"'{value}' is not an integer") from None
+        if not _INTEGER_PATTERN.fullmatch(value):
+            raise MalformedRowError(row_number, field, f"'{value}' is not an integer")
+        return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise MalformedRowError(row_number, field, f"{json.dumps(value)} is not an integer")
@@ -137,14 +138,14 @@ def _record_from_mapping(mapping: dict, row_number: int, fmt: str) -> GrantRecor
     for field in REQUIRED_FIELDS:
         value = mapping.get(field)
         if value is None or isinstance(value, str) and not value.strip():
-            raise MalformedRowError(row_number, field, "missing or empty value")
+            raise MalformedRowError(row_number, field, MISSING_VALUE)
     for field in _TEXT_FIELDS:
         value = mapping.get(field)
         if value is not None and not isinstance(value, str):
             raise MalformedRowError(row_number, field, f"{json.dumps(value)} is not a string")
 
     grant_id = mapping["grant_id"].strip()
-    if not GRANT_ID_PATTERN.match(grant_id):
+    if not GRANT_ID_PATTERN.fullmatch(grant_id):
         raise MalformedRowError(row_number, "grant_id", f"'{grant_id}' does not match year/number-digit format")
 
     try:

@@ -34,11 +34,11 @@ from .relevance import (
 from .seeds import _GOLDEN, _MASK64, SplitMix64, _mix64, derive_seed
 from .textproc import LexiconSet, builtin_lexicons
 from .topical import (
-    ColumnSelection,
     DocumentCounts,
     FieldSelector,
     IdfVariant,
     VectorMode,
+    Vocabulary,
     count_documents,
     document_text,
     field_text,
@@ -158,21 +158,20 @@ def tfidf_fold_matrices(
     top_x: int,
     mode: VectorMode = VectorMode.TFIDF,
     idf_variant: IdfVariant = IdfVariant.LOG_RATIO,
-    selection: ColumnSelection | None = None,
+    vocabulary: Vocabulary | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Training and test matrices of one fold; the vocabulary is fitted on the training rows only.
 
     ``counts`` holds every document's word counts, made once per area.  The
-    fold's vocabulary is selected from column sums over the training rows
-    (or is ``selection``, fitted beforehand) and its matrices are built by
-    column selection.  The fold's ``Vocabulary``, where one is wanted, is
-    ``counts.vocabulary(select_columns(counts, train_rows, top_x))``.  One
-    ``vectorize_counts`` call builds both, each row on its own.
+    fold's vocabulary is ``select_columns(counts, train_rows, top_x)``, from
+    column sums over the training rows (or is ``vocabulary``, fitted
+    beforehand on these counts).  One ``vectorize_counts`` call builds both
+    matrices, each row on its own.
     """
-    if selection is None:
-        selection = select_columns(counts, train_rows, top_x)
+    if vocabulary is None:
+        vocabulary = select_columns(counts, train_rows, top_x)
     rows = np.concatenate([train_rows, test_rows]).astype(np.intp)
-    matrix = vectorize_counts(counts, rows, selection, mode, idf_variant)
+    matrix = vectorize_counts(counts, rows, vocabulary, mode, idf_variant)
     return matrix[:len(train_rows)], matrix[len(train_rows):]
 
 
@@ -1026,7 +1025,7 @@ class TfidfFeatures:
         """The text these features are extracted from; raises MissingFieldError."""
         return field_text(record, self.selector, self.language)
 
-    def prepare(self, records, lexicons=None) -> tuple[DocumentCounts, ColumnSelection | None]:
+    def prepare(self, records, lexicons=None) -> tuple[DocumentCounts, Vocabulary | None]:
         """Each record's word counts, and the whole-corpus vocabulary unless it is fitted per fold."""
         counts = count_documents(
             [field_tokens(record, self.selector, self.language) for record in records]
@@ -1036,23 +1035,22 @@ class TfidfFeatures:
         return counts, select_columns(counts, range(len(records)), self.top_x)
 
     def fold_matrices(self, prepared, train_rows, test_rows) -> tuple[np.ndarray, np.ndarray]:
-        counts, selection = prepared
+        counts, vocabulary = prepared
         return tfidf_fold_matrices(
-            counts, train_rows, test_rows, self.top_x, self.mode, self.idf_variant, selection
+            counts, train_rows, test_rows, self.top_x, self.mode, self.idf_variant, vocabulary
         )
 
     def export(self, records, lexicons: None, out_dir: Path, comment: str) -> None:
-        # the exported matrix uses a whole-corpus vocabulary fit; per-fold
-        # vocabularies exist only inside cross-validation.  The vocabulary
-        # fit and vectorize run the fold kernel on their own token lists, so
-        # the records are tokenized twice here: perfbench/tests pin that
-        # count (six tokenizations per eval-tfidf record).
+        # one whole-corpus vocabulary fit; its words, in index order, are the
+        # rows of vocabulary.tsv and the columns of the matrix.  The fit and
+        # vectorize run the fold kernel on their own token lists, so the
+        # records are tokenized twice here: perfbench/tests pin that count
+        # (six tokenizations per eval-tfidf record).
         vocabulary = fit_vocabulary_from_tokens(
             [field_tokens(record, self.selector, self.language) for record in records],
             self.top_x,
         )
         save_vocabulary(vocabulary, out_dir / "vocabulary.tsv")
-        words = sorted(vocabulary.entries, key=vocabulary.entries.get)
         matrix = vectorize(
             [field_tokens(record, self.selector, self.language) for record in records],
             vocabulary,
@@ -1061,7 +1059,8 @@ class TfidfFeatures:
         )
         rows = ([record.grant_id] + [repr(v) if v else "0" for v in row.tolist()]
                 for record, row in zip(records, matrix))
-        write_csv(out_dir / "features_tfidf.csv", [comment], ["grant_id"] + words, rows)
+        header = ["grant_id", *vocabulary.words]
+        write_csv(out_dir / "features_tfidf.csv", [comment], header, rows)
 
 
 @dataclass

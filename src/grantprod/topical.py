@@ -10,10 +10,12 @@ conventional log(N / N_w) inverse-document-frequency is available behind the
 
 One kernel builds every vector: ``count_documents`` counts each document's
 words once (sparse rows over the word types), ``select_columns`` fits a top-X
-vocabulary from integer column sums over some rows and ``vectorize_counts``
-scatters the selected columns.  Every fold is built from one area's counts;
-the token-list entry points ``fit_vocabulary_from_tokens`` and ``vectorize``
-count their own token lists and run the same steps over all rows.
+``Vocabulary`` (words, count columns, document frequencies) from integer
+column sums over some rows and ``vectorize_counts`` scatters its columns.
+Every fold is built from one area's counts; the token-list entry points
+``fit_vocabulary_from_tokens`` and ``vectorize`` count their own token lists
+and run the same steps over all rows, ``vectorize`` after mapping the
+vocabulary's words to the columns of its own counts.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -59,29 +61,6 @@ class MissingFieldError(ValueError):
     def __init__(self, grant_id: str, field: str):
         super().__init__(f"record {grant_id} has no {field}")
         self.field = field
-
-
-@dataclass(frozen=True)
-class Vocabulary:
-    """Fitted top-X vocabulary with document frequencies."""
-
-    entries: dict[str, int]      # word -> dense index
-    doc_freq: dict[str, int]     # word -> number of documents containing it
-    corpus_size: int
-    top_x: int
-
-    def __post_init__(self):
-        if len(self.entries) > self.top_x:
-            raise ValueError("vocabulary exceeds its top_x bound")
-        if sorted(self.entries.values()) != list(range(len(self.entries))):
-            raise ValueError("vocabulary indices must be dense in [0, size)")
-        for word in self.entries:
-            n_w = self.doc_freq.get(word, 0)
-            if not 1 <= n_w <= self.corpus_size:
-                raise ValueError(f"doc_freq for '{word}' outside [1, N]")
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def _title_and_abstract(record: GrantRecord, language: str) -> tuple[str | None, str | None]:
@@ -136,8 +115,7 @@ def text_tokens(text: str) -> list[str]:
 
 def fit_vocabulary_from_tokens(token_lists: Sequence[Sequence[str]], top_x: int) -> Vocabulary:
     """Retain the top_x words by total corpus frequency; ties break lexicographically."""
-    counts = count_documents(token_lists)
-    return counts.vocabulary(select_columns(counts, range(len(token_lists)), top_x))
+    return select_columns(count_documents(token_lists), range(len(token_lists)), top_x)
 
 
 def tfidf_weight(
@@ -180,12 +158,14 @@ def vectorize(
     ...)``, which performs the same floating-point operations, so the cells
     equal the scalar formula exactly.  The factor is evaluated once per
     distinct document frequency.  An empty document gives a zero row.  The
-    token lists are counted and vectorized by ``vectorize_counts``, as folds are.
+    token lists are counted and vectorized by ``vectorize_counts``, as folds
+    are, with each vocabulary word mapped to its column of these counts.
     """
     counts = count_documents(token_lists)
-    return vectorize_counts(
-        counts, range(len(token_lists)), counts.selection(vocabulary), mode, idf_variant
-    )
+    column_of = {word: column for column, word in enumerate(counts.words)}
+    columns = np.array([column_of.get(word, -1) for word in vocabulary.words], dtype=np.intp)
+    vocabulary = replace(vocabulary, columns=columns)
+    return vectorize_counts(counts, range(len(token_lists)), vocabulary, mode, idf_variant)
 
 
 def _idf_factors(doc_freq: np.ndarray, corpus_size: int, idf_variant: IdfVariant) -> np.ndarray:
@@ -226,36 +206,19 @@ class DocumentCounts:
         flat += np.arange(owner.size)
         return owner, self.indices[flat], self.counts[flat]
 
-    def vocabulary(self, selection: ColumnSelection) -> Vocabulary:
-        """The selected columns as a ``Vocabulary`` over their words."""
-        retained = [self.words[column] for column in selection.columns.tolist()]
-        return Vocabulary(
-            entries={word: index for index, word in enumerate(retained)},
-            doc_freq=dict(zip(retained, selection.doc_freq.tolist())),
-            corpus_size=selection.corpus_size,
-            top_x=selection.top_x,
-        )
-
-    def selection(self, vocabulary: Vocabulary) -> ColumnSelection:
-        """Inverse of ``vocabulary``: each index's count column, -1 if no document has the word."""
-        column_of = {word: column for column, word in enumerate(self.words)}
-        retained = sorted(vocabulary.entries, key=vocabulary.entries.__getitem__)
-        return ColumnSelection(
-            columns=np.array([column_of.get(word, -1) for word in retained], dtype=np.intp),
-            doc_freq=np.array([vocabulary.doc_freq[word] for word in retained], dtype=np.int64),
-            corpus_size=vocabulary.corpus_size,
-            top_x=vocabulary.top_x,
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class ColumnSelection:
-    """A top-X vocabulary fitted on some rows of a ``DocumentCounts``, as count columns."""
+class Vocabulary:
+    """A top-X vocabulary fitted on some rows of a ``DocumentCounts``, one entry per index."""
 
-    columns: np.ndarray          # count column of each vocabulary index, -1 if none
-    doc_freq: np.ndarray         # N_w of each vocabulary index
+    words: tuple[str, ...]       # in index order
+    columns: np.ndarray          # each word's column of the counts it is used on, -1 if none
+    doc_freq: np.ndarray         # N_w of each index
     corpus_size: int             # N, the number of rows fitted on
     top_x: int
+
+    def __len__(self) -> int:
+        return len(self.words)
 
 
 def count_documents(token_lists: Sequence[Sequence[str]]) -> DocumentCounts:
@@ -278,7 +241,7 @@ def count_documents(token_lists: Sequence[Sequence[str]]) -> DocumentCounts:
     )
 
 
-def select_columns(counts: DocumentCounts, rows: Sequence[int], top_x: int) -> ColumnSelection:
+def select_columns(counts: DocumentCounts, rows: Sequence[int], top_x: int) -> Vocabulary:
     """The top_x words of the given rows by total frequency, from column sums of their counts.
 
     The sums are integers below 2^53, so float64 holds them exactly.  The
@@ -294,7 +257,8 @@ def select_columns(counts: DocumentCounts, rows: Sequence[int], top_x: int) -> C
     totals = np.bincount(columns, weights=values, minlength=len(counts.words))
     present = np.flatnonzero(totals)
     kept = present[np.argsort(-totals[present], kind="stable")[:top_x]]
-    return ColumnSelection(
+    return Vocabulary(
+        words=tuple(counts.words[column] for column in kept.tolist()),
         columns=kept,
         doc_freq=np.bincount(columns, minlength=len(counts.words))[kept],
         corpus_size=rows.size,
@@ -305,11 +269,11 @@ def select_columns(counts: DocumentCounts, rows: Sequence[int], top_x: int) -> C
 def vectorize_counts(
     counts: DocumentCounts,
     rows: Sequence[int],
-    selection: ColumnSelection,
+    vocabulary: Vocabulary,
     mode: VectorMode = VectorMode.TFIDF,
     idf_variant: IdfVariant = IdfVariant.LOG_RATIO,
 ) -> np.ndarray:
-    """The given rows' document-by-word matrix under the selection's vocabulary.
+    """The given rows' document-by-word matrix under a vocabulary's count columns.
 
     The selected columns' counts are scattered into a dense rows-by-vocabulary
     array (words outside the vocabulary are dropped), then divided by n_d and
@@ -317,17 +281,17 @@ def vectorize_counts(
     """
     rows = np.asarray(rows, dtype=np.intp)
     index_of = np.full(len(counts.words), -1, dtype=np.intp)
-    present = selection.columns >= 0
-    index_of[selection.columns[present]] = np.flatnonzero(present)
+    present = vocabulary.columns >= 0
+    index_of[vocabulary.columns[present]] = np.flatnonzero(present)
     owner, indices, values = counts.entries(rows)
     indices = index_of[indices]  # count column -> vocabulary index; rebinding frees the columns
     kept = indices >= 0
-    matrix = np.zeros((rows.size, selection.columns.size))
+    matrix = np.zeros((rows.size, len(vocabulary)))
     matrix[owner[kept], indices[kept]] = values[kept]
     if mode is VectorMode.RAW_FREQUENCY:
         return matrix
     matrix /= counts.lengths[rows][:, None]
-    matrix *= _idf_factors(selection.doc_freq, selection.corpus_size, idf_variant)
+    matrix *= _idf_factors(vocabulary.doc_freq, vocabulary.corpus_size, idf_variant)
     return matrix
 
 
@@ -338,5 +302,5 @@ def vectorize_counts(
 def save_vocabulary(vocabulary: Vocabulary, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"N={vocabulary.corpus_size}\ttop_x={vocabulary.top_x}\n")
-        for word, index in sorted(vocabulary.entries.items(), key=lambda item: item[1]):
-            handle.write(f"{word}\t{index}\t{vocabulary.doc_freq[word]}\n")
+        for index, (word, n_w) in enumerate(zip(vocabulary.words, vocabulary.doc_freq.tolist())):
+            handle.write(f"{word}\t{index}\t{n_w}\n")

@@ -151,6 +151,22 @@ def test_jsonl_count_of_another_type_is_listed_by_ingest_and_fails_the_others(tm
     assert not (tmp_path / "e").exists() and not (tmp_path / "r").exists()
 
 
+def test_ingest_counts_only_missing_or_empty_abstracts_as_empty(tmp_path, capsys):
+    # an abstract_pt that is not a string is rejected, but it is not an empty abstract
+    base = {"title_pt": "T", "area": "MED", "year": 2001, "publication_count": 0}
+    abstracts = ["Resumo.", "", 5, None, "  ", ["Resumo."]]
+    rows = [{"grant_id": f"2001/0000{i}-{i}", **base, "abstract_pt": abstract}
+            for i, abstract in enumerate(abstracts, start=1)]
+    path = tmp_path / "c.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert main(["ingest", "--input", str(path), "--format", "jsonl",
+                 "--out", str(tmp_path / "o")]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "rejected: 5" in out
+    assert "warning: 3 record(s) rejected for empty abstract_pt" in out
+    assert "row 3: abstract_pt: 5 is not a string" in out
+
+
 # ---------------------------------------------------------------------------
 # stats
 # ---------------------------------------------------------------------------
@@ -243,7 +259,7 @@ def test_evaluate_raw_frequency_exports_counts_on_the_corpus_vocabulary(canonica
     vocabulary = fit_vocabulary_from_tokens(token_lists, 30)
     expected = vectorize(token_lists, vocabulary, VectorMode.RAW_FREQUENCY)
     header, *rows = (out / "features_tfidf.csv").read_text().splitlines()[1:]
-    assert header.split(",") == ["grant_id"] + sorted(vocabulary.entries, key=vocabulary.entries.get)
+    assert header.split(",") == ["grant_id", *vocabulary.words]
     assert [row.split(",")[0] for row in rows] == [record.grant_id for record in records]
     exported = [[float(cell) for cell in row.split(",")[1:]] for row in rows]
     assert exported == expected.tolist()
@@ -687,6 +703,24 @@ def test_config_value_with_mismatched_quotes_exits_2(canonical, tmp_path, capsys
                  "--seed", "1", "--out", str(tmp_path / "out")])
     assert code == EXIT_VALIDATION
     assert "unknown algorithm '\"bayes''" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("seed = 1\nseed = 2\n", "config key 'seed' on line 2 repeats line 1"),
+    ("# replay\ntop-x = 30\n\nfeatures = tfidf\ntop_x = 40\n",
+     "config key 'top_x' on line 5 repeats line 2"),
+], ids=["same-spelling", "dash-and-underscore"])
+def test_repeated_config_key_exits_2_naming_both_lines(canonical, tmp_path, capsys, text, message):
+    # the later value used to replace the earlier one without a word
+    config = tmp_path / "repeated.conf"
+    config.write_text(text)
+    with pytest.raises(cli.CliValidationError, match=f"^{message}$"):
+        read_config_file(config)
+    code = main(["evaluate", "--input", str(canonical), "--config", str(config),
+                 "--seed", "1", "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -56,6 +56,23 @@ def test_grant_id_pattern_enforced():
                     area=Area.MED, year=2000, publication_count=0)
 
 
+@pytest.mark.parametrize("grant_id", [
+    "2019/1-2\n", "2019/1-2 ", " 2019/1-2", "2019/1-23", "\u0662\u0660\u0661\u0669/\u0661-\u0662",
+    "2019/1-\u0662", "\uff12019/1-2",
+], ids=["trailing-newline", "trailing-space", "leading-space", "two-check-digits",
+        "arabic-indic", "arabic-indic-check-digit", "fullwidth"])
+def test_grant_id_is_ascii_digits_matched_whole(tmp_path, grant_id):
+    with pytest.raises(ValueError, match="year/number-digit"):
+        GrantRecord(grant_id=grant_id, title_pt="t", abstract_pt="a",
+                    area=Area.MED, year=2000, publication_count=0)
+    if grant_id.strip() != "2019/1-2":  # the loaders strip the id before matching it
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({**JSONL_ROW, "grant_id": grant_id}) + "\n")
+        with pytest.raises(MalformedRowError, match="year/number-digit") as excinfo:
+            load_corpus(path, "jsonl")
+        assert (excinfo.value.row_number, excinfo.value.field) == (1, "grant_id")
+
+
 def test_negative_publication_count_rejected():
     with pytest.raises(ValueError):
         GrantRecord(grant_id="2000/00001-0", title_pt="t", abstract_pt="a",
@@ -264,6 +281,40 @@ def test_jsonl_counts_may_be_integer_strings(tmp_path):
     path.write_text(json.dumps({**JSONL_ROW, "year": "2001", "publication_count": " 3"}) + "\n")
     [record] = load_corpus(path, "jsonl")
     assert (record.year, record.publication_count) == (2001, 3)
+
+
+def _count_row(fmt: str, count: str) -> str:
+    """A corpus file of one row whose publication_count is the string ``count``."""
+    if fmt == "csv":
+        return HEADER + f"2001/00001-1,T,Resumo.,MED,2001,{count}\n"
+    return json.dumps({**JSONL_ROW, "publication_count": count}) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("count, value", [
+    (" 3", 3), ("3 ", 3), ("+3", 3), ("03", 3), ("\t12\t", 12), ("-0", 0),
+])
+def test_count_string_of_ascii_digits_loads(tmp_path, fmt, count, value):
+    path = tmp_path / f"c.{fmt}"
+    path.write_text(_count_row(fmt, count))
+    [record] = load_corpus(path, fmt)
+    assert record.publication_count == value
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("count", [
+    "1_0", "\u0663", "\uff13", "1\u0660", "+ 3", "3 3", "++3", "3.0", "0x3", "1e1", "\u00b3",
+], ids=["underscore", "arabic-indic", "fullwidth", "mixed", "spaced-sign", "inner-space",
+        "double-sign", "decimal", "hex", "exponent", "superscript"])
+def test_count_string_that_int_would_accept_or_stretch_is_rejected(tmp_path, fmt, count):
+    # int() reads "1_0" as 10 and the Arabic-Indic "\u0663" as 3, silently changing a label
+    path = tmp_path / f"c.{fmt}"
+    path.write_text(_count_row(fmt, count))
+    with pytest.raises(MalformedRowError) as excinfo:
+        load_corpus(path, fmt)
+    error = excinfo.value
+    assert (error.row_number, error.field) == (1, "publication_count")
+    assert error.reason == f"'{count}' is not an integer"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])

@@ -928,11 +928,11 @@ def test_vocabulary_fitted_on_training_folds_only():
     train_rows = list(range(1, 20))  # document 0 held out
     test_rows = [0]
     _, test = tfidf_fold_matrices(counts, train_rows, test_rows, top_x=100)
-    vocabulary = counts.vocabulary(select_columns(counts, train_rows, 100))
-    assert "markerunicum" not in vocabulary.entries
+    vocabulary = select_columns(counts, train_rows, 100)
+    assert "markerunicum" not in vocabulary.words
     assert test.shape == (1, len(vocabulary))
-    refit = counts.vocabulary(select_columns(counts, [0] + train_rows[:-1], 100))
-    assert "markerunicum" in refit.entries
+    refit = select_columns(counts, [0] + train_rows[:-1], 100)
+    assert "markerunicum" in refit.words
 
 
 def test_label_shuffled_corpus_near_chance():

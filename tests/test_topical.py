@@ -77,15 +77,15 @@ def test_field_tokens_are_normalized_words():
 def test_top_x_truncation():
     tokens = [["a", "a", "b"], ["a", "b", "c"]]
     vocab = fit_vocabulary_from_tokens(tokens, top_x=2)
-    assert set(vocab.entries) == {"a", "b"}  # c is least frequent
-    assert vocab.corpus_size == 2
-    assert vocab.doc_freq == {"a": 2, "b": 2}
+    assert vocab.words == ("a", "b")  # c is least frequent
+    assert vocab.corpus_size == 2 and len(vocab) == 2
+    assert vocab.doc_freq.tolist() == [2, 2]
 
 
 def test_tie_broken_lexicographically():
     tokens = [["b", "c", "a"]]
     vocab = fit_vocabulary_from_tokens(tokens, top_x=2)
-    assert set(vocab.entries) == {"a", "b"}  # all freq 1; smallest words retained
+    assert vocab.words == ("a", "b")  # all freq 1; smallest words retained
 
 
 def test_fit_over_records():
@@ -93,8 +93,8 @@ def test_fit_over_records():
               enumerate(["gato gato rua", "gato casa", "casa rua gato"])]
     token_lists = [field_tokens(r, FieldSelector.ABSTRACT) for r in corpus]
     vocab = fit_vocabulary_from_tokens(token_lists, top_x=10)
-    assert vocab.entries["gato"] == 0  # most frequent gets the first index
-    assert vocab.doc_freq == {"gato": 3, "casa": 2, "rua": 2}
+    assert vocab.words == ("gato", "casa", "rua")  # most frequent gets the first index
+    assert vocab.doc_freq.tolist() == [3, 2, 2]
     assert vocab.corpus_size == 3
 
 
@@ -180,7 +180,7 @@ def test_no_in_vocabulary_words():
 def test_raw_frequency_mode():
     vocab = fit_vocabulary_from_tokens([["a", "b"]], 10)
     row = vectorize([["a", "a", "a", "q"]], vocab, VectorMode.RAW_FREQUENCY)[0]
-    assert [(i, w) for i, w in enumerate(row) if w] == [(vocab.entries["a"], 3.0)]
+    assert [(i, w) for i, w in enumerate(row) if w] == [(vocab.words.index("a"), 3.0)]
 
 
 def test_tfidf_against_hand_evaluation():
@@ -189,10 +189,10 @@ def test_tfidf_against_hand_evaluation():
     vocab = fit_vocabulary_from_tokens(docs, 10)
     dense = vectorize(docs[:1], vocab)[0]
     # a: f=2, n_d=3, N=2, N_w=1 -> (2/3) * log(2)/log(2) = 2/3
-    assert dense[vocab.entries["a"]] == pytest.approx(2 / 3)
+    assert dense[vocab.words.index("a")] == pytest.approx(2 / 3)
     # b: f=1, n_d=3, N_w=N=2 -> 1/3 exactly
-    assert dense[vocab.entries["b"]] == pytest.approx(1 / 3)
-    assert dense[vocab.entries["c"]] == 0.0
+    assert dense[vocab.words.index("b")] == pytest.approx(1 / 3)
+    assert dense[vocab.words.index("c")] == 0.0
 
 
 def test_document_length_counts_oov_tokens():
@@ -230,13 +230,11 @@ def test_vectorize_cells_equal_scalar_formula(docs, unseen, top_x, mode, variant
     assert matrix.shape == (len(queries), len(vocab))
     for row, tokens in zip(matrix, queries):
         counts = Counter(tokens)
-        for word, index in vocab.entries.items():
+        for index, (word, n_w) in enumerate(zip(vocab.words, vocab.doc_freq.tolist())):
             if mode is VectorMode.RAW_FREQUENCY or not tokens:  # an empty document: zero row
                 expected = float(counts[word])
             else:
-                expected = tfidf_weight(
-                    counts[word], len(tokens), vocab.corpus_size, vocab.doc_freq[word], variant
-                )
+                expected = tfidf_weight(counts[word], len(tokens), vocab.corpus_size, n_w, variant)
             assert row[index] == expected
 
 
@@ -244,11 +242,13 @@ def test_vectorize_cells_equal_scalar_formula(docs, unseen, top_x, mode, variant
 # counted folds: the count kernel against the token-list oracle
 # ---------------------------------------------------------------------------
 
-def assert_same_vocabulary(got: Vocabulary, want: Vocabulary) -> None:
-    assert list(got.entries.items()) == list(want.entries.items())
-    assert got.doc_freq == want.doc_freq
-    assert got.corpus_size == want.corpus_size
-    assert got.top_x == want.top_x
+def assert_same_vocabulary(got: Vocabulary, want: oracle.Fitted, counts=None) -> None:
+    """``got`` has the oracle's fields; with ``counts``, each index names its word's column."""
+    fields = (got.words, tuple(got.doc_freq.tolist()), got.corpus_size, got.top_x)
+    assert oracle.Fitted(*fields) == want
+    assert got.columns.shape == got.doc_freq.shape == (len(got),)
+    if counts is not None:
+        assert [counts.words[column] for column in got.columns.tolist()] == list(got.words)
 
 
 def token_list_fold(docs, train, test, top_x, mode, variant, per_fold):
@@ -286,14 +286,14 @@ _ALL_EMPTY = ([[], []], [1], [0])
 def test_counted_fold_equals_token_list_fold(fold, top_x, mode, variant, per_fold):
     docs, train, test = fold
     counts = count_documents(docs)
-    selection = None if per_fold else select_columns(counts, range(len(docs)), top_x)
-    got = tfidf_fold_matrices(counts, train, test, top_x, mode, variant, selection)
+    vocabulary = None if per_fold else select_columns(counts, range(len(docs)), top_x)
+    got = tfidf_fold_matrices(counts, train, test, top_x, mode, variant, vocabulary)
     want = token_list_fold(docs, train, test, top_x, mode, variant, per_fold)
     assert got[0].shape == want[0].shape and np.array_equal(got[0], want[0])
     assert got[1].shape == want[1].shape and np.array_equal(got[1], want[1])
-    if selection is None:
-        selection = select_columns(counts, train, top_x)
-    assert_same_vocabulary(counts.vocabulary(selection), want[2])
+    if vocabulary is None:
+        vocabulary = select_columns(counts, train, top_x)
+    assert_same_vocabulary(vocabulary, want[2], counts)
 
 
 @pytest.mark.parametrize("rows, top_x, message", [
@@ -317,20 +317,21 @@ def test_all_empty_training_documents_give_zero_width_matrices():
     docs = [[], [], ["a", "b"]]
     counts = count_documents(docs)
     train, test = tfidf_fold_matrices(counts, [0, 1], [2], top_x=5)
-    vocab = counts.vocabulary(select_columns(counts, [0, 1], 5))
+    vocab = select_columns(counts, [0, 1], 5)
     assert train.shape == (2, 0) and test.shape == (1, 0)
     assert len(vocab) == 0 and vocab.corpus_size == 2
-    assert_same_vocabulary(vocab, oracle.fit_vocabulary_from_tokens(docs[:2], 5))
+    assert_same_vocabulary(vocab, oracle.fit_vocabulary_from_tokens(docs[:2], 5), counts)
 
 
 def test_test_only_words_are_dropped_but_counted_in_n_d():
     docs = [["a", "b", "a"], ["b"], ["a", "zzz", "zzz", "b"]]
     counts = count_documents(docs)
     _, test = tfidf_fold_matrices(counts, [0, 1], [2], top_x=5)
-    vocab = counts.vocabulary(select_columns(counts, [0, 1], 5))
-    assert "zzz" not in vocab.entries and test.shape == (1, 2)
-    assert np.array_equal(test, oracle.vectorize(docs[2:], vocab))
-    assert test[0, vocab.entries["b"]] == tfidf_weight(1, 4, 2, 2)
+    vocab = select_columns(counts, [0, 1], 5)
+    assert "zzz" not in vocab.words and test.shape == (1, 2)
+    want = oracle.fit_vocabulary_from_tokens(docs[:2], 5)
+    assert np.array_equal(test, oracle.vectorize(docs[2:], want))
+    assert test[0, vocab.words.index("b")] == tfidf_weight(1, 4, 2, 2)
 
 
 def test_document_counts_store_only_the_words_each_document_has():
@@ -354,18 +355,18 @@ def test_wide_ties_break_by_word():
     counts = count_documents(docs)
     for top_x in (1, 150, 299, 400):
         vocab = oracle.fit_vocabulary_from_tokens(docs[:40], top_x)
-        assert_same_vocabulary(counts.vocabulary(select_columns(counts, range(40), top_x)), vocab)
+        assert_same_vocabulary(select_columns(counts, range(40), top_x), vocab, counts)
 
 
 def test_rows_may_repeat_and_come_in_any_order():
     docs = [["a", "b"], ["b", "c", "c"], [], ["a"]]
     counts = count_documents(docs)
     rows = [3, 1, 1, 0, 2]
-    selection = select_columns(counts, rows, 3)
+    vocabulary = select_columns(counts, rows, 3)
     vocab = oracle.fit_vocabulary_from_tokens([docs[i] for i in rows], 3)
-    assert_same_vocabulary(counts.vocabulary(selection), vocab)
+    assert_same_vocabulary(vocabulary, vocab, counts)
     assert np.array_equal(
-        vectorize_counts(counts, rows, selection), oracle.vectorize([docs[i] for i in rows], vocab)
+        vectorize_counts(counts, rows, vocabulary), oracle.vectorize([docs[i] for i in rows], vocab)
     )
 
 
@@ -397,7 +398,7 @@ def test_token_list_entry_points_equal_the_oracle(corpus, top_x, mode, variant):
     docs, queries = corpus
     vocab = fit_vocabulary_from_tokens(docs, top_x)
     want = oracle.fit_vocabulary_from_tokens(docs, top_x)
-    assert_same_vocabulary(vocab, want)
+    assert_same_vocabulary(vocab, want, count_documents(docs))
     for token_lists in (docs, queries):
         got = vectorize(token_lists, vocab, mode, variant)
         expected = oracle.vectorize(token_lists, want, mode, variant)
@@ -408,35 +409,29 @@ def test_token_list_entry_points_equal_the_oracle(corpus, top_x, mode, variant):
 # persistence
 # ---------------------------------------------------------------------------
 
-def load_vocabulary(path) -> Vocabulary:
-    """Read a vocabulary written by ``save_vocabulary``."""
+def load_vocabulary(path) -> oracle.Fitted:
+    """Read a vocabulary written by ``save_vocabulary``; its indices must run 0, 1, ..."""
     lines = path.read_text(encoding="utf-8").splitlines()
     header = dict(part.split("=", 1) for part in lines[0].split("\t"))
     rows = [line.split("\t") for line in lines[1:]]
-    return Vocabulary(
-        entries={word: int(index) for word, index, _ in rows},
-        doc_freq={word: int(n_w) for word, _, n_w in rows},
+    assert [int(index) for _, index, _ in rows] == list(range(len(rows)))
+    return oracle.Fitted(
+        words=tuple(word for word, _, _ in rows),
+        doc_freq=tuple(int(n_w) for _, _, n_w in rows),
         corpus_size=int(header["N"]),
         top_x=int(header["top_x"]),
     )
 
 
 def test_vocabulary_roundtrip(tmp_path):
-    vocab = fit_vocabulary_from_tokens([["gato", "casa"], ["gato"]], 5)
+    docs = [["gato", "casa"], ["gato"]]
+    vocab = fit_vocabulary_from_tokens(docs, 5)
     path = tmp_path / "vocab.tsv"
     save_vocabulary(vocab, path)
-    loaded = load_vocabulary(path)
-    assert loaded == vocab
-    header = path.read_text(encoding="utf-8").splitlines()[0]
-    assert header == "N=2\ttop_x=5"
-
-
-def test_vocabulary_validation():
-    with pytest.raises(ValueError):
-        Vocabulary(entries={"a": 0, "b": 2}, doc_freq={"a": 1, "b": 1},
-                   corpus_size=2, top_x=5)  # indices not dense
-    with pytest.raises(ValueError):
-        Vocabulary(entries={"a": 0}, doc_freq={"a": 3}, corpus_size=2, top_x=5)
+    assert_same_vocabulary(vocab, load_vocabulary(path))
+    assert load_vocabulary(path) == oracle.fit_vocabulary_from_tokens(docs, 5)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines == ["N=2\ttop_x=5", "gato\t0\t2", "casa\t1\t1"]
 
 
 PT_LEXICONS = builtin_lexicons("pt")
